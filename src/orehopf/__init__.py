@@ -18,7 +18,7 @@ from .hopfcore import (AlgebraSpec, GroupAlgElem, HopfElem, Mode, SpecError,
                        validate_spec, wind)
 from .quotient import (QuotientElem, QuotientSpec, hopf_ideal_check,
                        q_multiply, q_reduce, quotient_basis)
-from .report import Report, merge
+from .report import Report
 from .reps import (ClassifyError, IsoResult, ModuleRep, SimpleParams,
                    are_isomorphic, build_Vbar_diff, build_Vx_diff,
                    build_Vx_skew, build_Vxy_skew, build_Vy_diff, build_Vy_skew,
@@ -44,7 +44,7 @@ __all__ = [
     "multiply", "random_element", "validate_spec", "wind",
     "QuotientElem", "QuotientSpec", "hopf_ideal_check", "q_multiply",
     "q_reduce", "quotient_basis",
-    "Report", "merge",
+    "Report",
     "ClassifyError", "IsoResult", "ModuleRep", "SimpleParams",
     "are_isomorphic", "build_Vbar_diff", "build_Vx_diff", "build_Vx_skew",
     "build_Vxy_skew", "build_Vy_diff", "build_Vy_skew", "build_induced_skew",

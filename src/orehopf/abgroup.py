@@ -290,7 +290,8 @@ def left_kernel(rows):
                    for c in range(len(Mt[0]))]
         if not any(reduced):
             out.append(U[i])
-    assert len(out) == len(Mt) - rank
+    if len(out) != len(Mt) - rank:
+        raise ArithmeticError("kernel rank does not match the echelon rank")
     return out
 
 
@@ -321,10 +322,6 @@ class Subgroup:
 
     def __setattr__(self, name, value):
         raise AttributeError("Subgroup is immutable")
-
-    @staticmethod
-    def from_elements(group: AbelianGroup, elements) -> "Subgroup":
-        return Subgroup(group, [list(e.exps) for e in elements])
 
     def express(self, g: GroupElement):
         """Integer coefficients of a lift of g over the HNF rows, or None."""
@@ -469,12 +466,6 @@ class SubgroupCharacter:
             raise ValueError(f"{g!r} is not in the subgroup")
         k = sum(a * e for a, e in zip(coeffs, self.exps)) % self.conductor
         return root_of_unity(self.conductor, k)
-
-    def eval_zeta_exponent(self, g: GroupElement) -> int:
-        coeffs = self.subgroup.express(g)
-        if coeffs is None:
-            raise ValueError(f"{g!r} is not in the subgroup")
-        return sum(a * e for a, e in zip(coeffs, self.exps)) % self.conductor
 
     def __eq__(self, other):
         return (isinstance(other, SubgroupCharacter)

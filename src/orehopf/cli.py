@@ -6,6 +6,9 @@ success / property true, 1 on property failure / false, 2 on usage or
 validation errors.  Randomness is seed-controlled; the seed is recorded
 in the report.  The environment variable ORE_HOPF_SEED supplies the
 default seed.
+
+Input bounds: the conductor is an integer in [1, MAX_CONDUCTOR], JSON
+booleans are not integers, and --samples is at least 1.
 """
 
 import argparse
@@ -37,6 +40,15 @@ _TOP_KEYS = {"conductor", "group", "chi", "eta", "b", "c", "beta",
              "quotient", "seed"}
 _REQUIRED_KEYS = ("conductor", "group", "chi", "eta", "b", "c", "beta")
 
+# root_of_unity recurses N - 1 - phi(N) deep: 323 at N = 420, while N = 630
+# already exceeds Python's default recursion limit.
+MAX_CONDUCTOR = 420
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; bool is a subclass of int in Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 class Config:
     """Validated configuration: the algebra spec, optional quotient data,
@@ -53,7 +65,7 @@ class Config:
 def _exponent_vector(data, key, length):
     value = data[key]
     if (not isinstance(value, list) or len(value) != length
-            or not all(isinstance(v, int) for v in value)):
+            or not all(_is_int(v) for v in value)):
         raise ConfigError(f"config key '{key}' must be a list of {length} "
                           f"integer(s), one per group generator")
     return value
@@ -70,8 +82,9 @@ def config_from_dict(data) -> Config:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
     conductor = data["conductor"]
-    if not isinstance(conductor, int) or conductor < 1:
-        raise ConfigError("config key 'conductor' must be a positive integer")
+    if not _is_int(conductor) or not 1 <= conductor <= MAX_CONDUCTOR:
+        raise ConfigError(f"config key 'conductor' must be an integer in "
+                          f"[1, {MAX_CONDUCTOR}]")
 
     gdata = data["group"]
     if not isinstance(gdata, dict):
@@ -85,9 +98,9 @@ def config_from_dict(data) -> Config:
         raise ConfigError(f"unknown group key(s): {', '.join(unknown)}")
     free_rank = gdata["free_rank"]
     torsion = gdata["torsion"]
-    if not isinstance(free_rank, int) or free_rank < 0:
+    if not _is_int(free_rank) or free_rank < 0:
         raise ConfigError("group key 'free_rank' must be a non-negative integer")
-    if not isinstance(torsion, list) or not all(isinstance(t, int) for t in torsion):
+    if not isinstance(torsion, list) or not all(_is_int(t) for t in torsion):
         raise ConfigError("group key 'torsion' must be a list of integers")
     if any(t < 2 for t in torsion):
         raise ConfigError("torsion orders must be >= 2")
@@ -124,7 +137,7 @@ def config_from_dict(data) -> Config:
         quotient = QuotientSpec(spec, lam1, lam2)
 
     seed = data.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_int(seed):
         raise ConfigError("config key 'seed' must be an integer")
     return Config(spec, quotient, seed)
 
@@ -171,20 +184,22 @@ def _emit_report(report: Report) -> int:
     return 0 if report.passed else 1
 
 
+def _raw_monomial(spec, key, coeff):
+    """The one raw-basis term of an internal PBW monomial."""
+    rows = HopfElem(spec, {key: coeff}).sorted_raw()
+    if len(rows) != 1:
+        raise ArithmeticError(f"monomial {key!r} has {len(rows)} raw terms")
+    return rows[0]
+
+
 def serialize_tensor(t) -> list:
     """Sorted [(left monomial, right monomial, coeff)] over the raw basis,
     each monomial as [group exponents, i, j]."""
     spec = t.spec
     out = []
     for (k1, k2), coeff in t.terms.items():
-        left = HopfElem(spec, {k1: coeff})
-        rows = left.sorted_raw()
-        assert len(rows) == 1
-        exps1, i1, j1, c1 = rows[0]
-        right = HopfElem(spec, {k2: spec.scalar(1)})
-        rows = right.sorted_raw()
-        assert len(rows) == 1
-        exps2, i2, j2, c2 = rows[0]
+        exps1, i1, j1, c1 = _raw_monomial(spec, k1, coeff)
+        exps2, i2, j2, c2 = _raw_monomial(spec, k2, spec.scalar(1))
         c = c1 * c2
         if c.is_zero():
             continue
@@ -247,7 +262,7 @@ def build_family_module(family: str, params: dict, spec: AlgebraSpec) -> ModuleR
     if family == "skew-vxy":
         _need(params, family, "alpha_x", "alpha_y", "t", "lam")
         t = params["t"]
-        if not isinstance(t, int):
+        if not _is_int(t):
             raise ConfigError("param 't' must be an integer")
         lam = _kernel_character(spec, spec.chi.kernel(), params, "lam")
         return build_Vxy_skew(_literal(spec, params, "alpha_x"),
@@ -351,7 +366,13 @@ def _cmd_antipode(args) -> int:
     return _element_command(args, transform)
 
 
+def _check_samples(args) -> None:
+    if args.samples < 1:
+        raise ConfigError("--samples must be a positive integer")
+
+
 def _cmd_hopf_check(args) -> int:
+    _check_samples(args)
     config = _load_config(args.config)
     seed = _resolve_seed(args.seed, config)
     report = hopf_axiom_check(config.spec, sample_count=args.samples,
@@ -360,6 +381,7 @@ def _cmd_hopf_check(args) -> int:
 
 
 def _cmd_quotient_check(args) -> int:
+    _check_samples(args)
     config = _load_config(args.config)
     if config.quotient is None:
         raise ConfigError("config has no quotient section; quotient-check "

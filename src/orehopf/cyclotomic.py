@@ -94,7 +94,8 @@ def cyclotomic_polynomial(n: int) -> tuple:
     for d in divisors(n)[:-1]:
         den = _poly_mul(den, list(cyclotomic_polynomial(d)))
     quo, rem = _poly_divmod(num, den)
-    assert not rem, "cyclotomic polynomial division must be exact"
+    if rem:
+        raise ArithmeticError(f"x^{n} - 1 is not divisible by the lower cyclotomic factors")
     return tuple(quo)
 
 
@@ -260,7 +261,8 @@ class Cyclotomic:
         mod = list(cyclotomic_polynomial(self.conductor))
         g, s, _ = _poly_egcd(list(self.coeffs), mod)
         # g is a nonzero constant since Phi_N is irreducible
-        assert len(g) == 1
+        if len(g) != 1:
+            raise ArithmeticError(f"gcd with Phi_{self.conductor} is not a constant")
         inv = [c / g[0] for c in s]
         _, rem = _poly_divmod(inv, mod)
         return Cyclotomic(self.conductor, rem)

@@ -17,6 +17,12 @@ Two regimes exist and are classified at validation time:
 Moving z across a power of x is done in one step with the winding elements
 [e]_i rather than i single rewrites; the single-step path lives in the test
 suite as an independent oracle.
+
+Both PBW generators are skew-primitive, so Delta and S of a PBW monomial
+g x^i w^j come from closed forms (Gauss binomials for Delta(v^n), a group
+element power for S(v)^n) rather than from products in H (x) H.  The
+product path Delta(x)^i Delta(w)^j and S(w)^j S(x)^i is kept in the test
+suite as the oracle for these closed forms.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from math import gcd
 from random import Random
 
 from .abgroup import AbelianGroup, Character, GroupElement
-from .cyclotomic import Cyclotomic, q_int, root_of_unity
+from .cyclotomic import Cyclotomic, q_binomial, q_int, root_of_unity
 from .report import Report
 
 
@@ -155,10 +161,7 @@ class AlgebraSpec:
         self.n_chi = chi.order()
         self._z_past_x_cache = {}
         self._wind_cache = {}
-        self._cop_x_cache = {}
-        self._cop_y_cache = {}
-        self._antipode_x_cache = {}
-        self._antipode_y_cache = {}
+        self._cop_cache = {}
 
     # -- element constructors --
 
@@ -550,81 +553,66 @@ class TensorElem:
         return (isinstance(other, TensorElem) and self.spec is other.spec
                 and self.terms == other.terms)
 
-    def apply_left(self, fn):
-        """Map m1 (x) m2 -> fn(m1-elem) (x) m2 for a linear fn returning HopfElem."""
-        out = {}
-        spec = self.spec
-        for (k1, k2), c in self.terms.items():
-            img = fn(HopfElem(spec, {k1: Cyclotomic.one(spec.conductor)}))
-            for k, v in img.terms.items():
-                _acc(out, (k, k2), c * v)
-        return TensorElem(spec, out)
-
-    def apply_right(self, fn):
-        out = {}
-        spec = self.spec
-        for (k1, k2), c in self.terms.items():
-            img = fn(HopfElem(spec, {k2: Cyclotomic.one(spec.conductor)}))
-            for k, v in img.terms.items():
-                _acc(out, (k1, k), c * v)
-        return TensorElem(spec, out)
-
     def __repr__(self):
         return f"Tensor({len(self.terms)} terms)"
 
 
 # -- Hopf structure maps --
+#
+# Both PBW generators are skew-primitive: Delta(v) = v (x) L + R (x) v and
+# v g = char(g) g v, with (char, R, L) = (chi, b, 1) for x and (eta, c, 1)
+# for y (skew mode) or (eta, 1, c^(-1)) for z (diff mode).  Then
+# (v (x) L)(R (x) v) = p (R (x) v)(v (x) L) with p = char(R L^(-1)), so the
+# q-binomial theorem and S(v) = -char(L)^(-1) (RL)^(-1) v give closed forms
+# for Delta(v^n) and S(v)^n.
 
-def _cop_generator_x(spec: AlgebraSpec) -> TensorElem:
-    one = spec.one()
-    return TensorElem.of(spec.x(), one) + TensorElem.of(
-        spec.group_element(spec.b), spec.x())
-
-
-def _cop_generator_w(spec: AlgebraSpec) -> TensorElem:
-    """Coproduct of the internal second variable (y in skew mode, z in diff)."""
-    one = spec.one()
+def _skew_primitives(spec: AlgebraSpec):
+    """(character, R, L) for x and for the internal second variable w."""
+    ident = spec.group.identity()
     if spec.mode is Mode.SKEW_GROUP_RING:
-        y = HopfElem(spec, {(spec.group.identity(), 0, 1):
-                            Cyclotomic.one(spec.conductor)})
-        return TensorElem.of(y, one) + TensorElem.of(
-            spec.group_element(spec.c), y)
-    z = spec.z()
-    return TensorElem.of(z, spec.group_element(spec.c.inverse())) + TensorElem.of(one, z)
-
-
-def _cop_x_pow(spec: AlgebraSpec, i: int) -> TensorElem:
-    cached = spec._cop_x_cache.get(i)
-    if cached is not None:
-        return cached
-    if i == 0:
-        out = TensorElem.of(spec.one(), spec.one())
+        w = (spec.eta, spec.c, ident)
     else:
-        out = _cop_x_pow(spec, i - 1) * _cop_generator_x(spec)
-    spec._cop_x_cache[i] = out
-    return out
+        w = (spec.eta, ident, spec.c.inverse())
+    return (spec.chi, spec.b, ident), w
 
 
-def _cop_w_pow(spec: AlgebraSpec, j: int) -> TensorElem:
-    cached = spec._cop_y_cache.get(j)
-    if cached is not None:
-        return cached
-    if j == 0:
-        out = TensorElem.of(spec.one(), spec.one())
-    else:
-        out = _cop_w_pow(spec, j - 1) * _cop_generator_w(spec)
-    spec._cop_y_cache[j] = out
-    return out
+def _cop_power(gen, n: int):
+    """Delta(v^n) = sum_l binom(n, l)_p char(L)^(l(n-l)) R^l v^(n-l) (x) L^(n-l) v^l,
+    as a list of (coeff, R^l, L^(n-l), l)."""
+    char, R, L = gen
+    p = char.eval(R * L.inverse())
+    return [(q_binomial(n, l, p) * char.eval_pow(L, l * (n - l)),
+             R ** l, L ** (n - l), l) for l in range(n + 1)]
+
+
+def _cop_monomial(spec: AlgebraSpec, i: int, j: int) -> dict:
+    """Delta(x^i w^j) as {(left key, right key): coeff}, cached on the spec.
+
+    The product Delta(x^i) Delta(w^j) is already in PBW order; moving x^(i-k)
+    past R^l and x^k past L^(j-l) gives the only extra factors.
+    """
+    cached = spec._cop_cache.get((i, j))
+    if cached is None:
+        gx, gw = _skew_primitives(spec)
+        chi = spec.chi
+        cached = {}
+        for cx, lx, rx, k in _cop_power(gx, i):
+            for cw, lw, rw, l in _cop_power(gw, j):
+                coeff = cx * cw * chi.eval_pow(lw, i - k) * chi.eval_pow(rw, k)
+                if not coeff.is_zero():
+                    cached[((lx * lw, i - k, j - l), (rx * rw, k, l))] = coeff
+        spec._cop_cache[(i, j)] = cached
+    return cached
 
 
 def comultiply(a: HopfElem) -> TensorElem:
+    """Delta(g x^i w^j) = (g (x) g) Delta(x^i w^j): a relabelling of cached keys."""
     spec = a.spec
-    out = TensorElem.zero(spec)
+    out = {}
     for (g, i, j), c in a.terms.items():
-        ge = spec.group_element(g)
-        t = TensorElem.of(ge, ge) * _cop_x_pow(spec, i) * _cop_w_pow(spec, j)
-        out = out + t.scale(c)
-    return out
+        for ((h1, i1, j1), (h2, i2, j2)), v in _cop_monomial(spec, i, j).items():
+            _acc(out, ((g * h1, i1, j1), (g * h2, i2, j2)), c * v)
+    return TensorElem(spec, out)
 
 
 def counit(a: HopfElem) -> Cyclotomic:
@@ -635,47 +623,30 @@ def counit(a: HopfElem) -> Cyclotomic:
     return acc
 
 
-def _antipode_x_pow(spec: AlgebraSpec, i: int) -> HopfElem:
-    cached = spec._antipode_x_cache.get(i)
-    if cached is not None:
-        return cached
-    if i == 0:
-        out = spec.one()
-    else:
-        s_x = multiply(spec.group_element(spec.b.inverse()), spec.x()).scale(-1)
-        out = multiply(_antipode_x_pow(spec, i - 1), s_x)
-    spec._antipode_x_cache[i] = out
-    return out
-
-
-def _antipode_w_pow(spec: AlgebraSpec, j: int) -> HopfElem:
-    cached = spec._antipode_y_cache.get(j)
-    if cached is not None:
-        return cached
-    if j == 0:
-        out = spec.one()
-    else:
-        if spec.mode is Mode.SKEW_GROUP_RING:
-            y = HopfElem(spec, {(spec.group.identity(), 0, 1):
-                                Cyclotomic.one(spec.conductor)})
-            s_w = multiply(spec.group_element(spec.c.inverse()), y).scale(-1)
-        else:
-            # S(z) = -z c for the (c^(-1), 1)-skew-primitive z
-            s_w = multiply(spec.z(), spec.group_element(spec.c)).scale(-1)
-        out = multiply(_antipode_w_pow(spec, j - 1), s_w)
-    spec._antipode_y_cache[j] = out
-    return out
+def _antipode_power(gen, n: int):
+    """S(v)^n = (-char(L)^(-1))^n char(u)^(n(n-1)/2) u^n v^n with u = (RL)^(-1),
+    as (coeff, u^n)."""
+    char, R, L = gen
+    u = (R * L).inverse()
+    coeff = char.eval(L ** (-n) * u ** (n * (n - 1) // 2))
+    return (-coeff if n % 2 else coeff), u ** n
 
 
 def antipode(a: HopfElem) -> HopfElem:
     """S(g x^i w^j) = S(w)^j S(x)^i g^(-1), extended anti-multiplicatively."""
     spec = a.spec
-    out = spec.zero()
+    gx, gw = _skew_primitives(spec)
+    out = {}
     for (g, i, j), c in a.terms.items():
-        t = multiply(_antipode_w_pow(spec, j), _antipode_x_pow(spec, i))
-        t = multiply(t, spec.group_element(g.inverse()))
-        out = out + t.scale(c)
-    return out
+        sx, ux = _antipode_power(gx, i)
+        sw, uw = _antipode_power(gw, j)
+        g_inv = g.inverse()
+        # S(x)^i g^(-1) = sx u_x^i x^i g^(-1) = sx chi(g^(-1))^i u_x^i g^(-1) x^i
+        right = HopfElem(spec, {(ux * g_inv, i, 0): c * sx * spec.chi.eval_pow(g_inv, i)})
+        left = HopfElem(spec, {(uw, 0, j): sw})
+        for k, v in multiply(left, right).terms.items():
+            _acc(out, k, v)
+    return HopfElem(spec, out)
 
 
 # -- randomized structural checks --

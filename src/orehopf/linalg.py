@@ -22,11 +22,6 @@ def identity(d: int, conductor: int):
     return [[o if i == j else z for j in range(d)] for i in range(d)]
 
 
-def scalar_matrix(d: int, value: Cyclotomic):
-    z = Cyclotomic.zero(value.conductor)
-    return [[value if i == j else z for j in range(d)] for i in range(d)]
-
-
 def mat_add(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
@@ -152,27 +147,6 @@ def inverse(A):
     if len(rows) < d or pivots[:d] != list(range(d)):
         return None
     return [row[d:] for row in rows[:d]]
-
-
-def det(A) -> Cyclotomic:
-    d = len(A)
-    conductor = A[0][0].conductor
-    rows = [list(r) for r in A]
-    out = Cyclotomic.one(conductor)
-    for c in range(d):
-        pivot = next((i for i in range(c, d) if not rows[i][c].is_zero()), None)
-        if pivot is None:
-            return Cyclotomic.zero(conductor)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            out = -out
-        out = out * rows[c][c]
-        inv = rows[c][c].inverse()
-        for i in range(c + 1, d):
-            if not rows[i][c].is_zero():
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return out
 
 
 class SpanBasis:

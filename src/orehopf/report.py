@@ -30,12 +30,3 @@ class Report:
             out["facts"]["seed"] = self.seed
         return out
 
-
-def merge(name: str, reports) -> Report:
-    reports = list(reports)
-    return Report(
-        name=name,
-        passed=all(r.passed for r in reports),
-        facts={r.name: r.facts for r in reports},
-        witnesses=[w for r in reports for w in r.witnesses],
-    )

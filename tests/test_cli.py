@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from orehopf.cli import main, parse_config, ConfigError
+from orehopf.cli import MAX_CONDUCTOR, main, parse_config, ConfigError
 from orehopf.exprparse import (ParseError, element_to_expr, parse_element,
                                serialize_element)
 from orehopf.hopfcore import random_element
@@ -152,6 +152,27 @@ def test_malformed_json(tmp_path, capsys):
     assert "not valid JSON (line 1" in err
 
 
+@pytest.mark.parametrize("conductor", [True, MAX_CONDUCTOR + 1, 1000])
+def test_conductor_bounds(write_config, capsys, conductor):
+    bad = {k: v for k, v in U1.items() if k != "quotient"}
+    code, out, err = run(capsys, "validate",
+                         write_config(dict(bad, conductor=conductor, beta=0)))
+    assert code == 2
+    assert f"integer in [1, {MAX_CONDUCTOR}]" in out["facts"]["error"]
+    assert "Traceback" not in err
+
+
+def test_max_conductor_is_usable(write_config, capsys):
+    # chi(b) = eta(c) = -1 keeps the antipode order small at phi(N) = 96
+    half = MAX_CONDUCTOR // 2
+    config = {"conductor": MAX_CONDUCTOR,
+              "group": {"free_rank": 1, "torsion": []},
+              "chi": [half], "eta": [half], "b": [1], "c": [1], "beta": 0}
+    code, out, _ = run(capsys, "validate", write_config(config))
+    assert code == 0
+    assert out["facts"]["antipode_order"] == 4
+
+
 def test_parse_config_rejects_bad_exponent_vector():
     bad = dict(U1, chi=[1, 2])
     with pytest.raises(ConfigError, match="'chi' must be a list of 1"):
@@ -211,6 +232,15 @@ def test_hopf_check_deterministic(write_config, capsys):
     code, out2, _ = run(capsys, "hopf-check", path, "--samples", "5",
                         "--seed", "3")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command", ["hopf-check", "quotient-check"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_must_be_positive(write_config, capsys, command, samples):
+    code, out, err = run(capsys, command, write_config(U1), "--samples", samples)
+    assert code == 2
+    assert out["status"] == "error"
+    assert "--samples must be a positive integer" in err
 
 
 def test_seed_resolution(write_config, capsys, monkeypatch):

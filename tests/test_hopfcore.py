@@ -11,7 +11,7 @@ from orehopf.hopfcore import (HopfElem, Mode, SpecError, TensorElem, antipode,
                               change_of_variables_check, comultiply, counit,
                               hopf_axiom_check, random_element, validate_spec,
                               wind)
-from orehopf.catalog import takeuchi_u1
+from orehopf.catalog import catalog_entry, catalog_names, takeuchi_u1
 
 from gen import diff_sweep_spec, skew_sweep_spec
 from oracles import assert_product_matches
@@ -173,6 +173,49 @@ def test_coproduct_power_gauss_coefficients():
            + TensorElem.of((b * x).scale(q_int(2, p)), x)
            + TensorElem.of(b2, x * x))
     assert lhs == rhs
+
+
+def _generator_maps(spec):
+    """w, Delta(x), Delta(w), S(x), S(w) from the defining relations.
+
+    w is y in skew mode ((c, 1)-skew-primitive) and the normalized z in diff
+    mode ((1, c^-1)-skew-primitive, S(z) = -z c).
+    """
+    one = spec.one()
+    x = spec.x()
+    w = HopfElem(spec, {(spec.group.identity(), 0, 1): Cyclotomic.one(spec.conductor)})
+    dx = TensorElem.of(x, one) + TensorElem.of(spec.group_element(spec.b), x)
+    sx = (spec.group_element(spec.b.inverse()) * x).scale(-1)
+    if spec.mode is Mode.SKEW_GROUP_RING:
+        dw = TensorElem.of(w, one) + TensorElem.of(spec.group_element(spec.c), w)
+        sw = (spec.group_element(spec.c.inverse()) * w).scale(-1)
+    else:
+        dw = TensorElem.of(w, spec.group_element(spec.c.inverse())) + TensorElem.of(one, w)
+        sw = (w * spec.group_element(spec.c)).scale(-1)
+    return w, dx, dw, sx, sw
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_structure_maps_match_product_oracle(name):
+    # The closed forms for Delta and S on g x^i w^j against the products
+    # (g (x) g) Delta(x)^i Delta(w)^j and S(w)^j S(x)^i g^-1.
+    spec = catalog_entry(name).spec
+    w, dx, dw, sx, sw = _generator_maps(spec)
+    g = spec.group.identity()
+    for gen in spec.group.generators():
+        g = g * gen
+    ge = spec.group_element(g)
+    ge_inv = spec.group_element(g.inverse())
+    g_dx_pows = [TensorElem.of(ge, ge)]
+    dw_pows = [TensorElem.of(spec.one(), spec.one())]
+    for _ in range(4):
+        g_dx_pows.append(g_dx_pows[-1] * dx)
+        dw_pows.append(dw_pows[-1] * dw)
+    for i in range(5):
+        for j in range(5):
+            mono = ge * spec.x() ** i * w ** j
+            assert comultiply(mono) == g_dx_pows[i] * dw_pows[j], (name, i, j)
+            assert antipode(mono) == sw ** j * sx ** i * ge_inv, (name, i, j)
 
 
 def test_counit():
