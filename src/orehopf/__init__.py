@@ -7,11 +7,10 @@ from .abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
 from .catalog import (CatalogEntry, catalog_entry, catalog_names,
                       fantino_garcia_core, generalized_taft, klein_example,
                       takeuchi_u1, wang_wu_tan)
-from .cyclotomic import (Cyclotomic, is_primitive_root, q_binomial,
-                         q_factorial, q_int, root_of_unity)
+from .cyclotomic import Cyclotomic, q_binomial, q_int, root_of_unity
 from .exprparse import ParseError, element_to_expr, parse_element, serialize_element
 from .hopfcore import (AlgebraSpec, GroupAlgElem, HopfElem, Mode, SpecError,
-                       TensorElem, antipode, antipode_order, centrality_check,
+                       TensorElem, antipode, antipode_order,
                        change_of_variables_check, comultiply, counit,
                        cyclotomic_to_literal, hopf_axiom_check,
                        literal_to_cyclotomic, multiply, random_element,
@@ -24,8 +23,7 @@ from .reps import (ClassifyError, IsoResult, ModuleRep, SimpleParams,
                    build_Vx_skew, build_Vxy_skew, build_Vy_diff, build_Vy_skew,
                    build_induced_skew, build_simple, build_torsion_char,
                    classify_simple, conjugate, direct_sum, is_simple_burnside,
-                   iso_criterion, random_invertible, rep_check, torsion_profile,
-                   truncation_index)
+                   iso_criterion, rep_check, torsion_profile, truncation_index)
 
 __version__ = "0.1.0"
 
@@ -34,11 +32,10 @@ __all__ = [
     "SubgroupCharacter", "char_kernel", "joint_kernel",
     "CatalogEntry", "catalog_entry", "catalog_names", "fantino_garcia_core",
     "generalized_taft", "klein_example", "takeuchi_u1", "wang_wu_tan",
-    "Cyclotomic", "is_primitive_root", "q_binomial", "q_factorial", "q_int",
-    "root_of_unity",
+    "Cyclotomic", "q_binomial", "q_int", "root_of_unity",
     "ParseError", "element_to_expr", "parse_element", "serialize_element",
     "AlgebraSpec", "GroupAlgElem", "HopfElem", "Mode", "SpecError",
-    "TensorElem", "antipode", "antipode_order", "centrality_check",
+    "TensorElem", "antipode", "antipode_order",
     "change_of_variables_check", "comultiply", "counit",
     "cyclotomic_to_literal", "hopf_axiom_check", "literal_to_cyclotomic",
     "multiply", "random_element", "validate_spec", "wind",
@@ -49,6 +46,6 @@ __all__ = [
     "are_isomorphic", "build_Vbar_diff", "build_Vx_diff", "build_Vx_skew",
     "build_Vxy_skew", "build_Vy_diff", "build_Vy_skew", "build_induced_skew",
     "build_simple", "build_torsion_char", "classify_simple", "conjugate",
-    "direct_sum", "is_simple_burnside", "iso_criterion", "random_invertible",
-    "rep_check", "torsion_profile", "truncation_index",
+    "direct_sum", "is_simple_burnside", "iso_criterion", "rep_check",
+    "torsion_profile", "truncation_index",
 ]

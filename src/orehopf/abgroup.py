@@ -478,28 +478,3 @@ class SubgroupCharacter:
 
     def __repr__(self):
         return f"SubgroupCharacter({list(self.exps)} / zeta_{self.conductor})"
-
-
-def transversal(group: AbelianGroup, sub: Subgroup, c: GroupElement, n: int):
-    """The transversal 1, c, ..., c^(n-1) of a cyclic quotient G/N of order n.
-
-    Validates that the image of c generates G/N with order exactly n.
-    """
-    idx = sub.index()
-    if idx != n:
-        raise ValueError(f"subgroup index is {idx}, expected {n}")
-    for i in range(1, n):
-        if sub.contains(c ** i):
-            raise ValueError(f"c^{i} lies in the subgroup; quotient not cyclic of order {n}")
-    if not sub.contains(c ** n):
-        raise ValueError("c^n is not in the subgroup")
-    return [c ** i for i in range(n)]
-
-
-def cocycle_gamma(i: int, j: int, c: GroupElement, n: int) -> GroupElement:
-    """Representative-product 2-cocycle of the transversal 1, c, ..., c^(n-1)."""
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError("cocycle arguments must lie in [0, n)")
-    if i + j < n:
-        return c.group.identity()
-    return c ** n

@@ -3,7 +3,9 @@
 Every invocation emits exactly one JSON report object on standard output
 with "status", "facts", and "witnesses" fields.  Exit codes: 0 on
 success / property true, 1 on property failure / false, 2 on usage or
-validation errors.  Randomness is seed-controlled; the seed is recorded
+validation errors.  Usage errors (a missing or malformed argument, an
+unknown subcommand) take the same JSON error path; only --help prints
+plain text.  Randomness is seed-controlled; the seed is recorded
 in the report.  The environment variable ORE_HOPF_SEED supplies the
 default seed.
 
@@ -34,6 +36,14 @@ from .reps import (ClassifyError, ModuleRep, are_isomorphic, build_Vbar_diff,
 
 class ConfigError(ValueError):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigError instead of printing usage text and
+    exiting; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 _TOP_KEYS = {"conductor", "group", "chi", "eta", "b", "c", "beta",
@@ -469,7 +479,7 @@ def _cmd_catalog(args) -> int:
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="orehopf",
         description="Exact Hopf algebra computations for iterated Ore "
                     "extensions of abelian group algebras.")
@@ -549,8 +559,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_arg_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ClassifyError as exc:
         _emit("fail", {"error": str(exc)})

@@ -366,15 +366,6 @@ def root_of_unity(conductor: int, k: int) -> Cyclotomic:
     return root_of_unity(conductor, k - 1) * z1
 
 
-def is_primitive_root(z: Cyclotomic, n: int) -> bool:
-    """True when z is a primitive n-th root of unity."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    if z.is_zero() or z ** n != 1:
-        return False
-    return all(z ** d != 1 for d in divisors(n)[:-1])
-
-
 def q_int(i: int, q: Cyclotomic) -> Cyclotomic:
     """Additive q-integer [i]_q = 1 + q + ... + q^(i-1)."""
     if i < 0:
@@ -384,13 +375,6 @@ def q_int(i: int, q: Cyclotomic) -> Cyclotomic:
     for _ in range(i):
         out = out + power
         power = power * q
-    return out
-
-
-def q_factorial(k: int, q: Cyclotomic) -> Cyclotomic:
-    out = Cyclotomic.one(q.conductor)
-    for i in range(1, k + 1):
-        out = out * q_int(i, q)
     return out
 
 

@@ -842,20 +842,3 @@ def change_of_variables_check(spec: AlgebraSpec, max_power: int = 8) -> Report:
     return Report(name="change_of_variables_check", passed=not failures,
                   facts={"mode": spec.mode.value, "max_power": max_power},
                   witnesses=failures)
-
-
-def centrality_check(spec: AlgebraSpec, n: int, m: int | None = None) -> bool:
-    """Whether x^n and w^m are central (w = y in skew mode, z in diff mode)."""
-    if m is None:
-        m = n
-    w = HopfElem(spec, {(spec.group.identity(), 0, 1):
-                        Cyclotomic.one(spec.conductor)})
-    xn = spec.x() ** n
-    wm = w ** m
-    probes = [spec.x(), w] + [spec.group_element(g)
-                              for g in spec.group.generators()]
-    for u in (xn, wm):
-        for p in probes:
-            if multiply(u, p) != multiply(p, u):
-                return False
-    return True

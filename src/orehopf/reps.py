@@ -11,6 +11,11 @@ Everything here is certificate-grade: relation checking is exact matrix
 identity testing, simplicity is certified by the span of the generated
 matrix algebra, and isomorphism is decided by solving the intertwiner
 system.
+
+The Burnside certificate spans the unital algebra generated by the group
+generator matrices, x and y.  The inverse group matrices are not needed:
+by Cayley-Hamilton the inverse of an invertible matrix is a polynomial in
+it, so they lie in that algebra already.
 """
 
 from dataclasses import dataclass
@@ -106,7 +111,7 @@ class ModuleRep:
 
     def _gen_inverse(self, k: int):
         if k not in self._inv_cache:
-            inv = inverse([list(r) for r in self.group_mats[k]])
+            inv = inverse(self.group_mats[k])
             if inv is None:
                 raise SpecError(f"group generator {k} does not act invertibly")
             self._inv_cache[k] = inv
@@ -119,7 +124,7 @@ class ModuleRep:
             if e == 0:
                 continue
             base = self.group_mats[k] if e > 0 else self._gen_inverse(k)
-            out = mat_mul(out, mat_pow([list(r) for r in base], abs(e)))
+            out = mat_mul(out, mat_pow(base, abs(e)))
         return out
 
     def act_group_alg(self, u: GroupAlgElem):
@@ -129,28 +134,20 @@ class ModuleRep:
             out = mat_add(out, mat_scale(self.act_group(g), coeff))
         return out
 
-    def _mats(self):
-        return [[list(r) for r in A] for A in self.group_mats], \
-            [list(r) for r in self.X], [list(r) for r in self.Y]
-
     def raw_y_matrix(self):
         """Matrix of the raw variable y in this module."""
-        _, _, Y = self._mats()
         if self.presentation == RAW:
-            return Y
-        Ac = self.act_group(self.spec.c)
-        out = mat_mul(Ac, Y)
+            return [list(r) for r in self.Y]
+        out = mat_mul(self.act_group(self.spec.c), self.Y)
         if self.spec.mode is Mode.DIFFERENTIAL_OPERATOR:
             out = mat_scale(out, self.spec.beta)
         return out
 
     def normalized_z_matrix(self):
         """Matrix of the normalized variable z in this module."""
-        _, _, Y = self._mats()
         if self.presentation == NORMALIZED:
-            return Y
-        Ac_inv = inverse(self.act_group(self.spec.c))
-        out = mat_mul(Ac_inv, Y)
+            return [list(r) for r in self.Y]
+        out = mat_mul(inverse(self.act_group(self.spec.c)), self.Y)
         if self.spec.mode is Mode.DIFFERENTIAL_OPERATOR:
             out = mat_scale(out, self.spec.beta.inverse())
         return out
@@ -211,7 +208,7 @@ def conjugate(M: ModuleRep, T) -> ModuleRep:
         raise ValueError("conjugating matrix must be invertible")
 
     def conj(A):
-        return mat_mul(mat_mul(T, [list(r) for r in A]), T_inv)
+        return mat_mul(mat_mul(T, A), T_inv)
 
     return ModuleRep(M.spec, M.dim, [conj(A) for A in M.group_mats],
                      conj(M.X), conj(M.Y), M.presentation)
@@ -238,15 +235,6 @@ def direct_sum(M1: ModuleRep, M2: ModuleRep) -> ModuleRep:
                      block(M1.Y, M2.Y), M1.presentation)
 
 
-def random_invertible(dim: int, conductor: int, rng: Random):
-    """Random invertible matrix with small rational entries."""
-    while True:
-        T = [[Cyclotomic.rational(conductor, rng.randint(-2, 2))
-              for _ in range(dim)] for _ in range(dim)]
-        if inverse(T) is not None:
-            return T
-
-
 # ---------------------------------------------------------------------------
 # relation checking
 
@@ -261,7 +249,7 @@ def rep_check(M: ModuleRep, spec: AlgebraSpec) -> Report:
     def fail(relation, detail=""):
         witnesses.append({"relation": relation, "detail": detail})
 
-    mats, X, W = M._mats()
+    mats, X, W = M.group_mats, M.X, M.Y
 
     for k in range(group.ngens):
         checked += 1
@@ -327,8 +315,7 @@ def torsion_profile(M: ModuleRep) -> dict:
             return TORSION_FREE
         return MIXED
 
-    mats, X, W = M._mats()
-    return {"x": profile(X), "y": profile(W)}
+    return {"x": profile(M.X), "y": profile(M.Y)}
 
 
 def is_simple_burnside(M: ModuleRep) -> Report:
@@ -342,12 +329,10 @@ def is_simple_burnside(M: ModuleRep) -> Report:
         raise SpecError("simplicity certificate needs dimension >= 1")
     d = M.dim
     N = M.spec.conductor
-    gens = []
     for k in range(M.spec.group.ngens):
-        gens.append([list(r) for r in M.group_mats[k]])
-        gens.append(M._gen_inverse(k))
-    gens.append([list(r) for r in M.X])
-    gens.append([list(r) for r in M.Y])
+        M._gen_inverse(k)  # a singular group matrix raises SpecError
+    # A^{-1} is a polynomial in A (Cayley-Hamilton): no inverse generators
+    gens = M.group_mats + (M.X, M.Y)
 
     span = SpanBasis(d * d, N)
     frontier = [identity(d, N)]
@@ -398,9 +383,11 @@ def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
     """Decide module isomorphism by solving the intertwiner system.
 
     For Burnside-simple modules a nonzero intertwiner is automatically
-    invertible, so existence decides the question.  Otherwise the solution
-    space is searched for an invertible element; if none is found the result
-    is reported as unknown rather than negative.
+    invertible, so existence decides the question.  Otherwise 64 random
+    combinations of the basis, coefficients in [-dim, dim], are tried; the
+    determinant has degree dim, so if the modules are isomorphic all draws
+    fail with probability at most (dim/(2 dim + 1))^64 (Schwartz-Zippel).
+    That outcome is reported as unknown, with the bound, not as negative.
     """
     if M1.dim != M2.dim:
         return IsoResult("not_isomorphic", detail="dimension mismatch")
@@ -408,9 +395,8 @@ def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
         return IsoResult("isomorphic", witness=[], detail="zero module")
     dim = M1.dim
     N = M1.spec.conductor
-    pairs = [([list(r) for r in A], [list(r) for r in B])
-             for A, B in zip(M1.group_mats, M2.group_mats)]
-    pairs.append(([list(r) for r in M1.X], [list(r) for r in M2.X]))
+    pairs = list(zip(M1.group_mats, M2.group_mats))
+    pairs.append((M1.X, M2.X))
     pairs.append((M1.raw_y_matrix(), M2.raw_y_matrix()))
     basis = _intertwiner_space(pairs, dim, N)
     if not basis:
@@ -420,22 +406,20 @@ def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
         if inverse(T) is not None:
             return IsoResult("isomorphic", witness=T)
 
-    if is_simple_burnside(M1).passed and is_simple_burnside(M2).passed:
-        # Schur: any nonzero intertwiner between absolutely simple modules
-        # is invertible, so reaching this point means the basis search above
-        # must have succeeded; keep the guard for safety.
-        return IsoResult("isomorphic", witness=basis[0],
-                         detail="nonzero intertwiner between simple modules")
-
-    rng = Random(0)
-    for _ in range(64):
+    rng, draws = Random(0), 64
+    for _ in range(draws):
         T = zeros(dim, dim, N)
         for B in basis:
-            T = mat_add(T, mat_scale(B, Cyclotomic.rational(N, rng.randint(-3, 3))))
+            T = mat_add(T, mat_scale(B, Cyclotomic.rational(N, rng.randint(-dim, dim))))
         if inverse(T) is not None:
             return IsoResult("isomorphic", witness=T)
-    return IsoResult("unknown",
-                     detail="intertwiners exist but no invertible one was found")
+    bound = (dim / (2 * dim + 1)) ** draws
+    return IsoResult(
+        "unknown",
+        detail=f"intertwiners exist but none of {draws} random combinations "
+               f"with coefficients in [-{dim}, {dim}] is invertible; if the modules "
+               f"are isomorphic this happens with probability at most "
+               f"({dim}/{2 * dim + 1})^{draws} = {bound:.1e} (Schwartz-Zippel)")
 
 
 # ---------------------------------------------------------------------------
@@ -591,59 +575,50 @@ def build_induced_skew(nvars: int, chars, kvals, lam, spec: AlgebraSpec) -> Modu
     for i, r in enumerate(reps):
         X[i][i] = spec.chi.eval(r) * kvals[0]
         Z[i][i] = spec.eta.eval(r) * kvals[1]
-    Ac = zeros(dim, dim, N)
-    c = spec.c
-    for col, r in enumerate(reps):
-        moved = c * r
-        tgt = N_sub.coset_rep(moved)
-        Ac[index_of[tgt]][col] = lam.eval(tgt.inverse() * moved)
-    Y = mat_mul(Ac, Z)
-    return ModuleRep(spec, dim, mats, X, Y, RAW)
+    return ModuleRep(spec, dim, mats, X, Z, NORMALIZED).with_presentation(RAW)
+
+
+def _diagonal_powers(alpha: Cyclotomic, q: Cyclotomic, n: int):
+    """diag(alpha, alpha q, ..., alpha q^(n-1))."""
+    D = zeros(n, n, alpha.conductor)
+    for i in range(n):
+        D[i][i] = alpha
+        alpha = alpha * q
+    return D
+
+
+def _skew_cyclic(alpha: Cyclotomic, lam, spec: AlgebraSpec, char_name: str,
+                 shifter_name: str):
+    """n, group action and diag(alpha q^i), q = char(shifter), of the mirrored
+    skew families SkewVx (char chi, shifter c) and SkewVy (eta, b)."""
+    _require(spec.mode is Mode.SKEW_GROUP_RING,
+             "this family lives in the skew mode")
+    if alpha.is_zero():
+        raise SpecError("alpha must be nonzero")
+    char = getattr(spec, char_name)
+    shifter = getattr(spec, shifter_name)
+    n = char.order()
+    q = char.eval(shifter)
+    _require(n >= 2 and q.multiplicative_order() == n,
+             f"{char_name}({shifter_name}) must be a primitive root generating "
+             f"the image of {char_name}")
+    _check_subgroup_char(lam, char_kernel(char), "lam")
+    return n, _shift_action(spec, n, shifter, char, lam), _diagonal_powers(alpha, q, n)
 
 
 def build_Vx_skew(alpha: Cyclotomic, lam, spec: AlgebraSpec) -> ModuleRep:
     """x-torsion-free, y-torsion simple module for the skew case: x acts by
     q^i alpha on the i-th line, y by zero, c shifts lines with a lam(c^n)
     wraparound, and ker(chi) acts through lam."""
-    _require(spec.mode is Mode.SKEW_GROUP_RING,
-             "this family lives in the skew mode")
-    if alpha.is_zero():
-        raise SpecError("alpha must be nonzero")
-    n = spec.chi.order()
-    q = spec.chi.eval(spec.c)
-    _require(n >= 2 and q.multiplicative_order() == n,
-             "chi(c) must be a primitive root generating the image of chi")
-    _check_subgroup_char(lam, char_kernel(spec.chi), "lam")
-    mats = _shift_action(spec, n, spec.c, spec.chi, lam)
-    N = spec.conductor
-    X = zeros(n, n, N)
-    acc = alpha
-    for i in range(n):
-        X[i][i] = acc
-        acc = acc * q
-    return ModuleRep(spec, n, mats, X, zeros(n, n, N), RAW)
+    n, mats, X = _skew_cyclic(alpha, lam, spec, "chi", "c")
+    return ModuleRep(spec, n, mats, X, zeros(n, n, spec.conductor), RAW)
 
 
 def build_Vy_skew(alpha: Cyclotomic, lam, spec: AlgebraSpec) -> ModuleRep:
     """Mirror family: y acts by q^i alpha with q = eta(b), x by zero, b
     shifts lines with a lam(b^n) wraparound, ker(eta) acts through lam."""
-    _require(spec.mode is Mode.SKEW_GROUP_RING,
-             "this family lives in the skew mode")
-    if alpha.is_zero():
-        raise SpecError("alpha must be nonzero")
-    n = spec.eta.order()
-    q = spec.eta.eval(spec.b)
-    _require(n >= 2 and q.multiplicative_order() == n,
-             "eta(b) must be a primitive root generating the image of eta")
-    _check_subgroup_char(lam, char_kernel(spec.eta), "lam")
-    mats = _shift_action(spec, n, spec.b, spec.eta, lam)
-    N = spec.conductor
-    Y = zeros(n, n, N)
-    acc = alpha
-    for i in range(n):
-        Y[i][i] = acc
-        acc = acc * q
-    return ModuleRep(spec, n, mats, zeros(n, n, N), Y, RAW)
+    n, mats, Y = _skew_cyclic(alpha, lam, spec, "eta", "b")
+    return ModuleRep(spec, n, mats, zeros(n, n, spec.conductor), Y, RAW)
 
 
 def build_Vxy_skew(alpha_x: Cyclotomic, alpha_y: Cyclotomic, lam, t: int,
@@ -666,26 +641,9 @@ def build_Vxy_skew(alpha_x: Cyclotomic, alpha_y: Cyclotomic, lam, t: int,
         raise SpecError("eta must equal chi^t")
     _check_subgroup_char(lam, char_kernel(spec.chi), "lam")
     mats = _shift_action(spec, n, spec.c, spec.chi, lam)
-    N = spec.conductor
-    X = zeros(n, n, N)
-    Z = zeros(n, n, N)
-    qx = alpha_x
-    qz = alpha_y
-    qt = q ** t_red
-    for i in range(n):
-        X[i][i] = qx
-        Z[i][i] = qz
-        qx = qx * q
-        qz = qz * qt
-    Ac = zeros(n, n, N)
-    wrap = lam.eval(spec.c ** n)
-    for i in range(n):
-        if i + 1 < n:
-            Ac[i + 1][i] = Cyclotomic.one(N)
-        else:
-            Ac[0][i] = wrap
-    Y = mat_mul(Ac, Z)
-    return ModuleRep(spec, n, mats, X, Y, RAW)
+    X = _diagonal_powers(alpha_x, q, n)
+    Z = _diagonal_powers(alpha_y, q ** t_red, n)
+    return ModuleRep(spec, n, mats, X, Z, NORMALIZED).with_presentation(RAW)
 
 
 def truncation_index(rho: Character, spec: AlgebraSpec):
@@ -696,6 +654,30 @@ def truncation_index(rho: Character, spec: AlgebraSpec):
         if wind(spec.e, d, spec).apply_char(rho).is_zero():
             return d
     return None
+
+
+def _diff_matrices(rho: Character, n: int, wrap: Cyclotomic, offset: Cyclotomic,
+                   char: Character, sign: int, spec: AlgebraSpec):
+    """Diff-family matrices on n lines: shift i -> i + 1 (last -> first times
+    wrap), lowering i -> i - 1 times offset + sign rho(wind(e, i; char))
+    (first -> last times offset / wrap), group action chi(g)^(-sign i) rho(g)."""
+    N = spec.conductor
+    S = zeros(n, n, N)
+    L = zeros(n, n, N)
+    for i in range(1, n):
+        S[i][i - 1] = Cyclotomic.one(N)
+        L[i - 1][i] = offset + sign * wind(spec.e, i, spec, character=char).apply_char(rho)
+    if not wrap.is_zero():
+        S[0][n - 1] = wrap
+        L[n - 1][0] = wrap.inverse() * offset
+    mats = []
+    for g in spec.group.generators():
+        A = zeros(n, n, N)
+        base = rho.eval(g)
+        for i in range(n):
+            A[i][i] = spec.chi.eval_pow(g, -sign * i) * base
+        mats.append(A)
+    return S, L, mats
 
 
 def build_Vbar_diff(rho: Character, spec: AlgebraSpec) -> ModuleRep:
@@ -709,22 +691,27 @@ def build_Vbar_diff(rho: Character, spec: AlgebraSpec) -> ModuleRep:
     d = truncation_index(rho, spec)
     if d is None:
         raise SpecError("no finite-dimensional torsion quotient for this rho")
-    N = spec.conductor
-    X = zeros(d, d, N)
-    for i in range(d - 1):
-        X[i + 1][i] = Cyclotomic.one(N)
-    Z = zeros(d, d, N)
-    for i in range(1, d):
-        Z[i - 1][i] = wind(spec.e, i, spec).apply_char(rho)
-    mats = []
-    for k in range(spec.group.ngens):
-        g = spec.group.generator(k)
-        A = zeros(d, d, N)
-        base = rho.eval(g)
-        for i in range(d):
-            A[i][i] = spec.chi.eval_pow(g, -i) * base
-        mats.append(A)
+    zero = Cyclotomic.zero(spec.conductor)
+    X, Z, mats = _diff_matrices(rho, d, zero, zero, spec.chi, 1, spec)
     return ModuleRep(spec, d, mats, X, Z, NORMALIZED)
+
+
+def _diff_cyclic(rho: Character, wrap: Cyclotomic, offset: Cyclotomic,
+                 char: Character, sign: int, spec: AlgebraSpec,
+                 wrap_error: str, wind_label: str):
+    """Checked matrices of the mirrored diff families on order(chi) lines:
+    DiffVx (wrap lam, offset mu, chi, 1) and DiffVy (mu, lam, eta, -1)."""
+    _require(spec.mode is Mode.DIFFERENTIAL_OPERATOR,
+             "this family lives in the differential mode")
+    if wrap.is_zero():
+        raise SpecError(wrap_error)
+    if not isinstance(rho, Character) or rho.group != spec.group:
+        raise SpecError("rho must be a character of the underlying group")
+    n = spec.chi.order()
+    if not wind(spec.e, n, spec, character=char).apply_char(rho).is_zero():
+        raise SpecError(f"construction needs rho(wind(e, n{wind_label})) = 0 "
+                        f"at n = order(chi)")
+    return _diff_matrices(rho, n, wrap, offset, char, sign, spec)
 
 
 def build_Vx_diff(rho: Character, lam: Cyclotomic, mu: Cyclotomic,
@@ -732,33 +719,9 @@ def build_Vx_diff(rho: Character, lam: Cyclotomic, mu: Cyclotomic,
     """x-torsion-free simple module for the differential mode: x is the
     cyclic shift with wraparound lam, z lowers lines with coefficients
     mu + rho(wind(e, i)) and maps the bottom line up with lam^{-1} mu."""
-    _require(spec.mode is Mode.DIFFERENTIAL_OPERATOR,
-             "this family lives in the differential mode")
-    if lam.is_zero():
-        raise SpecError("lambda must be nonzero for the x-cyclic family")
-    if not isinstance(rho, Character) or rho.group != spec.group:
-        raise SpecError("rho must be a character of the underlying group")
-    n = spec.chi.order()
-    if not wind(spec.e, n, spec).apply_char(rho).is_zero():
-        raise SpecError("construction needs rho(wind(e, n)) = 0 at n = order(chi)")
-    N = spec.conductor
-    X = zeros(n, n, N)
-    for i in range(n - 1):
-        X[i + 1][i] = Cyclotomic.one(N)
-    X[0][n - 1] = lam
-    Z = zeros(n, n, N)
-    Z[n - 1][0] = lam.inverse() * mu
-    for i in range(1, n):
-        Z[i - 1][i] = mu + wind(spec.e, i, spec).apply_char(rho)
-    mats = []
-    for k in range(spec.group.ngens):
-        g = spec.group.generator(k)
-        A = zeros(n, n, N)
-        base = rho.eval(g)
-        for i in range(n):
-            A[i][i] = spec.chi.eval_pow(g, -i) * base
-        mats.append(A)
-    return ModuleRep(spec, n, mats, X, Z, NORMALIZED)
+    X, Z, mats = _diff_cyclic(rho, lam, mu, spec.chi, 1, spec,
+                              "lambda must be nonzero for the x-cyclic family", "")
+    return ModuleRep(spec, len(X), mats, X, Z, NORMALIZED)
 
 
 def build_Vy_diff(rho: Character, lam: Cyclotomic, mu: Cyclotomic,
@@ -766,33 +729,9 @@ def build_Vy_diff(rho: Character, lam: Cyclotomic, mu: Cyclotomic,
     """y-torsion-free simple module for the differential mode: z is the
     cyclic shift with wraparound mu, x lowers lines with coefficients
     lam - rho(wind(e, i; eta)) where the winding runs in the eta direction."""
-    _require(spec.mode is Mode.DIFFERENTIAL_OPERATOR,
-             "this family lives in the differential mode")
-    if mu.is_zero():
-        raise SpecError("mu must be nonzero for the y-cyclic family")
-    if not isinstance(rho, Character) or rho.group != spec.group:
-        raise SpecError("rho must be a character of the underlying group")
-    n = spec.chi.order()
-    if not wind(spec.e, n, spec, character=spec.eta).apply_char(rho).is_zero():
-        raise SpecError("construction needs rho(wind(e, n; eta)) = 0 at n = order(chi)")
-    N = spec.conductor
-    Z = zeros(n, n, N)
-    for i in range(n - 1):
-        Z[i + 1][i] = Cyclotomic.one(N)
-    Z[0][n - 1] = mu
-    X = zeros(n, n, N)
-    X[n - 1][0] = mu.inverse() * lam
-    for i in range(1, n):
-        X[i - 1][i] = lam - wind(spec.e, i, spec, character=spec.eta).apply_char(rho)
-    mats = []
-    for k in range(spec.group.ngens):
-        g = spec.group.generator(k)
-        A = zeros(n, n, N)
-        base = rho.eval(g)
-        for i in range(n):
-            A[i][i] = spec.chi.eval_pow(g, i) * base
-        mats.append(A)
-    return ModuleRep(spec, n, mats, X, Z, NORMALIZED)
+    Z, X, mats = _diff_cyclic(rho, mu, lam, spec.eta, -1, spec,
+                              "mu must be nonzero for the y-cyclic family", "; eta")
+    return ModuleRep(spec, len(X), mats, X, Z, NORMALIZED)
 
 
 def build_simple(params: SimpleParams, spec: AlgebraSpec) -> ModuleRep:
@@ -800,14 +739,11 @@ def build_simple(params: SimpleParams, spec: AlgebraSpec) -> ModuleRep:
     f = params.family
     if f == "TorsionChar":
         return build_torsion_char(params.lam, spec)
-    if f == "SkewVx":
+    if f in ("SkewVx", "SkewVy"):
         if params.alpha is None:
             raise SpecError("parameters are invariant-only; no concrete alpha to rebuild from")
-        return build_Vx_skew(params.alpha, params.lam, spec)
-    if f == "SkewVy":
-        if params.alpha is None:
-            raise SpecError("parameters are invariant-only; no concrete alpha to rebuild from")
-        return build_Vy_skew(params.alpha, params.lam, spec)
+        build = build_Vx_skew if f == "SkewVx" else build_Vy_skew
+        return build(params.alpha, params.lam, spec)
     if f == "SkewVxy":
         if params.alpha_x is None or params.alpha_y is None:
             raise SpecError("parameters are invariant-only; no concrete alphas to rebuild from")
@@ -815,10 +751,9 @@ def build_simple(params: SimpleParams, spec: AlgebraSpec) -> ModuleRep:
                               params.t, spec)
     if f == "DiffVbar":
         return build_Vbar_diff(params.rho, spec)
-    if f == "DiffVx":
-        return build_Vx_diff(params.rho, params.lam_scalar, params.mu, spec)
-    if f == "DiffVy":
-        return build_Vy_diff(params.rho, params.lam_scalar, params.mu, spec)
+    if f in ("DiffVx", "DiffVy"):
+        build = build_Vx_diff if f == "DiffVx" else build_Vy_diff
+        return build(params.rho, params.lam_scalar, params.mu, spec)
     raise SpecError(f"unknown family {f!r}")
 
 
@@ -918,8 +853,7 @@ def _joint_group_eigen(M: ModuleRep):
              for i in range(d)] for j in range(d)]
     values = []
     for k in range(M.spec.group.ngens):
-        A = [list(r) for r in M.group_mats[k]]
-        images = [mat_vec(A, col) for col in cols]
+        images = [mat_vec(M.group_mats[k], col) for col in cols]
         found = None
         for e in range(N):
             xi = root_of_unity(N, e)
@@ -981,6 +915,51 @@ def _verify_rebuild(M: ModuleRep, params: SimpleParams, spec: AlgebraSpec):
     return params
 
 
+def _classify_skew_cyclic(M: ModuleRep, spec: AlgebraSpec, family: str,
+                          char_name: str, shifter_name: str, active, idle,
+                          names: str):
+    """Parameters of a SkewVx (chi, c) or SkewVy (eta, b) module whose
+    torsion-free variable names[0] acts by active and names[1] by idle."""
+    var, other = names
+    char = getattr(spec, char_name)
+    n = char.order()
+    q = char.eval(getattr(spec, shifter_name))
+    if q.multiplicative_order() != n or n < 2:
+        _classify_fail(f"{char_name}({shifter_name}) does not generate the "
+                       f"image of {char_name}")
+    if M.dim != n:
+        _classify_fail(f"dimension does not match the order of {char_name}")
+    if not is_zero_matrix(idle):
+        _classify_fail(f"{other}-torsion simple modules have zero {other}-action")
+    s = _scalar_of(mat_pow(active, n))
+    if s is None or s.is_zero():
+        _classify_fail(f"{var}^n does not act as a nonzero scalar")
+    lam = _subgroup_char_from_action(M, char_kernel(char))
+    alpha = active[0][0] if _is_diagonal(active) else None
+    params = SimpleParams(family=family, lam=lam, alpha=alpha, alpha_pow=s, n=n)
+    if alpha is not None:
+        return _verify_rebuild(M, params, spec)
+    return params
+
+
+def _diff_cyclic_invariants(M: ModuleRep, spec: AlgebraSpec, active, idle,
+                            names: str):
+    """(rho, s, r) of a DiffVx or DiffVy module whose torsion-free variable
+    names[0] acts by active: active^n = s, active idle = r on a rho-eigenline."""
+    var, other = names
+    N = spec.conductor
+    s = _scalar_of(mat_pow(active, spec.chi.order()))
+    if s is None or s.is_zero():
+        _classify_fail(f"{var}^n does not act as a nonzero scalar")
+    v, values = _joint_group_eigen(M)
+    rho = _character_from_values(spec.group, N, values)
+    r = _eigen_ratio(mat_mul(active, idle), v, N)
+    if r is None:
+        _classify_fail(f"{var}{other} does not act as a scalar on the joint "
+                       f"group eigenline")
+    return rho, s, r
+
+
 def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
     """Match a certified-simple module to its family and recover parameters.
 
@@ -1010,48 +989,12 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
             params = SimpleParams(family="TorsionChar", lam=lam, n=1)
             return _verify_rebuild(M, params, spec)
 
-        X = [list(r) for r in M.X]
+        X = M.X
         Y_raw = M.raw_y_matrix()
-
-        if prof["x"] == TORSION_FREE and prof["y"] == TORSION:
-            n = spec.chi.order()
-            q = spec.chi.eval(spec.c)
-            if q.multiplicative_order() != n or n < 2:
-                _classify_fail("chi(c) does not generate the image of chi")
-            if M.dim != n:
-                _classify_fail("dimension does not match the order of chi")
-            if not is_zero_matrix(Y_raw):
-                _classify_fail("y-torsion simple modules have zero y-action")
-            s = _scalar_of(mat_pow(X, n))
-            if s is None or s.is_zero():
-                _classify_fail("x^n does not act as a nonzero scalar")
-            lam = _subgroup_char_from_action(M, char_kernel(spec.chi))
-            alpha = X[0][0] if _is_diagonal(X) else None
-            params = SimpleParams(family="SkewVx", lam=lam, alpha=alpha,
-                                  alpha_pow=s, n=n)
-            if alpha is not None:
-                return _verify_rebuild(M, params, spec)
-            return params
-
-        if prof["x"] == TORSION and prof["y"] == TORSION_FREE:
-            n = spec.eta.order()
-            q = spec.eta.eval(spec.b)
-            if q.multiplicative_order() != n or n < 2:
-                _classify_fail("eta(b) does not generate the image of eta")
-            if M.dim != n:
-                _classify_fail("dimension does not match the order of eta")
-            if not is_zero_matrix(X):
-                _classify_fail("x-torsion simple modules have zero x-action")
-            s = _scalar_of(mat_pow(Y_raw, n))
-            if s is None or s.is_zero():
-                _classify_fail("y^n does not act as a nonzero scalar")
-            lam = _subgroup_char_from_action(M, char_kernel(spec.eta))
-            alpha = Y_raw[0][0] if _is_diagonal(Y_raw) else None
-            params = SimpleParams(family="SkewVy", lam=lam, alpha=alpha,
-                                  alpha_pow=s, n=n)
-            if alpha is not None:
-                return _verify_rebuild(M, params, spec)
-            return params
+        if prof["y"] == TORSION:
+            return _classify_skew_cyclic(M, spec, "SkewVx", "chi", "c", X, Y_raw, "xy")
+        if prof["x"] == TORSION:
+            return _classify_skew_cyclic(M, spec, "SkewVy", "eta", "b", Y_raw, X, "yx")
 
         # doubly torsion-free
         n = spec.chi.order()
@@ -1087,7 +1030,6 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
     # differential mode
     n = spec.chi.order()
     Z = M.normalized_z_matrix()
-    X = [list(r) for r in M.X]
 
     if prof["x"] == TORSION and prof["y"] == TORSION:
         kernel = nullspace(Z)
@@ -1097,7 +1039,7 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
         v = kernel[0]
         values = []
         for k in range(spec.group.ngens):
-            s = _eigen_ratio([list(r) for r in M.group_mats[k]], v, N)
+            s = _eigen_ratio(M.group_mats[k], v, N)
             if s is None:
                 _classify_fail("z-kernel line is not a joint group eigenline")
             values.append(s)
@@ -1109,38 +1051,14 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
         params = SimpleParams(family="DiffVbar", rho=rho, d=d, n=n)
         return _verify_rebuild(M, params, spec)
 
+    # neither mixed nor doubly torsion: one variable is torsion-free
+    if M.dim != n:
+        _classify_fail("dimension does not match the order of chi")
     if prof["x"] == TORSION_FREE:
-        if M.dim != n:
-            _classify_fail("dimension does not match the order of chi")
-        lam = _scalar_of(mat_pow(X, n))
-        if lam is None or lam.is_zero():
-            _classify_fail("x^n does not act as a nonzero scalar")
-        v, values = _joint_group_eigen(M)
-        rho = _character_from_values(spec.group, N, values)
-        XZ = mat_mul(X, Z)
-        mu = _eigen_ratio(XZ, v, N)
-        if mu is None:
-            _classify_fail("xy does not act as a scalar on the joint "
-                           "group eigenline")
-        params = SimpleParams(family="DiffVx", rho=rho, lam_scalar=lam,
-                              mu=mu, n=n)
-        return _verify_rebuild(M, params, spec)
-
-    if prof["y"] == TORSION_FREE:
-        if M.dim != n:
-            _classify_fail("dimension does not match the order of chi")
-        mu = _scalar_of(mat_pow(Z, n))
-        if mu is None or mu.is_zero():
-            _classify_fail("y^n does not act as a nonzero scalar")
-        v, values = _joint_group_eigen(M)
-        rho = _character_from_values(spec.group, N, values)
-        ZX = mat_mul(Z, X)
-        lam = _eigen_ratio(ZX, v, N)
-        if lam is None:
-            _classify_fail("yx does not act as a scalar on the joint "
-                           "group eigenline")
-        params = SimpleParams(family="DiffVy", rho=rho, lam_scalar=lam,
-                              mu=mu, n=n)
-        return _verify_rebuild(M, params, spec)
-
-    _classify_fail("torsion profile matches no known family")
+        rho, lam, mu = _diff_cyclic_invariants(M, spec, M.X, Z, "xy")
+        family = "DiffVx"
+    else:
+        rho, mu, lam = _diff_cyclic_invariants(M, spec, Z, M.X, "yx")
+        family = "DiffVy"
+    params = SimpleParams(family=family, rho=rho, lam_scalar=lam, mu=mu, n=n)
+    return _verify_rebuild(M, params, spec)

@@ -5,6 +5,7 @@ import random
 from orehopf.abgroup import AbelianGroup, Character, SubgroupCharacter
 from orehopf.cyclotomic import Cyclotomic, root_of_unity
 from orehopf.hopfcore import AlgebraSpec, validate_spec
+from orehopf.linalg import inverse
 
 
 def skew_sweep_spec(n: int, t: int = 1) -> AlgebraSpec:
@@ -92,3 +93,12 @@ def random_kernel_char(rng: random.Random, spec, sub) -> SubgroupCharacter:
             return SubgroupCharacter(sub, spec.conductor, exps)
         except ValueError:
             continue
+
+
+def random_invertible(dim: int, conductor: int, rng: random.Random):
+    """Random invertible matrix with small rational entries."""
+    while True:
+        T = [[Cyclotomic.rational(conductor, rng.randint(-2, 2))
+              for _ in range(dim)] for _ in range(dim)]
+        if inverse(T) is not None:
+            return T

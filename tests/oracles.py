@@ -9,10 +9,15 @@ them by one-step rewriting with the defining relations only:
     y x -> q x y + beta (1 - cb)      (q = eta(b))
 
 It never consults the library's PBW engine, so agreement is meaningful.
+
+The module also keeps small reference checks that only the tests use:
+primitive roots, q-factorials, centrality of powers, and the transversal
+and 2-cocycle of a cyclic quotient of the group.
 """
 
-from orehopf.cyclotomic import Cyclotomic
-from orehopf.hopfcore import AlgebraSpec, HopfElem
+from orehopf.abgroup import AbelianGroup, GroupElement, Subgroup
+from orehopf.cyclotomic import Cyclotomic, divisors, q_int
+from orehopf.hopfcore import AlgebraSpec, HopfElem, multiply
 
 
 def _word_of(g, i, j):
@@ -103,3 +108,61 @@ def assert_product_matches(a: HopfElem, b: HopfElem) -> None:
         f"normal form disagrees with the rewriting oracle:\n"
         f"  got      {sorted((k[0].exps, k[1], k[2]) for k in got)}\n"
         f"  expected {sorted((k[0].exps, k[1], k[2]) for k in expected)}")
+
+
+def is_primitive_root(z: Cyclotomic, n: int) -> bool:
+    """True when z is a primitive n-th root of unity."""
+    if n < 1:
+        raise ValueError("order must be positive")
+    if z.is_zero() or z ** n != 1:
+        return False
+    return all(z ** d != 1 for d in divisors(n)[:-1])
+
+
+def q_factorial(k: int, q: Cyclotomic) -> Cyclotomic:
+    out = Cyclotomic.one(q.conductor)
+    for i in range(1, k + 1):
+        out = out * q_int(i, q)
+    return out
+
+
+def centrality_check(spec: AlgebraSpec, n: int, m: int | None = None) -> bool:
+    """Whether x^n and w^m are central (w = y in skew mode, z in diff mode)."""
+    if m is None:
+        m = n
+    w = HopfElem(spec, {(spec.group.identity(), 0, 1):
+                        Cyclotomic.one(spec.conductor)})
+    xn = spec.x() ** n
+    wm = w ** m
+    probes = [spec.x(), w] + [spec.group_element(g)
+                              for g in spec.group.generators()]
+    for u in (xn, wm):
+        for p in probes:
+            if multiply(u, p) != multiply(p, u):
+                return False
+    return True
+
+
+def transversal(group: AbelianGroup, sub: Subgroup, c: GroupElement, n: int):
+    """The transversal 1, c, ..., c^(n-1) of a cyclic quotient G/N of order n.
+
+    Validates that the image of c generates G/N with order exactly n.
+    """
+    idx = sub.index()
+    if idx != n:
+        raise ValueError(f"subgroup index is {idx}, expected {n}")
+    for i in range(1, n):
+        if sub.contains(c ** i):
+            raise ValueError(f"c^{i} lies in the subgroup; quotient not cyclic of order {n}")
+    if not sub.contains(c ** n):
+        raise ValueError("c^n is not in the subgroup")
+    return [c ** i for i in range(n)]
+
+
+def cocycle_gamma(i: int, j: int, c: GroupElement, n: int) -> GroupElement:
+    """Representative-product 2-cocycle of the transversal 1, c, ..., c^(n-1)."""
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError("cocycle arguments must lie in [0, n)")
+    if i + j < n:
+        return c.group.identity()
+    return c ** n

@@ -23,12 +23,12 @@ from orehopf.reps import (SimpleParams, are_isomorphic, build_induced_skew,
                           build_Vx_diff, build_Vx_skew, build_Vxy_skew,
                           build_Vy_diff, build_Vy_skew, classify_simple,
                           conjugate, direct_sum, is_simple_burnside,
-                          iso_criterion, random_invertible, rep_check,
-                          torsion_profile, truncation_index)
+                          iso_criterion, rep_check, torsion_profile,
+                          truncation_index)
 
 from gen import (audit_spec, diff_sweep_spec, quotient_sweep_spec,
-                 random_group_char, random_kernel_char, random_scalar,
-                 skew_sweep_spec)
+                 random_group_char, random_invertible, random_kernel_char,
+                 random_scalar, skew_sweep_spec)
 from oracles import assert_product_matches
 
 AUDIT_FLAGS = []

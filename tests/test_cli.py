@@ -243,6 +243,22 @@ def test_samples_must_be_positive(write_config, capsys, command, samples):
     assert "--samples must be a positive integer" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["hopf-check", "x.json", "--samples", "abc"],
+    [],
+    ["frobnicate"],
+    ["module"],
+    ["validate"],
+], ids=["samples-not-int", "no-arguments", "unknown-subcommand",
+        "bare-module", "validate-no-file"])
+def test_usage_errors_emit_json(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out["status"] == "error"
+    assert out["facts"]["error"] in err
+    assert "usage:" not in err
+
+
 def test_seed_resolution(write_config, capsys, monkeypatch):
     monkeypatch.setenv("ORE_HOPF_SEED", "11")
     path = write_config(U1)
@@ -328,6 +344,20 @@ def test_module_iso_and_counterexample(write_config, tmp_path, capsys):
     code, out, _ = run(capsys, "module", "iso", pa, pb)
     assert code == 1
     assert out["facts"]["result"] == "not isomorphic"
+
+
+def test_module_simple_singular_group_matrix_exit_2(write_config, tmp_path,
+                                                   capsys):
+    path, payload = build_module_file(
+        capsys, tmp_path, write_config(SKEW3), "skew-vx",
+        {"alpha": 1, "lam": [0, 0]}, "vx.json")
+    payload["module"]["generators"]["g1"][0] = ["0", "0", "0"]
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "module", "simple", str(path))
+    assert code == 2
+    assert out["status"] == "error"
+    assert "does not act invertibly" in err
 
 
 def test_module_iso_config_mismatch(write_config, tmp_path, capsys):

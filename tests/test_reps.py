@@ -8,17 +8,19 @@ from orehopf.abgroup import (AbelianGroup, Character, SubgroupCharacter,
                              char_kernel, joint_kernel)
 from orehopf.cyclotomic import Cyclotomic, root_of_unity
 from orehopf.hopfcore import SpecError, validate_spec
+from orehopf.linalg import SpanBasis, identity, inverse, mat_eq, mat_mul, zeros
 from orehopf.reps import (ClassifyError, ModuleRep, SimpleParams,
+                          _intertwiner_space,
                           are_isomorphic, build_induced_skew, build_simple,
                           build_torsion_char, build_Vbar_diff, build_Vx_diff,
                           build_Vx_skew, build_Vxy_skew, build_Vy_diff,
                           build_Vy_skew, classify_simple, conjugate,
                           direct_sum, is_simple_burnside, iso_criterion,
-                          random_invertible, rep_check, torsion_profile,
-                          truncation_index)
+                          rep_check, torsion_profile, truncation_index)
 from orehopf.catalog import takeuchi_u1
 
-from gen import audit_spec, diff_sweep_spec, skew_sweep_spec
+from gen import audit_spec, diff_sweep_spec, random_invertible, skew_sweep_spec
+from test_acceptance import sweep_instances
 
 
 def kernel_char(spec, char, exps):
@@ -383,3 +385,78 @@ def test_are_isomorphic_dimension_mismatch():
     res = are_isomorphic(V, T)
     assert res.status == "not_isomorphic"
     assert res.detail == "dimension mismatch"
+
+
+def test_burnside_rejects_singular_group_matrix():
+    spec = skew_sweep_spec(2)
+    N = spec.conductor
+    one, zero = Cyclotomic.one(N), Cyclotomic.zero(N)
+    singular = [[one, zero], [zero, zero]]
+    ident = [[one, zero], [zero, one]]
+    M = ModuleRep(spec, 2, [singular, ident], zeros(2, 2, N), zeros(2, 2, N))
+    with pytest.raises(SpecError, match="does not act invertibly"):
+        is_simple_burnside(M)
+
+
+def _span_dimension_with_inverses(M):
+    """Burnside closure with the inverse group matrices as extra generators.
+    By Cayley-Hamilton it spans the same unital algebra as the group
+    matrices, x and y alone."""
+    d, N = M.dim, M.spec.conductor
+    gens = list(M.group_mats) + [inverse(A) for A in M.group_mats] + [M.X, M.Y]
+    span = SpanBasis(d * d, N)
+    frontier = [identity(d, N)]
+    span.add([v for row in frontier[0] for v in row])
+    while frontier and span.dim() < d * d:
+        nxt = []
+        for B in frontier:
+            for A in gens:
+                C = mat_mul(A, B)
+                if span.add([v for row in C for v in row]):
+                    nxt.append(C)
+        frontier = nxt
+    return span.dim()
+
+
+def test_burnside_matches_inverse_generator_oracle():
+    modules = [inst.module for inst in sweep_instances()]
+    # neighbours in the sweep share a spec; sums stay small because a
+    # non-simple closure never stops early
+    sums = [direct_sum(a, b) for a, b in zip(modules, modules[1:])
+            if a.spec is b.spec and a.dim + b.dim <= 4]
+    assert len(sums) > 50
+    for M in modules + sums:
+        assert is_simple_burnside(M).facts["span_dimension"] == \
+            _span_dimension_with_inverses(M)
+
+
+def test_are_isomorphic_unknown_states_the_bound():
+    # every intertwiner M + N -> M + M kills the N summand, so none is
+    # invertible and the random fallback must report unknown with its bound
+    spec = skew_sweep_spec(3)
+    M = build_torsion_char(Character(spec.group, spec.conductor, [0, 0]), spec)
+    N = build_torsion_char(Character(spec.group, spec.conductor, [1, 0]), spec)
+    res = are_isomorphic(direct_sum(M, N), direct_sum(M, M))
+    assert res.status == "unknown"
+    assert res.witness is None
+    assert "(2/5)^64 = 3.4e-26" in res.detail
+
+
+def test_are_isomorphic_random_fallback_witness():
+    rng = random.Random(5)
+    spec = skew_sweep_spec(2)
+    V = build_Vx_skew(scalar(spec, 1), kernel_char(spec, spec.chi, [0, 1]), spec)
+    S = direct_sum(V, V)
+    C = conjugate(S, random_invertible(S.dim, spec.conductor, rng))
+    pairs = list(zip(S.group_mats, C.group_mats))
+    pairs += [(S.X, C.X), (S.raw_y_matrix(), C.raw_y_matrix())]
+    # no basis intertwiner is invertible: the random combinations decide
+    basis = _intertwiner_space(pairs, S.dim, spec.conductor)
+    assert basis and all(inverse(B) is None for B in basis)
+    res = are_isomorphic(S, C)
+    assert res.status == "isomorphic"
+    T = res.witness
+    assert inverse(T) is not None
+    for A, B in pairs:
+        assert mat_eq(mat_mul(T, A), mat_mul(B, T))
+
