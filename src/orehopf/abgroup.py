@@ -88,17 +88,6 @@ class AbelianGroup:
             out *= n
         return out
 
-    def elements(self):
-        if self.free_rank:
-            raise ValueError("cannot enumerate an infinite group")
-        def rec(i, acc):
-            if i == len(self.torsion_orders):
-                yield self.element(acc)
-                return
-            for e in range(self.torsion_orders[i]):
-                yield from rec(i + 1, acc + [e])
-        yield from rec(0, [])
-
 
 class GroupElement:
     __slots__ = ("group", "exps", "_hash")
@@ -177,9 +166,6 @@ class Character:
             out = out * d // gcd(out, d)
         return out
 
-    def is_trivial(self) -> bool:
-        return all(e % self.conductor == 0 for e in self.exps)
-
     def __mul__(self, other: "Character") -> "Character":
         if other.group != self.group or other.conductor != self.conductor:
             raise ValueError("characters are not compatible")
@@ -221,16 +207,6 @@ def _exgcd(a: int, b: int):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def hermite_normal_form(rows):
-    """Row-style HNF of an integer matrix.
-
-    Returns echelon rows with positive pivots, entries above each pivot
-    reduced to [0, pivot).  Zero rows are dropped.
-    """
-    H, _ = hnf_with_transform(rows)
-    return H
 
 
 def hnf_with_transform(rows):
@@ -311,7 +287,9 @@ class Subgroup:
             if len(r) != k:
                 raise ValueError("generator row has wrong length")
         rows.extend(group.relation_rows())
-        H = hermite_normal_form(rows) if rows else []
+        # row-style HNF: positive pivots, entries above each pivot in
+        # [0, pivot), zero rows dropped
+        H = hnf_with_transform(rows)[0] if rows else []
         pivots = []
         for r in H:
             col = next(i for i, x in enumerate(r) if x)
@@ -451,14 +429,6 @@ class SubgroupCharacter:
 
     def __setattr__(self, name, value):
         raise AttributeError("SubgroupCharacter is immutable")
-
-    @staticmethod
-    def restrict(chi: Character, subgroup: Subgroup) -> "SubgroupCharacter":
-        """The restriction of a character of G to the subgroup."""
-        exps = []
-        for row in subgroup.rows:
-            exps.append(sum(e * x for e, x in zip(chi.exps, row)) % chi.conductor)
-        return SubgroupCharacter(subgroup, chi.conductor, exps)
 
     def eval(self, g: GroupElement) -> Cyclotomic:
         coeffs = self.subgroup.express(g)

@@ -50,8 +50,9 @@ _TOP_KEYS = {"conductor", "group", "chi", "eta", "b", "c", "beta",
              "quotient", "seed"}
 _REQUIRED_KEYS = ("conductor", "group", "chi", "eta", "b", "c", "beta")
 
-# root_of_unity recurses N - 1 - phi(N) deep: 323 at N = 420, while N = 630
-# already exceeds Python's default recursion limit.
+# Costs grow with N: building Phi_N and its reduction table, phi(N)^2 work per
+# field product (phi(420) = 96), and up to N roots of unity tried when a
+# coefficient is printed.  Larger conductors are rejected rather than slow.
 MAX_CONDUCTOR = 420
 
 

@@ -72,11 +72,12 @@ def _poly_divmod(a, b):
         raise ZeroDivisionError("polynomial division by zero")
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     inv_lead = Fraction(1) / b[-1]
+    support = [(i, bi) for i, bi in enumerate(b) if bi]
     while len(a) >= len(b) and _poly_trim(a):
         shift = len(a) - len(b)
         coeff = a[-1] * inv_lead
         q[shift] = coeff
-        for i, bi in enumerate(b):
+        for i, bi in support:
             a[shift + i] -= coeff * bi
         _poly_trim(a)
     return _poly_trim(q), a
@@ -185,13 +186,10 @@ class Cyclotomic:
 
     @staticmethod
     def from_zeta_coeffs(conductor: int, coeffs) -> "Cyclotomic":
-        """Sum of coeffs[k] * zeta^k for 0 <= k < N, reduced to the basis."""
-        out = Cyclotomic.zero(conductor)
-        for k, c in enumerate(coeffs):
-            c = _coerce_coeff(c)
-            if c:
-                out = out + root_of_unity(conductor, k) * c
-        return out
+        """Sum of coeffs[k] * zeta^k: the coefficient polynomial mod Phi_N."""
+        _, rem = _poly_divmod([_coerce_coeff(c) for c in coeffs],
+                              cyclotomic_polynomial(conductor))
+        return Cyclotomic(conductor, rem)
 
     # -- coercion --
 
@@ -345,25 +343,16 @@ class Cyclotomic:
         bound = n if n % 2 == 0 else 2 * n
         if self ** bound != 1:
             return None
-        for d in divisors(bound):
-            if self ** d == 1:
-                return d
-        raise AssertionError("unreachable")
+        return next(d for d in divisors(bound) if self ** d == 1)
 
 
 @lru_cache(maxsize=None)
 def root_of_unity(conductor: int, k: int) -> Cyclotomic:
-    """zeta_N^k as a canonical field element."""
+    """zeta_N^k as a canonical field element: x^(k mod N) mod Phi_N."""
     k %= conductor
-    phi = euler_phi(conductor)
-    if k < phi:
-        coeffs = [Fraction(0)] * phi
-        coeffs[k] = Fraction(1)
-        return Cyclotomic(conductor, coeffs)
-    if conductor == 2:
-        return Cyclotomic.rational(2, -1)
-    z1 = root_of_unity(conductor, 1)
-    return root_of_unity(conductor, k - 1) * z1
+    _, rem = _poly_divmod([Fraction(0)] * k + [Fraction(1)],
+                          cyclotomic_polynomial(conductor))
+    return Cyclotomic(conductor, rem)
 
 
 def q_int(i: int, q: Cyclotomic) -> Cyclotomic:

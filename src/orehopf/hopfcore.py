@@ -23,6 +23,13 @@ g x^i w^j come from closed forms (Gauss binomials for Delta(v^n), a group
 element power for S(v)^n) rather than from products in H (x) H.  The
 product path Delta(x)^i Delta(w)^j and S(w)^j S(x)^i is kept in the test
 suite as the oracle for these closed forms.
+
+The elements of K[G] (GroupAlgElem), H (HopfElem), H (x) H (TensorElem)
+and the quotients H/I (quotient.QuotientElem) are all finite K-linear
+combinations of monomials.  They share one term core, _Terms, which holds
+the coefficient dict and does the linear arithmetic: +, -, negation,
+scale, is_zero and ==.  Each type adds only its space (group and
+conductor, spec or quotient spec) and its own products and maps.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from math import gcd
 from random import Random
 
 from .abgroup import AbelianGroup, Character, GroupElement
-from .cyclotomic import Cyclotomic, q_binomial, q_int, root_of_unity
+from .cyclotomic import Cyclotomic, _coerce_coeff, q_binomial, q_int, root_of_unity
 from .report import Report
 
 
@@ -46,19 +53,77 @@ class SpecError(ValueError):
     """Raised when the defining data violates the existence constraints."""
 
 
-class GroupAlgElem:
+def _acc(d: dict, key, coeff):
+    cur = d.get(key)
+    if cur is None:
+        d[key] = coeff
+    else:
+        d[key] = cur + coeff
+
+
+def _nonzero(terms) -> dict:
+    return {k: v for k, v in terms.items() if not v.is_zero()}
+
+
+class _Terms:
+    """Finite K-linear combination {basis key: nonzero coefficient}.
+
+    A subclass stores its space and drops zero coefficients in its
+    constructor, names the space with _space() and builds an element of the
+    same space with _like(terms).  Two elements combine only when their
+    types match and their spaces compare equal; otherwise ValueError with
+    the subclass's _mismatch message.
+    """
+
+    __slots__ = ("terms",)
+
+    def _check(self, other):
+        if type(other) is not type(self) or other._space() != self._space():
+            raise ValueError(self._mismatch)
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            _acc(out, k, v)
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def scale(self, coeff):
+        """Multiply by a field element, an int, a Fraction or a rational string."""
+        if not isinstance(coeff, Cyclotomic):
+            coeff = _coerce_coeff(coeff)
+        return self._like({k: v * coeff for k, v in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and other._space() == self._space()
+                and self.terms == other.terms)
+
+
+class GroupAlgElem(_Terms):
     """Element of K[G]: finitely supported map GroupElement -> Cyclotomic."""
 
-    __slots__ = ("group", "conductor", "terms")
+    __slots__ = ("group", "conductor")
+    _mismatch = "group algebra elements are not compatible"
 
     def __init__(self, group: AbelianGroup, conductor: int, terms=None):
         self.group = group
         self.conductor = conductor
-        clean = {}
-        for g, c in (terms or {}).items():
-            if not c.is_zero():
-                clean[g] = c
-        self.terms = clean
+        self.terms = _nonzero(terms or {})
+
+    def _space(self):
+        return self.group, self.conductor
+
+    def _like(self, terms):
+        return GroupAlgElem(self.group, self.conductor, terms)
 
     @staticmethod
     def zero(group, conductor):
@@ -69,50 +134,19 @@ class GroupAlgElem:
         coeff = coeff if coeff is not None else Cyclotomic.one(conductor)
         return GroupAlgElem(g.group, conductor, {g: coeff})
 
-    def _check(self, other):
-        if self.group != other.group or self.conductor != other.conductor:
-            raise ValueError("group algebra elements are not compatible")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            out[g] = out.get(g, Cyclotomic.zero(self.conductor)) + c
-        return GroupAlgElem(self.group, self.conductor, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            out[g] = out.get(g, Cyclotomic.zero(self.conductor)) - c
-        return GroupAlgElem(self.group, self.conductor, out)
-
-    def __neg__(self):
-        return GroupAlgElem(self.group, self.conductor,
-                            {g: -c for g, c in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, GroupAlgElem):
-            self._check(other)
-            out = {}
-            for g, cg in self.terms.items():
-                for h, ch in other.terms.items():
-                    gh = g * h
-                    prod = cg * ch
-                    out[gh] = out.get(gh, Cyclotomic.zero(self.conductor)) + prod
-            return GroupAlgElem(self.group, self.conductor, out)
-        return self.scale(other)
-
-    def scale(self, coeff):
-        return GroupAlgElem(self.group, self.conductor,
-                            {g: c * coeff for g, c in self.terms.items()})
+        if not isinstance(other, GroupAlgElem):
+            return self.scale(other)
+        self._check(other)
+        out = {}
+        for g, cg in self.terms.items():
+            for h, ch in other.terms.items():
+                _acc(out, g * h, cg * ch)
+        return self._like(out)
 
     def twist(self, chi: Character, power: int = 1):
         """tau_chi^power: g |-> chi(g)^power g, extended linearly."""
-        out = {}
-        for g, c in self.terms.items():
-            out[g] = c * chi.eval_pow(g, power)
-        return GroupAlgElem(self.group, self.conductor, out)
+        return self._like({g: c * chi.eval_pow(g, power) for g, c in self.terms.items()})
 
     def apply_char(self, rho: Character) -> Cyclotomic:
         """Evaluate the algebra map K[G] -> K induced by a character."""
@@ -120,13 +154,6 @@ class GroupAlgElem:
         for g, c in self.terms.items():
             acc = acc + c * rho.eval(g)
         return acc
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupAlgElem) and self.group == other.group
-                and self.conductor == other.conductor and self.terms == other.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -321,51 +348,25 @@ def validate_spec(group: AbelianGroup, chi: Character, eta: Character,
     return AlgebraSpec(group, chi, eta, b, c, beta, conductor, mode, q)
 
 
-def _acc(d: dict, key, coeff):
-    cur = d.get(key)
-    if cur is None:
-        d[key] = coeff
-    else:
-        d[key] = cur + coeff
-
-
-class HopfElem:
+class HopfElem(_Terms):
     """Element in the internal PBW basis {g x^i w^j}.
 
     w is y in SkewGroupRing mode and the normalized z in
     DifferentialOperator mode.  Keys are (GroupElement, i, j).
     """
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec",)
+    _mismatch = "elements belong to different algebra instances"
 
     def __init__(self, spec: AlgebraSpec, terms):
         self.spec = spec
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
+        self.terms = _nonzero(terms)
 
-    def _check(self, other):
-        if other.spec is not self.spec:
-            raise ValueError("elements belong to different algebra instances")
+    def _space(self):
+        return self.spec
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _acc(out, k, v)
-        return HopfElem(self.spec, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _acc(out, k, -v)
-        return HopfElem(self.spec, out)
-
-    def __neg__(self):
-        return HopfElem(self.spec, {k: -v for k, v in self.terms.items()})
-
-    def scale(self, coeff) -> "HopfElem":
-        coeff = self.spec.scalar(coeff)
-        return HopfElem(self.spec, {k: v * coeff for k, v in self.terms.items()})
+    def _like(self, terms):
+        return HopfElem(self.spec, terms)
 
     def __mul__(self, other):
         if isinstance(other, HopfElem):
@@ -383,26 +384,6 @@ class HopfElem:
             out = multiply(out, self)
         return out
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, HopfElem) and self.spec is other.spec
-                and self.terms == other.terms)
-
-    def max_degrees(self):
-        i = max((k[1] for k in self.terms), default=0)
-        j = max((k[2] for k in self.terms), default=0)
-        return i, j
-
-    def group_part(self) -> GroupAlgElem:
-        """The K[G] component (terms with i = j = 0)."""
-        out = {}
-        for (g, i, j), c in self.terms.items():
-            if i == 0 and j == 0:
-                out[g] = c
-        return GroupAlgElem(self.spec.group, self.spec.conductor, out)
-
     def raw_terms(self) -> dict:
         """Terms in the raw (g, x^i, y^j) basis."""
         spec = self.spec
@@ -418,22 +399,7 @@ class HopfElem:
                 * (chi_c ** (-(i * j)))
             key = (g * (spec.c ** (-j)), i, j)
             _acc(out, key, coeff * factor)
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    @staticmethod
-    def from_raw_terms(spec: AlgebraSpec, terms) -> "HopfElem":
-        """Build from the raw (g, x^i, y^j) basis."""
-        if spec.mode is Mode.SKEW_GROUP_RING:
-            return HopfElem(spec, dict(terms))
-        out = {}
-        eta_c = spec.eta.eval(spec.c)
-        chi_c = spec.chi.eval(spec.c)
-        for (g, i, j), coeff in terms.items():
-            # g x^i y^j = beta^j eta(c)^(j(j-1)/2) chi(c)^(ij) (g c^j) x^i z^j
-            factor = (spec.beta ** j) * (eta_c ** (j * (j - 1) // 2)) \
-                * (chi_c ** (i * j))
-            _acc(out, (g * (spec.c ** j), i, j), coeff * factor)
-        return HopfElem(spec, out)
+        return _nonzero(out)
 
     def sorted_raw(self):
         """Sorted monomial list [((exps), i, j, coeff)] in the raw basis."""
@@ -484,18 +450,21 @@ def wind(u: GroupAlgElem, i: int, spec: AlgebraSpec, character: Character | None
 
 # -- tensor square --
 
-class TensorElem:
+class TensorElem(_Terms):
     """Element of H (x) H with componentwise PBW monomial keys."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec",)
+    _mismatch = "tensors belong to different algebra instances"
 
     def __init__(self, spec: AlgebraSpec, terms):
         self.spec = spec
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
+        self.terms = _nonzero(terms)
 
-    @staticmethod
-    def zero(spec):
-        return TensorElem(spec, {})
+    def _space(self):
+        return self.spec
+
+    def _like(self, terms):
+        return TensorElem(self.spec, terms)
 
     @staticmethod
     def of(a: HopfElem, b: HopfElem) -> "TensorElem":
@@ -505,28 +474,6 @@ class TensorElem:
             for kb, cb in b.terms.items():
                 _acc(out, (ka, kb), ca * cb)
         return TensorElem(a.spec, out)
-
-    def _check(self, other):
-        if other.spec is not self.spec:
-            raise ValueError("tensors belong to different algebra instances")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _acc(out, k, v)
-        return TensorElem(self.spec, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _acc(out, k, -v)
-        return TensorElem(self.spec, out)
-
-    def scale(self, coeff):
-        coeff = self.spec.scalar(coeff)
-        return TensorElem(self.spec, {k: v * coeff for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, TensorElem):
@@ -545,13 +492,6 @@ class TensorElem:
                     for k2, c2 in p2.terms.items():
                         _acc(out, (k1, k2), f * c1 * c2)
         return TensorElem(spec, out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorElem) and self.spec is other.spec
-                and self.terms == other.terms)
 
     def __repr__(self):
         return f"Tensor({len(self.terms)} terms)"
@@ -685,26 +625,17 @@ def random_element(spec: AlgebraSpec, rng: Random, max_degree: int = 3,
     return HopfElem(spec, terms)
 
 
-def _triple_from_tensor_left(t: TensorElem) -> dict:
-    """(Delta (x) id) applied to a tensor, as {(k1,k2,k3): coeff}."""
+def _triple_from_tensor(t: TensorElem, slot: int) -> dict:
+    """Delta applied to tensor factor slot, as {(k1, k2, k3): coeff}:
+    slot 0 gives (Delta (x) id), slot 1 gives (id (x) Delta)."""
     spec = t.spec
+    one = Cyclotomic.one(spec.conductor)
     out = {}
-    for (k1, k2), c in t.terms.items():
-        d = comultiply(HopfElem(spec, {k1: Cyclotomic.one(spec.conductor)}))
-        for (a, b), v in d.terms.items():
-            _acc(out, (a, b, k2), c * v)
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _triple_from_tensor_right(t: TensorElem) -> dict:
-    """(id (x) Delta) applied to a tensor."""
-    spec = t.spec
-    out = {}
-    for (k1, k2), c in t.terms.items():
-        d = comultiply(HopfElem(spec, {k2: Cyclotomic.one(spec.conductor)}))
-        for (a, b), v in d.terms.items():
-            _acc(out, (k1, a, b), c * v)
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    for pair, c in t.terms.items():
+        d = comultiply(HopfElem(spec, {pair[slot]: one}))
+        for split, v in d.terms.items():
+            _acc(out, pair[:slot] + split + pair[slot + 1:], c * v)
+    return _nonzero(out)
 
 
 def _describe(elem: HopfElem):
@@ -721,6 +652,7 @@ def hopf_axiom_check(spec: AlgebraSpec, sample_count: int = 50,
     Delta and epsilon are algebra maps on sampled pairs.
     """
     rng = Random(seed)
+    one = Cyclotomic.one(spec.conductor)
     witnesses = []
     checks = {"coassociativity": 0, "counit": 0, "antipode": 0,
               "delta_multiplicative": 0, "counit_multiplicative": 0}
@@ -731,33 +663,29 @@ def hopf_axiom_check(spec: AlgebraSpec, sample_count: int = 50,
     for _ in range(sample_count):
         a = random_element(spec, rng, max_degree=max_degree)
         da = comultiply(a)
-        left = _triple_from_tensor_left(da)
-        right = _triple_from_tensor_right(da)
+        left = _triple_from_tensor(da, 0)
+        right = _triple_from_tensor(da, 1)
         checks["coassociativity"] += 1
         if left != right:
             fail("coassociativity", _describe(a))
-        # counit laws
-        eps_id = spec.zero()
-        id_eps = spec.zero()
+        # counit laws (eps (x) id)Delta = a = (id (x) eps)Delta and antipode
+        # laws m(S (x) id)Delta = eps * 1 = m(id (x) S)Delta, one pass
+        eps_id, id_eps, s_left, s_right = {}, {}, {}, {}
         for (k1, k2), c in da.terms.items():
-            e1 = counit(HopfElem(spec, {k1: Cyclotomic.one(spec.conductor)}))
-            e2 = counit(HopfElem(spec, {k2: Cyclotomic.one(spec.conductor)}))
-            eps_id = eps_id + HopfElem(spec, {k2: c * e1})
-            id_eps = id_eps + HopfElem(spec, {k1: c * e2})
+            m1 = HopfElem(spec, {k1: one})
+            m2 = HopfElem(spec, {k2: one})
+            _acc(eps_id, k2, c * counit(m1))
+            _acc(id_eps, k1, c * counit(m2))
+            for k, v in multiply(antipode(m1), m2).terms.items():
+                _acc(s_left, k, c * v)
+            for k, v in multiply(m1, antipode(m2)).terms.items():
+                _acc(s_right, k, c * v)
         checks["counit"] += 1
-        if eps_id != a or id_eps != a:
+        if HopfElem(spec, eps_id) != a or HopfElem(spec, id_eps) != a:
             fail("counit", _describe(a))
-        # antipode laws: m(S (x) id)Delta = eps * 1 = m(id (x) S)Delta
-        s_left = spec.zero()
-        s_right = spec.zero()
-        for (k1, k2), c in da.terms.items():
-            m1 = HopfElem(spec, {k1: Cyclotomic.one(spec.conductor)})
-            m2 = HopfElem(spec, {k2: Cyclotomic.one(spec.conductor)})
-            s_left = s_left + multiply(antipode(m1), m2).scale(c)
-            s_right = s_right + multiply(m1, antipode(m2)).scale(c)
         target = spec.unit(counit(a))
         checks["antipode"] += 1
-        if s_left != target or s_right != target:
+        if HopfElem(spec, s_left) != target or HopfElem(spec, s_right) != target:
             fail("antipode", _describe(a))
 
         b = random_element(spec, rng, max_degree=max_degree)
@@ -786,7 +714,7 @@ def antipode_order(spec: AlgebraSpec) -> int:
         current = [antipode(e) for e in current]
         if all(cur == g for cur, g in zip(current, gens)):
             return m
-    raise AssertionError("antipode order exceeded the theoretical bound")
+    raise ArithmeticError("antipode order exceeded the theoretical bound")
 
 
 def change_of_variables_check(spec: AlgebraSpec, max_power: int = 8) -> Report:

@@ -114,10 +114,6 @@ def rref(A):
     return rows[:r], pivots
 
 
-def rank(A) -> int:
-    return len(rref(A)[0])
-
-
 def nullspace(A):
     """Basis of the right kernel, as a list of vectors."""
     if not A:

@@ -17,9 +17,9 @@ from random import Random
 
 from .cyclotomic import Cyclotomic
 from .hopfcore import (AlgebraSpec, GroupAlgElem, HopfElem, Mode, SpecError,
-                       TensorElem, _acc, antipode, comultiply, counit,
-                       cyclotomic_to_literal, multiply, random_group_element,
-                       random_cyclotomic)
+                       TensorElem, _Terms, _acc, _nonzero, antipode, comultiply,
+                       counit, cyclotomic_to_literal, multiply,
+                       random_group_element, random_cyclotomic)
 from .report import Report
 
 
@@ -77,64 +77,35 @@ class QuotientSpec:
         return gen - base.from_group_alg(ga)
 
 
-class QuotientElem:
+class QuotientElem(_Terms):
     """Reduced element: finite map (GroupElement, i < n, j < m) -> coefficient.
 
     Keys use the same internal PBW basis as HopfElem.
     """
 
-    __slots__ = ("qspec", "terms")
+    __slots__ = ("qspec",)
+    _mismatch = "elements belong to different quotients"
 
     def __init__(self, qspec: QuotientSpec, terms):
         self.qspec = qspec
         for (_, i, j) in terms:
             if not (0 <= i < qspec.n and 0 <= j < qspec.m):
                 raise ValueError("exponent outside the reduced range")
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
+        self.terms = _nonzero(terms)
+
+    def _space(self):
+        return self.qspec
+
+    def _like(self, terms):
+        return QuotientElem(self.qspec, terms)
 
     def to_hopf(self) -> HopfElem:
         return HopfElem(self.qspec.base, dict(self.terms))
-
-    def _check(self, other):
-        if other.qspec is not self.qspec:
-            raise ValueError("elements belong to different quotients")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _acc(out, k, v)
-        return QuotientElem(self.qspec, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _acc(out, k, -v)
-        return QuotientElem(self.qspec, out)
-
-    def __neg__(self):
-        return QuotientElem(self.qspec, {k: -v for k, v in self.terms.items()})
-
-    def scale(self, coeff):
-        coeff = self.qspec.base.scalar(coeff)
-        return QuotientElem(self.qspec,
-                            {k: v * coeff for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, QuotientElem):
             return q_multiply(self, other, self.qspec)
         return self.scale(other)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, QuotientElem) and self.qspec is other.qspec
-                and self.terms == other.terms)
-
-    def raw_terms(self):
-        return self.to_hopf().raw_terms()
 
     def __repr__(self):
         return f"Q({self.to_hopf()!r})"

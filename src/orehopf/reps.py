@@ -335,16 +335,16 @@ def is_simple_burnside(M: ModuleRep) -> Report:
     gens = M.group_mats + (M.X, M.Y)
 
     span = SpanBasis(d * d, N)
-    frontier = [identity(d, N)]
-    span.add([v for row in frontier[0] for v in row])
-    while frontier and span.dim() < d * d:
-        nxt = []
-        for B in frontier:
-            for A in gens:
-                C = mat_mul(A, B)
-                if span.add([v for row in C for v in row]):
-                    nxt.append(C)
-        frontier = nxt
+    products = [identity(d, N)]
+    span.add([v for row in products[0] for v in row])
+    # breadth first: products grows while it is read; stop once the span is full
+    for B in products:
+        for A in gens:
+            if span.dim() == d * d:
+                break
+            C = mat_mul(A, B)
+            if span.add([v for row in C for v in row]):
+                products.append(C)
     span_dim = span.dim()
     return Report(name="burnside", passed=span_dim == d * d,
                   facts={"span_dimension": span_dim, "full_dimension": d * d})
@@ -796,23 +796,28 @@ def iso_criterion(p1: SimpleParams, p2: SimpleParams, spec: AlgebraSpec) -> bool
     if f == "DiffVbar":
         return p1.rho == p2.rho
     if f == "DiffVx":
-        n = spec.chi.order()
-        for k in range(n):
-            if p1.rho == p2.rho * (spec.chi ** (-k)) and \
-                    p1.lam_scalar == p2.lam_scalar and \
-                    p1.mu == p2.mu + wind(spec.e, k, spec).apply_char(p2.rho):
-                return True
-        return False
+        return _diff_shift_iso(p2.rho, p1.rho, p2.rho, (p1.lam_scalar, p2.lam_scalar),
+                               (p1.mu, p2.mu), spec.chi, 1, spec)
     if f == "DiffVy":
-        n = spec.chi.order()
-        for k in range(n):
-            if p2.rho == p1.rho * (spec.chi ** (-k)) and \
-                    p1.mu == p2.mu and \
-                    p1.lam_scalar == p2.lam_scalar - \
-                    wind(spec.e, k, spec, character=spec.eta).apply_char(p2.rho):
-                return True
-        return False
+        return _diff_shift_iso(p1.rho, p2.rho, p2.rho, (p1.mu, p2.mu),
+                               (p1.lam_scalar, p2.lam_scalar), spec.eta, -1, spec)
     raise SpecError(f"unknown family {f!r}")
+
+
+def _diff_shift_iso(source, target, rho, fixed, moved, char: Character,
+                    sign: int, spec: AlgebraSpec) -> bool:
+    """Criterion of the mirrored diff families: the fixed scalars agree and
+    some shift k in 0..order(chi)-1 has target = source chi^(-k) and
+    moved[0] = moved[1] + sign rho(wind(e, k; char)).  DiffVx shifts the
+    second rho and moves mu along chi; DiffVy shifts the first rho and
+    moves lambda along eta with sign -1."""
+    if fixed[0] != fixed[1]:
+        return False
+    for k in range(spec.chi.order()):
+        if target == source * (spec.chi ** (-k)) and moved[0] == moved[1] + \
+                sign * wind(spec.e, k, spec, character=char).apply_char(rho):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

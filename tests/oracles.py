@@ -11,13 +11,20 @@ them by one-step rewriting with the defining relations only:
 It never consults the library's PBW engine, so agreement is meaningful.
 
 The module also keeps small reference checks that only the tests use:
-primitive roots, q-factorials, centrality of powers, and the transversal
-and 2-cocycle of a cyclic quotient of the group.
+primitive roots, q-factorials, centrality of powers, the transversal and
+2-cocycle of a cyclic quotient of the group, the enumeration of a finite
+group, character triviality and restriction, the raw-to-internal PBW
+conversion (inverse of HopfElem.raw_terms), and the degree and K[G] parts
+of an element.
 """
 
-from orehopf.abgroup import AbelianGroup, GroupElement, Subgroup
+from itertools import product
+
+from orehopf.abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
+                             SubgroupCharacter)
 from orehopf.cyclotomic import Cyclotomic, divisors, q_int
-from orehopf.hopfcore import AlgebraSpec, HopfElem, multiply
+from orehopf.hopfcore import (AlgebraSpec, GroupAlgElem, HopfElem, Mode,
+                              multiply)
 
 
 def _word_of(g, i, j):
@@ -166,3 +173,50 @@ def cocycle_gamma(i: int, j: int, c: GroupElement, n: int) -> GroupElement:
     if i + j < n:
         return c.group.identity()
     return c ** n
+
+
+def group_elements(group: AbelianGroup):
+    """Every element of a finite group."""
+    if group.free_rank:
+        raise ValueError("cannot enumerate an infinite group")
+    return [group.element(list(exps))
+            for exps in product(*(range(n) for n in group.torsion_orders))]
+
+
+def is_trivial(chi: Character) -> bool:
+    return all(e % chi.conductor == 0 for e in chi.exps)
+
+
+def restrict(chi: Character, subgroup: Subgroup) -> SubgroupCharacter:
+    """The restriction of a character of G to the subgroup."""
+    exps = [sum(e * x for e, x in zip(chi.exps, row)) % chi.conductor
+            for row in subgroup.rows]
+    return SubgroupCharacter(subgroup, chi.conductor, exps)
+
+
+def from_raw_terms(spec: AlgebraSpec, terms) -> HopfElem:
+    """Build from the raw (g, x^i, y^j) basis."""
+    if spec.mode is Mode.SKEW_GROUP_RING:
+        return HopfElem(spec, dict(terms))
+    out = {}
+    eta_c = spec.eta.eval(spec.c)
+    chi_c = spec.chi.eval(spec.c)
+    for (g, i, j), coeff in terms.items():
+        # g x^i y^j = beta^j eta(c)^(j(j-1)/2) chi(c)^(ij) (g c^j) x^i z^j
+        factor = (spec.beta ** j) * (eta_c ** (j * (j - 1) // 2)) \
+            * (chi_c ** (i * j))
+        key = (g * (spec.c ** j), i, j)
+        out[key] = out.get(key, Cyclotomic.zero(spec.conductor)) + coeff * factor
+    return HopfElem(spec, out)
+
+
+def max_degrees(a: HopfElem):
+    i = max((k[1] for k in a.terms), default=0)
+    j = max((k[2] for k in a.terms), default=0)
+    return i, j
+
+
+def group_part(a: HopfElem) -> GroupAlgElem:
+    """The K[G] component (terms with i = j = 0)."""
+    return GroupAlgElem(a.spec.group, a.spec.conductor,
+                        {g: c for (g, i, j), c in a.terms.items() if i == j == 0})

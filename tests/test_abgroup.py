@@ -7,7 +7,8 @@ from orehopf.abgroup import (AbelianGroup, Character, Subgroup,
                              SubgroupCharacter, char_kernel, joint_kernel)
 from orehopf.cyclotomic import Cyclotomic, root_of_unity
 
-from oracles import cocycle_gamma, transversal
+from oracles import (cocycle_gamma, group_elements, is_trivial, restrict,
+                     transversal)
 
 
 def test_element_arithmetic_free():
@@ -33,7 +34,7 @@ def test_group_order():
     assert AbelianGroup(1).order() is None
     assert AbelianGroup(0).order() == 1
     G = AbelianGroup(0, (2, 2))
-    assert len(list(G.elements())) == 4
+    assert len(group_elements(G)) == 4
 
 
 def test_character_eval():
@@ -43,8 +44,8 @@ def test_character_eval():
     assert chi.eval(g) == root_of_unity(4, 3)
     assert chi.eval(g.inverse()) == root_of_unity(4, 1)
     assert chi.order() == 4
-    assert (chi ** 4).is_trivial()
-    assert (chi * chi.inverse()).is_trivial()
+    assert is_trivial(chi ** 4)
+    assert is_trivial(chi * chi.inverse())
 
 
 def test_character_torsion_consistency():
@@ -83,7 +84,7 @@ def test_joint_kernel_klein():
     eta = Character(G, 2, [1, 0])
     N = joint_kernel([chi, eta])
     assert N.index() == 4
-    assert all(N.contains(g) == g.is_identity() for g in G.elements())
+    assert all(N.contains(g) == g.is_identity() for g in group_elements(G))
 
 
 def test_cosets_and_transversal():
@@ -126,7 +127,7 @@ def test_subgroup_character_restriction():
     chi = Character(G, 4, [1, 0])
     N = chi.kernel()
     lam_full = Character(G, 4, [2, 3])
-    lam = SubgroupCharacter.restrict(lam_full, N)
+    lam = restrict(lam_full, N)
     for h in N.hermite_generators():
         assert lam.eval(h) == lam_full.eval(h)
 

@@ -164,3 +164,15 @@ def test_from_zeta_coeffs_reduces():
     assert v.is_zero()
     w = Cyclotomic.from_zeta_coeffs(6, [0, 0, 0, 2])  # 2 zeta_6^3 = -2
     assert w == Cyclotomic.rational(6, -2)
+    assert Cyclotomic.from_zeta_coeffs(12, []).is_zero()
+    coeffs = [3, 0, "-1/2", 0, 0, 7, 1, 0, 2, 0, 0, -4]
+    expected = sum((root_of_unity(12, k) * Fraction(c)
+                    for k, c in enumerate(coeffs)), Cyclotomic.zero(12))
+    assert Cyclotomic.from_zeta_coeffs(12, coeffs) == expected
+
+
+@pytest.mark.parametrize("n", [630, 1000])
+def test_root_of_unity_from_a_cold_cache(n):
+    root_of_unity.cache_clear()
+    assert root_of_unity(n, n - 1) * root_of_unity(n, 1) == 1
+

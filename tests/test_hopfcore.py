@@ -6,14 +6,16 @@ import pytest
 
 from orehopf.abgroup import AbelianGroup, Character
 from orehopf.cyclotomic import Cyclotomic, q_int, root_of_unity
-from orehopf.hopfcore import (HopfElem, Mode, SpecError, TensorElem, antipode,
+from orehopf.hopfcore import (GroupAlgElem, HopfElem, Mode, SpecError, TensorElem, antipode,
                               antipode_order, change_of_variables_check, comultiply, counit,
                               hopf_axiom_check, random_element, validate_spec,
                               wind)
 from orehopf.catalog import catalog_entry, catalog_names, takeuchi_u1
+from orehopf.quotient import QuotientElem, QuotientSpec, q_reduce
 
-from gen import diff_sweep_spec, skew_sweep_spec
-from oracles import assert_product_matches, centrality_check
+from gen import diff_sweep_spec, quotient_sweep_spec, skew_sweep_spec
+from oracles import (assert_product_matches, centrality_check, from_raw_terms,
+                     group_part, max_degrees)
 
 
 def u1_spec():
@@ -75,7 +77,7 @@ def test_pbw_uniqueness_round_trip():
         rng = random.Random(3)
         for _ in range(20):
             a = random_element(spec, rng)
-            again = HopfElem.from_raw_terms(spec, a.raw_terms())
+            again = from_raw_terms(spec, a.raw_terms())
             assert again == a
 
 
@@ -299,8 +301,68 @@ def test_centrality():
 def test_max_degrees_and_group_part():
     spec = skew_sweep_spec(3)
     a = spec.x() * spec.y() + spec.one().scale(5)
-    i, j = a.max_degrees()
+    i, j = max_degrees(a)
     assert (i, j) == (1, 1)
-    gp = a.group_part()
+    gp = group_part(a)
     assert dict(gp.terms) == {spec.group.identity():
                               Cyclotomic.rational(spec.conductor, 5)}
+
+
+# ---------------------------------------------------------------------------
+# the shared term core of GroupAlgElem, HopfElem, TensorElem and QuotientElem
+
+def _term_core_space(other_space: bool):
+    spec = quotient_sweep_spec(2, 3)
+    if other_space:
+        # the same defining data, a distinct algebra and quotient instance
+        spec = validate_spec(spec.group, spec.chi, spec.eta, spec.b, spec.c, spec.beta)
+    return spec, QuotientSpec(spec, 1, 1)
+
+
+# each kind: the element of that type made from a random element of H, and
+# the same terms put into another space of the same type
+TERM_KINDS = {
+    "GroupAlgElem": (
+        lambda a, qs: GroupAlgElem(a.spec.group, a.spec.conductor,
+                                   {g: c for (g, _, _), c in a.terms.items()}),
+        lambda u, qs: GroupAlgElem(u.group, 2 * u.conductor, u.terms)),
+    "HopfElem": (lambda a, qs: a,
+                 lambda u, qs: HopfElem(qs.base, u.terms)),
+    "TensorElem": (lambda a, qs: comultiply(a),
+                   lambda u, qs: TensorElem(qs.base, u.terms)),
+    "QuotientElem": (lambda a, qs: q_reduce(a, qs),
+                     lambda u, qs: QuotientElem(qs, u.terms)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TERM_KINDS))
+def test_term_core_arithmetic(kind):
+    make, respace = TERM_KINDS[kind]
+    spec, qs = _term_core_space(False)
+    _, other_qs = _term_core_space(True)
+    rng = random.Random(11)
+    other_kind = "QuotientElem" if kind == "HopfElem" else "HopfElem"
+    for _ in range(5):
+        a = make(random_element(spec, rng, max_degree=2), qs)
+        b = make(random_element(spec, rng, max_degree=2), qs)
+        assert not a.is_zero() and type(a).__name__ == kind
+        assert (a + (-a)).is_zero()
+        assert a - b == a + (-b)
+        assert a.scale(0).is_zero()
+        assert a.scale(2) == a * 2 == a + a
+        assert a.scale(Cyclotomic.rational(spec.conductor, -1)) == -a
+        moved = respace(a, other_qs)
+        assert moved.terms == a.terms and moved != a
+        with pytest.raises(ValueError):
+            a + moved
+        other = TERM_KINDS[other_kind][0](random_element(spec, rng), qs)
+        with pytest.raises(ValueError):
+            a + other
+        with pytest.raises(ValueError):
+            a - other
+    if kind == "HopfElem":
+        assert 2 * a == a + a
+    if kind == "GroupAlgElem":
+        # value equality on (group, conductor), not identity of the group
+        twin = GroupAlgElem(AbelianGroup(2), a.conductor, a.terms)
+        assert twin == a and (twin + a) == a.scale(2)

@@ -430,6 +430,21 @@ def test_burnside_matches_inverse_generator_oracle():
             _span_dimension_with_inverses(M)
 
 
+def test_burnside_stops_once_the_span_is_full(monkeypatch):
+    late = []
+    add = SpanBasis.add
+
+    def counting_add(self, vec):
+        if self.dim() == self.length:
+            late.append(vec)
+        return add(self, vec)
+
+    monkeypatch.setattr(SpanBasis, "add", counting_add)
+    modules = [inst.module for inst in sweep_instances()[:60]]
+    assert all(is_simple_burnside(M).passed for M in modules)
+    assert late == []
+
+
 def test_are_isomorphic_unknown_states_the_bound():
     # every intertwiner M + N -> M + M kills the N summand, so none is
     # invertible and the random fallback must report unknown with its bound
