@@ -22,9 +22,8 @@ from .abgroup import AbelianGroup, Character, SubgroupCharacter, joint_kernel
 from .catalog import catalog_entry, catalog_names
 from .exprparse import ParseError, element_to_expr, parse_element, serialize_element
 from .hopfcore import (AlgebraSpec, HopfElem, SpecError, antipode, antipode_order,
-                       change_of_variables_check, comultiply, counit,
-                       cyclotomic_to_literal, hopf_axiom_check,
-                       literal_to_cyclotomic, validate_spec)
+                       comultiply, counit, cyclotomic_to_literal,
+                       hopf_axiom_check, literal_to_cyclotomic, validate_spec)
 from .quotient import QuotientSpec, hopf_ideal_check, quotient_basis
 from .report import Report
 from .reps import (ClassifyError, ModuleRep, are_isomorphic, build_Vbar_diff,
@@ -249,11 +248,11 @@ def _kernel_character(spec, sub, params, key):
     return SubgroupCharacter(sub, spec.conductor, exps)
 
 
-def _literal(spec, params, key):
+def _literal(spec, value, name):
     try:
-        return literal_to_cyclotomic(params[key], spec.conductor)
+        return literal_to_cyclotomic(value, spec.conductor)
     except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"param '{key}': {exc}") from exc
+        raise ConfigError(f"param '{name}': {exc}") from exc
 
 
 def build_family_module(family: str, params: dict, spec: AlgebraSpec) -> ModuleRep:
@@ -265,25 +264,25 @@ def build_family_module(family: str, params: dict, spec: AlgebraSpec) -> ModuleR
     if family == "skew-vx":
         _need(params, family, "alpha", "lam")
         lam = _kernel_character(spec, spec.chi.kernel(), params, "lam")
-        return build_Vx_skew(_literal(spec, params, "alpha"), lam, spec)
+        return build_Vx_skew(_literal(spec, params["alpha"], "alpha"), lam, spec)
     if family == "skew-vy":
         _need(params, family, "alpha", "lam")
         lam = _kernel_character(spec, spec.eta.kernel(), params, "lam")
-        return build_Vy_skew(_literal(spec, params, "alpha"), lam, spec)
+        return build_Vy_skew(_literal(spec, params["alpha"], "alpha"), lam, spec)
     if family == "skew-vxy":
         _need(params, family, "alpha_x", "alpha_y", "t", "lam")
         t = params["t"]
         if not _is_int(t):
             raise ConfigError("param 't' must be an integer")
         lam = _kernel_character(spec, spec.chi.kernel(), params, "lam")
-        return build_Vxy_skew(_literal(spec, params, "alpha_x"),
-                              _literal(spec, params, "alpha_y"), lam, t, spec)
+        return build_Vxy_skew(_literal(spec, params["alpha_x"], "alpha_x"),
+                              _literal(spec, params["alpha_y"], "alpha_y"), lam, t, spec)
     if family == "induced":
         _need(params, family, "kvals", "lam")
         kvals = params["kvals"]
         if not isinstance(kvals, list) or len(kvals) != 2:
             raise ConfigError("param 'kvals' must be a list of two scalars")
-        kvals = [literal_to_cyclotomic(k, spec.conductor) for k in kvals]
+        kvals = [_literal(spec, k, f"kvals[{i}]") for i, k in enumerate(kvals)]
         sub = joint_kernel([spec.chi, spec.eta])
         lam = _kernel_character(spec, sub, params, "lam")
         return build_induced_skew(2, [spec.chi, spec.eta], kvals, lam, spec)
@@ -293,13 +292,13 @@ def build_family_module(family: str, params: dict, spec: AlgebraSpec) -> ModuleR
     if family == "diff-vx":
         _need(params, family, "rho", "lam", "mu")
         return build_Vx_diff(_group_character(spec, params, "rho"),
-                             _literal(spec, params, "lam"),
-                             _literal(spec, params, "mu"), spec)
+                             _literal(spec, params["lam"], "lam"),
+                             _literal(spec, params["mu"], "mu"), spec)
     if family == "diff-vy":
         _need(params, family, "rho", "lam", "mu")
         return build_Vy_diff(_group_character(spec, params, "rho"),
-                             _literal(spec, params, "lam"),
-                             _literal(spec, params, "mu"), spec)
+                             _literal(spec, params["lam"], "lam"),
+                             _literal(spec, params["mu"], "mu"), spec)
     raise ConfigError(
         f"unknown module family {family!r}; known: torsion-char, skew-vx, "
         f"skew-vy, skew-vxy, induced, diff-vbar, diff-vx, diff-vy")

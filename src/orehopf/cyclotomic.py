@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 
 class ConductorMismatch(ValueError):
@@ -102,21 +101,11 @@ def cyclotomic_polynomial(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _reduction_table(n: int) -> tuple:
-    """Power basis expansions of zeta^m for phi(n) <= m <= 2*phi(n)-2."""
+    """Power basis expansions of zeta^m for phi(n) <= m <= 2*phi(n)-2, read
+    from the root table since zeta^m = zeta^(m mod n)."""
+    roots = _root_table(n)[0]
     phi = euler_phi(n)
-    mod = cyclotomic_polynomial(n)
-    rows = []
-    # zeta^phi = -(low coefficients of Phi_n) since Phi_n is monic
-    cur = [-c for c in mod[:-1]]
-    rows.append(tuple(cur))
-    for _ in range(phi - 2):
-        top = cur[-1]
-        cur = [Fraction(0)] + cur[:-1]
-        if top:
-            for i in range(phi):
-                cur[i] -= top * mod[i]
-        rows.append(tuple(cur))
-    return tuple(rows)
+    return tuple(roots[m % n].coeffs for m in range(phi, 2 * phi - 1))
 
 
 def _poly_egcd(a, b):
@@ -347,12 +336,33 @@ class Cyclotomic:
 
 
 @lru_cache(maxsize=None)
+def _root_table(conductor: int) -> tuple:
+    """(roots, logs): roots[k] = zeta_N^k for k in [0, N), and logs maps each
+    root back to k.  Each root is the previous one times zeta: a shift of the
+    coefficient vector plus at most one subtraction of Phi_N."""
+    phi = euler_phi(conductor)
+    support = [(i, c) for i, c in enumerate(cyclotomic_polynomial(conductor)[:phi]) if c]
+    cur = [Fraction(1)] + [Fraction(0)] * (phi - 1)
+    roots = []
+    for _ in range(conductor):
+        roots.append(Cyclotomic(conductor, cur))
+        top = cur[-1]
+        cur = [Fraction(0)] + cur[:-1]
+        if top:
+            for i, c in support:
+                cur[i] -= top * c
+    return tuple(roots), {r: k for k, r in enumerate(roots)}
+
+
+@lru_cache(maxsize=None)
 def root_of_unity(conductor: int, k: int) -> Cyclotomic:
-    """zeta_N^k as a canonical field element: x^(k mod N) mod Phi_N."""
-    k %= conductor
-    _, rem = _poly_divmod([Fraction(0)] * k + [Fraction(1)],
-                          cyclotomic_polynomial(conductor))
-    return Cyclotomic(conductor, rem)
+    """zeta_N^k as a canonical field element."""
+    return _root_table(conductor)[0][k % conductor]
+
+
+def zeta_log(v: Cyclotomic):
+    """k in [0, N) with v = zeta_N^k, or None when v is no N-th root of unity."""
+    return _root_table(v.conductor)[1].get(v)
 
 
 def q_int(i: int, q: Cyclotomic) -> Cyclotomic:

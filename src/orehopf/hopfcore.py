@@ -35,12 +35,12 @@ conductor, spec or quotient spec) and its own products and maps.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import gcd
 from random import Random
 
 from .abgroup import AbelianGroup, Character, GroupElement
-from .cyclotomic import Cyclotomic, _coerce_coeff, q_binomial, q_int, root_of_unity
+from .cyclotomic import (Cyclotomic, _coerce_coeff, q_binomial, q_int, root_of_unity,
+                         zeta_log)
 from .report import Report
 
 
@@ -175,10 +175,6 @@ class AlgebraSpec:
         self.mode = mode
         self.q = q                      # eta(b) = chi(c)^(-1)
         one = Cyclotomic.one(conductor)
-        cb = c * b
-        e_raw = GroupAlgElem(group, conductor, {group.identity(): beta})
-        e_raw = e_raw - GroupAlgElem(group, conductor, {cb: beta})
-        self.e_raw = e_raw              # beta * (1 - cb)
         if mode is Mode.DIFFERENTIAL_OPERATOR:
             self.e = GroupAlgElem(group, conductor,
                                   {c.inverse(): one}) - GroupAlgElem(
@@ -297,9 +293,9 @@ def cyclotomic_to_literal(v: Cyclotomic):
     """Smallest matching literal form: rational string, zeta power, or coeffs."""
     if v.is_rational():
         return str(v.as_rational())
-    for k in range(v.conductor):
-        if v == root_of_unity(v.conductor, k):
-            return {"zeta_pow": k}
+    k = zeta_log(v)
+    if k is not None:
+        return {"zeta_pow": k}
     return {"coeffs": [str(c) for c in v.coeffs]}
 
 

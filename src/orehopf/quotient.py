@@ -159,6 +159,10 @@ def q_reduce(a: HopfElem, qs: QuotientSpec) -> QuotientElem:
 
 
 def q_multiply(a: QuotientElem, b: QuotientElem, qs: QuotientSpec) -> QuotientElem:
+    """The reduced product of two elements of the quotient qs."""
+    a._check(b)
+    if a.qspec is not qs:
+        raise ValueError("factors are not elements of the given quotient")
     return q_reduce(multiply(a.to_hopf(), b.to_hopf()), qs)
 
 

@@ -1,11 +1,13 @@
 """Finite-dimensional modules over H as exact matrix data.
 
-A module is a tuple of matrices over Q(zeta_N): one invertible matrix per
-group generator plus matrices for the two variables.  Two presentations are
-supported.  In the Raw presentation the second matrix realizes the raw
-variable y (relation yx = q xy + beta(1 - cb)); in the Normalized
-presentation it realizes the commuting/derivation variable z (relation
-zx = xz + e with e = c^{-1} - b in differential mode, e = 0 in skew mode).
+A module is a tuple of matrices over Q(zeta_N) for H's internal generators,
+the ones HopfElem keys use: one invertible matrix per group generator, X
+for x, and Y for the second variable w, which is the raw y in skew mode
+(relation yx = q xy) and the normalized z = beta^{-1} c^{-1} y in
+differential mode (relation zx = xz + e, e = c^{-1} - b).  Presentations
+exist only in module files: a file names its second matrix Raw (y) or
+Normalized (z), and a file in the other presentation is converted once on
+load.
 
 Everything here is certificate-grade: relation checking is exact matrix
 identity testing, simplicity is certified by the span of the generated
@@ -24,16 +26,15 @@ from random import Random
 
 from .abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
                       SubgroupCharacter, char_kernel, joint_kernel)
-from .cyclotomic import Cyclotomic, root_of_unity
+from .cyclotomic import Cyclotomic, root_of_unity, zeta_log
 from .hopfcore import AlgebraSpec, GroupAlgElem, Mode, SpecError, \
     cyclotomic_to_literal, literal_to_cyclotomic, wind
-from .linalg import (identity, inverse, is_zero_matrix, mat_add, mat_eq,
-                     mat_mul, mat_pow, mat_scale, mat_sub, mat_vec,
-                     nullspace, zeros, SpanBasis)
+from .linalg import (identity, inverse, is_zero_matrix, mat_add, mat_mul,
+                     mat_pow, mat_scale, mat_vec, nullspace, zeros, SpanBasis)
 from .report import Report
 
-RAW = "Raw"
-NORMALIZED = "Normalized"
+# what a module file calls the matrix of H's internal second variable
+_PRESENTATION = {Mode.SKEW_GROUP_RING: "Raw", Mode.DIFFERENTIAL_OPERATOR: "Normalized"}
 
 TORSION = "Torsion"
 TORSION_FREE = "TorsionFree"
@@ -69,14 +70,6 @@ def _is_diagonal(A) -> bool:
     return all(A[i][j].is_zero() for i in range(len(A)) for j in range(len(A)) if i != j)
 
 
-def _zeta_dlog(value: Cyclotomic, conductor: int):
-    """k with value = zeta_N^k, or None."""
-    for k in range(conductor):
-        if value == root_of_unity(conductor, k):
-            return k
-    return None
-
-
 def _power_dlog(value: Cyclotomic, base: Cyclotomic, n: int):
     """j in [0, n) with value = base^j, or None."""
     acc = Cyclotomic.one(value.conductor)
@@ -88,14 +81,12 @@ def _power_dlog(value: Cyclotomic, base: Cyclotomic, n: int):
 
 
 class ModuleRep:
-    """Matrix realization of a finite-dimensional H-module."""
+    """Matrix realization of a finite-dimensional H-module: group_mats, X
+    and Y act as the group generators, x and the internal variable w."""
 
-    __slots__ = ("spec", "dim", "group_mats", "X", "Y", "presentation", "_inv_cache")
+    __slots__ = ("spec", "dim", "group_mats", "X", "Y", "_inv_cache")
 
-    def __init__(self, spec: AlgebraSpec, dim: int, group_mats, X, Y,
-                 presentation: str = RAW):
-        if presentation not in (RAW, NORMALIZED):
-            raise ValueError(f"unknown presentation {presentation!r}")
+    def __init__(self, spec: AlgebraSpec, dim: int, group_mats, X, Y):
         if len(group_mats) != spec.group.ngens:
             raise ValueError("need one action matrix per group generator")
         for A in list(group_mats) + [X, Y]:
@@ -106,7 +97,6 @@ class ModuleRep:
         self.group_mats = tuple(tuple(tuple(row) for row in A) for A in group_mats)
         self.X = tuple(tuple(row) for row in X)
         self.Y = tuple(tuple(row) for row in Y)
-        self.presentation = presentation
         self._inv_cache = {}
 
     def _gen_inverse(self, k: int):
@@ -134,71 +124,77 @@ class ModuleRep:
             out = mat_add(out, mat_scale(self.act_group(g), coeff))
         return out
 
-    def raw_y_matrix(self):
-        """Matrix of the raw variable y in this module."""
-        if self.presentation == RAW:
-            return [list(r) for r in self.Y]
-        out = mat_mul(self.act_group(self.spec.c), self.Y)
-        if self.spec.mode is Mode.DIFFERENTIAL_OPERATOR:
-            out = mat_scale(out, self.spec.beta)
-        return out
+    def _c_times(self, power: int, A):
+        """c^power A for power = 1 or -1; c must act invertibly."""
+        C = self.act_group(self.spec.c)
+        C_inv = inverse(C)
+        if C_inv is None:
+            raise SpecError("c does not act invertibly")
+        return mat_mul(C if power > 0 else C_inv, A)
 
-    def normalized_z_matrix(self):
-        """Matrix of the normalized variable z in this module."""
-        if self.presentation == NORMALIZED:
-            return [list(r) for r in self.Y]
-        out = mat_mul(inverse(self.act_group(self.spec.c)), self.Y)
+    def z_matrix(self):
+        """Matrix of the normalized variable z: c^{-1} y in skew mode, Y
+        itself in differential mode."""
         if self.spec.mode is Mode.DIFFERENTIAL_OPERATOR:
-            out = mat_scale(out, self.spec.beta.inverse())
-        return out
-
-    def with_presentation(self, presentation: str) -> "ModuleRep":
-        if presentation == self.presentation:
-            return self
-        if presentation == RAW:
-            Y = self.raw_y_matrix()
-        else:
-            Y = self.normalized_z_matrix()
-        return ModuleRep(self.spec, self.dim, self.group_mats, self.X, Y,
-                         presentation)
+            return self.Y
+        return self._c_times(-1, self.Y)
 
     def to_dict(self) -> dict:
-        gens = {}
-        for k in range(self.spec.group.ngens):
-            gens[f"g{k + 1}"] = _matrix_literal(self.group_mats[k])
-        gens["x"] = _matrix_literal(self.X)
-        gens["y"] = _matrix_literal(self.Y)
-        return {
-            "dim": self.dim,
-            "presentation": self.presentation,
-            "spec_fingerprint": self.spec.fingerprint(),
-            "generators": gens,
-        }
+        mats = {f"g{k + 1}": A for k, A in enumerate(self.group_mats)}
+        mats.update(x=self.X, y=self.Y)
+        return {"dim": self.dim, "presentation": _PRESENTATION[self.spec.mode],
+                "spec_fingerprint": self.spec.fingerprint(),
+                "generators": {name: [[cyclotomic_to_literal(v) for v in row] for row in A]
+                               for name, A in mats.items()}}
 
     @staticmethod
-    def from_dict(spec: AlgebraSpec, data: dict) -> "ModuleRep":
+    def from_dict(spec: AlgebraSpec, data) -> "ModuleRep":
+        """Load a module section; a file in the other presentation is
+        converted: y = c z in skew mode, z = beta^{-1} c^{-1} y in
+        differential mode."""
+        if not isinstance(data, dict):
+            raise SpecError("module data must be an object")
         if data.get("spec_fingerprint") != spec.fingerprint():
             raise SpecError("module data was serialized for a different algebra "
                             "(fingerprint mismatch)")
-        dim = data["dim"]
-        gens = data["generators"]
-        group_mats = [_matrix_from_literal(gens[f"g{k + 1}"], spec.conductor)
-                      for k in range(spec.group.ngens)]
-        X = _matrix_from_literal(gens["x"], spec.conductor)
-        Y = _matrix_from_literal(gens["y"], spec.conductor)
-        return ModuleRep(spec, dim, group_mats, X, Y, data["presentation"])
+        dim, presentation, gens = (data.get(key) for key in
+                                   ("dim", "presentation", "generators"))
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise SpecError("module key 'dim' must be a positive integer")
+        if presentation not in _PRESENTATION.values():
+            raise SpecError("module key 'presentation' must be 'Raw' or 'Normalized'")
+        if not isinstance(gens, dict):
+            raise SpecError("module key 'generators' must be an object")
+        names = [f"g{k + 1}" for k in range(spec.group.ngens)] + ["x", "y"]
+        *group_mats, X, V = [_matrix_from_literal(gens, name, dim, spec.conductor)
+                             for name in names]
+        if presentation == _PRESENTATION[spec.mode]:
+            return ModuleRep(spec, dim, group_mats, X, V)
+        if spec.mode is Mode.SKEW_GROUP_RING:
+            return _from_z(spec, dim, group_mats, X, V)
+        c_inv_y = ModuleRep(spec, dim, group_mats, X, V)._c_times(-1, V)
+        return ModuleRep(spec, dim, group_mats, X, mat_scale(c_inv_y, spec.beta.inverse()))
 
     def __repr__(self):
-        return (f"ModuleRep(dim={self.dim}, presentation={self.presentation!r}, "
-                f"spec={self.spec!r})")
+        return f"ModuleRep(dim={self.dim}, spec={self.spec!r})"
 
 
-def _matrix_literal(A):
-    return [[cyclotomic_to_literal(v) for v in row] for row in A]
+def _from_z(spec: AlgebraSpec, dim: int, group_mats, X, Z) -> ModuleRep:
+    """The skew-mode module whose normalized variable z = c^{-1} y acts by Z."""
+    Y = ModuleRep(spec, dim, group_mats, X, Z)._c_times(1, Z)
+    return ModuleRep(spec, dim, group_mats, X, Y)
 
 
-def _matrix_from_literal(rows, conductor: int):
-    return [[literal_to_cyclotomic(v, conductor) for v in row] for row in rows]
+def _matrix_from_literal(gens: dict, name: str, dim: int, conductor: int):
+    rows = gens.get(name)
+    if not isinstance(rows, list) or len(rows) != dim or \
+            any(not isinstance(row, list) or len(row) != dim for row in rows):
+        raise SpecError(f"module generator '{name}' must be a {dim} x {dim} "
+                        f"matrix of scalar literals")
+    try:
+        return [[literal_to_cyclotomic(v, conductor) for v in row] for row in rows]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise SpecError(f"module generator '{name}': {exc}") from exc
 
 
 def conjugate(M: ModuleRep, T) -> ModuleRep:
@@ -211,89 +207,78 @@ def conjugate(M: ModuleRep, T) -> ModuleRep:
         return mat_mul(mat_mul(T, A), T_inv)
 
     return ModuleRep(M.spec, M.dim, [conj(A) for A in M.group_mats],
-                     conj(M.X), conj(M.Y), M.presentation)
+                     conj(M.X), conj(M.Y))
 
 
 def direct_sum(M1: ModuleRep, M2: ModuleRep) -> ModuleRep:
     """Block-diagonal sum of two modules over the same algebra."""
-    M2 = M2.with_presentation(M1.presentation)
-    d1, d2 = M1.dim, M2.dim
-    N = M1.spec.conductor
+    zero = Cyclotomic.zero(M1.spec.conductor)
+    pad1, pad2 = [zero] * M2.dim, [zero] * M1.dim
 
     def block(A, B):
-        out = zeros(d1 + d2, d1 + d2, N)
-        for i in range(d1):
-            for j in range(d1):
-                out[i][j] = A[i][j]
-        for i in range(d2):
-            for j in range(d2):
-                out[d1 + i][d1 + j] = B[i][j]
-        return out
+        return [list(row) + pad1 for row in A] + [pad2 + list(row) for row in B]
 
     mats = [block(A, B) for A, B in zip(M1.group_mats, M2.group_mats)]
-    return ModuleRep(M1.spec, d1 + d2, mats, block(M1.X, M2.X),
-                     block(M1.Y, M2.Y), M1.presentation)
+    return ModuleRep(M1.spec, M1.dim + M2.dim, mats, block(M1.X, M2.X),
+                     block(M1.Y, M2.Y))
 
 
 # ---------------------------------------------------------------------------
 # relation checking
 
 
+def _first_difference(lhs, rhs):
+    """None when lhs = rhs, else the first differing entry (row-major) with
+    both values as literals."""
+    for i, (row_l, row_r) in enumerate(zip(lhs, rhs)):
+        for j, (a, b) in enumerate(zip(row_l, row_r)):
+            if a != b:
+                return {"entry": [i, j], "lhs": cyclotomic_to_literal(a),
+                        "rhs": cyclotomic_to_literal(b)}
+    return None
+
+
 def rep_check(M: ModuleRep, spec: AlgebraSpec) -> Report:
-    """Verify every defining relation of the presentation as an exact matrix
-    identity, including the group relations."""
+    """Verify every defining relation as an exact matrix identity, including
+    the group relations.
+
+    The cross relation is w x = q_w x w + e on H's internal variable w, with
+    q_w = q in skew mode (w = y, e = 0) and q_w = 1 in differential mode
+    (w = z).  The witness of a failing identity names its first differing
+    entry with both sides.
+    """
     group = spec.group
-    witnesses = []
-    checked = 0
-
-    def fail(relation, detail=""):
-        witnesses.append({"relation": relation, "detail": detail})
-
     mats, X, W = M.group_mats, M.X, M.Y
-
-    for k in range(group.ngens):
-        checked += 1
-        if inverse(mats[k]) is None:
-            fail(f"group_invertible(g{k + 1})")
-    for k in range(group.ngens):
-        for l in range(k + 1, group.ngens):
-            checked += 1
-            if not mat_eq(mat_mul(mats[k], mats[l]), mat_mul(mats[l], mats[k])):
-                fail(f"group_commutation(g{k + 1},g{l + 1})")
-    for j, order in enumerate(group.torsion_orders):
-        k = group.free_rank + j
-        checked += 1
-        if not mat_eq(mat_pow(mats[k], order), identity(M.dim, spec.conductor)):
-            fail(f"torsion_order(g{k + 1})", f"expected order {order}")
-
-    for k in range(group.ngens):
-        g = group.generator(k)
-        checked += 1
-        lhs = mat_mul(X, mats[k])
-        rhs = mat_scale(mat_mul(mats[k], X), spec.chi.eval(g))
-        if not mat_eq(lhs, rhs):
-            fail(f"x_commutation(g{k + 1})", "x g = chi(g) g x fails")
-        checked += 1
-        lhs = mat_mul(W, mats[k])
-        rhs = mat_scale(mat_mul(mats[k], W), spec.eta.eval(g))
-        if not mat_eq(lhs, rhs):
-            fail(f"y_commutation(g{k + 1})", "y g = eta(g) g y fails")
-
-    checked += 1
-    if M.presentation == RAW:
-        lhs = mat_mul(W, X)
-        rhs = mat_add(mat_scale(mat_mul(X, W), spec.q), M.act_group_alg(spec.e_raw))
-        if not mat_eq(lhs, rhs):
-            fail("cross_relation", "y x = q x y + beta(1 - cb) fails")
+    g = [f"g{k + 1}" for k in range(group.ngens)]
+    ident = identity(M.dim, spec.conductor)
+    # one row (relation, detail, failure) per relation; failure is None when
+    # the relation holds, else the extra witness keys
+    rows = [(f"group_invertible({g[k]})", "",
+             None if inverse(mats[k]) is not None else {})
+            for k in range(group.ngens)]
+    rows += [(f"group_commutation({g[k]},{g[l]})", "",
+              _first_difference(mat_mul(mats[k], mats[l]), mat_mul(mats[l], mats[k])))
+             for k in range(group.ngens) for l in range(k + 1, group.ngens)]
+    rows += [(f"torsion_order({g[k]})", f"expected order {order}",
+              _first_difference(mat_pow(mats[k], order), ident))
+             for k, order in enumerate(group.torsion_orders, group.free_rank)]
+    rows += [(f"{v}_commutation({g[k]})", f"{v} g = {name}(g) g {v} fails",
+              _first_difference(mat_mul(A, mats[k]),
+                                mat_scale(mat_mul(mats[k], A), char.eval(gen))))
+             for k, gen in enumerate(group.generators())
+             for v, A, name, char in (("x", X, "chi", spec.chi), ("y", W, "eta", spec.eta))]
+    if spec.mode is Mode.SKEW_GROUP_RING:
+        q_w, detail = spec.q, "y x = q x y + beta(1 - cb) fails"
     else:
-        lhs = mat_sub(mat_mul(W, X), mat_mul(X, W))
-        rhs = M.act_group_alg(spec.e)
-        if not mat_eq(lhs, rhs):
-            fail("cross_relation", "z x - x z = e fails")
+        q_w, detail = Cyclotomic.one(spec.conductor), "z x - x z = e fails"
+    rows.append(("cross_relation", detail, _first_difference(
+        mat_mul(W, X), mat_add(mat_scale(mat_mul(X, W), q_w), M.act_group_alg(spec.e)))))
 
+    witnesses = [{"relation": relation, "detail": detail, **failure}
+                 for relation, detail, failure in rows if failure is not None]
     return Report(name="rep_check", passed=not witnesses,
-                  facts={"dim": M.dim, "presentation": M.presentation,
-                         "relations_checked": checked},
+                  facts={"dim": M.dim, "presentation": _PRESENTATION[spec.mode],
+                         "relations_checked": len(rows)},
                   witnesses=witnesses)
 
 
@@ -397,7 +382,7 @@ def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
     N = M1.spec.conductor
     pairs = list(zip(M1.group_mats, M2.group_mats))
     pairs.append((M1.X, M2.X))
-    pairs.append((M1.raw_y_matrix(), M2.raw_y_matrix()))
+    pairs.append((M1.Y, M2.Y))
     basis = _intertwiner_space(pairs, dim, N)
     if not basis:
         return IsoResult("not_isomorphic", detail="no nonzero intertwiner")
@@ -525,16 +510,12 @@ def build_torsion_char(lam: Character, spec: AlgebraSpec) -> ModuleRep:
     the character lam."""
     if not isinstance(lam, Character) or lam.group != spec.group:
         raise SpecError("lam must be a character of the underlying group")
-    if spec.mode is Mode.DIFFERENTIAL_OPERATOR:
-        if not spec.e.apply_char(lam).is_zero():
-            raise SpecError("relation yx - xy = e unsatisfiable in dimension 1")
-        presentation = NORMALIZED
-    else:
-        presentation = RAW
+    # e = 0 in skew mode
+    if not spec.e.apply_char(lam).is_zero():
+        raise SpecError("relation yx - xy = e unsatisfiable in dimension 1")
     N = spec.conductor
     mats = [[[lam.eval(spec.group.generator(k))]] for k in range(spec.group.ngens)]
-    Z = zeros(1, 1, N)
-    return ModuleRep(spec, 1, mats, zeros(1, 1, N), Z, presentation)
+    return ModuleRep(spec, 1, mats, zeros(1, 1, N), zeros(1, 1, N))
 
 
 def build_induced_skew(nvars: int, chars, kvals, lam, spec: AlgebraSpec) -> ModuleRep:
@@ -575,7 +556,7 @@ def build_induced_skew(nvars: int, chars, kvals, lam, spec: AlgebraSpec) -> Modu
     for i, r in enumerate(reps):
         X[i][i] = spec.chi.eval(r) * kvals[0]
         Z[i][i] = spec.eta.eval(r) * kvals[1]
-    return ModuleRep(spec, dim, mats, X, Z, NORMALIZED).with_presentation(RAW)
+    return _from_z(spec, dim, mats, X, Z)
 
 
 def _diagonal_powers(alpha: Cyclotomic, q: Cyclotomic, n: int):
@@ -611,14 +592,14 @@ def build_Vx_skew(alpha: Cyclotomic, lam, spec: AlgebraSpec) -> ModuleRep:
     q^i alpha on the i-th line, y by zero, c shifts lines with a lam(c^n)
     wraparound, and ker(chi) acts through lam."""
     n, mats, X = _skew_cyclic(alpha, lam, spec, "chi", "c")
-    return ModuleRep(spec, n, mats, X, zeros(n, n, spec.conductor), RAW)
+    return ModuleRep(spec, n, mats, X, zeros(n, n, spec.conductor))
 
 
 def build_Vy_skew(alpha: Cyclotomic, lam, spec: AlgebraSpec) -> ModuleRep:
     """Mirror family: y acts by q^i alpha with q = eta(b), x by zero, b
     shifts lines with a lam(b^n) wraparound, ker(eta) acts through lam."""
     n, mats, Y = _skew_cyclic(alpha, lam, spec, "eta", "b")
-    return ModuleRep(spec, n, mats, zeros(n, n, spec.conductor), Y, RAW)
+    return ModuleRep(spec, n, mats, zeros(n, n, spec.conductor), Y)
 
 
 def build_Vxy_skew(alpha_x: Cyclotomic, alpha_y: Cyclotomic, lam, t: int,
@@ -643,7 +624,7 @@ def build_Vxy_skew(alpha_x: Cyclotomic, alpha_y: Cyclotomic, lam, t: int,
     mats = _shift_action(spec, n, spec.c, spec.chi, lam)
     X = _diagonal_powers(alpha_x, q, n)
     Z = _diagonal_powers(alpha_y, q ** t_red, n)
-    return ModuleRep(spec, n, mats, X, Z, NORMALIZED).with_presentation(RAW)
+    return _from_z(spec, n, mats, X, Z)
 
 
 def truncation_index(rho: Character, spec: AlgebraSpec):
@@ -693,7 +674,7 @@ def build_Vbar_diff(rho: Character, spec: AlgebraSpec) -> ModuleRep:
         raise SpecError("no finite-dimensional torsion quotient for this rho")
     zero = Cyclotomic.zero(spec.conductor)
     X, Z, mats = _diff_matrices(rho, d, zero, zero, spec.chi, 1, spec)
-    return ModuleRep(spec, d, mats, X, Z, NORMALIZED)
+    return ModuleRep(spec, d, mats, X, Z)
 
 
 def _diff_cyclic(rho: Character, wrap: Cyclotomic, offset: Cyclotomic,
@@ -721,7 +702,7 @@ def build_Vx_diff(rho: Character, lam: Cyclotomic, mu: Cyclotomic,
     mu + rho(wind(e, i)) and maps the bottom line up with lam^{-1} mu."""
     X, Z, mats = _diff_cyclic(rho, lam, mu, spec.chi, 1, spec,
                               "lambda must be nonzero for the x-cyclic family", "")
-    return ModuleRep(spec, len(X), mats, X, Z, NORMALIZED)
+    return ModuleRep(spec, len(X), mats, X, Z)
 
 
 def build_Vy_diff(rho: Character, lam: Cyclotomic, mu: Cyclotomic,
@@ -731,7 +712,7 @@ def build_Vy_diff(rho: Character, lam: Cyclotomic, mu: Cyclotomic,
     lam - rho(wind(e, i; eta)) where the winding runs in the eta direction."""
     Z, X, mats = _diff_cyclic(rho, mu, lam, spec.eta, -1, spec,
                               "mu must be nonzero for the y-cyclic family", "; eta")
-    return ModuleRep(spec, len(X), mats, X, Z, NORMALIZED)
+    return ModuleRep(spec, len(X), mats, X, Z)
 
 
 def build_simple(params: SimpleParams, spec: AlgebraSpec) -> ModuleRep:
@@ -837,7 +818,7 @@ def _subgroup_char_from_action(M: ModuleRep, sub: Subgroup):
         s = _scalar_of(M.act_group(h))
         if s is None:
             _classify_fail("kernel subgroup does not act by scalars")
-        k = _zeta_dlog(s, N)
+        k = zeta_log(s)
         if k is None:
             _classify_fail("kernel action scalar is not a root of unity "
                            "of the declared conductor")
@@ -886,7 +867,7 @@ def _joint_group_eigen(M: ModuleRep):
 def _character_from_values(group: AbelianGroup, conductor: int, values):
     exps = []
     for v in values:
-        k = _zeta_dlog(v, conductor)
+        k = zeta_log(v)
         if k is None:
             _classify_fail("group eigenvalue is not a root of unity "
                            "of the declared conductor")
@@ -995,11 +976,10 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
             return _verify_rebuild(M, params, spec)
 
         X = M.X
-        Y_raw = M.raw_y_matrix()
         if prof["y"] == TORSION:
-            return _classify_skew_cyclic(M, spec, "SkewVx", "chi", "c", X, Y_raw, "xy")
+            return _classify_skew_cyclic(M, spec, "SkewVx", "chi", "c", X, M.Y, "xy")
         if prof["x"] == TORSION:
-            return _classify_skew_cyclic(M, spec, "SkewVy", "eta", "b", Y_raw, X, "yx")
+            return _classify_skew_cyclic(M, spec, "SkewVy", "eta", "b", M.Y, X, "yx")
 
         # doubly torsion-free
         n = spec.chi.order()
@@ -1014,7 +994,7 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
                            "hypothesis")
         if M.dim != n:
             _classify_fail("dimension does not match the order of chi")
-        Z = M.normalized_z_matrix()
+        Z = M.z_matrix()
         s = _scalar_of(mat_pow(X, n))
         if s is None or s.is_zero():
             _classify_fail("x^n does not act as a nonzero scalar")
@@ -1034,7 +1014,7 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
 
     # differential mode
     n = spec.chi.order()
-    Z = M.normalized_z_matrix()
+    Z = M.Y
 
     if prof["x"] == TORSION and prof["y"] == TORSION:
         kernel = nullspace(Z)

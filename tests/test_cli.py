@@ -360,6 +360,56 @@ def test_module_simple_singular_group_matrix_exit_2(write_config, tmp_path,
     assert "does not act invertibly" in err
 
 
+def _edited(edit):
+    """argv of `module check` on the skew-vx file after edit(payload)."""
+    def argv(payload, tmp_path, config_path):
+        edit(payload)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(payload))
+        return ["module", "check", str(path)]
+    return argv
+
+
+def _singular_c_in_other_presentation(payload):
+    # skew mode writes Raw; a Normalized file needs c (= g1 here) to load
+    payload["module"]["presentation"] = "Normalized"
+    payload["module"]["generators"]["g1"][0] = ["0", "0", "0"]
+
+
+MALFORMED = {
+    "module-without-dim": (_edited(lambda p: p["module"].pop("dim")),
+                           "module key 'dim' must be a positive integer"),
+    "module-without-presentation": (_edited(lambda p: p["module"].pop("presentation")),
+                                    "module key 'presentation'"),
+    "module-without-generators": (_edited(lambda p: p["module"].pop("generators")),
+                                  "module key 'generators' must be an object"),
+    "module-is-a-list": (_edited(lambda p: p.update(module=[p["module"]])),
+                         "module data must be an object"),
+    "generator-is-an-int": (_edited(lambda p: p["module"]["generators"].update(x=5)),
+                            "module generator 'x' must be a 3 x 3 matrix"),
+    "other-presentation-singular-c": (_edited(_singular_c_in_other_presentation),
+                                      "does not act invertibly"),
+    "induced-kvals-literal": (
+        lambda payload, tmp_path, config_path: [
+            "module", "build", "induced", config_path, "--params",
+            json.dumps({"kvals": [{"coeffs": 5}, 1], "lam": []})],
+        "param 'kvals[0]'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_module_input_exit_2(write_config, tmp_path, capsys, case):
+    argv, message = MALFORMED[case]
+    config_path = write_config(SKEW3)
+    _, payload = build_module_file(capsys, tmp_path, config_path, "skew-vx",
+                                   {"alpha": 1, "lam": [0, 0]}, "vx.json")
+    code, out, err = run(capsys, *argv(payload, tmp_path, config_path))
+    assert code == 2
+    assert out["status"] == "error"
+    assert message in out["facts"]["error"]
+    assert "Traceback" not in err
+
+
 def test_module_iso_config_mismatch(write_config, tmp_path, capsys):
     pa, _ = build_module_file(capsys, tmp_path, write_config(U1), "diff-vbar",
                               {"rho": [0]}, "a.json")

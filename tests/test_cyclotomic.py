@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orehopf.cyclotomic import Cyclotomic, q_binomial, q_int, root_of_unity
+from orehopf.cyclotomic import (Cyclotomic, _reduction_table, _root_table,
+                                cyclotomic_polynomial, q_binomial, q_int,
+                                root_of_unity, zeta_log)
 
 from oracles import is_primitive_root, q_factorial
 
@@ -173,6 +175,22 @@ def test_from_zeta_coeffs_reduces():
 
 @pytest.mark.parametrize("n", [630, 1000])
 def test_root_of_unity_from_a_cold_cache(n):
-    root_of_unity.cache_clear()
+    for cached in (root_of_unity, _root_table, cyclotomic_polynomial,
+                   _reduction_table):
+        cached.cache_clear()
     assert root_of_unity(n, n - 1) * root_of_unity(n, 1) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 420])
+def test_zeta_log(n):
+    for k in range(n):
+        assert zeta_log(root_of_unity(n, k)) == k
+    # the table against one remainder of x^k mod Phi_N (a sample at large N)
+    for k in range(0, n, 1 if n < 100 else 13):
+        assert root_of_unity(n, k) == Cyclotomic.from_zeta_coeffs(n, [0] * k + [1])
+    assert zeta_log(Cyclotomic.rational(n, 2)) is None
+    assert zeta_log(Cyclotomic.zero(n)) is None
+    if n % 2:
+        # -zeta is a primitive 2N-th root of unity, not an N-th one
+        assert zeta_log(-root_of_unity(n, 1)) is None
 

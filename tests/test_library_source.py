@@ -30,3 +30,31 @@ def test_the_check_sees_both_forms():
     tree = ast.parse("assert x\nraise AssertionError('a')\nraise AssertionError\n"
                      "raise ValueError('b')\n")
     assert list(_assert_sites(tree)) == [1, 2, 3]
+
+
+def _unused_imports(tree):
+    """(line, name) of every name an import binds and the module never reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+# __init__.py imports in order to re-export
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+def test_the_import_check_sees_unused_names():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                     "from a import b, c as d\nimport e\nb(e.f)\n")
+    assert _unused_imports(tree) == [(2, "os"), (3, "d")]

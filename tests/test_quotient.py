@@ -175,3 +175,17 @@ def test_quotient_basis_finite_group_dimension():
     basis = quotient_basis(entry.quotient, samples=5, seed=0)
     assert basis["rank"] == 25
     assert basis["dimension_over_field"] == 125
+
+
+def test_products_check_their_quotient():
+    # two quotients over one base: products across them raise, as sums do
+    s = quotient_sweep_spec(2, 2)
+    a = q_reduce(s.x(), QuotientSpec(s, 1, 1))
+    b = q_reduce(s.x(), QuotientSpec(s, 0, 0))
+    for combine in (lambda: a + b, lambda: a * b,
+                    lambda: q_multiply(a, b, a.qspec)):
+        with pytest.raises(ValueError, match="different quotients"):
+            combine()
+    with pytest.raises(ValueError, match="given quotient"):
+        q_multiply(a, a, b.qspec)
+    assert a * a == q_multiply(a, a, a.qspec) == q_reduce(s.x() * s.x(), a.qspec)

@@ -7,8 +7,9 @@ import pytest
 from orehopf.abgroup import (AbelianGroup, Character, SubgroupCharacter,
                              char_kernel, joint_kernel)
 from orehopf.cyclotomic import Cyclotomic, root_of_unity
-from orehopf.hopfcore import SpecError, validate_spec
-from orehopf.linalg import SpanBasis, identity, inverse, mat_eq, mat_mul, zeros
+from orehopf.hopfcore import SpecError, cyclotomic_to_literal, validate_spec
+from orehopf.linalg import (SpanBasis, identity, inverse, mat_eq, mat_mul,
+                            mat_scale, zeros)
 from orehopf.reps import (ClassifyError, ModuleRep, SimpleParams,
                           _intertwiner_space,
                           are_isomorphic, build_induced_skew, build_simple,
@@ -191,10 +192,23 @@ def test_rep_check_catches_broken_relation():
     M = build_Vx_skew(scalar(spec, 1), lam, spec)
     X = [list(r) for r in M.X]
     X[0][0] = X[0][0] + Cyclotomic.one(spec.conductor)
-    broken = ModuleRep(spec, M.dim, M.group_mats, X, M.Y, M.presentation)
+    broken = ModuleRep(spec, M.dim, M.group_mats, X, M.Y)
     rep = rep_check(broken, spec)
     assert not rep.passed
     assert any("x_commutation" in w["relation"] for w in rep.witnesses)
+    # y acts by zero, so only x g = chi(g) g x can fail; each witness names
+    # the first entry (row-major) where its two sides differ
+    for w in rep.witnesses:
+        k = int(w["relation"].removeprefix("x_commutation(g").removesuffix(")")) - 1
+        A = M.group_mats[k]
+        lhs = mat_mul(X, A)
+        rhs = mat_scale(mat_mul(A, X), spec.chi.eval(spec.group.generator(k)))
+        i, j = w["entry"]
+        assert lhs[i][j] != rhs[i][j]
+        assert all(lhs[a][b] == rhs[a][b] for a in range(M.dim)
+                   for b in range(M.dim) if (a, b) < (i, j))
+        assert w["lhs"] == cyclotomic_to_literal(lhs[i][j])
+        assert w["rhs"] == cyclotomic_to_literal(rhs[i][j])
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +216,24 @@ def test_rep_check_catches_broken_relation():
 
 
 def test_presentation_round_trip():
-    spec = skew_sweep_spec(4)
-    lam = kernel_char(spec, spec.chi, [1, 1])
-    M = build_Vxy_skew(scalar(spec, 2), scalar(spec, 1), lam, 1, spec)
-    back = M.with_presentation("Normalized").with_presentation("Raw")
-    assert back.Y == M.Y and back.X == M.X
-    Mn = M.with_presentation("Normalized")
-    assert rep_check(Mn, spec).passed
-    assert Mn.raw_y_matrix() == [list(r) for r in M.Y]
+    # a file in the other presentation loads as the native module: z = c^-1 y
+    # in a skew-mode file, y = beta c z in a differential-mode file
+    skew = skew_sweep_spec(4)
+    Vxy = build_Vxy_skew(scalar(skew, 2), scalar(skew, 1),
+                         kernel_char(skew, skew.chi, [1, 1]), 1, skew)
+    diff = diff_sweep_spec(3)
+    Vx = build_Vx_diff(Character(diff.group, diff.conductor, [2, 1]),
+                       root_of_unity(diff.conductor, 1), scalar(diff, 2), diff)
+    y_of_z = mat_scale(mat_mul(Vx.act_group(diff.c), Vx.Y), diff.beta)
+    for M, other, V in ((Vxy, "Normalized", Vxy.z_matrix()), (Vx, "Raw", y_of_z)):
+        data = M.to_dict()
+        assert data["presentation"] != other
+        data["presentation"] = other
+        data["generators"]["y"] = [[cyclotomic_to_literal(v) for v in row] for row in V]
+        back = ModuleRep.from_dict(M.spec, data)
+        assert back.Y == M.Y and back.X == M.X and back.group_mats == M.group_mats
+        assert back.to_dict() == M.to_dict()
+        assert rep_check(back, M.spec).passed
 
 
 def test_serialization_round_trip():
@@ -219,7 +243,7 @@ def test_serialization_round_trip():
     data = M.to_dict()
     M2 = ModuleRep.from_dict(spec, data)
     assert M2.X == M.X and M2.Y == M.Y and M2.group_mats == M.group_mats
-    assert M2.presentation == M.presentation
+    assert M2.to_dict() == data and data["presentation"] == "Normalized"
 
 
 def test_serialization_fingerprint_mismatch():
@@ -464,7 +488,7 @@ def test_are_isomorphic_random_fallback_witness():
     S = direct_sum(V, V)
     C = conjugate(S, random_invertible(S.dim, spec.conductor, rng))
     pairs = list(zip(S.group_mats, C.group_mats))
-    pairs += [(S.X, C.X), (S.raw_y_matrix(), C.raw_y_matrix())]
+    pairs += [(S.X, C.X), (S.Y, C.Y)]
     # no basis intertwiner is invertible: the random combinations decide
     basis = _intertwiner_space(pairs, S.dim, spec.conductor)
     assert basis and all(inverse(B) is None for B in basis)
