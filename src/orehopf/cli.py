@@ -304,7 +304,7 @@ def build_family_module(family: str, params: dict, spec: AlgebraSpec) -> ModuleR
         f"skew-vy, skew-vxy, induced, diff-vbar, diff-vx, diff-vy")
 
 
-def _load_module(path: str):
+def _load_module(path: str) -> ModuleRep:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -317,9 +317,7 @@ def _load_module(path: str):
     if not isinstance(data, dict) or "config" not in data or "module" not in data:
         raise ConfigError(f"module file {path!r} must be an object with "
                           f"'config' and 'module' keys")
-    config = config_from_dict(data["config"])
-    module = ModuleRep.from_dict(config.spec, data["module"])
-    return config.spec, module
+    return ModuleRep.from_dict(config_from_dict(data["config"]).spec, data["module"])
 
 
 # ---------------------------------------------------------------- commands
@@ -427,19 +425,18 @@ def _cmd_module_build(args) -> int:
 
 
 def _cmd_module_check(args) -> int:
-    spec, module = _load_module(args.file)
-    return _emit_report(rep_check(module, spec))
+    module = _load_module(args.file)
+    return _emit_report(rep_check(module, module.spec))
 
 
 def _cmd_module_simple(args) -> int:
-    spec, module = _load_module(args.file)
-    return _emit_report(is_simple_burnside(module))
+    return _emit_report(is_simple_burnside(_load_module(args.file)))
 
 
 def _cmd_module_iso(args) -> int:
-    spec_a, mod_a = _load_module(args.fileA)
-    spec_b, mod_b = _load_module(args.fileB)
-    if spec_a.fingerprint() != spec_b.fingerprint():
+    mod_a = _load_module(args.fileA)
+    mod_b = _load_module(args.fileB)
+    if mod_a.spec.fingerprint() != mod_b.spec.fingerprint():
         raise ConfigError("modules belong to different algebras "
                           "(config mismatch)")
     result = are_isomorphic(mod_a, mod_b)
@@ -452,17 +449,12 @@ def _cmd_module_iso(args) -> int:
 
 
 def _cmd_module_classify(args) -> int:
-    spec, module = _load_module(args.file)
-    try:
-        params = classify_simple(module, spec)
-    except ClassifyError as exc:
-        _emit("fail", {"error": str(exc)})
-        return 1
-    profile = torsion_profile(module)
+    module = _load_module(args.file)
+    params = classify_simple(module, module.spec)
     _emit("pass", {"family": params.family,
                    "parameters": params.describe(),
                    "dimension": module.dim,
-                   "torsion_profile": profile})
+                   "torsion_profile": torsion_profile(module)})
     return 0
 
 

@@ -26,10 +26,6 @@ def mat_add(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_scale(A, s):
     return [[a * s for a in row] for row in A]
 
@@ -63,25 +59,15 @@ def mat_vec(A, v):
 
 
 def mat_pow(A, k: int):
-    d = len(A)
-    conductor = A[0][0].conductor
-    out = identity(d, conductor)
-    base = A
     if k < 0:
-        inv = inverse(base)
-        if inv is None:
-            raise ZeroDivisionError("matrix is not invertible")
-        base, k = inv, -k
+        raise ValueError("matrix powers need an exponent >= 0")
+    out = identity(len(A), A[0][0].conductor)
     while k:
         if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
+            out = mat_mul(out, A)
+        A = mat_mul(A, A)
         k >>= 1
     return out
-
-
-def mat_eq(A, B) -> bool:
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
 def is_zero_matrix(A) -> bool:

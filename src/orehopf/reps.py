@@ -18,9 +18,14 @@ The Burnside certificate spans the unital algebra generated by the group
 generator matrices, x and y.  The inverse group matrices are not needed:
 by Cayley-Hamilton the inverse of an invertible matrix is a polynomial in
 it, so they lie in that algebra already.
+
+A module has dimension >= 1 and never changes, so its generator inverses,
+Burnside report and rep_check report per spec object are computed once and
+kept on it; conjugate and direct_sum return new modules that certify anew.
 """
 
 from dataclasses import dataclass
+from functools import wraps
 from math import gcd
 from random import Random
 
@@ -53,8 +58,6 @@ def _require(cond: bool, msg: str):
 def _scalar_of(A):
     """The scalar s with A = s*I, or None."""
     d = len(A)
-    if d == 0:
-        return None
     s = A[0][0]
     for i in range(d):
         for j in range(d):
@@ -80,13 +83,27 @@ def _power_dlog(value: Cyclotomic, base: Cyclotomic, n: int):
     return None
 
 
+def _memoized(fn):
+    """fn(M, *args), computed once per module M and argument objects; every
+    caller gets the same value, so none may mutate it."""
+    @wraps(fn)
+    def once(M, *args):
+        key = (fn.__name__, *args)
+        if key not in M._memo:
+            M._memo[key] = fn(M, *args)
+        return M._memo[key]
+    return once
+
+
 class ModuleRep:
     """Matrix realization of a finite-dimensional H-module: group_mats, X
     and Y act as the group generators, x and the internal variable w."""
 
-    __slots__ = ("spec", "dim", "group_mats", "X", "Y", "_inv_cache")
+    __slots__ = ("spec", "dim", "group_mats", "X", "Y", "_memo")
 
     def __init__(self, spec: AlgebraSpec, dim: int, group_mats, X, Y):
+        if dim < 1:
+            raise ValueError("module dimension must be at least 1")
         if len(group_mats) != spec.group.ngens:
             raise ValueError("need one action matrix per group generator")
         for A in list(group_mats) + [X, Y]:
@@ -97,15 +114,18 @@ class ModuleRep:
         self.group_mats = tuple(tuple(tuple(row) for row in A) for A in group_mats)
         self.X = tuple(tuple(row) for row in X)
         self.Y = tuple(tuple(row) for row in Y)
-        self._inv_cache = {}
+        self._memo = {}
+
+    @_memoized
+    def _inverses(self):
+        """The inverse of each group generator matrix, None where singular."""
+        return tuple(inverse(A) for A in self.group_mats)
 
     def _gen_inverse(self, k: int):
-        if k not in self._inv_cache:
-            inv = inverse(self.group_mats[k])
-            if inv is None:
-                raise SpecError(f"group generator {k} does not act invertibly")
-            self._inv_cache[k] = inv
-        return self._inv_cache[k]
+        inv = self._inverses()[k]
+        if inv is None:
+            raise SpecError(f"group generator {k} does not act invertibly")
+        return inv
 
     def act_group(self, g: GroupElement):
         """Action matrix of a group element."""
@@ -238,6 +258,7 @@ def _first_difference(lhs, rhs):
     return None
 
 
+@_memoized
 def rep_check(M: ModuleRep, spec: AlgebraSpec) -> Report:
     """Verify every defining relation as an exact matrix identity, including
     the group relations.
@@ -245,7 +266,8 @@ def rep_check(M: ModuleRep, spec: AlgebraSpec) -> Report:
     The cross relation is w x = q_w x w + e on H's internal variable w, with
     q_w = q in skew mode (w = y, e = 0) and q_w = 1 in differential mode
     (w = z).  The witness of a failing identity names its first differing
-    entry with both sides.
+    entry with both sides.  The report is computed once per module and
+    spec object.
     """
     group = spec.group
     mats, X, W = M.group_mats, M.X, M.Y
@@ -253,9 +275,8 @@ def rep_check(M: ModuleRep, spec: AlgebraSpec) -> Report:
     ident = identity(M.dim, spec.conductor)
     # one row (relation, detail, failure) per relation; failure is None when
     # the relation holds, else the extra witness keys
-    rows = [(f"group_invertible({g[k]})", "",
-             None if inverse(mats[k]) is not None else {})
-            for k in range(group.ngens)]
+    rows = [(f"group_invertible({g[k]})", "", None if inv is not None else {})
+            for k, inv in enumerate(M._inverses())]
     rows += [(f"group_commutation({g[k]},{g[l]})", "",
               _first_difference(mat_mul(mats[k], mats[l]), mat_mul(mats[l], mats[k])))
              for k in range(group.ngens) for l in range(k + 1, group.ngens)]
@@ -271,8 +292,13 @@ def rep_check(M: ModuleRep, spec: AlgebraSpec) -> Report:
         q_w, detail = spec.q, "y x = q x y + beta(1 - cb) fails"
     else:
         q_w, detail = Cyclotomic.one(spec.conductor), "z x - x z = e fails"
-    rows.append(("cross_relation", detail, _first_difference(
-        mat_mul(W, X), mat_add(mat_scale(mat_mul(X, W), q_w), M.act_group_alg(spec.e)))))
+    try:
+        rho_e = M.act_group_alg(spec.e)
+    except SpecError as exc:  # e needs the inverse of a singular group matrix
+        rows.append(("cross_relation", f"rho(e) cannot be formed: {exc}", {}))
+    else:
+        rows.append(("cross_relation", detail, _first_difference(
+            mat_mul(W, X), mat_add(mat_scale(mat_mul(X, W), q_w), rho_e))))
 
     witnesses = [{"relation": relation, "detail": detail, **failure}
                  for relation, detail, failure in rows if failure is not None]
@@ -290,9 +316,6 @@ def torsion_profile(M: ModuleRep) -> dict:
     otherwise.  Kernels stabilize by the dimension, so nilpotency is decided
     by the dim-th power.
     """
-    if M.dim == 0:
-        return {"x": TORSION, "y": TORSION}
-
     def profile(A):
         if is_zero_matrix(mat_pow(A, M.dim)):
             return TORSION
@@ -303,15 +326,15 @@ def torsion_profile(M: ModuleRep) -> dict:
     return {"x": profile(M.X), "y": profile(M.Y)}
 
 
+@_memoized
 def is_simple_burnside(M: ModuleRep) -> Report:
     """Certify absolute simplicity: the unital matrix algebra generated by
     the action matrices must have full dimension dim^2.
 
     The certificate is valid over the non-closed coefficient field: full
-    matrix algebra span is equivalent to absolute simplicity.
+    matrix algebra span is equivalent to absolute simplicity.  The report
+    is computed once per module.
     """
-    if M.dim < 1:
-        raise SpecError("simplicity certificate needs dimension >= 1")
     d = M.dim
     N = M.spec.conductor
     for k in range(M.spec.group.ngens):
@@ -376,13 +399,9 @@ def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
     """
     if M1.dim != M2.dim:
         return IsoResult("not_isomorphic", detail="dimension mismatch")
-    if M1.dim == 0:
-        return IsoResult("isomorphic", witness=[], detail="zero module")
     dim = M1.dim
     N = M1.spec.conductor
-    pairs = list(zip(M1.group_mats, M2.group_mats))
-    pairs.append((M1.X, M2.X))
-    pairs.append((M1.Y, M2.Y))
+    pairs = list(zip(M1.group_mats + (M1.X, M1.Y), M2.group_mats + (M2.X, M2.Y)))
     basis = _intertwiner_space(pairs, dim, N)
     if not basis:
         return IsoResult("not_isomorphic", detail="no nonzero intertwiner")
@@ -954,7 +973,8 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
     kernel-subgroup scalars) and a joint eigenvector of the group action;
     the answer is verified against a rebuilt module where concrete
     parameters are available, and against the defining scalar identities
-    otherwise.
+    otherwise.  The input's rep_check and Burnside certificates are read
+    from the module when its caller has already computed them.
     """
     if not rep_check(M, spec).passed:
         _classify_fail("input fails rep_check")

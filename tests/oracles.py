@@ -14,8 +14,8 @@ The module also keeps small reference checks that only the tests use:
 primitive roots, q-factorials, centrality of powers, the transversal and
 2-cocycle of a cyclic quotient of the group, the enumeration of a finite
 group, character triviality and restriction, the raw-to-internal PBW
-conversion (inverse of HopfElem.raw_terms), and the degree and K[G] parts
-of an element.
+conversion (inverse of HopfElem.raw_terms), the degree and K[G] parts of
+an element, and entrywise matrix equality.
 """
 
 from itertools import product
@@ -220,3 +220,7 @@ def group_part(a: HopfElem) -> GroupAlgElem:
     """The K[G] component (terms with i = j = 0)."""
     return GroupAlgElem(a.spec.group, a.spec.conductor,
                         {g: c for (g, i, j), c in a.terms.items() if i == j == 0})
+
+
+def mat_eq(A, B) -> bool:
+    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))

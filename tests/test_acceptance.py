@@ -537,6 +537,11 @@ def test_criterion_11_example_audit():
                 assert not wind(spec.e, i, spec).apply_char(rho).is_zero()
             assert wind(spec.e, computed, spec).apply_char(rho).is_zero()
             assert rep_check(module, spec).passed
+            # the example's rows hold one step of rho(b) -> q rho(b) later
+            assert computed == (d + 1 if d < n else 1)
+            shifted = Character(spec.group, n, [(1 - d) % n, 0])
+            assert shifted.eval(spec.b) == q ** (1 - d)
+            assert truncation_index(shifted, spec) == d
             total += 1
             if computed != d:
                 flagged += 1

@@ -360,6 +360,27 @@ def test_module_simple_singular_group_matrix_exit_2(write_config, tmp_path,
     assert "does not act invertibly" in err
 
 
+def test_module_check_singular_group_matrix_in_diff_mode(write_config, tmp_path,
+                                                         capsys):
+    # rho(e) needs the inverse of g1: check reports it, simple still refuses
+    path, payload = build_module_file(
+        capsys, tmp_path, write_config(diff_sweep_spec(2).config_dict()),
+        "torsion-char", {"lam": [2, 0]}, "char.json")
+    payload["module"]["generators"]["g1"] = [["0"]]
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "module", "check", str(path))
+    assert code == 1
+    assert out["status"] == "fail"
+    assert [w["relation"] for w in out["witnesses"]] == ["group_invertible(g1)",
+                                                         "cross_relation"]
+    assert "entry" not in out["witnesses"][1]
+    assert "Traceback" not in err
+    code, out, err = run(capsys, "module", "simple", str(path))
+    assert code == 2
+    assert "does not act invertibly" in out["facts"]["error"]
+
+
 def _edited(edit):
     """argv of `module check` on the skew-vx file after edit(payload)."""
     def argv(payload, tmp_path, config_path):

@@ -58,3 +58,49 @@ def test_the_import_check_sees_unused_names():
     tree = ast.parse("from __future__ import annotations\nimport os.path\n"
                      "from a import b, c as d\nimport e\nb(e.f)\n")
     assert _unused_imports(tree) == [(2, "os"), (3, "d")]
+
+
+def _reads(tree, skip=None):
+    """Names a tree reads, as names or attributes, outside the node skip."""
+    stack, names = [tree], set()
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _dead_definitions(tree, other_trees, exported):
+    """(line, name) of every top-level function and class of tree that is
+    not exported and is read nowhere, its own body aside."""
+    elsewhere = set(exported).union(*(_reads(t) for t in other_trees))
+    return [(node.lineno, node.name) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in elsewhere | _reads(tree, skip=node)]
+
+
+def _parsed_sources():
+    return {p.name: ast.parse(p.read_text(), filename=str(p))
+            for p in sorted(SRC.glob("*.py"))}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dead_definitions(path):
+    import orehopf
+    trees = _parsed_sources()
+    tree = trees.pop(path.name)
+    dead = _dead_definitions(tree, trees.values(), orehopf.__all__)
+    assert dead == [], f"{path.name}: defined but never read in src/ {dead}"
+
+
+def test_the_definition_check_sees_unused_names():
+    tree = ast.parse("def a():\n    return a()\n\ndef b():\n    return c.d\n\n"
+                     "class C:\n    pass\n\ndef d():\n    pass\n\n"
+                     "def e():\n    pass\n\nx = b()\n")
+    other = ast.parse("from m import C\n")
+    assert _dead_definitions(tree, [other], ["e"]) == [(1, "a"), (7, "C")]

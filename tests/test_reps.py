@@ -1,6 +1,7 @@
 """Module layer: constructors, certificates, isomorphism, classification."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,8 +9,8 @@ from orehopf.abgroup import (AbelianGroup, Character, SubgroupCharacter,
                              char_kernel, joint_kernel)
 from orehopf.cyclotomic import Cyclotomic, root_of_unity
 from orehopf.hopfcore import SpecError, cyclotomic_to_literal, validate_spec
-from orehopf.linalg import (SpanBasis, identity, inverse, mat_eq, mat_mul,
-                            mat_scale, zeros)
+from orehopf.linalg import (SpanBasis, identity, inverse, mat_mul, mat_scale,
+                            zeros)
 from orehopf.reps import (ClassifyError, ModuleRep, SimpleParams,
                           _intertwiner_space,
                           are_isomorphic, build_induced_skew, build_simple,
@@ -19,8 +20,10 @@ from orehopf.reps import (ClassifyError, ModuleRep, SimpleParams,
                           direct_sum, is_simple_burnside, iso_criterion,
                           rep_check, torsion_profile, truncation_index)
 from orehopf.catalog import takeuchi_u1
+from orehopf import reps
 
 from gen import audit_spec, diff_sweep_spec, random_invertible, skew_sweep_spec
+from oracles import mat_eq
 from test_acceptance import sweep_instances
 
 
@@ -209,6 +212,32 @@ def test_rep_check_catches_broken_relation():
                    for b in range(M.dim) if (a, b) < (i, j))
         assert w["lhs"] == cyclotomic_to_literal(lhs[i][j])
         assert w["rhs"] == cyclotomic_to_literal(rhs[i][j])
+
+
+def test_rep_check_reports_singular_group_matrix_in_diff_mode():
+    # rho(e) for e = c^-1 - b needs the inverse of g1, so the cross relation
+    # fails without an entry instead of raising
+    spec = diff_sweep_spec(2)
+    M = build_torsion_char(Character(spec.group, spec.conductor, [2, 0]), spec)
+    assert M.group_mats[0] == ((-Cyclotomic.one(spec.conductor),),)
+    zero = Cyclotomic.zero(spec.conductor)
+    singular = ModuleRep(spec, 1, [[[zero]], M.group_mats[1]], M.X, M.Y)
+    rep = rep_check(singular, spec)
+    assert not rep.passed
+    assert rep.facts == rep_check(M, spec).facts
+    assert rep.witnesses == [
+        {"relation": "group_invertible(g1)", "detail": ""},
+        {"relation": "cross_relation",
+         "detail": "rho(e) cannot be formed: group generator 0 does not act invertibly"},
+    ]
+    with pytest.raises(SpecError, match="does not act invertibly"):
+        is_simple_burnside(singular)
+
+
+def test_module_dimension_must_be_positive():
+    spec = skew_sweep_spec(2)
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        ModuleRep(spec, 0, [[], []], [], [])
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +493,64 @@ def test_burnside_stops_once_the_span_is_full(monkeypatch):
         return add(self, vec)
 
     monkeypatch.setattr(SpanBasis, "add", counting_add)
-    modules = [inst.module for inst in sweep_instances()[:60]]
+    # new modules: the shared sweep modules may hold their reports already
+    modules = [ModuleRep(M.spec, M.dim, M.group_mats, M.X, M.Y)
+               for M in (inst.module for inst in sweep_instances()[:60])]
     assert all(is_simple_burnside(M).passed for M in modules)
     assert late == []
+
+
+def test_certificates_are_computed_once(monkeypatch):
+    counts = Counter()
+    add, mul = SpanBasis.add, reps.mat_mul
+
+    def counting_add(self, vec):
+        counts["span_add"] += 1
+        return add(self, vec)
+
+    def counting_mul(A, B):
+        counts["mat_mul"] += 1
+        return mul(A, B)
+
+    monkeypatch.setattr(SpanBasis, "add", counting_add)
+    monkeypatch.setattr(reps, "mat_mul", counting_mul)
+
+    def cost(fn, *args):
+        before = Counter(counts)
+        return fn(*args), counts - before
+
+    spec = diff_sweep_spec(3)
+    rho = Character(spec.group, spec.conductor, [2, 1])
+
+    def build():
+        return build_Vx_diff(rho, root_of_unity(spec.conductor, 1), scalar(spec, 2), spec)
+
+    M = build()
+    check, check_cost = cost(rep_check, M, spec)
+    burnside, burnside_cost = cost(is_simple_burnside, M)
+    assert check.passed and burnside.passed
+    assert check_cost["mat_mul"] > 0 and burnside_cost["span_add"] > 0
+    # classify_simple on a certified module: no closure, no relation products
+    params, classify_cost = cost(classify_simple, M, spec)
+    assert classify_cost["span_add"] == 0
+    fresh_params, fresh_cost = cost(classify_simple, build(), spec)
+    assert fresh_params.describe() == params.describe()
+    assert fresh_cost == check_cost + burnside_cost + classify_cost
+    assert cost(rep_check, M, spec) == (check, Counter())
+    assert cost(is_simple_burnside, M) == (burnside, Counter())
+    assert rep_check(M, spec) is check and is_simple_burnside(M) is burnside
+
+    # another spec object, equal in value, gets its own report
+    other = diff_sweep_spec(3)
+    assert other is not spec
+    again, again_cost = cost(rep_check, M, other)
+    assert again is not check and again == check and again_cost == check_cost
+
+    # a conjugate is a new module and certifies from scratch
+    conj = conjugate(M, random_invertible(M.dim, spec.conductor, random.Random(3)))
+    assert cost(rep_check, conj, spec)[1] == check_cost
+    assert cost(is_simple_burnside, conj)[1]["span_add"] > 0
+    assert cost(classify_simple, conj, spec)[1]["span_add"] == 0
 
 
 def test_are_isomorphic_unknown_states_the_bound():
