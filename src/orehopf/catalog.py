@@ -48,14 +48,6 @@ class _Facts:
                       facts=self.facts, witnesses=self.witnesses)
 
 
-def _scalar(conductor: int, value):
-    if isinstance(value, Cyclotomic):
-        if value.conductor != conductor:
-            raise SpecError("scalar has the wrong conductor")
-        return value
-    return Cyclotomic.rational(conductor, value)
-
-
 def takeuchi_u1() -> CatalogEntry:
     """Infinite cyclic group, chi(b) = -1, c = b, beta = -1; the change of
     variables turns the classical presentation into yx = -xy + b^2 - 1."""
@@ -143,8 +135,7 @@ def wang_wu_tan(n: int, n1: int, beta1, beta2, beta3) -> CatalogEntry:
     fgen = group.generator(2)
     chi = Character(group, n, [1 % n, (-n1) % n, (-n1) % n])
     eta = chi.inverse()
-    b3 = _scalar(n, beta3)
-    spec = validate_spec(group, chi, eta, e, fgen, b3)
+    spec = validate_spec(group, chi, eta, e, fgen, beta3)
     f = _Facts()
     an1 = spec.group_element(a ** n1)
     X = spec.x() * an1
@@ -154,7 +145,7 @@ def wang_wu_tan(n: int, n1: int, beta1, beta2, beta3) -> CatalogEntry:
     lhs = Y * X
     rhs = (X * Y).scale(root_of_unity(n, -n1)) \
         + (spec.group_element(a ** (2 * n1))
-           - spec.group_element(c_w * b_w)).scale(b3)
+           - spec.group_element(c_w * b_w)).scale(spec.beta)
     f.check("translated_cross_relation", lhs == rhs)
     f.check("coproduct_X",
             comultiply(X) == TensorElem.of(X, an1)
@@ -174,8 +165,8 @@ def wang_wu_tan(n: int, n1: int, beta1, beta2, beta3) -> CatalogEntry:
     qs = None
     p_order = spec.chi.eval(e).multiplicative_order()
     if p_order is not None and p_order > 1:
-        qs = QuotientSpec(spec, sign_x.inverse() * _scalar(n, beta1),
-                          sign_y.inverse() * _scalar(n, beta2))
+        qs = QuotientSpec(spec, sign_x.inverse() * spec.scalar(beta1),
+                          sign_y.inverse() * spec.scalar(beta2))
         ideal = hopf_ideal_check(qs)
         f.check("hopf_ideal", ideal.passed)
     else:
@@ -206,7 +197,7 @@ def fantino_garcia_core(m: int, i: int, lam) -> CatalogEntry:
     h_elem = spec.group_element(h)
     f.check("relation_uh",
             spec.x() * h_elem == (h_elem * spec.x()).scale(minus_one))
-    lam_c = _scalar(2, lam)
+    lam_c = spec.scalar(lam)
     qs = QuotientSpec(spec, lam_c, lam_c)
     f.check("quotient_exponents", qs.n == 2 and qs.m == 2,
             {"n": qs.n, "m": qs.m})

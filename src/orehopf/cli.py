@@ -366,7 +366,8 @@ def _cmd_antipode(args) -> int:
 
     def transform(elem, config):
         out = elem
-        for _ in range(args.power):
+        # S^ord = id, so only the power mod the order is applied
+        for _ in range(args.power % antipode_order(config.spec)):
             out = antipode(out)
         return {"power": args.power,
                 "result": serialize_element(out),

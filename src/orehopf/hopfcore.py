@@ -35,7 +35,7 @@ conductor, spec or quotient spec) and its own products and maps.
 from __future__ import annotations
 
 import enum
-from math import gcd
+from math import lcm
 from random import Random
 
 from .abgroup import AbelianGroup, Character, GroupElement
@@ -181,7 +181,6 @@ class AlgebraSpec:
                                       group, conductor, {b: one})
         else:
             self.e = GroupAlgElem.zero(group, conductor)
-        self.n_chi = chi.order()
         self._z_past_x_cache = {}
         self._wind_cache = {}
         self._cop_cache = {}
@@ -328,7 +327,7 @@ def validate_spec(group: AbelianGroup, chi: Character, eta: Character,
     if chi.conductor != eta.conductor:
         raise SpecError("chi and eta must share one conductor")
     conductor = chi.conductor
-    if isinstance(beta, (int, str)):
+    if not isinstance(beta, Cyclotomic):
         beta = Cyclotomic.rational(conductor, beta)
     if beta.conductor != conductor:
         raise SpecError("beta has the wrong conductor")
@@ -699,18 +698,14 @@ def hopf_axiom_check(spec: AlgebraSpec, sample_count: int = 50,
 
 
 def antipode_order(spec: AlgebraSpec) -> int:
-    """Least m >= 1 with S^m fixing all generators, found by iteration."""
-    k = spec.chi.eval(spec.b).multiplicative_order()
-    l = spec.eta.eval(spec.c).multiplicative_order()
-    bound = 2 * (k * l // gcd(k, l))
-    gens = [spec.x(), spec.y()]
-    gens.extend(spec.group_element(g) for g in spec.group.generators())
-    current = list(gens)
-    for m in range(1, bound + 1):
-        current = [antipode(e) for e in current]
-        if all(cur == g for cur, g in zip(current, gens)):
-            return m
-    raise ArithmeticError("antipode order exceeded the theoretical bound")
+    """Order of S: twice the lcm of the orders of char(R L^(-1)).
+
+    S^2 fixes the group and multiplies each skew-primitive v by
+    char(R L^(-1)), while no odd power of S fixes x:
+    S^(2t+1)(x) = -chi(b)^t b^(-1) x.
+    """
+    return 2 * lcm(*(char.eval(R * L.inverse()).multiplicative_order()
+                     for char, R, L in _skew_primitives(spec)))
 
 
 def change_of_variables_check(spec: AlgebraSpec, max_power: int = 8) -> Report:

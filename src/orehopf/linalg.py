@@ -134,9 +134,7 @@ def inverse(A):
 class SpanBasis:
     """Incrementally maintained row space over Q(zeta_N), for closure runs."""
 
-    def __init__(self, length: int, conductor: int):
-        self.length = length
-        self.conductor = conductor
+    def __init__(self):
         self.rows = []      # echelon rows, pivot normalized to 1
         self.pivots = []    # pivot column per row
 

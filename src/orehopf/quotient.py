@@ -4,19 +4,28 @@ n and m are the multiplicative orders of p = chi(b) and r = eta(c), both
 required > 1.  The quotient is free of rank n*m over K[G] on the monomials
 x^i y^j, 0 <= i < n, 0 <= j < m.
 
-Whenever lambda1 != 0 the two-sidedness of the ideal needs q^n = 1 for
-q = eta(b): moving y across the x-generator leaves the remainder
-lambda1(q^n - 1)y, which must vanish.  Symmetrically lambda2 != 0 needs
-q^m = 1.  Both are asserted at construction (they hold automatically in
-DifferentialOperator mode, where q has order n = m).
+In the raw presentation x and y are (1, R)-skew-primitive, R = b and c, in
+both modes, so each variable v of order k has one generator
+v^k - lambda(1 - R^k) and one rule.  lambda != 0 needs q^k = 1 for
+q = eta(b), since moving the other variable across the generator leaves
+lambda(q^k - 1) times it; this is asserted at construction (it holds
+automatically in DifferentialOperator mode, where q has order n = m).  In
+H's internal basis {g x^i w^j} the generator is lead h u^k + P with u = x
+or w and P in K[G], so reduction replaces u^k by -(lead h)^(-1) P; only
+hopfcore knows how y is written in that basis.  The group elements of
+-(lead h)^(-1) P are 1 and R^(+-k), which commute with both variables:
+chi(b^n) = p^n = 1 and eta(c^m) = r^m = 1, and when lambda != 0,
+eta(b^n) = q^n = 1 and chi(c^m) = q^(-m) = 1.  So the substitute needs no
+crossing factor wherever it lands.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from random import Random
 
 from .cyclotomic import Cyclotomic
-from .hopfcore import (AlgebraSpec, GroupAlgElem, HopfElem, Mode, SpecError,
+from .hopfcore import (AlgebraSpec, GroupAlgElem, HopfElem, SpecError,
                        TensorElem, _Terms, _acc, _nonzero, antipode, comultiply,
                        counit, cyclotomic_to_literal, multiply,
                        random_group_element, random_cyclotomic)
@@ -30,51 +39,64 @@ class QuotientSpec:
         self.base = base
         self.lambda1 = base.scalar(lambda1)
         self.lambda2 = base.scalar(lambda2)
-        p = base.chi.eval(base.b)
-        r = base.eta.eval(base.c)
-        n = p.multiplicative_order()
-        m = r.multiplicative_order()
-        if n is None or n <= 1:
-            raise SpecError("chi(b) must be a primitive n-th root with n > 1")
-        if m is None or m <= 1:
-            raise SpecError("eta(c) must be a primitive m-th root with m > 1")
-        self.p = p
-        self.r = r
-        self.n = n
-        self.m = m
-        q = base.q
         one = Cyclotomic.one(base.conductor)
-        if not self.lambda1.is_zero() and q ** n != one:
-            raise SpecError(
-                "lambda1 != 0 requires q^n = 1 (b^n must commute with y)")
-        if not self.lambda2.is_zero() and q ** m != one:
-            raise SpecError(
-                "lambda2 != 0 requires q^m = 1 (c^m must commute with x)")
-        if base.mode is Mode.DIFFERENTIAL_OPERATOR:
-            # transported second rule: z^m = lambda2' (c^-m - 1)
-            eta_c = base.eta.eval(base.c)
-            self.lambda2_norm = self.lambda2 * (base.beta.inverse() ** m) \
-                * (eta_c ** (-(m * (m - 1) // 2)))
-        else:
-            self.lambda2_norm = self.lambda2
+        roots = []
+        for char, R, lam, order_error, lambda_error in (
+                (base.chi, base.b, self.lambda1,
+                 "chi(b) must be a primitive n-th root with n > 1",
+                 "lambda1 != 0 requires q^n = 1 (b^n must commute with y)"),
+                (base.eta, base.c, self.lambda2,
+                 "eta(c) must be a primitive m-th root with m > 1",
+                 "lambda2 != 0 requires q^m = 1 (c^m must commute with x)")):
+            root = char.eval(R)
+            k = root.multiplicative_order()
+            if k is None or k <= 1:
+                raise SpecError(order_error)
+            if not lam.is_zero() and base.q ** k != one:
+                raise SpecError(lambda_error)
+            roots.append((root, k))
+        (self.p, self.n), (self.r, self.m) = roots
 
     def __repr__(self):
         return f"QuotientSpec(n={self.n}, m={self.m}, mode={self.base.mode.value})"
 
-    # the two ideal generators as elements of H (raw presentation)
-    def generator_x(self) -> HopfElem:
+    def _variables(self):
+        """(name, raw generator v, R, order k, lambda) for x and for y."""
         base = self.base
-        gen = base.x() ** self.n
-        ga = GroupAlgElem.of(base.group.identity(), base.conductor, self.lambda1)
-        ga = ga - GroupAlgElem.of(base.b ** self.n, base.conductor, self.lambda1)
-        return gen - base.from_group_alg(ga)
+        return (("x", base.x(), base.b, self.n, self.lambda1),
+                ("y", base.y(), base.c, self.m, self.lambda2))
+
+    @cached_property
+    def _generators(self):
+        """The ideal generators v^k - lambda(1 - R^k) as elements of H."""
+        base = self.base
+        ident = base.group.identity()
+        return tuple(
+            v ** k - base.from_group_alg(
+                GroupAlgElem.of(ident, base.conductor, lam)
+                - GroupAlgElem.of(R ** k, base.conductor, lam))
+            for _, v, R, k, lam in self._variables())
+
+    def generator_x(self) -> HopfElem:
+        return self._generators[0]
 
     def generator_y(self) -> HopfElem:
-        base = self.base
-        gen = base.y() ** self.m
-        ga = GroupAlgElem.of(base.group.identity(), base.conductor, self.lambda2)
-        ga = ga - GroupAlgElem.of(base.c ** self.m, base.conductor, self.lambda2)
-        return gen - base.from_group_alg(ga)
+        return self._generators[1]
+
+    @cached_property
+    def _rules(self):
+        """For u = x and u = w, the (f, c) with u^k = sum c f modulo the
+        ideal."""
+        rules = []
+        for gen in self._generators:
+            # gen = lead h u^k + P with P in K[G], so u^k = -(lead h)^(-1) P
+            (h, _, _), lead = next((key, c) for key, c in gen.terms.items()
+                                   if key[1] or key[2])
+            h_inv, scale = h.inverse(), -lead.inverse()
+            rules.append([(h_inv * f, c * scale)
+                          for (f, dx, dw), c in gen.terms.items()
+                          if not (dx or dw)])
+        return rules
 
 
 class QuotientElem(_Terms):
@@ -114,23 +136,14 @@ class QuotientElem(_Terms):
 def q_reduce(a: HopfElem, qs: QuotientSpec) -> QuotientElem:
     """Reduced normal form of a PBW element modulo the quotient ideal.
 
-    Substitutes x^n and the (mode-appropriate) m-th power of the second
-    variable until all exponents are in range; each substitution strictly
-    drops total degree, and the exact group-crossing factors are applied.
+    Substitutes the rule of x^n or w^m until all exponents are in range;
+    each substitution strictly drops total degree.  The substituted group
+    elements commute with x and w, so they need no crossing factor.
     """
     if a.spec is not qs.base:
         raise ValueError("element does not live over the quotient's base spec")
-    base = qs.base
     n, m = qs.n, qs.m
-    l1 = qs.lambda1
-    bn = base.b ** n
-    diff = base.mode is Mode.DIFFERENTIAL_OPERATOR
-    if diff:
-        l2 = qs.lambda2_norm
-        cm = base.c ** (-m)
-    else:
-        l2 = qs.lambda2
-        cm = base.c ** m
+    x_subs, w_subs = qs._rules
     work = dict(a.terms)
     done: dict = {}
     while work:
@@ -138,23 +151,14 @@ def q_reduce(a: HopfElem, qs: QuotientSpec) -> QuotientElem:
         if coeff.is_zero():
             continue
         if i >= n:
-            if not l1.is_zero():
-                _acc(work, (g, i - n, j), coeff * l1)
-                # b^n crosses x^(i-n) with factor p^(n(i-n)) = 1
-                _acc(work, (g * bn, i - n, j), -(coeff * l1))
+            i, subs = i - n, x_subs
         elif j >= m:
-            if not l2.is_zero():
-                cross = base.chi.eval_pow(cm, i)
-                if diff:
-                    # z^m -> lambda2'(c^-m - 1)
-                    _acc(work, (g * cm, i, j - m), coeff * l2 * cross)
-                    _acc(work, (g, i, j - m), -(coeff * l2))
-                else:
-                    # y^m -> lambda2(1 - c^m)
-                    _acc(work, (g, i, j - m), coeff * l2)
-                    _acc(work, (g * cm, i, j - m), -(coeff * l2 * cross))
+            j, subs = j - m, w_subs
         else:
             _acc(done, (g, i, j), coeff)
+            continue
+        for f, c in subs:
+            _acc(work, (g * f, i, j), coeff * c)
     return QuotientElem(qs, done)
 
 
@@ -169,54 +173,40 @@ def q_multiply(a: QuotientElem, b: QuotientElem, qs: QuotientSpec) -> QuotientEl
 def hopf_ideal_check(qs: QuotientSpec) -> Report:
     """Certify that the quotient ideal is a Hopf ideal, by closed forms.
 
-    Exact checks in H and H (x) H: the coproducts of both generators match
-    gen (x) 1 + b^n (x) gen (resp. c^m), both counits vanish, the antipodes
-    match -b^(-n) gen and -c^(-m) gen, and the two sign identities
-    (-1)^n p^(n(n+1)/2) = -1, (-1)^m r^(m(m+1)/2) = -1 hold.
+    Exact checks in H and H (x) H on each generator gen = v^k - lambda(1 -
+    R^k): its coproduct is gen (x) 1 + R^k (x) gen, its counit vanishes and
+    its antipode is -R^(-k) gen; then the sign identities
+    (-1)^n p^(n(n+1)/2) = -1 and (-1)^m r^(m(m+1)/2) = -1 hold.
     """
     base = qs.base
-    n, m = qs.n, qs.m
-    witnesses = []
     one = base.one()
-
-    gen_x = qs.generator_x()
-    gen_y = qs.generator_y()
-    bn = base.group_element(base.b ** n)
-    cm = base.group_element(base.c ** m)
-
-    if comultiply(gen_x) != TensorElem.of(gen_x, one) + TensorElem.of(bn, gen_x):
-        witnesses.append({"check": "coproduct_x_generator"})
-    if comultiply(gen_y) != TensorElem.of(gen_y, one) + TensorElem.of(cm, gen_y):
-        witnesses.append({"check": "coproduct_y_generator"})
-    if not counit(gen_x).is_zero():
-        witnesses.append({"check": "counit_x_generator"})
-    if not counit(gen_y).is_zero():
-        witnesses.append({"check": "counit_y_generator"})
-    bn_inv = base.group_element(base.b ** (-n))
-    cm_inv = base.group_element(base.c ** (-m))
-    if antipode(gen_x) != multiply(bn_inv, gen_x).scale(-1):
-        witnesses.append({"check": "antipode_x_generator"})
-    if antipode(gen_y) != multiply(cm_inv, gen_y).scale(-1):
-        witnesses.append({"check": "antipode_y_generator"})
+    holds = {}
+    for (v, _, R, k, _), gen in zip(qs._variables(), qs._generators):
+        holds[v] = {
+            "coproduct": comultiply(gen) == TensorElem.of(gen, one)
+            + TensorElem.of(base.group_element(R ** k), gen),
+            "counit": counit(gen).is_zero(),
+            "antipode": antipode(gen)
+            == multiply(base.group_element(R ** -k), gen).scale(-1)}
+    witnesses = [{"check": f"{law}_{v}_generator"}
+                 for law in ("coproduct", "counit", "antipode")
+                 for v in ("x", "y") if not holds[v][law]]
 
     minus_one = Cyclotomic.rational(base.conductor, -1)
-    sign_p = (qs.p ** (n * (n + 1) // 2)) * Cyclotomic.rational(
-        base.conductor, (-1) ** n)
-    sign_r = (qs.r ** (m * (m + 1) // 2)) * Cyclotomic.rational(
-        base.conductor, (-1) ** m)
-    if sign_p != minus_one:
-        witnesses.append({"check": "sign_identity_p",
-                          "value": cyclotomic_to_literal(sign_p)})
-    if sign_r != minus_one:
-        witnesses.append({"check": "sign_identity_r",
-                          "value": cyclotomic_to_literal(sign_r)})
+    signs = {}
+    for name, root, k in (("p", qs.p, qs.n), ("r", qs.r, qs.m)):
+        sign = (root ** (k * (k + 1) // 2)) * Cyclotomic.rational(
+            base.conductor, (-1) ** k)
+        signs[f"sign_{name}"] = cyclotomic_to_literal(sign)
+        if sign != minus_one:
+            witnesses.append({"check": f"sign_identity_{name}",
+                              "value": signs[f"sign_{name}"]})
 
     return Report(name="hopf_ideal_check", passed=not witnesses,
-                  facts={"n": n, "m": m, "mode": base.mode.value,
+                  facts={"n": qs.n, "m": qs.m, "mode": base.mode.value,
                          "lambda1": cyclotomic_to_literal(qs.lambda1),
                          "lambda2": cyclotomic_to_literal(qs.lambda2),
-                         "sign_p": cyclotomic_to_literal(sign_p),
-                         "sign_r": cyclotomic_to_literal(sign_r)},
+                         **signs},
                   witnesses=witnesses)
 
 

@@ -308,13 +308,14 @@ def rep_check(M: ModuleRep, spec: AlgebraSpec) -> Report:
                   witnesses=witnesses)
 
 
+@_memoized
 def torsion_profile(M: ModuleRep) -> dict:
     """Torsion type of the module for each of the two variables.
 
     A variable is Torsion when its action matrix is nilpotent (every vector
     is killed by a power), TorsionFree when it acts invertibly, and Mixed
     otherwise.  Kernels stabilize by the dimension, so nilpotency is decided
-    by the dim-th power.
+    by the dim-th power.  The profile is computed once per module.
     """
     def profile(A):
         if is_zero_matrix(mat_pow(A, M.dim)):
@@ -342,7 +343,7 @@ def is_simple_burnside(M: ModuleRep) -> Report:
     # A^{-1} is a polynomial in A (Cayley-Hamilton): no inverse generators
     gens = M.group_mats + (M.X, M.Y)
 
-    span = SpanBasis(d * d, N)
+    span = SpanBasis()
     products = [identity(d, N)]
     span.add([v for row in products[0] for v in row])
     # breadth first: products grows while it is read; stop once the span is full

@@ -15,7 +15,8 @@ primitive roots, q-factorials, centrality of powers, the transversal and
 2-cocycle of a cyclic quotient of the group, the enumeration of a finite
 group, character triviality and restriction, the raw-to-internal PBW
 conversion (inverse of HopfElem.raw_terms), the degree and K[G] parts of
-an element, and entrywise matrix equality.
+an element, entrywise matrix equality, and the order of the antipode by
+iteration.
 """
 
 from itertools import product
@@ -24,7 +25,7 @@ from orehopf.abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
                              SubgroupCharacter)
 from orehopf.cyclotomic import Cyclotomic, divisors, q_int
 from orehopf.hopfcore import (AlgebraSpec, GroupAlgElem, HopfElem, Mode,
-                              multiply)
+                              antipode, multiply)
 
 
 def _word_of(g, i, j):
@@ -224,3 +225,17 @@ def group_part(a: HopfElem) -> GroupAlgElem:
 
 def mat_eq(A, B) -> bool:
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+
+
+def antipode_order_by_iteration(spec: AlgebraSpec) -> int:
+    """Least m >= 1 with S^m fixing x, y and the group generators, by
+    applying S.  The values of chi and eta are N-th roots of unity, so the
+    order is at most 2N."""
+    gens = [spec.x(), spec.y()]
+    gens.extend(spec.group_element(g) for g in spec.group.generators())
+    current = list(gens)
+    for m in range(1, 2 * spec.conductor + 1):
+        current = [antipode(e) for e in current]
+        if current == gens:
+            return m
+    raise ArithmeticError("antipode order above 2N")

@@ -29,7 +29,7 @@ from orehopf.reps import (SimpleParams, are_isomorphic, build_induced_skew,
 from gen import (audit_spec, diff_sweep_spec, quotient_sweep_spec,
                  random_group_char, random_invertible, random_kernel_char,
                  random_scalar, skew_sweep_spec)
-from oracles import assert_product_matches
+from oracles import antipode_order_by_iteration, assert_product_matches
 
 AUDIT_FLAGS = []
 
@@ -153,7 +153,8 @@ def test_criterion_05_antipode_order():
         m = spec.eta.eval(spec.c).multiplicative_order()
         assert k is not None and m is not None
         expected = 2 * (k * m // gcd(k, m))
-        assert antipode_order(spec) == expected, spec
+        assert antipode_order(spec) == expected \
+            == antipode_order_by_iteration(spec), spec
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Catalog entries: every prebuilt instance must certify itself."""
 
+from fractions import Fraction
+
 import pytest
 
 from orehopf.catalog import (catalog_entry, catalog_names,
@@ -56,6 +58,9 @@ def test_wwt_hypothesis_validation():
 def test_wwt_alternate_parameters():
     entry = wang_wu_tan(5, 3, 1, -1, 2)
     assert entry.report.passed, entry.report.witnesses
+    entry = wang_wu_tan(3, 1, Fraction(1, 2), Fraction(-2), Fraction(3, 4))
+    assert entry.report.passed, entry.report.witnesses
+    assert entry.spec.beta == entry.spec.scalar("3/4")
 
 
 def test_fantino_garcia_validation():

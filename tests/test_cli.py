@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -211,6 +212,21 @@ def test_antipode_power(write_config, capsys):
     code, _, err = run(capsys, "antipode", path, "x", "--power", "-1")
     assert code == 2
     assert "non-negative" in err
+
+
+def test_antipode_power_is_reduced_by_the_order(write_config, capsys):
+    # S^4 = id on u1, so a huge power costs no more than its residue
+    path = write_config(U1)
+    for residue in range(4):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "antipode", path, "x*y + g1",
+                           "--power", str(10 ** 12 + residue))
+        assert time.perf_counter() - start < 5
+        assert code == 0 and out["facts"]["power"] == 10 ** 12 + residue
+        _, reduced, _ = run(capsys, "antipode", path, "x*y + g1",
+                            "--power", str(residue))
+        assert out["facts"]["result"] == reduced["facts"]["result"]
+        assert out["facts"]["expression"] == reduced["facts"]["expression"]
 
 
 def test_nf_parse_error_exit_2(write_config, capsys):

@@ -1,6 +1,7 @@
 """Algebra and Hopf structure of the Ore extension H(G, chi, eta, b, c, beta)."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,8 +15,8 @@ from orehopf.catalog import catalog_entry, catalog_names, takeuchi_u1
 from orehopf.quotient import QuotientElem, QuotientSpec, q_reduce
 
 from gen import diff_sweep_spec, quotient_sweep_spec, skew_sweep_spec
-from oracles import (assert_product_matches, centrality_check, from_raw_terms,
-                     group_part, max_degrees)
+from oracles import (antipode_order_by_iteration, assert_product_matches,
+                     centrality_check, from_raw_terms, group_part, max_degrees)
 
 
 def u1_spec():
@@ -49,10 +50,12 @@ def test_validate_spec_rejects_nonzero_beta_without_inverse_eta():
     # find b, c with eta(b) = chi(c)^-1 but eta != chi^-1
     b = G.element([0, 1])   # eta(b) = zeta_4^2 = -1
     c = G.element([2, 0])   # chi(c) = -1
-    with pytest.raises(SpecError):
-        validate_spec(G, chi, eta, b, c, 1)
+    for beta in (1, "1/2", Fraction(1, 2)):
+        with pytest.raises(SpecError):
+            validate_spec(G, chi, eta, b, c, beta)
     # beta = 0 keeps the same data valid
-    assert validate_spec(G, chi, eta, b, c, 0).mode is Mode.SKEW_GROUP_RING
+    for beta in (0, "0", Fraction(0)):
+        assert validate_spec(G, chi, eta, b, c, beta).mode is Mode.SKEW_GROUP_RING
 
 
 def test_u1_defining_relation():
@@ -270,7 +273,7 @@ def test_antipode_order_formula():
         m = spec.eta.eval(spec.c).multiplicative_order()
         import math
         assert expected == 2 * (k * m // math.gcd(k, m))
-        assert antipode_order(spec) == expected
+        assert antipode_order(spec) == expected == antipode_order_by_iteration(spec)
 
 
 def test_hopf_axiom_check_passes():

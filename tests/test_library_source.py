@@ -98,6 +98,35 @@ def test_no_dead_definitions(path):
     assert dead == [], f"{path.name}: defined but never read in src/ {dead}"
 
 
+def _dead_attributes(trees):
+    """(file, line, name) of every attribute assigned on self that no tree
+    reads as an attribute."""
+    assigned, read = [], set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                assigned.append((name, node.lineno, node.attr))
+    return sorted(a for a in assigned if a[2] not in read)
+
+
+def test_no_dead_attributes():
+    dead = _dead_attributes(_parsed_sources())
+    assert dead == [], f"assigned on self but never read in src/: {dead}"
+
+
+def test_the_attribute_check_sees_unread_attributes():
+    trees = {"a.py": ast.parse("class A:\n    def __init__(self):\n"
+                               "        self.kept = 1\n        self.dead = 2\n"
+                               "        self.both, self.gone = 3, 4\n\n"
+                               "    def f(self):\n        return self.kept\n"),
+             "b.py": ast.parse("def g(a):\n    a.other = 1\n    return a.both\n")}
+    assert _dead_attributes(trees) == [("a.py", 4, "dead"), ("a.py", 5, "gone")]
+
+
 def test_the_definition_check_sees_unused_names():
     tree = ast.parse("def a():\n    return a()\n\ndef b():\n    return c.d\n\n"
                      "class C:\n    pass\n\ndef d():\n    pass\n\n"

@@ -67,9 +67,13 @@ def test_rejects_lambda2_when_qm_not_one():
 
 
 def test_generators_reduce_to_zero():
+    d = diff_sweep_spec(3)
+    # beta = 2 makes the lead coefficient of y^3 = beta^3 c^3 z^3 other than +-1
+    beta2 = validate_spec(d.group, d.chi, d.eta, d.b, d.c, 2)
     cases = [u1_quotient(), u1_quotient(-1, 2),
              QuotientSpec(quotient_sweep_spec(3, 2), 1, 1),
-             QuotientSpec(diff_sweep_spec(3), root_of_unity(6, 1), "1/2")]
+             QuotientSpec(d, root_of_unity(6, 1), "1/2"),
+             QuotientSpec(beta2, "1/3", root_of_unity(6, 5))]
     for qs in cases:
         assert q_reduce(qs.generator_x(), qs).is_zero()
         assert q_reduce(qs.generator_y(), qs).is_zero()
@@ -77,7 +81,8 @@ def test_generators_reduce_to_zero():
 
 def test_two_sided_multiples_reduce_to_zero():
     rng = random.Random(11)
-    for qs in (u1_quotient(), QuotientSpec(quotient_sweep_spec(2, 3), 2, -1)):
+    for qs in (u1_quotient(), QuotientSpec(quotient_sweep_spec(2, 3), 2, -1),
+               QuotientSpec(diff_sweep_spec(3), root_of_unity(6, 1), "1/2")):
         for gen in (qs.generator_x(), qs.generator_y()):
             for _ in range(6):
                 h1 = random_element(qs.base, rng, max_degree=2, max_terms=2)
@@ -87,7 +92,8 @@ def test_two_sided_multiples_reduce_to_zero():
 
 def test_reduce_is_multiplicative():
     rng = random.Random(5)
-    for qs in (u1_quotient(), QuotientSpec(quotient_sweep_spec(3, 4), 1, 2)):
+    for qs in (u1_quotient(), QuotientSpec(quotient_sweep_spec(3, 4), 1, 2),
+               QuotientSpec(diff_sweep_spec(3), root_of_unity(6, 1), "1/2")):
         for _ in range(10):
             u = random_element(qs.base, rng, max_degree=3, max_terms=2)
             v = random_element(qs.base, rng, max_degree=3, max_terms=2)

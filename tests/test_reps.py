@@ -457,7 +457,7 @@ def _span_dimension_with_inverses(M):
     matrices, x and y alone."""
     d, N = M.dim, M.spec.conductor
     gens = list(M.group_mats) + [inverse(A) for A in M.group_mats] + [M.X, M.Y]
-    span = SpanBasis(d * d, N)
+    span = SpanBasis()
     frontier = [identity(d, N)]
     span.add([v for row in frontier[0] for v in row])
     while frontier and span.dim() < d * d:
@@ -488,7 +488,7 @@ def test_burnside_stops_once_the_span_is_full(monkeypatch):
     add = SpanBasis.add
 
     def counting_add(self, vec):
-        if self.dim() == self.length:
+        if self.dim() == len(vec):
             late.append(vec)
         return add(self, vec)
 
@@ -551,6 +551,24 @@ def test_certificates_are_computed_once(monkeypatch):
     assert cost(rep_check, conj, spec)[1] == check_cost
     assert cost(is_simple_burnside, conj)[1]["span_add"] > 0
     assert cost(classify_simple, conj, spec)[1]["span_add"] == 0
+
+
+def test_torsion_profile_is_computed_once(monkeypatch):
+    counts = Counter()
+    for name in ("mat_pow", "inverse"):
+        def counting(*args, _fn=getattr(reps, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(reps, name, counting)
+    spec = diff_sweep_spec(3)
+    rho = Character(spec.group, spec.conductor, [2, 1])
+    M = build_Vx_diff(rho, root_of_unity(spec.conductor, 1), scalar(spec, 2), spec)
+    classify_simple(M, spec)
+    assert counts["mat_pow"] > 0 and counts["inverse"] > 0
+    before = Counter(counts)
+    profile = torsion_profile(M)
+    assert counts == before
+    assert torsion_profile(M) is profile
 
 
 def test_are_isomorphic_unknown_states_the_bound():
