@@ -152,12 +152,14 @@ class Character:
         raise AttributeError("Character is immutable")
 
     def eval(self, g: GroupElement) -> Cyclotomic:
-        k = sum(e * x for e, x in zip(self.exps, g.exps)) % self.conductor
-        return root_of_unity(self.conductor, k)
+        return root_of_unity(self.conductor, self.exponent(g))
 
     def eval_pow(self, g: GroupElement, t: int) -> Cyclotomic:
-        k = (t * sum(e * x for e, x in zip(self.exps, g.exps))) % self.conductor
-        return root_of_unity(self.conductor, k)
+        return root_of_unity(self.conductor, self.exponent(g, t))
+
+    def exponent(self, g: GroupElement, t: int = 1) -> int:
+        """k in [0, N) with chi(g)^t = zeta_N^k."""
+        return (t * sum(e * x for e, x in zip(self.exps, g.exps))) % self.conductor
 
     def order(self) -> int:
         out = 1

@@ -10,7 +10,10 @@ in the report.  The environment variable ORE_HOPF_SEED supplies the
 default seed.
 
 Input bounds: the conductor is an integer in [1, MAX_CONDUCTOR], JSON
-booleans are not integers, and --samples is at least 1.
+booleans are not integers, --samples is at least 1, --max-degree lies in
+[0, MAX_DEGREE], the x, y, z degree of each term of an expression is at
+most exprparse.MAX_TERM_DEGREE, and a module (a module file, or the output
+of module build) has dimension at most MAX_MODULE_DIM.
 """
 
 import argparse
@@ -53,6 +56,15 @@ _REQUIRED_KEYS = ("conductor", "group", "chi", "eta", "b", "c", "beta")
 # field product (phi(420) = 96), and up to N roots of unity tried when a
 # coefficient is printed.  Larger conductors are rejected rather than slow.
 MAX_CONDUCTOR = 420
+
+# One hopf-check sample of degree 8 takes under a second on the catalog
+# specs u1, diff-z2 and taft, one of degree 12 up to 13 s, and the cost
+# keeps growing steeply.
+MAX_DEGREE = 8
+
+# rep_check is cheap at any size, but the exact Burnside closure spans up to
+# dim^2 matrices, so its cost grows like dim^6.
+MAX_MODULE_DIM = 16
 
 
 def _is_int(value) -> bool:
@@ -304,6 +316,12 @@ def build_family_module(family: str, params: dict, spec: AlgebraSpec) -> ModuleR
         f"skew-vy, skew-vxy, induced, diff-vbar, diff-vx, diff-vy")
 
 
+def _check_module_dim(dim) -> None:
+    if _is_int(dim) and dim > MAX_MODULE_DIM:
+        raise ConfigError(f"module dimension {dim} exceeds the bound "
+                          f"{MAX_MODULE_DIM}")
+
+
 def _load_module(path: str) -> ModuleRep:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -317,6 +335,8 @@ def _load_module(path: str) -> ModuleRep:
     if not isinstance(data, dict) or "config" not in data or "module" not in data:
         raise ConfigError(f"module file {path!r} must be an object with "
                           f"'config' and 'module' keys")
+    if isinstance(data["module"], dict):
+        _check_module_dim(data["module"].get("dim"))
     return ModuleRep.from_dict(config_from_dict(data["config"]).spec, data["module"])
 
 
@@ -382,6 +402,8 @@ def _check_samples(args) -> None:
 
 def _cmd_hopf_check(args) -> int:
     _check_samples(args)
+    if not 0 <= args.max_degree <= MAX_DEGREE:
+        raise ConfigError(f"--max-degree must be an integer in [0, {MAX_DEGREE}]")
     config = _load_config(args.config)
     seed = _resolve_seed(args.seed, config)
     report = hopf_axiom_check(config.spec, sample_count=args.samples,
@@ -417,6 +439,7 @@ def _cmd_module_build(args) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--params is not valid JSON: {exc.msg}") from exc
     module = build_family_module(args.family, params, config.spec)
+    _check_module_dim(module.dim)
     payload = {"config": config.spec.config_dict(),
                "family": args.family,
                "params": params,

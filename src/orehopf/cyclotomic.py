@@ -1,22 +1,32 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_N).
 
-Elements are stored as coordinate vectors of Fractions in the power basis
-1, zeta, ..., zeta^(phi(N)-1), kept canonical modulo the N-th cyclotomic
-polynomial.  Equality of vectors is therefore equality in the field.  A
-fixed conductor N is chosen per algebra instance; mixing conductors raises
-ConductorMismatch (plain integers and Fractions coerce into any conductor).
+An element is one tuple of integer numerators ``num`` and one positive
+integer denominator ``den``: the value sum(num[i] * zeta^i) / den in the
+power basis 1, zeta, ..., zeta^(phi(N)-1), kept canonical modulo the N-th
+cyclotomic polynomial Phi_N.  The pair is normalized so that
+gcd(num[0], ..., num[phi-1], den) = 1, and zero is (0, ..., 0) / 1, so
+equal field elements have equal pairs; equality and hashing compare them.
+Phi_N is monic with integer coefficients, so a product convolves the
+numerators as integers and folds the powers zeta^m, m >= phi(N), back with
+one integer table per N.  ``coeffs`` derives the Fraction coordinates for
+readers.  A fixed conductor N is chosen per algebra instance; mixing
+conductors raises ConductorMismatch (plain integers and Fractions coerce
+into any conductor).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 class ConductorMismatch(ValueError):
     """Raised when two elements with different conductors are combined."""
 
 
+# typed, so that 2.0 is no cached alias of 2
+@lru_cache(maxsize=None, typed=True)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("conductor must be a positive integer")
@@ -46,7 +56,20 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-# -- dense polynomial helpers over Fraction, coefficients low to high --
+def _mobius(n: int) -> int:
+    out = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+# -- dense integer polynomials, coefficients low to high --
 
 def _poly_trim(p):
     while p and p[-1] == 0:
@@ -54,80 +77,96 @@ def _poly_trim(p):
     return p
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    # exact over Q; trailing zeros in either input are tolerated
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = Fraction(1) / b[-1]
-    support = [(i, bi) for i, bi in enumerate(b) if bi]
-    while len(a) >= len(b) and _poly_trim(a):
-        shift = len(a) - len(b)
-        coeff = a[-1] * inv_lead
-        q[shift] = coeff
-        for i, bi in support:
-            a[shift + i] -= coeff * bi
-        _poly_trim(a)
-    return _poly_trim(q), a
+def _convolve(a, b) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    support = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in support:
+                out[i + j] += x * y
+    return out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
-    """Coefficients of the n-th cyclotomic polynomial, low to high, monic."""
-    if n == 1:
-        return (Fraction(-1), Fraction(1))
-    # (x^n - 1) / prod_{d | n, d < n} Phi_d
-    num = [Fraction(0)] * (n + 1)
-    num[0], num[n] = Fraction(-1), Fraction(1)
-    den = [Fraction(1)]
-    for d in divisors(n)[:-1]:
-        den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    quo, rem = _poly_divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"x^{n} - 1 is not divisible by the lower cyclotomic factors")
-    return tuple(quo)
+    """Integer coefficients of the n-th cyclotomic polynomial, low to high,
+    monic: the product of (x^d - 1)^mu(n/d) over the divisors d of n."""
+    poly = [1]
+    divs = divisors(n)
+    for d in divs:
+        if _mobius(n // d) == 1:
+            out = [-c for c in poly] + [0] * d
+            for i, c in enumerate(poly):
+                out[i + d] += c
+            poly = out
+    for d in divs:
+        if _mobius(n // d) == -1:
+            # exact division by x^d - 1: p_k = q_(k-d) - q_k
+            quo = [0] * (len(poly) - d)
+            for k in range(len(quo)):
+                quo[k] = (quo[k - d] if k >= d else 0) - poly[k]
+            poly = quo
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
 def _reduction_table(n: int) -> tuple:
-    """Power basis expansions of zeta^m for phi(n) <= m <= 2*phi(n)-2, read
-    from the root table since zeta^m = zeta^(m mod n)."""
+    """Row m is zeta^m in the power basis as sparse integer pairs (i, c),
+    for 0 <= m < max(n, 2 phi(n) - 1): enough for the degrees of a product
+    of two canonical vectors and for any exponent taken mod n.  The rows
+    are the root table's, since zeta^m = zeta^(m mod n)."""
     roots = _root_table(n)[0]
-    phi = euler_phi(n)
-    return tuple(roots[m % n].coeffs for m in range(phi, 2 * phi - 1))
+    size = max(n, 2 * euler_phi(n) - 1)
+    return tuple(tuple((i, c) for i, c in enumerate(roots[m % n].num) if c)
+                 for m in range(size))
 
 
-def _poly_egcd(a, b):
-    """Extended gcd in Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while _poly_trim(list(r1)):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    return r0, s0, t0
+def _fold(n: int, vec: list, phi: int) -> list:
+    """Integer coefficients of zeta^0 .. zeta^(len(vec)-1) reduced to the
+    phi power-basis coordinates."""
+    if len(vec) <= phi:
+        return vec + [0] * (phi - len(vec))
+    out = vec[:phi]
+    table = _reduction_table(n)
+    for m in range(phi, len(vec)):
+        c = vec[m]
+        if c:
+            for i, r in table[m]:
+                out[i] += c * r
+    return out
 
 
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
+def _unit_cofactor(a: list, mod: list):
+    """(s, g) with s*a = g modulo mod, g a nonzero integer, for integer
+    polynomials a and mod with deg a < deg mod.  The extended Euclidean
+    algorithm over Z[x]: each step pseudo-divides, k*r0 = q*r1 + r with
+    k = lead(r1)^e, and divides the new remainder and cofactor by their
+    common content."""
+    r0, r1 = list(mod), _poly_trim(list(a))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        lead, d1 = r1[-1], len(r1) - 1
+        r, q, k = list(r0), [0] * (len(r0) - d1), 1
+        while len(r) > d1:
+            c, shift = r[-1], len(r) - 1 - d1
+            r = [lead * x for x in r]
+            q = [lead * x for x in q]
+            k *= lead
+            q[shift] += c
+            for i, y in enumerate(r1):
+                r[shift + i] -= c * y
+            _poly_trim(r)
+        s = [k * x for x in s0] + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
+        for i, x in enumerate(_convolve(q, s1)):
+            s[i] -= x
+        content = gcd(*r, *s)
+        if content > 1:
+            r = [x // content for x in r]
+            s = [x // content for x in s]
+        r0, r1, s0, s1 = r1, r, s1, _poly_trim(s)
+    if not r1:
+        raise ArithmeticError("gcd with the cyclotomic polynomial is not a constant")
+    return s1, r1[0]
 
 
 def _coerce_coeff(v) -> Fraction:
@@ -140,21 +179,29 @@ def _coerce_coeff(v) -> Fraction:
     raise TypeError(f"cannot interpret {v!r} as a rational number")
 
 
-class Cyclotomic:
-    """An element of Q(zeta_N), canonical in the power basis mod Phi_N."""
+def _integer_parts(values):
+    """(numerators, den) of rationals over the lcm den of their denominators."""
+    vals = [_coerce_coeff(v) for v in values]
+    den = lcm(1, *(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals], den
 
-    __slots__ = ("conductor", "coeffs", "_hash")
+
+class Cyclotomic:
+    """An element num/den of Q(zeta_N), canonical in the power basis mod
+    Phi_N, with gcd(num, den) = 1 and den > 0."""
+
+    __slots__ = ("conductor", "num", "den", "_hash")
 
     def __init__(self, conductor: int, coeffs):
         phi = euler_phi(conductor)
-        vec = [Fraction(0)] * phi
-        for i, c in enumerate(coeffs):
-            if i >= phi:
-                raise ValueError("coefficient vector longer than phi(N)")
-            vec[i] = _coerce_coeff(c)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(vec))
-        object.__setattr__(self, "_hash", None)
+        coeffs = list(coeffs)
+        if len(coeffs) > phi:
+            raise ValueError("coefficient vector longer than phi(N)")
+        # over the lcm of reduced denominators the gcd is already 1
+        num, den = _integer_parts(coeffs)
+        _set_conductor(self, conductor)
+        _set_num(self, tuple(num) + (0,) * (phi - len(num)))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic is immutable")
@@ -163,22 +210,30 @@ class Cyclotomic:
 
     @staticmethod
     def rational(conductor: int, value) -> "Cyclotomic":
-        return Cyclotomic(conductor, [_coerce_coeff(value)])
+        if type(value) is int:
+            num, den = value, 1
+        else:
+            v = _coerce_coeff(value)
+            num, den = v.numerator, v.denominator
+        return _new(conductor, (num,) + (0,) * (euler_phi(conductor) - 1), den)
 
     @staticmethod
     def zero(conductor: int) -> "Cyclotomic":
-        return Cyclotomic(conductor, [])
+        return _new(conductor, (0,) * euler_phi(conductor), 1)
 
     @staticmethod
     def one(conductor: int) -> "Cyclotomic":
-        return Cyclotomic(conductor, [Fraction(1)])
+        return Cyclotomic.rational(conductor, 1)
 
     @staticmethod
     def from_zeta_coeffs(conductor: int, coeffs) -> "Cyclotomic":
-        """Sum of coeffs[k] * zeta^k: the coefficient polynomial mod Phi_N."""
-        _, rem = _poly_divmod([_coerce_coeff(c) for c in coeffs],
-                              cyclotomic_polynomial(conductor))
-        return Cyclotomic(conductor, rem)
+        """Sum of coeffs[k] * zeta^k, reduced with zeta^N = 1 and Phi_N."""
+        phi = euler_phi(conductor)
+        num, den = _integer_parts(coeffs)
+        vec = [0] * min(len(num), conductor)
+        for k, a in enumerate(num):
+            vec[k % conductor] += a
+        return _canonical(conductor, _fold(conductor, vec, phi), den)
 
     # -- coercion --
 
@@ -192,26 +247,38 @@ class Cyclotomic:
             return Cyclotomic.rational(self.conductor, other)
         return None
 
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coordinates as a tuple of Fractions."""
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.num)
+
     # -- ring operations --
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.conductor,
-                          [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        da, db = self.den, o.den
+        if da == db:
+            return _canonical(self.conductor, [a + b for a, b in zip(self.num, o.num)], da)
+        return _canonical(self.conductor,
+                          [a * db + b * da for a, b in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.conductor, [-a for a in self.coeffs])
+        return _new(self.conductor, tuple([-a for a in self.num]), self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.conductor,
-                          [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        da, db = self.den, o.den
+        if da == db:
+            return _canonical(self.conductor, [a - b for a, b in zip(self.num, o.num)], da)
+        return _canonical(self.conductor,
+                          [a * db - b * da for a, b in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -223,36 +290,25 @@ class Cyclotomic:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        phi = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        out = prod[:phi]
-        table = _reduction_table(self.conductor)
-        for m in range(phi, 2 * phi - 1):
-            c = prod[m]
-            if c:
-                row = table[m - phi]
-                for i in range(phi):
-                    out[i] += c * row[i]
-        return Cyclotomic(self.conductor, out)
+        a, b = self.num, o.num
+        den = self.den * o.den
+        phi = len(a)
+        if phi == 1:
+            return _canonical(self.conductor, (a[0] * b[0],), den)
+        return _canonical(self.conductor, _fold(self.conductor, _convolve(a, b), phi), den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_N)")
-        mod = list(cyclotomic_polynomial(self.conductor))
-        g, s, _ = _poly_egcd(list(self.coeffs), mod)
-        # g is a nonzero constant since Phi_N is irreducible
-        if len(g) != 1:
-            raise ArithmeticError(f"gcd with Phi_{self.conductor} is not a constant")
-        inv = [c / g[0] for c in s]
-        _, rem = _poly_divmod(inv, mod)
-        return Cyclotomic(self.conductor, rem)
+        n = self.conductor
+        phi = len(self.num)
+        # s * num = g mod Phi_N, so (num / den)^-1 = den * s / g
+        s, g = _unit_cofactor(self.num, cyclotomic_polynomial(n))
+        if g < 0:
+            s, g = [-c for c in s], -g
+        return _canonical(n, _fold(n, [self.den * c for c in s], phi), g)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -284,29 +340,34 @@ class Cyclotomic:
     # -- predicates and comparisons --
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.conductor, self.coeffs)))
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # the hash of the Fraction coordinates; Fraction(a) hashes as a
+        h = hash((self.conductor, self.num if self.den == 1 else self.coeffs))
+        _set_hash(self, h)
+        return h
 
     def __repr__(self):
         if self.is_zero():
@@ -335,6 +396,31 @@ class Cyclotomic:
         return next(d for d in divisors(bound) if self ** d == 1)
 
 
+# the slot setters bypass Cyclotomic.__setattr__
+_set_conductor = Cyclotomic.conductor.__set__
+_set_num = Cyclotomic.num.__set__
+_set_den = Cyclotomic.den.__set__
+_set_hash = Cyclotomic._hash.__set__
+
+
+def _new(conductor: int, num: tuple, den: int) -> Cyclotomic:
+    """The element num/den from a pair that is already canonical."""
+    v = object.__new__(Cyclotomic)
+    _set_conductor(v, conductor)
+    _set_num(v, num)
+    _set_den(v, den)
+    return v
+
+
+def _canonical(conductor: int, num, den: int) -> Cyclotomic:
+    """The element num/den for den > 0, dividing out gcd(num, den)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return _new(conductor, tuple([a // g for a in num]), den // g)
+    return _new(conductor, tuple(num), den)
+
+
 @lru_cache(maxsize=None)
 def _root_table(conductor: int) -> tuple:
     """(roots, logs): roots[k] = zeta_N^k for k in [0, N), and logs maps each
@@ -342,12 +428,12 @@ def _root_table(conductor: int) -> tuple:
     coefficient vector plus at most one subtraction of Phi_N."""
     phi = euler_phi(conductor)
     support = [(i, c) for i, c in enumerate(cyclotomic_polynomial(conductor)[:phi]) if c]
-    cur = [Fraction(1)] + [Fraction(0)] * (phi - 1)
+    cur = [1] + [0] * (phi - 1)
     roots = []
     for _ in range(conductor):
-        roots.append(Cyclotomic(conductor, cur))
+        roots.append(_new(conductor, tuple(cur), 1))
         top = cur[-1]
-        cur = [Fraction(0)] + cur[:-1]
+        cur = [0] + cur[:-1]
         if top:
             for i, c in support:
                 cur[i] -= top * c

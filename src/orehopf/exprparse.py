@@ -9,7 +9,9 @@ Grammar (whitespace insignificant):
 
 'zeta' denotes the canonical root of unity of the spec's conductor.
 Coefficients must precede generator atoms inside a term.  Results are
-normalized to PBW form.
+normalized to PBW form.  The exponents of x, y and z in one term add up to
+at most MAX_TERM_DEGREE; group and zeta exponents are unbounded, since they
+reduce exactly.
 """
 
 from fractions import Fraction
@@ -25,6 +27,9 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*^")
+
+# the coproduct of x^16 y^16 (289 tensor terms) takes about a second
+MAX_TERM_DEGREE = 32
 
 
 def _tokenize(text: str):
@@ -118,6 +123,7 @@ class _Parser:
         saw_factor = False
         saw_atom = False
         result = None
+        degree = 0
 
         def emit(elem):
             nonlocal result
@@ -160,6 +166,11 @@ class _Parser:
                 if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
                     self.next()
                     power = self.expect_int(f"'{tok[1]}^'")
+                if tok[1] in ("x", "y", "z") and power > 0:
+                    degree += power
+                    if degree > MAX_TERM_DEGREE:
+                        raise ParseError(f"the x, y, z degree of a term is at most "
+                                         f"{MAX_TERM_DEGREE}", tok[2])
                 emit(self.atom_power(tok[1], power, tok[2]))
                 saw_factor = True
                 saw_atom = True

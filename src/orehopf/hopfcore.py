@@ -411,21 +411,32 @@ class HopfElem(_Terms):
         return "H(" + " + ".join(bits) + ")"
 
 
+def _times_root(coeff: Cyclotomic, k: int, n: int) -> Cyclotomic:
+    """coeff * zeta_n^k."""
+    k %= n
+    return coeff * root_of_unity(n, k) if k else coeff
+
+
 def multiply(a: HopfElem, b: HopfElem) -> HopfElem:
     """Exact product in PBW normal form."""
     a._check(b)
     spec = a.spec
     out = {}
     skew = spec.mode is Mode.SKEW_GROUP_RING
+    chi, eta, n = spec.chi, spec.eta, spec.conductor
+    # the roots of unity chi(h)^i eta(h)^j q^(jk) (chi(m)^i in diff mode)
+    # multiply as one root: their exponents add
+    q_exp = eta.exponent(spec.b)
     for (g, i, j), ca in a.terms.items():
         for (h, k, l), cb in b.terms.items():
-            coeff = ca * cb * spec.chi.eval_pow(h, i) * spec.eta.eval_pow(h, j)
+            coeff = ca * cb
+            root = chi.exponent(h, i) + eta.exponent(h, j)
             gh = g * h
             if skew:
-                _acc(out, (gh, i + k, j + l), coeff * spec.q ** (j * k))
+                _acc(out, (gh, i + k, j + l), _times_root(coeff, root + q_exp * j * k, n))
             else:
                 for (m, xdeg, zdeg), cm in spec._z_past_x(j, k).items():
-                    c2 = coeff * cm * spec.chi.eval_pow(m, i)
+                    c2 = _times_root(coeff * cm, root + chi.exponent(m, i), n)
                     _acc(out, (gh * m, i + xdeg, zdeg + l), c2)
     return HopfElem(spec, out)
 

@@ -16,7 +16,8 @@ primitive roots, q-factorials, centrality of powers, the transversal and
 group, character triviality and restriction, the raw-to-internal PBW
 conversion (inverse of HopfElem.raw_terms), the degree and K[G] parts of
 an element, entrywise matrix equality, and the order of the antipode by
-iteration.
+iteration, and the truncation index of the DiffVbar module by word
+rewriting.
 """
 
 from itertools import product
@@ -87,6 +88,11 @@ def oracle_multiply(a: HopfElem, b: HopfElem) -> dict:
             c = c1 * c2
             words[word] = words.get(word, Cyclotomic.zero(spec.conductor)) + c
 
+    return _collect(spec, _sort_words(spec, words))
+
+
+def _sort_words(spec, words):
+    """Rewrite {word: coeff} until every word is sorted."""
     zero = Cyclotomic.zero(spec.conductor)
     while True:
         progress = False
@@ -104,8 +110,31 @@ def oracle_multiply(a: HopfElem, b: HopfElem) -> dict:
                         next_words.get(new_word, zero) + coeff * factor)
         words = next_words
         if not progress:
-            break
-    return _collect(spec, words)
+            return words
+
+
+def vbar_truncation_by_rewriting(rho, spec, bound):
+    """Least i >= 1 with z x^i v = 0, or None up to bound, in the module
+    induced from g v = rho(g) v, z v = 0 (differential mode).
+
+    That module has the basis x^a v.  Since z = beta^-1 c^-1 y and c acts
+    invertibly, z x^i v = 0 exactly when y x^i v = 0.  The word y x^i is
+    sorted by the defining relations into raw terms g x^a y^b; a term with
+    b > 0 kills v, and g x^a v = chi(g)^-a rho(g) x^a v, by x g = chi(g) g x.
+    Neither the winding sums nor the PBW engine are consulted.
+    """
+    zero = Cyclotomic.zero(spec.conductor)
+    for i in range(1, bound + 1):
+        word = (("y",),) + (("x",),) * i
+        terms = _collect(spec, _sort_words(spec, {word: Cyclotomic.one(spec.conductor)}))
+        action = {}
+        for (g, a, b), coeff in terms.items():
+            if b == 0:
+                action[a] = (action.get(a, zero)
+                             + coeff * spec.chi.eval_pow(g, -a) * rho.eval(g))
+        if all(c.is_zero() for c in action.values()):
+            return i
+    return None
 
 
 def assert_product_matches(a: HopfElem, b: HopfElem) -> None:

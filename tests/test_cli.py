@@ -6,9 +6,12 @@ import time
 
 import pytest
 
-from orehopf.cli import MAX_CONDUCTOR, main, parse_config, ConfigError
-from orehopf.exprparse import (ParseError, element_to_expr, parse_element,
-                               serialize_element)
+from orehopf.abgroup import SubgroupCharacter
+from orehopf.cli import (MAX_CONDUCTOR, MAX_DEGREE, MAX_MODULE_DIM, main,
+                         parse_config, ConfigError)
+from orehopf.exprparse import (MAX_TERM_DEGREE, ParseError, element_to_expr,
+                               parse_element, serialize_element)
+from orehopf.reps import build_Vx_skew
 from orehopf.hopfcore import random_element
 from orehopf.catalog import takeuchi_u1
 
@@ -227,6 +230,71 @@ def test_antipode_power_is_reduced_by_the_order(write_config, capsys):
                             "--power", str(residue))
         assert out["facts"]["result"] == reduced["facts"]["result"]
         assert out["facts"]["expression"] == reduced["facts"]["expression"]
+
+
+def timed_run(capsys, limit_s, *argv):
+    start = time.perf_counter()
+    result = run(capsys, *argv)
+    assert time.perf_counter() - start < limit_s, argv
+    return result
+
+
+@pytest.mark.parametrize("command", ["nf", "coproduct", "antipode"])
+def test_expression_term_degree_is_bounded(write_config, capsys, command):
+    assert MAX_TERM_DEGREE == 32
+    for config in (U1, diff_sweep_spec(2).config_dict()):
+        path = write_config(config)
+        for expr in ("x^200000", "y^33", "x^20 y^13", "x^16 * y^8 * x^9",
+                     "g1 + 2 z^40 x"):
+            code, out, err = timed_run(capsys, 5, command, path, expr)
+            assert code == 2 and out["status"] == "error", expr
+            assert "the x, y, z degree of a term is at most 32" in out["facts"]["error"]
+            assert "Traceback" not in err
+        # the bound is per term; group and zeta exponents reduce exactly
+        code, _, _ = timed_run(capsys, 20, command, path,
+                               "x^16 y^16 + y^32 - 3 zeta^-99999 g1^200000")
+        assert code == 0
+
+
+def test_max_degree_is_bounded(write_config, capsys):
+    assert MAX_DEGREE == 8
+    path = write_config(U1)
+    for value in ("9", "40", "-1"):
+        code, out, err = timed_run(capsys, 5, "hopf-check", path, "--samples", "1",
+                                   "--max-degree", value)
+        assert code == 2 and out["status"] == "error"
+        assert "--max-degree must be an integer in [0, 8]" in err
+    for value in ("0", "8"):
+        code, out, _ = timed_run(capsys, 20, "hopf-check", path, "--samples", "1",
+                                 "--max-degree", value)
+        assert code == 0 and out["facts"]["max_degree"] == int(value)
+
+
+def test_module_dim_is_bounded(write_config, tmp_path, capsys):
+    assert MAX_MODULE_DIM == 16
+    # skew-vx has dimension n on the skew spec of order n
+    path, payload = build_module_file(
+        capsys, tmp_path, write_config(skew_sweep_spec(16).config_dict()),
+        "skew-vx", {"alpha": 1, "lam": [0, 1]}, "vx16.json")
+    assert payload["module"]["dim"] == 16
+    code, _, _ = timed_run(capsys, 20, "module", "check", path)
+    assert code == 0
+    spec = skew_sweep_spec(17)
+    code, out, _ = timed_run(capsys, 5, "module", "build", "skew-vx",
+                             write_config(spec.config_dict(), "c17.json"),
+                             "--params", json.dumps({"alpha": 1, "lam": [0, 1]}))
+    assert code == 2
+    assert out["facts"]["error"] == "module dimension 17 exceeds the bound 16"
+    lam = SubgroupCharacter(spec.chi.kernel(), spec.conductor, [0, 1])
+    module = build_Vx_skew(spec.scalar(1), lam, spec)
+    big = tmp_path / "vx17.json"
+    big.write_text(json.dumps({"config": spec.config_dict(), "module": module.to_dict()}))
+    for argv in (["check", str(big)], ["simple", str(big)], ["classify", str(big)],
+                 ["iso", str(big), str(big)]):
+        code, out, err = timed_run(capsys, 5, "module", *argv)
+        assert code == 2, argv
+        assert out["facts"]["error"] == "module dimension 17 exceeds the bound 16"
+        assert "Traceback" not in err
 
 
 def test_nf_parse_error_exit_2(write_config, capsys):

@@ -1,13 +1,15 @@
 """Exact arithmetic in Q(zeta_N)."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orehopf.cyclotomic import (Cyclotomic, _reduction_table, _root_table,
-                                cyclotomic_polynomial, q_binomial, q_int,
-                                root_of_unity, zeta_log)
+                                cyclotomic_polynomial, euler_phi, q_binomial,
+                                q_int, root_of_unity, zeta_log)
 
 from oracles import is_primitive_root, q_factorial
 
@@ -176,7 +178,7 @@ def test_from_zeta_coeffs_reduces():
 @pytest.mark.parametrize("n", [630, 1000])
 def test_root_of_unity_from_a_cold_cache(n):
     for cached in (root_of_unity, _root_table, cyclotomic_polynomial,
-                   _reduction_table):
+                   _reduction_table, euler_phi):
         cached.cache_clear()
     assert root_of_unity(n, n - 1) * root_of_unity(n, 1) == 1
 
@@ -194,3 +196,79 @@ def test_zeta_log(n):
         # -zeta is a primitive 2N-th root of unity, not an N-th one
         assert zeta_log(-root_of_unity(n, 1)) is None
 
+
+def _random_rational_element(rng, n):
+    coeffs = []
+    for _ in range(euler_phi(n)):
+        r = rng.random()
+        if r < 0.3:
+            coeffs.append(0)
+        elif r < 0.6:
+            coeffs.append(rng.randint(-9, 9))
+        else:
+            coeffs.append(Fraction(rng.randint(-40, 40), rng.randint(1, 15)))
+    return Cyclotomic(n, coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 105, 420])
+def test_against_sympy_reduction_mod_the_cyclotomic_polynomial(n):
+    # an independent oracle: sympy's polynomial remainder modulo Phi_N over QQ
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    phi_n = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain="QQ")
+
+    def poly(coeffs):
+        return sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator)
+                                         for c in coeffs])) or [0], x, domain="QQ")
+
+    def vector(p):
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+        return tuple(coeffs + [Fraction(0)] * (euler_phi(n) - len(coeffs)))
+
+    assert tuple(cyclotomic_polynomial(n)) == tuple(
+        int(c) for c in reversed(phi_n.all_coeffs()))
+    rng = random.Random(n)
+    for _ in range(4 if n > 100 else 25):
+        a = _random_rational_element(rng, n)
+        b = _random_rational_element(rng, n)
+        pa, pb = poly(a.coeffs), poly(b.coeffs)
+        assert (a * b).coeffs == vector((pa * pb).rem(phi_n))
+        assert (a + b).coeffs == vector((pa + pb).rem(phi_n))
+        assert (a - b).coeffs == vector((pa - pb).rem(phi_n))
+        if not b.is_zero():
+            inv = b.inverse()
+            # sympy's own inverse is too slow at phi(N) = 48 and 96 for dense
+            # rational operands; there its product with b must reduce to 1
+            if n <= 12:
+                assert inv.coeffs == vector(pb.invert(phi_n))
+            assert vector((poly(inv.coeffs) * pb).rem(phi_n)) == Cyclotomic.one(n).coeffs
+        zeta = [rng.choice([0, 0, 1, -3, Fraction(2, 7)])
+                for _ in range(rng.randint(0, 2 * n))]
+        assert Cyclotomic.from_zeta_coeffs(n, zeta).coeffs == vector(
+            poly(zeta).rem(phi_n))
+
+
+def _is_canonical(v):
+    return (v.den > 0 and gcd(v.den, *v.num) == 1 and len(v.num) == euler_phi(v.conductor)
+            and v.coeffs == tuple(Fraction(a, v.den) for a in v.num))
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_canonical_numerator_and_denominator(data):
+    n = data.draw(conductors)
+    rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    a = Cyclotomic(n, data.draw(st.lists(rationals, max_size=euler_phi(n))))
+    b = Cyclotomic(n, data.draw(st.lists(rationals, max_size=euler_phi(n))))
+    for v in (a, b, a + b, a - b, a * b, -a, Cyclotomic.zero(n)):
+        assert _is_canonical(v)
+    # equal values reached by different routes share (num, den), == and hash
+    routes = [(a + b) - b, b + a - b, Cyclotomic(n, a.coeffs)]
+    if not b.is_zero():
+        routes += [(a * b) * b.inverse(), (a / b) * b, a * (b * b.inverse())]
+        assert _is_canonical(b.inverse())
+    for route in routes:
+        assert _is_canonical(route)
+        assert (route.num, route.den) == (a.num, a.den)
+        assert route == a and hash(route) == hash(a)
+    assert a.is_zero() == (a.num == (0,) * euler_phi(n) and a.den == 1)

@@ -23,7 +23,7 @@ from orehopf.catalog import takeuchi_u1
 from orehopf import reps
 
 from gen import audit_spec, diff_sweep_spec, random_invertible, skew_sweep_spec
-from oracles import mat_eq
+from oracles import mat_eq, vbar_truncation_by_rewriting
 from test_acceptance import sweep_instances
 
 
@@ -146,18 +146,23 @@ def test_vbar_diff_no_truncation():
     spec = q_one_diff_spec()
     rho = Character(spec.group, spec.conductor, [1, 0])
     assert truncation_index(rho, spec) is None
+    assert vbar_truncation_by_rewriting(rho, spec, 6) is None
     with pytest.raises(SpecError, match="no finite-dimensional torsion quotient"):
         build_Vbar_diff(rho, spec)
 
 
 def test_truncation_index_frozen():
-    # rho(b) = q^{-d}, rho(c) = 1 truncates at d + 1 (mod-n wraparound at d = n)
+    # rho(b) = q^{-d}, rho(c) = 1 truncates at d + 1 (mod-n wraparound at d = n),
+    # and rho(b) = q^(1-d) at d; the oracle sorts y x^i by the defining
+    # relations and never reads the winding sums
     for n in (3, 4, 6):
         spec = audit_spec(n)
         for d in range(1, n + 1):
-            rho = Character(spec.group, n, [(-d) % n, 0])
-            expected = d + 1 if d < n else 1
-            assert truncation_index(rho, spec) == expected, (n, d)
+            for exp, expected in (((-d) % n, d + 1 if d < n else 1),
+                                  ((1 - d) % n, d)):
+                rho = Character(spec.group, n, [exp, 0])
+                assert truncation_index(rho, spec) == expected, (n, d, exp)
+                assert vbar_truncation_by_rewriting(rho, spec, 2 * n) == expected
 
 
 def test_vx_diff_build_and_precondition():
