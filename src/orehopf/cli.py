@@ -13,7 +13,8 @@ Input bounds: the conductor is an integer in [1, MAX_CONDUCTOR], JSON
 booleans are not integers, --samples is at least 1, --max-degree lies in
 [0, MAX_DEGREE], the x, y, z degree of each term of an expression is at
 most exprparse.MAX_TERM_DEGREE, and a module (a module file, or the output
-of module build) has dimension at most MAX_MODULE_DIM.
+of module build) has dimension at most MAX_MODULE_DIM.  module build checks
+the dimension of the family before it builds the module.
 """
 
 import argparse
@@ -23,8 +24,8 @@ import sys
 
 from .abgroup import AbelianGroup, Character, SubgroupCharacter, joint_kernel
 from .catalog import catalog_entry, catalog_names
-from .exprparse import ParseError, element_to_expr, parse_element, serialize_element
-from .hopfcore import (AlgebraSpec, HopfElem, SpecError, antipode, antipode_order,
+from .exprparse import element_to_expr, parse_element, serialize_element
+from .hopfcore import (AlgebraSpec, HopfElem, antipode, antipode_order,
                        comultiply, counit, cyclotomic_to_literal,
                        hopf_axiom_check, literal_to_cyclotomic, validate_spec)
 from .quotient import QuotientSpec, hopf_ideal_check, quotient_basis
@@ -33,7 +34,7 @@ from .reps import (ClassifyError, ModuleRep, are_isomorphic, build_Vbar_diff,
                    build_Vx_diff, build_Vx_skew, build_Vxy_skew, build_Vy_diff,
                    build_Vy_skew, build_induced_skew, build_torsion_char,
                    classify_simple, is_simple_burnside, rep_check,
-                   torsion_profile)
+                   torsion_profile, truncation_index)
 
 
 class ConfigError(ValueError):
@@ -196,9 +197,9 @@ def _resolve_seed(flag_seed, config: Config):
     return 0
 
 
-def _emit(status: str, facts: dict, witnesses=None) -> None:
-    print(json.dumps({"status": status, "facts": facts,
-                      "witnesses": list(witnesses or [])}, indent=2))
+def _emit(status: str, facts: dict) -> None:
+    print(json.dumps({"status": status, "facts": facts, "witnesses": []},
+                     indent=2))
 
 
 def _emit_report(report: Report) -> int:
@@ -276,10 +277,12 @@ def build_family_module(family: str, params: dict, spec: AlgebraSpec) -> ModuleR
     if family == "skew-vx":
         _need(params, family, "alpha", "lam")
         lam = _kernel_character(spec, spec.chi.kernel(), params, "lam")
+        _check_module_dim(spec.chi.order())
         return build_Vx_skew(_literal(spec, params["alpha"], "alpha"), lam, spec)
     if family == "skew-vy":
         _need(params, family, "alpha", "lam")
         lam = _kernel_character(spec, spec.eta.kernel(), params, "lam")
+        _check_module_dim(spec.eta.order())
         return build_Vy_skew(_literal(spec, params["alpha"], "alpha"), lam, spec)
     if family == "skew-vxy":
         _need(params, family, "alpha_x", "alpha_y", "t", "lam")
@@ -287,6 +290,7 @@ def build_family_module(family: str, params: dict, spec: AlgebraSpec) -> ModuleR
         if not _is_int(t):
             raise ConfigError("param 't' must be an integer")
         lam = _kernel_character(spec, spec.chi.kernel(), params, "lam")
+        _check_module_dim(spec.chi.order())
         return build_Vxy_skew(_literal(spec, params["alpha_x"], "alpha_x"),
                               _literal(spec, params["alpha_y"], "alpha_y"), lam, t, spec)
     if family == "induced":
@@ -297,20 +301,20 @@ def build_family_module(family: str, params: dict, spec: AlgebraSpec) -> ModuleR
         kvals = [_literal(spec, k, f"kvals[{i}]") for i, k in enumerate(kvals)]
         sub = joint_kernel([spec.chi, spec.eta])
         lam = _kernel_character(spec, sub, params, "lam")
+        _check_module_dim(sub.index())
         return build_induced_skew(2, [spec.chi, spec.eta], kvals, lam, spec)
     if family == "diff-vbar":
         _need(params, family, "rho")
-        return build_Vbar_diff(_group_character(spec, params, "rho"), spec)
-    if family == "diff-vx":
+        rho = _group_character(spec, params, "rho")
+        _check_module_dim(truncation_index(rho, spec))
+        return build_Vbar_diff(rho, spec)
+    if family in ("diff-vx", "diff-vy"):
         _need(params, family, "rho", "lam", "mu")
-        return build_Vx_diff(_group_character(spec, params, "rho"),
-                             _literal(spec, params["lam"], "lam"),
-                             _literal(spec, params["mu"], "mu"), spec)
-    if family == "diff-vy":
-        _need(params, family, "rho", "lam", "mu")
-        return build_Vy_diff(_group_character(spec, params, "rho"),
-                             _literal(spec, params["lam"], "lam"),
-                             _literal(spec, params["mu"], "mu"), spec)
+        rho = _group_character(spec, params, "rho")
+        lam, mu = (_literal(spec, params[key], key) for key in ("lam", "mu"))
+        _check_module_dim(spec.chi.order())
+        build = build_Vx_diff if family == "diff-vx" else build_Vy_diff
+        return build(rho, lam, mu, spec)
     raise ConfigError(
         f"unknown module family {family!r}; known: torsion-char, skew-vx, "
         f"skew-vy, skew-vxy, induced, diff-vbar, diff-vx, diff-vy")
@@ -439,7 +443,6 @@ def _cmd_module_build(args) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--params is not valid JSON: {exc.msg}") from exc
     module = build_family_module(args.family, params, config.spec)
-    _check_module_dim(module.dim)
     payload = {"config": config.spec.config_dict(),
                "family": args.family,
                "params": params,
@@ -581,10 +584,6 @@ def main(argv=None) -> int:
     except ClassifyError as exc:
         _emit("fail", {"error": str(exc)})
         return 1
-    except (ConfigError, ParseError, SpecError) as exc:
-        _emit("error", {"error": str(exc)})
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         _emit("error", {"error": str(exc)})
         print(f"error: {exc}", file=sys.stderr)

@@ -96,7 +96,7 @@ class _Parser:
         return sign * int(tok[1])
 
     def parse(self) -> HopfElem:
-        result = self.parse_term_signed(allow_leading_sign=True)
+        result = self.parse_term_signed()
         while True:
             tok = self.peek()
             if tok is None:
@@ -108,10 +108,10 @@ class _Parser:
             else:
                 raise ParseError("expected '+' or '-' between terms", tok[2])
 
-    def parse_term_signed(self, allow_leading_sign: bool) -> HopfElem:
+    def parse_term_signed(self) -> HopfElem:
         tok = self.peek()
         negate = False
-        if allow_leading_sign and tok is not None and tok[0] == "op" and tok[1] in "+-":
+        if tok is not None and tok[0] == "op" and tok[1] in "+-":
             self.next()
             negate = tok[1] == "-"
         term = self.parse_term()

@@ -1,9 +1,13 @@
 """Exact dense linear algebra over Q(zeta_N).
 
-Matrices are lists of row lists of Cyclotomic values.  Everything here is
-plain Gaussian elimination with exact field division; sizes stay at desk
-scale (dimensions bounded by a few dozen), so no pivoting strategy beyond
-first-nonzero is needed.
+Matrices are lists of row lists of Cyclotomic values.  One elimination
+routine, `_insert`, serves every solver: it adds a row to a reduced row
+echelon basis, pivot normalized to 1 and cleared from the other rows.
+`rref` inserts the rows of a matrix one by one, `nullspace` and `inverse`
+read its result, and `SpanBasis` keeps a basis for closure runs.  The
+reduced echelon form of a row space is unique, so the order of insertion
+does not change it.  Sizes stay at desk scale (dimensions bounded by a few
+dozen), so no pivoting strategy beyond first-nonzero is needed.
 """
 
 from __future__ import annotations
@@ -74,30 +78,36 @@ def is_zero_matrix(A) -> bool:
     return all(a.is_zero() for row in A for a in row)
 
 
+def _insert(rows, pivots, vec) -> bool:
+    """Add vec to the reduced echelon basis (rows, pivots) in place; returns
+    True when it enlarged the span."""
+    v = list(vec)
+    for row, p in zip(rows, pivots):
+        if not v[p].is_zero():
+            f = v[p]
+            v = [x - f * y for x, y in zip(v, row)]
+    p = next((i for i, x in enumerate(v) if not x.is_zero()), None)
+    if p is None:
+        return False
+    inv = v[p].inverse()
+    v = [x * inv for x in v]
+    # keep the basis fully reduced so membership tests stay valid
+    for i, row in enumerate(rows):
+        if not row[p].is_zero():
+            f = row[p]
+            rows[i] = [x - f * y for x, y in zip(row, v)]
+    idx = next((i for i, q in enumerate(pivots) if q > p), len(pivots))
+    rows.insert(idx, v)
+    pivots.insert(idx, p)
+    return True
+
+
 def rref(A):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in A]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    rows, pivots = [], []
+    for vec in A:
+        _insert(rows, pivots, vec)
+    return rows, pivots
 
 
 def nullspace(A):
@@ -126,9 +136,9 @@ def inverse(A):
     conductor = A[0][0].conductor
     aug = [list(row) + list(idrow) for row, idrow in zip(A, identity(d, conductor))]
     rows, pivots = rref(aug)
-    if len(rows) < d or pivots[:d] != list(range(d)):
+    if pivots[:d] != list(range(d)):
         return None
-    return [row[d:] for row in rows[:d]]
+    return [row[d:] for row in rows]
 
 
 class SpanBasis:
@@ -138,31 +148,9 @@ class SpanBasis:
         self.rows = []      # echelon rows, pivot normalized to 1
         self.pivots = []    # pivot column per row
 
-    def reduce(self, vec):
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if not v[p].is_zero():
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
-
     def add(self, vec) -> bool:
         """Insert vec; returns True when it enlarged the span."""
-        v = self.reduce(vec)
-        p = next((i for i, x in enumerate(v) if not x.is_zero()), None)
-        if p is None:
-            return False
-        inv = v[p].inverse()
-        v = [x * inv for x in v]
-        # keep the basis fully reduced so membership tests stay valid
-        for i, row in enumerate(self.rows):
-            if not row[p].is_zero():
-                f = row[p]
-                self.rows[i] = [x - f * y for x, y in zip(row, v)]
-        idx = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(idx, v)
-        self.pivots.insert(idx, p)
-        return True
+        return _insert(self.rows, self.pivots, vec)
 
     def dim(self) -> int:
         return len(self.rows)

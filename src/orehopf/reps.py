@@ -384,7 +384,7 @@ def _intertwiner_space(pairs, dim: int, conductor: int):
                 for k in range(dim):
                     row[k * dim + j] = row[k * dim + j] - B[i][k]
                 rows.append(row)
-    basis = nullspace(rows) if rows else []
+    basis = nullspace(rows)
     return [[vec[i * dim:(i + 1) * dim] for i in range(dim)] for vec in basis]
 
 
@@ -453,7 +453,6 @@ class SimpleParams:
     t: int | None = None
     n: int | None = None
     d: int | None = None
-    shift: int | None = None
     alpha_pow: Cyclotomic | None = None
     alpha_x_pow: Cyclotomic | None = None
     coupling: Cyclotomic | None = None
@@ -479,7 +478,7 @@ class SimpleParams:
             v = getattr(self, name)
             if v is not None:
                 out[name] = cyclotomic_to_literal(v)
-        for name in ("t", "n", "d", "shift"):
+        for name in ("t", "n", "d"):
             v = getattr(self, name)
             if v is not None:
                 out[name] = v
@@ -650,9 +649,11 @@ def build_Vxy_skew(alpha_x: Cyclotomic, alpha_y: Cyclotomic, lam, t: int,
 def truncation_index(rho: Character, spec: AlgebraSpec):
     """Least d >= 1 with rho(wind(e, d)) = 0, or None if none exists up to
     the order of chi."""
-    n = spec.chi.order()
-    for d in range(1, n + 1):
-        if wind(spec.e, d, spec).apply_char(rho).is_zero():
+    # rho(wind(e, d)) = sum_{k<d} rho(tau_chi^(-k)(e)), summed as d grows
+    value = Cyclotomic.zero(spec.conductor)
+    for d in range(1, spec.chi.order() + 1):
+        value = value + spec.e.twist(spec.chi, 1 - d).apply_char(rho)
+        if value.is_zero():
             return d
     return None
 
@@ -867,14 +868,9 @@ def _joint_group_eigen(M: ModuleRep):
                     for i in range(d)]
             kernel = nullspace(rows)
             if kernel:
-                new_cols = []
-                for u in kernel:
-                    vec = [Cyclotomic.zero(N)] * d
-                    for j, coeff in enumerate(u):
-                        for i in range(d):
-                            vec[i] = vec[i] + coeff * cols[j][i]
-                    new_cols.append(vec)
-                cols = new_cols
+                # the kernel vectors are coordinates in the columns cols
+                basis = list(zip(*cols))
+                cols = [mat_vec(basis, u) for u in kernel]
                 found = xi
                 break
         if found is None:

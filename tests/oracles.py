@@ -15,9 +15,9 @@ primitive roots, q-factorials, centrality of powers, the transversal and
 2-cocycle of a cyclic quotient of the group, the enumeration of a finite
 group, character triviality and restriction, the raw-to-internal PBW
 conversion (inverse of HopfElem.raw_terms), the degree and K[G] parts of
-an element, entrywise matrix equality, and the order of the antipode by
-iteration, and the truncation index of the DiffVbar module by word
-rewriting.
+an element, entrywise matrix equality, the reduced row echelon form by a
+column sweep, the order of the antipode by iteration, and the truncation
+index of the DiffVbar module by word rewriting.
 """
 
 from itertools import product
@@ -254,6 +254,33 @@ def group_part(a: HopfElem) -> GroupAlgElem:
 
 def mat_eq(A, B) -> bool:
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+
+
+def rref_by_column_sweep(A):
+    """Reduced row echelon form by Gauss-Jordan elimination column by
+    column, swapping the first nonzero entry up; returns (rows, pivots).
+    The reference for linalg, which inserts rows one at a time."""
+    rows = [list(r) for r in A]
+    if not rows:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
 
 
 def antipode_order_by_iteration(spec: AlgebraSpec) -> int:

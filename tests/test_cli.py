@@ -297,6 +297,33 @@ def test_module_dim_is_bounded(write_config, tmp_path, capsys):
         assert "Traceback" not in err
 
 
+SKEW420 = {"conductor": 420, "group": {"free_rank": 0, "torsion": [420]},
+           "chi": [1], "eta": [1], "b": [419], "c": [1], "beta": 0}
+DIFF420 = dict(SKEW420, eta=[419], b=[1], beta=1)
+
+
+@pytest.mark.parametrize("family, params, dim", [
+    ("skew-vx", {"alpha": 1, "lam": [0]}, 420),
+    ("skew-vy", {"alpha": 1, "lam": [0]}, 420),
+    ("skew-vxy", {"alpha_x": 1, "alpha_y": 1, "t": 1, "lam": [0]}, 420),
+    ("induced", {"kvals": [1, 1], "lam": [0]}, 420),
+    ("diff-vx", {"rho": [0], "lam": 1, "mu": 0}, 420),
+    ("diff-vy", {"rho": [0], "lam": 0, "mu": 1}, 420),
+    ("diff-vbar", {"rho": [419]}, 419),
+], ids=["skew-vx", "skew-vy", "skew-vxy", "induced", "diff-vx", "diff-vy",
+        "diff-vbar"])
+def test_module_build_checks_the_dimension_first(write_config, capsys, family,
+                                                 params, dim):
+    # building any of these takes from seconds to minutes; the bound is
+    # decided from the family's dimension before the matrices exist
+    config = DIFF420 if family.startswith("diff") else SKEW420
+    code, out, err = timed_run(capsys, 5, "module", "build", family,
+                               write_config(config), "--params", json.dumps(params))
+    assert code == 2 and out["status"] == "error"
+    assert out["facts"]["error"] == f"module dimension {dim} exceeds the bound 16"
+    assert "Traceback" not in err
+
+
 def test_nf_parse_error_exit_2(write_config, capsys):
     code, out, err = run(capsys, "nf", write_config(U1), "x + + y")
     assert code == 2

@@ -133,3 +133,82 @@ def test_the_definition_check_sees_unused_names():
                      "def e():\n    pass\n\nx = b()\n")
     other = ast.parse("from m import C\n")
     assert _dead_definitions(tree, [other], ["e"]) == [(1, "a"), (7, "C")]
+
+
+def _defaulted_parameters(tree):
+    """(line, name, parameter, position) of every parameter with a default
+    on a function of tree.  name is what a call spells: the function's own
+    name, or the class name for __init__.  position counts the arguments a
+    caller passes positionally (self and cls left out); None for
+    keyword-only parameters."""
+    methods = {}  # method -> (class name, bound arguments a call omits)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    methods[item] = (node.name, 0 if static else 1)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        owner, bound = methods.get(node, (None, 0))
+        name = owner if node.name == "__init__" and owner else node.name
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for index, arg in enumerate(positional[first:], start=first):
+            yield node.lineno, name, arg.arg, index - bound
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield node.lineno, name, arg.arg, None
+
+
+def _passed(calls, parameter, position):
+    """Whether one of the calls, each (positional count, keyword names,
+    unpacks *args, unpacks **kwargs), passes the parameter."""
+    return any(kwargs or parameter in keywords
+               or (position is not None and (star or npos > position))
+               for npos, keywords, star, kwargs in calls)
+
+
+def _unset_parameters(trees, caller_trees):
+    """(file, line, name, parameter) of every parameter with a default that
+    no call in caller_trees passes; calls are matched by name."""
+    calls = {}
+    for tree in caller_trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls.setdefault(name, []).append((
+                len(node.args), {k.arg for k in node.keywords},
+                any(isinstance(a, ast.Starred) for a in node.args),
+                any(k.arg is None for k in node.keywords)))
+    return sorted((file, line, name, parameter)
+                  for file, tree in trees.items()
+                  for line, name, parameter, position in _defaulted_parameters(tree)
+                  if not _passed(calls.get(name, []), parameter, position))
+
+
+def test_no_unset_parameters():
+    # a default that every caller keeps is a constant; a knob nobody turns
+    # is code to delete
+    root = SRC.parent.parent
+    callers = [ast.parse(p.read_text(), filename=str(p))
+               for folder in ("src", "tests", "perfbench")
+               for p in sorted((root / folder).rglob("*.py"))]
+    unset = _unset_parameters(_parsed_sources(), callers)
+    assert unset == [], f"parameters no call passes: {unset}"
+
+
+def test_the_parameter_check_sees_unset_defaults():
+    tree = ast.parse("def f(a, b=1, *, c=2, d=3):\n    pass\n\n"
+                     "class K:\n    def __init__(self, x=0, y=0):\n        pass\n\n"
+                     "    def m(self, z=1):\n        pass\n\n"
+                     "    @staticmethod\n    def s(w=1):\n        pass\n\n"
+                     "def g(u=1, v=2):\n    pass\n")
+    calls = ast.parse("f(1, c=3)\nK(1)\nk.m()\nK.s(2)\ng(*args)\n")
+    assert _unset_parameters({"a.py": tree}, [tree, calls]) == [
+        ("a.py", 1, "f", "b"), ("a.py", 1, "f", "d"), ("a.py", 5, "K", "y"),
+        ("a.py", 8, "m", "z")]

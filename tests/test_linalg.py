@@ -1,0 +1,127 @@
+"""The elimination kernel of linalg against the column-sweep reference.
+
+rref, nullspace, inverse and SpanBasis all run on one row-insertion
+routine; tests/oracles.py keeps the column-by-column Gauss-Jordan sweep.
+The reduced echelon form of a row space is unique, so both must return
+the same rows and pivots exactly, whatever the order of the rows.
+"""
+
+import random
+
+import pytest
+
+from orehopf.cyclotomic import Cyclotomic
+from orehopf.linalg import (SpanBasis, identity, inverse, mat_mul, mat_vec,
+                            nullspace, rref)
+
+from gen import random_scalar
+from oracles import mat_eq, rref_by_column_sweep
+
+CONDUCTORS = (1, 3, 8, 12)
+
+
+def _random_matrix(rng, nrows, ncols, N):
+    """Entries are zero with probability 0.4, else small random scalars."""
+    zero = Cyclotomic.zero(N)
+    return [[random_scalar(rng, N) if rng.random() < 0.6 else zero
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _rank(A):
+    return len(rref_by_column_sweep(A)[1])
+
+
+def _intertwiner_rows(pairs, dim):
+    """The linear system T A = B T over all pairs, one row per entry (i, j),
+    in the unknowns T[i][k] at column i * dim + k."""
+    N = pairs[0][0][0][0].conductor
+    rows = []
+    for A, B in pairs:
+        for i in range(dim):
+            for j in range(dim):
+                row = [Cyclotomic.zero(N)] * (dim * dim)
+                for k in range(dim):
+                    row[i * dim + k] = row[i * dim + k] + A[k][j]
+                    row[k * dim + j] = row[k * dim + j] - B[i][k]
+                rows.append(row)
+    return rows
+
+
+def _shapes(rng, N):
+    """(name, matrix) for every shape the kernel meets."""
+    while True:
+        invertible = _random_matrix(rng, 4, 4, N)
+        if _rank(invertible) == 4:
+            break
+    # rank at most 3: the last row repeats a combination of the others
+    singular = _random_matrix(rng, 3, 4, N)
+    s, t = random_scalar(rng, N), random_scalar(rng, N)
+    singular.append([s * a + t * b for a, b in zip(singular[0], singular[2])])
+    # an intertwiner system of a module with itself: tall, and the identity
+    # (with every polynomial in the action) spans a nonzero kernel
+    action = [_random_matrix(rng, 3, 3, N) for _ in range(2)]
+    tall = _intertwiner_rows([(A, A) for A in action], 3)
+    low_rank = mat_mul(_random_matrix(rng, 6, 2, N), _random_matrix(rng, 2, 5, N))
+    return [("square invertible", invertible), ("square singular", singular),
+            ("tall intertwiner system", tall), ("tall low rank", low_rank),
+            ("wide", _random_matrix(rng, 3, 6, N)),
+            ("all zero", [[Cyclotomic.zero(N)] * 4 for _ in range(3)]),
+            ("single row", _random_matrix(rng, 1, 5, N)),
+            ("single zero row", [[Cyclotomic.zero(N)] * 3])]
+
+
+def _nullspace_from(rows, pivots, ncols, N):
+    """Kernel basis read off a reduced echelon form, one vector per free
+    column in increasing order."""
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Cyclotomic.zero(N)] * ncols
+        v[f] = Cyclotomic.one(N)
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("N", CONDUCTORS)
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_matches_column_sweep(N, seed):
+    rng = random.Random(1000 * N + seed)
+    for name, A in _shapes(rng, N):
+        ncols = len(A[0])
+        want_rows, want_pivots = rref_by_column_sweep(A)
+        rank = len(want_pivots)
+
+        rows, pivots = rref(A)
+        assert (rows, pivots) == (want_rows, want_pivots), name
+
+        # SpanBasis: the same basis in any insertion order, and add reports
+        # exactly the rows that raise the rank
+        for order in (list(A), rng.sample(A, len(A))):
+            span = SpanBasis()
+            grew = [span.add(vec) for vec in order]
+            assert (span.rows, span.pivots, span.dim()) == \
+                (want_rows, want_pivots, rank), name
+            assert grew == [_rank(order[:i + 1]) > _rank(order[:i])
+                            for i in range(len(order))], name
+
+        kernel = nullspace(A)
+        assert kernel == _nullspace_from(want_rows, want_pivots, ncols, N), name
+        assert len(kernel) == ncols - rank, name
+        for v in kernel:
+            assert all(x.is_zero() for x in mat_vec(A, v)), name
+
+        if len(A) == ncols:
+            inv = inverse(A)
+            if rank < ncols:
+                assert inv is None, name
+                continue
+            aug = [list(row) + list(e) for row, e in zip(A, identity(ncols, N))]
+            want_inv = [row[ncols:] for row in rref_by_column_sweep(aug)[0]]
+            assert inv == want_inv, name
+            assert mat_eq(mat_mul(A, inv), identity(ncols, N)), name
+
+
+def test_empty_matrix():
+    assert rref([]) == rref_by_column_sweep([]) == ([], [])
+    assert nullspace([]) == []
