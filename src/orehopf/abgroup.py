@@ -15,6 +15,7 @@ representatives.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 from .cyclotomic import Cyclotomic, root_of_unity
 
@@ -48,19 +49,15 @@ class AbelianGroup:
     def __repr__(self):
         return f"AbelianGroup(free_rank={self.free_rank}, torsion={list(self.torsion_orders)})"
 
-    def _reduce(self, exps):
+    def element(self, exps) -> "GroupElement":
+        """The element with these exponents; checks their number."""
         exps = list(exps)
         if len(exps) != self.ngens:
             raise ValueError(f"expected {self.ngens} exponents, got {len(exps)}")
-        for i, n in enumerate(self.torsion_orders):
-            exps[self.free_rank + i] %= n
-        return tuple(exps)
-
-    def element(self, exps) -> "GroupElement":
-        return GroupElement(self, self._reduce(exps))
+        return _element(self, exps)
 
     def identity(self) -> "GroupElement":
-        return self.element([0] * self.ngens)
+        return _element(self, [0] * self.ngens)
 
     def generator(self, i: int) -> "GroupElement":
         exps = [0] * self.ngens
@@ -93,39 +90,51 @@ class GroupElement:
     __slots__ = ("group", "exps", "_hash")
 
     def __init__(self, group: AbelianGroup, exps: tuple):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "exps", exps)
-        object.__setattr__(self, "_hash", hash(exps))
+        _set_group(self, group)
+        _set_exps(self, exps)
+        _set_hash(self, hash(exps))
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
 
-    def _check(self, other):
-        if not isinstance(other, GroupElement) or other.group != self.group:
-            raise ValueError("group elements belong to different groups")
-
     def __mul__(self, other):
-        self._check(other)
-        return self.group.element([a + b for a, b in zip(self.exps, other.exps)])
+        group = self.group
+        if not isinstance(other, GroupElement) or (other.group is not group
+                                                   and other.group != group):
+            raise ValueError("group elements belong to different groups")
+        return _element(group, [a + b for a, b in zip(self.exps, other.exps)])
 
     def inverse(self):
-        return self.group.element([-a for a in self.exps])
+        return _element(self.group, [-a for a in self.exps])
 
     def __pow__(self, k: int):
-        return self.group.element([k * a for a in self.exps])
+        return _element(self.group, [k * a for a in self.exps])
 
     def is_identity(self) -> bool:
-        return all(a == 0 for a in self.exps)
+        return not any(self.exps)
 
     def __eq__(self, other):
-        return (isinstance(other, GroupElement) and self.group == other.group
-                and self.exps == other.exps)
+        return (isinstance(other, GroupElement) and self.exps == other.exps
+                and (self.group is other.group or self.group == other.group))
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
         return f"g{list(self.exps)}"
+
+
+_set_group = GroupElement.group.__set__
+_set_exps = GroupElement.exps.__set__
+_set_hash = GroupElement._hash.__set__
+
+
+def _element(group: AbelianGroup, exps: list) -> GroupElement:
+    """The element with the exponent list exps, of length group.ngens; only
+    the torsion coordinates are reduced, in place."""
+    for i, n in enumerate(group.torsion_orders, group.free_rank):
+        exps[i] %= n
+    return GroupElement(group, tuple(exps))
 
 
 class Character:
@@ -159,7 +168,7 @@ class Character:
 
     def exponent(self, g: GroupElement, t: int = 1) -> int:
         """k in [0, N) with chi(g)^t = zeta_N^k."""
-        return (t * sum(e * x for e, x in zip(self.exps, g.exps))) % self.conductor
+        return (t * sum(map(mul, self.exps, g.exps))) % self.conductor
 
     def order(self) -> int:
         out = 1

@@ -18,6 +18,13 @@ Moving z across a power of x is done in one step with the winding elements
 [e]_i rather than i single rewrites; the single-step path lives in the test
 suite as an independent oracle.
 
+One monomial kernel, _monomial_product, gives x^i w^j x^k w^l as PBW rows
+(m, xdeg, wdeg, r, coeff): one row q^(jk) x^(i+k) w^(j+l) in skew mode, the
+rows of z^j x^k in diff mode.  multiply (on H) and TensorElem.__mul__ (on
+H (x) H, factor by factor) both read it: a product of two monomials adds
+the exponents of its roots of unity (chi(h)^i eta(h)^j and each r) and
+multiplies by one root, with no element built per pair.
+
 Both PBW generators are skew-primitive, so Delta and S of a PBW monomial
 g x^i w^j come from closed forms (Gauss binomials for Delta(v^n), a group
 element power for S(v)^n) rather than from products in H (x) H.  The
@@ -237,10 +244,8 @@ class AlgebraSpec:
         cached = self._z_past_x_cache.get(key)
         if cached is not None:
             return cached
-        ident = self.group.identity()
-        one = Cyclotomic.one(self.conductor)
         if j == 0:
-            out = {(ident, k, 0): one}
+            out = {(self.group.identity(), k, 0): root_of_unity(self.conductor, 0)}
         else:
             prev = self._z_past_x(j - 1, k)
             out = {}
@@ -414,27 +419,40 @@ def _times_root(coeff: Cyclotomic, k: int, n: int) -> Cyclotomic:
     return coeff * root_of_unity(n, k) if k else coeff
 
 
+def _monomial_product(spec: AlgebraSpec, i: int, j: int, k: int, l: int):
+    """x^i w^j x^k w^l in PBW form, as rows (m, xdeg, wdeg, r, coeff) of
+    sum coeff zeta^r m x^xdeg w^wdeg.
+
+    Skew mode: w^j x^k = q^(jk) x^k w^j, one row with m = 1 and coeff 1.
+    Diff mode: the rows of z^j x^k = sum cm m x^a z^b, where x^i m =
+    chi(m)^i m x^i gives r.  A zero cm stays (a vanishing q-binomial).
+    """
+    if spec.mode is Mode.SKEW_GROUP_RING:
+        return ((spec.group.identity(), i + k, j + l, spec.eta.exponent(spec.b, j * k),
+                 root_of_unity(spec.conductor, 0)),)
+    chi = spec.chi
+    return [(m, i + a, b + l, chi.exponent(m, i), cm)
+            for (m, a, b), cm in spec._z_past_x(j, k).items()]
+
+
 def multiply(a: HopfElem, b: HopfElem) -> HopfElem:
     """Exact product in PBW normal form."""
     a._check(b)
     spec = a.spec
     out = {}
-    skew = spec.mode is Mode.SKEW_GROUP_RING
     chi, eta, n = spec.chi, spec.eta, spec.conductor
-    # the roots of unity chi(h)^i eta(h)^j q^(jk) (chi(m)^i in diff mode)
-    # multiply as one root: their exponents add
-    q_exp = eta.exponent(spec.b)
+    one = root_of_unity(n, 0)
+    # the roots of unity chi(h)^i eta(h)^j and zeta^r of each row multiply
+    # as one root: their exponents add
     for (g, i, j), ca in a.terms.items():
         for (h, k, l), cb in b.terms.items():
             coeff = ca * cb
             root = chi.exponent(h, i) + eta.exponent(h, j)
             gh = g * h
-            if skew:
-                _acc(out, (gh, i + k, j + l), _times_root(coeff, root + q_exp * j * k, n))
-            else:
-                for (m, xdeg, zdeg), cm in spec._z_past_x(j, k).items():
-                    c2 = _times_root(coeff * cm, root + chi.exponent(m, i), n)
-                    _acc(out, (gh * m, i + xdeg, zdeg + l), c2)
+            for m, xdeg, wdeg, r, cm in _monomial_product(spec, i, j, k, l):
+                c = coeff if cm is one else coeff * cm
+                _acc(out, (gh if m.is_identity() else gh * m, xdeg, wdeg),
+                     _times_root(c, root + r, n))
     return HopfElem(spec, out)
 
 
@@ -483,17 +501,30 @@ class TensorElem(_Terms):
             return self.scale(other)
         self._check(other)
         spec = self.spec
+        chi, eta, n = spec.chi, spec.eta, spec.conductor
+        one = root_of_unity(n, 0)
         out = {}
-        for (a1, a2), ca in self.terms.items():
-            e1 = HopfElem(spec, {a1: Cyclotomic.one(spec.conductor)})
-            e2 = HopfElem(spec, {a2: Cyclotomic.one(spec.conductor)})
-            for (b1, b2), cb in other.terms.items():
-                p1 = multiply(e1, HopfElem(spec, {b1: Cyclotomic.one(spec.conductor)}))
-                p2 = multiply(e2, HopfElem(spec, {b2: Cyclotomic.one(spec.conductor)}))
+        for ((g1, i1, j1), (g2, i2, j2)), ca in self.terms.items():
+            for ((h1, k1, l1), (h2, k2, l2)), cb in other.terms.items():
                 f = ca * cb
-                for k1, c1 in p1.terms.items():
-                    for k2, c2 in p2.terms.items():
-                        _acc(out, (k1, k2), f * c1 * c2)
+                # chi(h1)^i1 eta(h1)^j1 chi(h2)^i2 eta(h2)^j2 and both row
+                # roots multiply as one root
+                root = (chi.exponent(h1, i1) + eta.exponent(h1, j1)
+                        + chi.exponent(h2, i2) + eta.exponent(h2, j2))
+                gh1, gh2 = g1 * h1, g2 * h2
+                # zero rows (vanishing q-binomials) add nothing and are skipped
+                rows2 = _monomial_product(spec, i2, j2, k2, l2)
+                for m1, x1, w1, r1, c1 in _monomial_product(spec, i1, j1, k1, l1):
+                    if c1.is_zero():
+                        continue
+                    key1 = (gh1 if m1.is_identity() else gh1 * m1, x1, w1)
+                    f1 = f if c1 is one else f * c1
+                    for m2, x2, w2, r2, c2 in rows2:
+                        if c2.is_zero():
+                            continue
+                        key2 = (gh2 if m2.is_identity() else gh2 * m2, x2, w2)
+                        _acc(out, (key1, key2),
+                             _times_root(f1 if c2 is one else f1 * c2, root + r1 + r2, n))
         return TensorElem(spec, out)
 
     def __repr__(self):
@@ -632,12 +663,10 @@ def _triple_from_tensor(t: TensorElem, slot: int) -> dict:
     """Delta applied to tensor factor slot, as {(k1, k2, k3): coeff}:
     slot 0 gives (Delta (x) id), slot 1 gives (id (x) Delta)."""
     spec = t.spec
-    one = Cyclotomic.one(spec.conductor)
     out = {}
     for pair, c in t.terms.items():
-        d = comultiply(HopfElem(spec, {pair[slot]: one}))
-        for split, v in d.terms.items():
-            _acc(out, pair[:slot] + split + pair[slot + 1:], c * v)
+        for split, v in comultiply(HopfElem(spec, {pair[slot]: c})).terms.items():
+            _acc(out, pair[:slot] + split + pair[slot + 1:], v)
     return _nonzero(out)
 
 
@@ -674,15 +703,17 @@ def hopf_axiom_check(spec: AlgebraSpec, sample_count: int = 50,
         # counit laws (eps (x) id)Delta = a = (id (x) eps)Delta and antipode
         # laws m(S (x) id)Delta = eps * 1 = m(id (x) S)Delta, one pass
         eps_id, id_eps, s_left, s_right = {}, {}, {}, {}
+        # c rides in m1 (and in the copy m2c of m2), so no product by c follows
         for (k1, k2), c in da.terms.items():
-            m1 = HopfElem(spec, {k1: one})
+            m1 = HopfElem(spec, {k1: c})
             m2 = HopfElem(spec, {k2: one})
-            _acc(eps_id, k2, c * counit(m1))
-            _acc(id_eps, k1, c * counit(m2))
+            m2c = HopfElem(spec, {k2: c})
+            _acc(eps_id, k2, counit(m1))
+            _acc(id_eps, k1, counit(m2c))
             for k, v in multiply(antipode(m1), m2).terms.items():
-                _acc(s_left, k, c * v)
+                _acc(s_left, k, v)
             for k, v in multiply(m1, antipode(m2)).terms.items():
-                _acc(s_right, k, c * v)
+                _acc(s_right, k, v)
         checks["counit"] += 1
         if HopfElem(spec, eps_id) != a or HopfElem(spec, id_eps) != a:
             fail("counit", _describe(a))
@@ -692,11 +723,12 @@ def hopf_axiom_check(spec: AlgebraSpec, sample_count: int = 50,
             fail("antipode", _describe(a))
 
         b = random_element(spec, rng, max_degree=max_degree)
+        ab = multiply(a, b)
         checks["delta_multiplicative"] += 1
-        if comultiply(multiply(a, b)) != da * comultiply(b):
+        if comultiply(ab) != da * comultiply(b):
             fail("delta_multiplicative", [_describe(a), _describe(b)])
         checks["counit_multiplicative"] += 1
-        if counit(multiply(a, b)) != counit(a) * counit(b):
+        if counit(ab) != counit(a) * counit(b):
             fail("counit_multiplicative", [_describe(a), _describe(b)])
 
     return Report(name="hopf_axiom_check", passed=not witnesses,

@@ -666,9 +666,12 @@ def _diff_matrices(rho: Character, n: int, wrap: Cyclotomic, offset: Cyclotomic,
     N = spec.conductor
     S = zeros(n, n, N)
     L = zeros(n, n, N)
+    # rho(wind(e, i; char)) = sum_{k<i} rho(tau_char^(-k)(e)), summed as i grows
+    wound = Cyclotomic.zero(N)
     for i in range(1, n):
         S[i][i - 1] = Cyclotomic.one(N)
-        L[i - 1][i] = offset + sign * wind(spec.e, i, spec, character=char).apply_char(rho)
+        wound = wound + spec.e.twist(char, 1 - i).apply_char(rho)
+        L[i - 1][i] = offset + sign * wound
     if not wrap.is_zero():
         S[0][n - 1] = wrap
         L[n - 1][0] = wrap.inverse() * offset

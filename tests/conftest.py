@@ -1,7 +1,14 @@
-"""Terminal summary: one pass/fail line per acceptance criterion."""
+"""Terminal summary: one pass/fail line per acceptance criterion.
+
+The oracle module's asserts are rewritten like a test module's, so that
+they still run under python -O."""
 
 import re
 import sys
+
+import pytest
+
+pytest.register_assert_rewrite("oracles")
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 

@@ -9,6 +9,7 @@ them by one-step rewriting with the defining relations only:
     y x -> q x y + beta (1 - cb)      (q = eta(b))
 
 It never consults the library's PBW engine, so agreement is meaningful.
+The product in H (x) H is built on it one pair of tensor terms at a time.
 
 The module also keeps small reference checks that only the tests use:
 primitive roots, q-factorials, centrality of powers, the transversal and
@@ -26,7 +27,7 @@ from orehopf.abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
                              SubgroupCharacter)
 from orehopf.cyclotomic import Cyclotomic, divisors, q_int
 from orehopf.hopfcore import (AlgebraSpec, GroupAlgElem, HopfElem, Mode,
-                              antipode, multiply)
+                              TensorElem, antipode, multiply)
 
 
 def _word_of(g, i, j):
@@ -111,6 +112,31 @@ def _sort_words(spec, words):
         words = next_words
         if not progress:
             return words
+
+
+def tensor_multiply_by_pairs(s: TensorElem, t: TensorElem) -> TensorElem:
+    """Product in H (x) H one pair of terms at a time:
+    (a1 (x) a2)(b1 (x) b2) = a1 b1 (x) a2 b2, with both factor products
+    taken by the rewriting oracle and the two expansions multiplied out."""
+    spec = s.spec
+    one = Cyclotomic.one(spec.conductor)
+    zero = Cyclotomic.zero(spec.conductor)
+    products = {}
+
+    def monomial_product(k1, k2):
+        if (k1, k2) not in products:
+            raw = oracle_multiply(HopfElem(spec, {k1: one}), HopfElem(spec, {k2: one}))
+            products[(k1, k2)] = from_raw_terms(spec, raw).terms
+        return products[(k1, k2)]
+
+    out = {}
+    for (a1, a2), ca in s.terms.items():
+        for (b1, b2), cb in t.terms.items():
+            f = ca * cb
+            for k1, c1 in monomial_product(a1, b1).items():
+                for k2, c2 in monomial_product(a2, b2).items():
+                    out[(k1, k2)] = out.get((k1, k2), zero) + f * c1 * c2
+    return TensorElem(spec, out)
 
 
 def vbar_truncation_by_rewriting(rho, spec, bound):

@@ -29,6 +29,33 @@ def test_element_arithmetic_torsion():
     assert (a ** -1).exps == (-2, 1)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_group_products_match_element(data):
+    # products, inverses and powers reduce only the torsion coordinates;
+    # G.element, which checks its input, is the reference
+    free = data.draw(st.integers(0, 2))
+    torsion = tuple(data.draw(st.lists(st.integers(2, 6), max_size=2)))
+    G = AbelianGroup(free, torsion)
+    vec = st.lists(st.integers(-20, 20), min_size=G.ngens, max_size=G.ngens)
+    u, v = data.draw(vec), data.draw(vec)
+    k = data.draw(st.integers(-6, 6))
+    g, h = G.element(u), G.element(v)
+    for got, exps in ((g * h, [a + b for a, b in zip(u, v)]),
+                      (g.inverse(), [-a for a in u]),
+                      (g ** k, [k * a for a in u])):
+        want = G.element(exps)
+        assert got == want and got.group is G
+        assert got.exps == want.exps and got._hash == want._hash == hash(got)
+    assert g * AbelianGroup(free, torsion).element(v) == g * h
+    other = (AbelianGroup(free, tuple(n + 1 for n in torsion)) if torsion
+             else AbelianGroup(free + 1))
+    with pytest.raises(ValueError):
+        g * other.identity()
+    with pytest.raises(ValueError):
+        G.element(u + [0])
+
+
 def test_group_order():
     assert AbelianGroup(0, (2, 3)).order() == 6
     assert AbelianGroup(1).order() is None

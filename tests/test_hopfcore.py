@@ -16,7 +16,8 @@ from orehopf.quotient import QuotientElem, QuotientSpec, q_reduce
 
 from gen import diff_sweep_spec, quotient_sweep_spec, skew_sweep_spec
 from oracles import (antipode_order_by_iteration, assert_product_matches,
-                     centrality_check, from_raw_terms, group_part, max_degrees)
+                     centrality_check, from_raw_terms, group_part, max_degrees,
+                     tensor_multiply_by_pairs)
 
 
 def u1_spec():
@@ -220,6 +221,27 @@ def test_structure_maps_match_product_oracle(name):
             mono = ge * spec.x() ** i * w ** j
             assert comultiply(mono) == g_dx_pows[i] * dw_pows[j], (name, i, j)
             assert antipode(mono) == sw ** j * sx ** i * ge_inv, (name, i, j)
+
+
+def _diff_beta2_spec():
+    # diff_sweep_spec(3) with beta = 2: e = c^-1 - b, and raw y = 2 c z
+    base = diff_sweep_spec(3)
+    return validate_spec(base.group, base.chi, base.eta, base.b, base.c, 2)
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["diff-beta2"])
+def test_tensor_product_matches_pairwise_oracle(name):
+    # t1 * t2 against the pairwise product whose factors come from word
+    # rewriting, on coproducts and on simple tensors of random elements
+    spec = _diff_beta2_spec() if name == "diff-beta2" else catalog_entry(name).spec
+    rng = random.Random(f"tensor-product:{name}")
+    for _ in range(3):
+        a, b, c, d = (random_element(spec, rng, max_degree=3, max_terms=2)
+                      for _ in range(4))
+        for t1, t2 in ((comultiply(a), comultiply(b)),
+                       (TensorElem.of(a, b), TensorElem.of(c, d)),
+                       (comultiply(c), TensorElem.of(d, a))):
+            assert t1 * t2 == tensor_multiply_by_pairs(t1, t2), name
 
 
 def test_counit():

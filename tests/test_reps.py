@@ -8,7 +8,7 @@ import pytest
 from orehopf.abgroup import (AbelianGroup, Character, SubgroupCharacter,
                              char_kernel, joint_kernel)
 from orehopf.cyclotomic import Cyclotomic, root_of_unity
-from orehopf.hopfcore import SpecError, cyclotomic_to_literal, validate_spec
+from orehopf.hopfcore import SpecError, cyclotomic_to_literal, validate_spec, wind
 from orehopf.linalg import (SpanBasis, identity, inverse, mat_mul, mat_scale,
                             zeros)
 from orehopf.reps import (ClassifyError, ModuleRep, SimpleParams,
@@ -192,6 +192,40 @@ def test_vy_diff_build():
     assert torsion_profile(M)["y"] == "TorsionFree"
     with pytest.raises(SpecError, match="mu must be nonzero"):
         build_Vy_diff(rho, lam, Cyclotomic.zero(spec.conductor), spec)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_diff_matrices_match_per_line_winding(n):
+    # the running winding sum of the diff families against
+    # rho(wind(e, i; char)) computed afresh for every line i
+    spec = diff_sweep_spec(n)
+    N = spec.conductor
+    one, zero = scalar(spec, 1), scalar(spec, 0)
+    rng = random.Random(f"diff-lines:{n}")
+    for _ in range(3):
+        rho = Character(spec.group, N, [rng.randrange(N) for _ in range(2)])
+        lam = root_of_unity(N, rng.randrange(N))
+        mu = scalar(spec, rng.choice((-2, -1, 1, 2)))
+        # (module, shift, lowering, wrap, offset, winding character, sign)
+        cases = [(build_Vbar_diff(rho, spec), "X", "Y", zero, zero, spec.chi, 1),
+                 (build_Vx_diff(rho, lam, mu, spec), "X", "Y", lam, mu, spec.chi, 1),
+                 (build_Vy_diff(rho, lam, mu, spec), "Y", "X", mu, lam, spec.eta, -1)]
+        for M, shift, lower, wrap, offset, char, sign in cases:
+            d = M.dim
+            S, L = zeros(d, d, N), zeros(d, d, N)
+            for i in range(1, d):
+                S[i][i - 1] = one
+                L[i - 1][i] = offset + sign * wind(spec.e, i, spec,
+                                                   character=char).apply_char(rho)
+            if not wrap.is_zero():
+                S[0][d - 1] = wrap
+                L[d - 1][0] = wrap.inverse() * offset
+            assert mat_eq(getattr(M, shift), S) and mat_eq(getattr(M, lower), L)
+            for g, A in zip(spec.group.generators(), M.group_mats):
+                D = zeros(d, d, N)
+                for i in range(d):
+                    D[i][i] = spec.chi.eval_pow(g, -sign * i) * rho.eval(g)
+                assert mat_eq(A, D)
 
 
 def test_rep_check_catches_broken_relation():
