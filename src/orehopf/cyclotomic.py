@@ -12,6 +12,12 @@ one integer table per N.  ``coeffs`` derives the Fraction coordinates for
 readers.  A fixed conductor N is chosen per algebra instance; mixing
 conductors raises ConductorMismatch (plain integers and Fractions coerce
 into any conductor).
+
+``dot`` sums the products of two vectors with one fold and one gcd, for
+matrix products.  ``residue`` maps an element to F_p for the split prime
+p of its conductor (``split_prime``): zeta goes to an N-th root of unity
+omega mod p, a ring map defined wherever p does not divide the
+denominator, under which the rank of a matrix can only drop.
 """
 
 from __future__ import annotations
@@ -421,6 +427,35 @@ def _canonical(conductor: int, num, den: int) -> Cyclotomic:
     return _new(conductor, tuple(num), den)
 
 
+def dot(xs, ys) -> Cyclotomic:
+    """sum(x * y) over the paired entries of two nonempty sequences of
+    elements of one conductor.  The convolved numerators accumulate over
+    the lcm of the products' denominators, then fold and normalize once;
+    the canonical pair equals that of the per-term sum."""
+    n = xs[0].conductor
+    terms, den = [], 1
+    for a, b in zip(xs, ys):
+        if a.conductor != n or b.conductor != n:
+            raise ConductorMismatch(
+                f"conductor mismatch: {n} vs {a.conductor} and {b.conductor}")
+        if any(a.num) and any(b.num):
+            d = a.den * b.den
+            terms.append((a.num, b.num, d))
+            if den % d:
+                den = den * d // gcd(den, d)
+    phi = len(xs[0].num)
+    acc = [0] * (2 * phi - 1)
+    for a, b, d in terms:
+        scale = den // d
+        support = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                x *= scale
+                for j, y in support:
+                    acc[i + j] += x * y
+    return _canonical(n, _fold(n, acc, phi), den)
+
+
 @lru_cache(maxsize=None)
 def _root_table(conductor: int) -> tuple:
     """(roots, logs): roots[k] = zeta_N^k for k in [0, N), and logs maps each
@@ -449,6 +484,67 @@ def root_of_unity(conductor: int, k: int) -> Cyclotomic:
 def zeta_log(v: Cyclotomic):
     """k in [0, N) with v = zeta_N^k, or None when v is no N-th root of unity."""
     return _root_table(v.conductor)[1].get(v)
+
+
+# the bases 2..37 decide primality deterministically below 3.3e24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the fixed bases _MR_BASES, exact for n < 3.3e24."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def split_prime(conductor: int) -> tuple:
+    """(p, omega): p is the least prime above 2^31 with p = 1 mod N, so Phi_N
+    splits into linear factors mod p, and omega is the first g^((p-1)/N),
+    g = 2, 3, ..., of exact order N, a root of Phi_N mod p."""
+    n = conductor
+    p = (2 ** 31 // n + 1) * n + 1
+    while not _is_prime(p):
+        p += n
+    primes = [q for q in divisors(n) if q > 1 and euler_phi(q) == q - 1]
+    g = 2
+    while True:
+        omega = pow(g, (p - 1) // n, p)
+        if all(pow(omega, n // q, p) != 1 for q in primes):
+            return p, omega
+        g += 1
+
+
+@lru_cache(maxsize=None)
+def _residue_powers(conductor: int) -> tuple:
+    p, omega = split_prime(conductor)
+    return p, tuple(pow(omega, i, p) for i in range(euler_phi(conductor)))
+
+
+def residue(v: Cyclotomic):
+    """The image of v in F_p, p = split_prime(N)[0], under zeta -> omega:
+    an integer in [0, p), or None when p divides the denominator."""
+    p, powers = _residue_powers(v.conductor)
+    if v.den % p == 0:
+        return None
+    s = sum(a * w for a, w in zip(v.num, powers))
+    return s % p if v.den == 1 else s * pow(v.den, -1, p) % p
 
 
 def q_int(i: int, q: Cyclotomic) -> Cyclotomic:

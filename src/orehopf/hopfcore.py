@@ -607,19 +607,29 @@ def _antipode_power(gen, n: int):
 
 
 def antipode(a: HopfElem) -> HopfElem:
-    """S(g x^i w^j) = S(w)^j S(x)^i g^(-1), extended anti-multiplicatively."""
+    """S(g x^i w^j) = S(w)^j S(x)^i g^(-1), extended anti-multiplicatively.
+
+    With S(v)^k = s_v u_v^k v^k: S(x)^i g^(-1) = sx chi(g^(-1))^i h x^i for
+    h = u_x^i g^(-1), and u_w^j w^j h x^i = eta(h)^j u_w^j h w^j x^i, whose
+    w^j x^i is the monomial kernel's rows.
+    """
     spec = a.spec
     gx, gw = _skew_primitives(spec)
+    chi, eta, n = spec.chi, spec.eta, spec.conductor
+    one = root_of_unity(n, 0)
     out = {}
     for (g, i, j), c in a.terms.items():
         sx, ux = _antipode_power(gx, i)
         sw, uw = _antipode_power(gw, j)
         g_inv = g.inverse()
-        # S(x)^i g^(-1) = sx u_x^i x^i g^(-1) = sx chi(g^(-1))^i u_x^i g^(-1) x^i
-        right = HopfElem(spec, {(ux * g_inv, i, 0): c * sx * spec.chi.eval_pow(g_inv, i)})
-        left = HopfElem(spec, {(uw, 0, j): sw})
-        for k, v in multiply(left, right).terms.items():
-            _acc(out, k, v)
+        h = ux * g_inv
+        gh = uw * h
+        coeff = sw * c * sx
+        root = chi.exponent(g_inv, i) + eta.exponent(h, j)
+        for m, xdeg, wdeg, r, cm in _monomial_product(spec, 0, j, i, 0):
+            v = _times_root(coeff if cm is one else coeff * cm, root + r, n)
+            if v:
+                _acc(out, (gh if m.is_identity() else gh * m, xdeg, wdeg), v)
     return HopfElem(spec, out)
 
 

@@ -1,18 +1,26 @@
-"""Exact dense linear algebra over Q(zeta_N).
+"""Exact dense linear algebra over Q(zeta_N), and its twin over F_p.
 
 Matrices are lists of row lists of Cyclotomic values.  One elimination
-routine, `_insert`, serves every solver: it adds a row to a reduced row
-echelon basis, pivot normalized to 1 and cleared from the other rows.
+routine, `_insert`, serves every exact solver: it adds a row to a reduced
+row echelon basis, pivot normalized to 1 and cleared from the other rows.
 `rref` inserts the rows of a matrix one by one, `nullspace` and `inverse`
 read its result, and `SpanBasis` keeps a basis for closure runs.  The
 reduced echelon form of a row space is unique, so the order of insertion
 does not change it.  Sizes stay at desk scale (dimensions bounded by a few
-dozen), so no pivoting strategy beyond first-nonzero is needed.
+dozen), so no pivoting strategy beyond first-nonzero is needed.  Matrix
+products take each entry as one fused dot product (`cyclotomic.dot`).
+
+`_insert_mod` is the same routine on integer lists mod the split prime p
+of the conductor (`cyclotomic.split_prime`), with the same pivot choice;
+`ModularSpan` keeps such a basis and `residues` reduces matrices mod p.
+Reduction mod p is a ring map, so a rank mod p is a lower bound on the
+exact rank: a full rank mod p is an exact certificate, and anything less
+is a hint that the caller checks exactly.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, dot, residue, split_prime
 
 
 def zeros(r: int, c: int, conductor: int):
@@ -35,31 +43,12 @@ def mat_scale(A, s):
 
 
 def mat_mul(A, B):
-    n, k = len(A), len(B)
-    m = len(B[0])
-    Bc = [[B[i][j] for i in range(k)] for j in range(m)]
-    out = []
-    for row in A:
-        out_row = []
-        for col in Bc:
-            acc = None
-            for a, b in zip(row, col):
-                term = a * b
-                acc = term if acc is None else acc + term
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    cols = list(zip(*B))
+    return [[dot(row, col) for col in cols] for row in A]
 
 
 def mat_vec(A, v):
-    out = []
-    for row in A:
-        acc = None
-        for a, b in zip(row, v):
-            term = a * b
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    return [dot(row, v) for row in A]
 
 
 def mat_pow(A, k: int):
@@ -151,6 +140,65 @@ class SpanBasis:
     def add(self, vec) -> bool:
         """Insert vec; returns True when it enlarged the span."""
         return _insert(self.rows, self.pivots, vec)
+
+    def dim(self) -> int:
+        return len(self.rows)
+
+
+# -- the same elimination over F_p --
+
+
+def residues(mats):
+    """(p, images): every matrix of mats reduced entrywise mod the split
+    prime p of their conductor, or None when p divides a denominator."""
+    N = mats[0][0][0].conductor
+    images = []
+    for A in mats:
+        rows = [[residue(a) for a in row] for row in A]
+        if any(None in row for row in rows):
+            return None
+        images.append(rows)
+    return split_prime(N)[0], images
+
+
+def mat_mul_mod(A, B, p: int):
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in A]
+
+
+def _insert_mod(rows, pivots, vec, p: int) -> bool:
+    """_insert over F_p on integer lists with entries in [0, p)."""
+    v = list(vec)
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    c = next((i for i, x in enumerate(v) if x), None)
+    if c is None:
+        return False
+    inv = pow(v[c], -1, p)
+    v = [x * inv % p for x in v]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f:
+            rows[i] = [(x - f * y) % p for x, y in zip(row, v)]
+    idx = next((i for i, q in enumerate(pivots) if q > c), len(pivots))
+    rows.insert(idx, v)
+    pivots.insert(idx, c)
+    return True
+
+
+class ModularSpan:
+    """SpanBasis over F_p: vectors are integer lists with entries in [0, p)."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows = []
+        self.pivots = []
+
+    def add(self, vec) -> bool:
+        """Insert vec; returns True when it enlarged the span mod p."""
+        return _insert_mod(self.rows, self.pivots, vec, self.p)
 
     def dim(self) -> int:
         return len(self.rows)

@@ -35,7 +35,8 @@ from .cyclotomic import Cyclotomic, root_of_unity, zeta_log
 from .hopfcore import AlgebraSpec, GroupAlgElem, Mode, SpecError, \
     cyclotomic_to_literal, literal_to_cyclotomic, wind
 from .linalg import (identity, inverse, is_zero_matrix, mat_add, mat_mul,
-                     mat_pow, mat_scale, mat_vec, nullspace, zeros, SpanBasis)
+                     mat_mul_mod, mat_pow, mat_scale, mat_vec, nullspace,
+                     residues, zeros, ModularSpan, SpanBasis)
 from .report import Report
 
 # what a module file calls the matrix of H's internal second variable
@@ -93,6 +94,12 @@ def _memoized(fn):
             M._memo[key] = fn(M, *args)
         return M._memo[key]
     return once
+
+
+def _certified_simple(M) -> bool:
+    """Whether M holds a passed Burnside report already."""
+    report = M._memo.get(("is_simple_burnside",))
+    return report is not None and report.passed
 
 
 class ModuleRep:
@@ -327,36 +334,54 @@ def torsion_profile(M: ModuleRep) -> dict:
     return {"x": profile(M.X), "y": profile(M.Y)}
 
 
+def _span_closure(gens, ident, mul, span, full: int) -> int:
+    """Dimension of the span of all products of gens, breadth first from
+    ident; products grows while it is read, and the run stops once the span
+    has dimension full."""
+    products = [ident]
+    span.add([v for row in ident for v in row])
+    for B in products:
+        for A in gens:
+            if span.dim() == full:
+                break
+            C = mul(A, B)
+            if span.add([v for row in C for v in row]):
+                products.append(C)
+    return span.dim()
+
+
 @_memoized
 def is_simple_burnside(M: ModuleRep) -> Report:
     """Certify absolute simplicity: the unital matrix algebra generated by
     the action matrices must have full dimension dim^2.
 
     The certificate is valid over the non-closed coefficient field: full
-    matrix algebra span is equivalent to absolute simplicity.  The report
-    is computed once per module.
+    matrix algebra span is equivalent to absolute simplicity.  The closure
+    runs mod the split prime p first: products of the reduced matrices are
+    the reductions of the exact products, and a rank can only drop mod p,
+    so a full span mod p certifies a full exact span.  Otherwise, or when
+    p divides a denominator, the exact closure decides.  The report is
+    computed once per module.
     """
     d = M.dim
-    N = M.spec.conductor
+    full = d * d
     for k in range(M.spec.group.ngens):
         M._gen_inverse(k)  # a singular group matrix raises SpecError
     # A^{-1} is a polynomial in A (Cayley-Hamilton): no inverse generators
     gens = M.group_mats + (M.X, M.Y)
-
-    span = SpanBasis()
-    products = [identity(d, N)]
-    span.add([v for row in products[0] for v in row])
-    # breadth first: products grows while it is read; stop once the span is full
-    for B in products:
-        for A in gens:
-            if span.dim() == d * d:
-                break
-            C = mat_mul(A, B)
-            if span.add([v for row in C for v in row]):
-                products.append(C)
-    span_dim = span.dim()
-    return Report(name="burnside", passed=span_dim == d * d,
-                  facts={"span_dimension": span_dim, "full_dimension": d * d})
+    span_dim = None
+    image = residues(gens)
+    if image is not None:
+        p, gens_p = image
+        ident = [[int(i == j) for j in range(d)] for i in range(d)]
+        if _span_closure(gens_p, ident, lambda A, B: mat_mul_mod(A, B, p),
+                         ModularSpan(p), full) == full:
+            span_dim = full
+    if span_dim is None:
+        span_dim = _span_closure(gens, identity(d, M.spec.conductor), mat_mul,
+                                 SpanBasis(), full)
+    return Report(name="burnside", passed=span_dim == full,
+                  facts={"span_dimension": span_dim, "full_dimension": full})
 
 
 @dataclass
@@ -370,33 +395,69 @@ class IsoResult:
         return self.status == "isomorphic"
 
 
+def _intertwiner_row(pair, i: int, j: int, zero):
+    """Entry (i, j) of T A - B T for pair = (A, B), as a row over the
+    unknowns T[i][k] at column i * dim + k."""
+    A, B = pair
+    dim = len(A)
+    row = [zero] * (dim * dim)
+    # coefficient of T[i][k] from (T A)[i][j]
+    for k in range(dim):
+        row[i * dim + k] = row[i * dim + k] + A[k][j]
+    # minus coefficient of T[k][j] from (B T)[i][j]
+    for k in range(dim):
+        row[k * dim + j] = row[k * dim + j] - B[i][k]
+    return row
+
+
 def _intertwiner_space(pairs, dim: int, conductor: int):
-    """Basis of {T : T A = B T for all pairs (A, B)}, T as dim x dim."""
-    rows = []
-    for A, B in pairs:
-        for i in range(dim):
-            for j in range(dim):
-                row = [Cyclotomic.zero(conductor)] * (dim * dim)
-                # coefficient of T[i][k] from (T A)[i][j]
-                for k in range(dim):
-                    row[i * dim + k] = row[i * dim + k] + A[k][j]
-                # minus coefficient of T[k][j] from (B T)[i][j]
-                for k in range(dim):
-                    row[k * dim + j] = row[k * dim + j] - B[i][k]
-                rows.append(row)
-    basis = nullspace(rows)
-    return [[vec[i * dim:(i + 1) * dim] for i in range(dim)] for vec in basis]
+    """Basis of {T : T A = B T for all pairs (A, B)}, T as dim x dim.
+
+    The system is reduced mod the split prime p first.  Its rows that are
+    independent mod p are independent exactly, so full rank mod p means no
+    nonzero T.  Otherwise the exact kernel of those rows contains the
+    answer; when each of its basis matrices satisfies every pair exactly,
+    it is the answer, with the reduced echelon form of the whole system
+    and so the same basis.  Else, or when p divides a denominator, the
+    whole system is solved exactly.
+    """
+    n = dim * dim
+    zero = Cyclotomic.zero(conductor)
+    cells = [(k, i, j) for k in range(len(pairs)) for i in range(dim) for j in range(dim)]
+    image = residues([m for pair in pairs for m in pair])
+    if image is not None:
+        p, mats = image
+        pairs_p = list(zip(mats[::2], mats[1::2]))
+        span, rows = ModularSpan(p), []
+        for k, i, j in cells:
+            if span.add([x % p for x in _intertwiner_row(pairs_p[k], i, j, 0)]):
+                rows.append(_intertwiner_row(pairs[k], i, j, zero))
+                if span.dim() == n:
+                    return []
+        # with no independent row the kernel is the whole space
+        basis = _as_matrices(nullspace(rows or [[zero] * n]), dim)
+        if all(mat_mul(T, A) == mat_mul(B, T) for T in basis for A, B in pairs):
+            return basis
+    return _as_matrices(nullspace([_intertwiner_row(pairs[k], i, j, zero)
+                                   for k, i, j in cells]), dim)
+
+
+def _as_matrices(vectors, dim: int):
+    return [[vec[i * dim:(i + 1) * dim] for i in range(dim)] for vec in vectors]
 
 
 def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
     """Decide module isomorphism by solving the intertwiner system.
 
-    For Burnside-simple modules a nonzero intertwiner is automatically
-    invertible, so existence decides the question.  Otherwise 64 random
-    combinations of the basis, coefficients in [-dim, dim], are tried; the
-    determinant has degree dim, so if the modules are isomorphic all draws
-    fail with probability at most (dim/(2 dim + 1))^64 (Schwartz-Zippel).
-    That outcome is reported as unknown, with the bound, not as negative.
+    When either module holds a passed Burnside report, Schur's lemma
+    decides: a nonzero module map out of or into a simple module of the
+    same dimension is bijective, so the first basis intertwiner is the
+    witness.  Otherwise the first invertible basis intertwiner is, and
+    failing that 64 random combinations of the basis, coefficients in
+    [-dim, dim], are tried; the determinant has degree dim, so if the
+    modules are isomorphic all draws fail with probability at most
+    (dim/(2 dim + 1))^64 (Schwartz-Zippel).  That outcome is reported as
+    unknown, with the bound, not as negative.
     """
     if M1.dim != M2.dim:
         return IsoResult("not_isomorphic", detail="dimension mismatch")
@@ -406,6 +467,8 @@ def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
     basis = _intertwiner_space(pairs, dim, N)
     if not basis:
         return IsoResult("not_isomorphic", detail="no nonzero intertwiner")
+    if _certified_simple(M1) or _certified_simple(M2):
+        return IsoResult("isomorphic", witness=basis[0])
 
     for T in basis:
         if inverse(T) is not None:

@@ -7,9 +7,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orehopf.cyclotomic import (Cyclotomic, _reduction_table, _root_table,
-                                cyclotomic_polynomial, euler_phi, q_binomial,
-                                q_int, root_of_unity, zeta_log)
+from orehopf.cyclotomic import (Cyclotomic, _is_prime, _reduction_table,
+                                _root_table, cyclotomic_polynomial, divisors,
+                                euler_phi, q_binomial, q_int, residue,
+                                root_of_unity, split_prime, zeta_log)
 
 from oracles import is_primitive_root, q_factorial
 
@@ -272,3 +273,50 @@ def test_canonical_numerator_and_denominator(data):
         assert (route.num, route.den) == (a.num, a.den)
         assert route == a and hash(route) == hash(a)
     assert a.is_zero() == (a.num == (0,) * euler_phi(n) and a.den == 1)
+
+
+def test_miller_rabin_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    # small numbers, Carmichael numbers, strong pseudoprimes to the first
+    # bases, and the numbers just above 2^31
+    cases = list(range(-2, 2000)) + [561, 1105, 1729, 2465, 2821, 6601, 8911,
+                                     2047, 1373653, 25326001, 3215031751,
+                                     3825123056546413051]
+    cases += range(2 ** 31, 2 ** 31 + 3000)
+    for n in cases:
+        assert _is_prime(n) == bool(sympy.isprime(n)), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 15, 105, 420])
+def test_split_prime(n):
+    sympy = pytest.importorskip("sympy")
+    p, omega = split_prime(n)
+    assert p > 2 ** 31 and (p - 1) % n == 0 and sympy.isprime(p)
+    # the least such prime
+    assert not any(sympy.isprime(q) for q in range(p - n, 2 ** 31, -n))
+    # omega has exact order n, so it is a root of Phi_N mod p
+    assert pow(omega, n, p) == 1
+    assert all(pow(omega, n // q, p) != 1 for q in sympy.primefactors(n))
+    assert sum(c * pow(omega, i, p) for i, c in enumerate(cyclotomic_polynomial(n))) % p == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 15, 420])
+def test_residue_is_a_ring_map(n):
+    p = split_prime(n)[0]
+    rng = random.Random(7 * n)
+    for _ in range(10 if n > 100 else 40):
+        a = _random_rational_element(rng, n)
+        b = _random_rational_element(rng, n)
+        ra, rb = residue(a), residue(b)
+        assert 0 <= ra < p and 0 <= rb < p
+        assert residue(a + b) == (ra + rb) % p
+        assert residue(a - b) == (ra - rb) % p
+        assert residue(a * b) == ra * rb % p
+        # dense inverses at phi(N) = 96 are slow and add nothing here
+        if n < 100 and not b.is_zero() and rb:
+            assert residue(b.inverse()) == pow(rb, -1, p)
+    for k in divisors(n):
+        # zeta^k goes to omega^k
+        assert residue(root_of_unity(n, k)) == pow(split_prime(n)[1], k, p)
+    assert residue(Cyclotomic.rational(n, p)) == 0
+    assert residue(Cyclotomic.rational(n, Fraction(1, 3 * p))) is None

@@ -7,12 +7,13 @@ the same rows and pivots exactly, whatever the order of the rows.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from orehopf.cyclotomic import Cyclotomic
-from orehopf.linalg import (SpanBasis, identity, inverse, mat_mul, mat_vec,
-                            nullspace, rref)
+from orehopf.cyclotomic import ConductorMismatch, Cyclotomic, residue, split_prime
+from orehopf.linalg import (ModularSpan, SpanBasis, identity, inverse, mat_mul,
+                            mat_mul_mod, mat_vec, nullspace, residues, rref)
 
 from gen import random_scalar
 from oracles import mat_eq, rref_by_column_sweep
@@ -125,3 +126,80 @@ def test_kernel_matches_column_sweep(N, seed):
 def test_empty_matrix():
     assert rref([]) == rref_by_column_sweep([]) == ([], [])
     assert nullspace([]) == []
+
+
+def _per_term_sum(xs, ys):
+    acc = xs[0] * ys[0]
+    for a, b in zip(xs[1:], ys[1:]):
+        acc = acc + a * b
+    return acc
+
+
+def _mixed_matrix(rng, nrows, ncols, N):
+    """Zero entries, and entries over mixed denominators."""
+    zero = Cyclotomic.zero(N)
+    out = []
+    for _ in range(nrows):
+        row = []
+        for _ in range(ncols):
+            r = rng.random()
+            if r < 0.3:
+                row.append(zero)
+            else:
+                v = random_scalar(rng, N) * Cyclotomic.rational(N, rng.choice([1, 1, 2, 3, 12]))
+                den = rng.choice([1, 1, 2, 5, 6, 49])
+                row.append(v * Cyclotomic.rational(N, den).inverse())
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 12, 15, 420])
+def test_fused_products_equal_the_per_term_sum(N):
+    rng = random.Random(N)
+    for _ in range(3 if N == 420 else 12):
+        n, k, m = (rng.randint(1, 5) for _ in range(3))
+        A, B = _mixed_matrix(rng, n, k, N), _mixed_matrix(rng, k, m, N)
+        product = mat_mul(A, B)
+        for i in range(n):
+            for j in range(m):
+                want = _per_term_sum(A[i], [row[j] for row in B])
+                assert (product[i][j].num, product[i][j].den) == (want.num, want.den)
+        v = [row[0] for row in B]
+        assert [(x.num, x.den) for x in mat_vec(A, v)] == \
+            [(w.num, w.den) for w in (_per_term_sum(row, v) for row in A)]
+
+
+def test_fused_product_rejects_mixed_conductors():
+    with pytest.raises(ConductorMismatch):
+        mat_mul([[Cyclotomic.one(3)]], [[Cyclotomic.one(4)]])
+
+
+@pytest.mark.parametrize("N", CONDUCTORS)
+@pytest.mark.parametrize("seed", range(3))
+def test_modular_twin_of_the_kernel(N, seed):
+    # on shapes whose entries all have an image mod p, ModularSpan reports
+    # the same growth as SpanBasis wherever the rank mod p is the exact rank,
+    # and its basis is the reduction of the exact one
+    rng = random.Random(2000 * N + seed)
+    p = split_prime(N)[0]
+    for name, A in _shapes(rng, N):
+        (_, [image]) = residues([A])
+        span, exact = ModularSpan(p), SpanBasis()
+        grew = [(span.add(row_p), exact.add(row)) for row_p, row in zip(image, A)]
+        assert all(g == e for g, e in grew), name
+        assert span.pivots == exact.pivots, name
+        assert span.rows == [[residue(x) for x in row] for row in exact.rows], name
+        # products of the images are the images of the products
+        if len(A) == len(A[0]):
+            assert mat_mul_mod(image, image, p) == \
+                [[residue(x) for x in row] for row in mat_mul(A, A)], name
+
+
+def test_modular_rank_only_drops():
+    # the entry p vanishes mod p: rank 2 exactly, rank 1 mod p
+    p = split_prime(1)[0]
+    A = [[Cyclotomic.rational(1, v) for v in row] for row in ((1, 2), (3, 6 + p))]
+    span = ModularSpan(p)
+    assert [span.add(row) for row in residues([A])[1][0]] == [True, False]
+    assert len(rref(A)[1]) == 2
+    assert residues([[[Cyclotomic.rational(1, Fraction(1, p))]]]) is None

@@ -7,10 +7,10 @@ import pytest
 
 from orehopf.abgroup import (AbelianGroup, Character, SubgroupCharacter,
                              char_kernel, joint_kernel)
-from orehopf.cyclotomic import Cyclotomic, root_of_unity
+from orehopf.cyclotomic import Cyclotomic, root_of_unity, split_prime
 from orehopf.hopfcore import SpecError, cyclotomic_to_literal, validate_spec, wind
-from orehopf.linalg import (SpanBasis, identity, inverse, mat_mul, mat_scale,
-                            zeros)
+from orehopf.linalg import (ModularSpan, SpanBasis, identity, inverse, mat_mul,
+                            mat_scale, zeros)
 from orehopf.reps import (ClassifyError, ModuleRep, SimpleParams,
                           _intertwiner_space,
                           are_isomorphic, build_induced_skew, build_simple,
@@ -522,36 +522,56 @@ def test_burnside_matches_inverse_generator_oracle():
             _span_dimension_with_inverses(M)
 
 
+def _fresh(M):
+    """The same module without its memoized reports."""
+    return ModuleRep(M.spec, M.dim, M.group_mats, M.X, M.Y)
+
+
 def test_burnside_stops_once_the_span_is_full(monkeypatch):
-    late = []
-    add = SpanBasis.add
+    late, inserts = [], Counter()
+    for cls in (ModularSpan, SpanBasis):
+        def counting_add(self, vec, _add=cls.add, _name=cls.__name__):
+            inserts[_name] += 1
+            if self.dim() == len(vec):
+                late.append(vec)
+            return _add(self, vec)
+        monkeypatch.setattr(cls, "add", counting_add)
 
-    def counting_add(self, vec):
-        if self.dim() == len(vec):
-            late.append(vec)
-        return add(self, vec)
+    def certify_new_modules():
+        # new modules: the shared sweep modules may hold their reports already
+        modules = [_fresh(inst.module) for inst in sweep_instances()[:60]]
+        assert all(is_simple_burnside(M).passed for M in modules)
 
-    monkeypatch.setattr(SpanBasis, "add", counting_add)
-    # new modules: the shared sweep modules may hold their reports already
-    modules = [ModuleRep(M.spec, M.dim, M.group_mats, M.X, M.Y)
-               for M in (inst.module for inst in sweep_instances()[:60])]
-    assert all(is_simple_burnside(M).passed for M in modules)
+    # a full span mod p certifies: the exact closure never runs
+    certify_new_modules()
+    assert inserts["ModularSpan"] > 0 and inserts["SpanBasis"] == 0
+    # with no image mod p the exact closure decides, and stops as early
+    inserts.clear()
+    with monkeypatch.context() as m:
+        m.setattr(reps, "residues", lambda mats: None)
+        certify_new_modules()
+    assert inserts["SpanBasis"] > 0 and inserts["ModularSpan"] == 0
     assert late == []
 
 
 def test_certificates_are_computed_once(monkeypatch):
     counts = Counter()
-    add, mul = SpanBasis.add, reps.mat_mul
+    closure, add, mul = reps._span_closure, ModularSpan.add, reps.mat_mul
+
+    def counting_closure(*args):
+        counts["closure"] += 1
+        return closure(*args)
 
     def counting_add(self, vec):
-        counts["span_add"] += 1
+        counts["span_add_mod_p"] += 1
         return add(self, vec)
 
     def counting_mul(A, B):
         counts["mat_mul"] += 1
         return mul(A, B)
 
-    monkeypatch.setattr(SpanBasis, "add", counting_add)
+    monkeypatch.setattr(reps, "_span_closure", counting_closure)
+    monkeypatch.setattr(ModularSpan, "add", counting_add)
     monkeypatch.setattr(reps, "mat_mul", counting_mul)
 
     def cost(fn, *args):
@@ -568,10 +588,12 @@ def test_certificates_are_computed_once(monkeypatch):
     check, check_cost = cost(rep_check, M, spec)
     burnside, burnside_cost = cost(is_simple_burnside, M)
     assert check.passed and burnside.passed
-    assert check_cost["mat_mul"] > 0 and burnside_cost["span_add"] > 0
+    assert check_cost["mat_mul"] > 0
+    # one closure, mod p, which the span fills: no exact closure after it
+    assert burnside_cost["closure"] == 1 and burnside_cost["span_add_mod_p"] > 0
     # classify_simple on a certified module: no closure, no relation products
     params, classify_cost = cost(classify_simple, M, spec)
-    assert classify_cost["span_add"] == 0
+    assert classify_cost["closure"] == 0
     fresh_params, fresh_cost = cost(classify_simple, build(), spec)
     assert fresh_params.describe() == params.describe()
     assert fresh_cost == check_cost + burnside_cost + classify_cost
@@ -588,8 +610,8 @@ def test_certificates_are_computed_once(monkeypatch):
     # a conjugate is a new module and certifies from scratch
     conj = conjugate(M, random_invertible(M.dim, spec.conductor, random.Random(3)))
     assert cost(rep_check, conj, spec)[1] == check_cost
-    assert cost(is_simple_burnside, conj)[1]["span_add"] > 0
-    assert cost(classify_simple, conj, spec)[1]["span_add"] == 0
+    assert cost(is_simple_burnside, conj)[1]["closure"] == 1
+    assert cost(classify_simple, conj, spec)[1]["closure"] == 0
 
 
 def test_torsion_profile_is_computed_once(monkeypatch):
@@ -640,3 +662,158 @@ def test_are_isomorphic_random_fallback_witness():
     for A, B in pairs:
         assert mat_eq(mat_mul(T, A), mat_mul(B, T))
 
+
+# ---------------------------------------------------------------------------
+# the mod-p first pass against the exact path
+
+
+def _exact_results(monkeypatch, burnside_modules, iso_pairs):
+    """Burnside reports and isomorphism results of the exact path alone, on
+    fresh modules: no image mod p and no certificate held in advance."""
+    with monkeypatch.context() as m:
+        m.setattr(reps, "residues", lambda mats: None)
+        reports = [is_simple_burnside(_fresh(M)).to_dict() for M in burnside_modules]
+        isos = [_iso_key(are_isomorphic(_fresh(a), _fresh(b))) for a, b in iso_pairs]
+    return reports, isos
+
+
+def _iso_key(res):
+    return res.status, res.detail, res.witness
+
+
+def test_mod_p_path_agrees_with_the_exact_path(monkeypatch):
+    rng = random.Random(11)
+    modules = [_fresh(inst.module) for inst in sweep_instances()]
+    conjugates = [conjugate(M, random_invertible(M.dim, M.spec.conductor, rng))
+                  for M in modules]
+    sums = [direct_sum(a, b) for a, b in zip(modules, modules[1:])
+            if a.spec is b.spec and a.dim + b.dim <= 4]
+    sum_conjugates = [conjugate(S, random_invertible(S.dim, S.spec.conductor, rng))
+                      for S in sums[::4]]
+    # a partner is the next module of the same spec and dimension
+    partners = [(a, b) for a, b in zip(modules, modules[1:])
+                if a.spec is b.spec and a.dim == b.dim]
+    # certify first, as callers do, so that Schur's shortcut is taken
+    reports = [is_simple_burnside(M).to_dict() for M in modules + sums]
+    conjugate_reports = [is_simple_burnside(C).to_dict() for C in conjugates]
+    iso_pairs = list(zip(modules, conjugates)) + partners \
+        + list(zip(sums[::4], sum_conjugates))
+    isos = [_iso_key(are_isomorphic(a, b)) for a, b in iso_pairs]
+    exact_reports, exact_isos = _exact_results(monkeypatch, modules + sums, iso_pairs)
+    assert reports == exact_reports and isos == exact_isos
+    # a conjugate spans a conjugate algebra: the module's exact report holds
+    assert conjugate_reports == exact_reports[:len(modules)]
+    statuses = Counter(key[0] for key in isos)
+    assert statuses["isomorphic"] > 190 and statuses["not_isomorphic"] > 50
+    assert sum(r["status"] == "fail" for r in reports) == len(sums)
+
+
+def _split_prime(spec):
+    return split_prime(spec.conductor)[0]
+
+
+def test_mod_p_falls_back_when_p_divides_a_denominator(monkeypatch):
+    spec = skew_sweep_spec(3)
+    M = build_Vx_skew(scalar(spec, 2), kernel_char(spec, spec.chi, [1, 0]), spec)
+    p = _split_prime(spec)
+    T = identity(M.dim, spec.conductor)
+    T[0][0] = scalar(spec, p)
+    C = conjugate(M, T)   # entries p and 1/p
+    assert any(a.den % p == 0 for A in C.group_mats + (C.X, C.Y) for row in A for a in row)
+    adds = Counter()
+    add = SpanBasis.add
+
+    def counting_add(self, vec):
+        adds["exact"] += 1
+        return add(self, vec)
+
+    monkeypatch.setattr(SpanBasis, "add", counting_add)
+    report = is_simple_burnside(C)
+    assert report.passed and report.facts["span_dimension"] == 9
+    assert adds["exact"] > 0
+    fast = _iso_key(are_isomorphic(_fresh(M), C))
+    assert fast[0] == "isomorphic"
+    assert ([report.to_dict()], [fast]) == _exact_results(monkeypatch, [C], [(M, C)])
+
+
+def _rank_dropping_module(spec):
+    """x acts by [[0, p], [0, 0]] and y by [[0, 0], [1, 0]]: the products
+    x y and y x span the full matrix algebra, but mod p the image of x is
+    0, so the span mod p is {1, y} and the commutant mod p is 2-dimensional
+    where the exact one holds the scalars only."""
+    N = spec.conductor
+    one, zero = Cyclotomic.one(N), Cyclotomic.zero(N)
+    X = [[zero, scalar(spec, _split_prime(spec))], [zero, zero]]
+    Y = [[zero, zero], [one, zero]]
+    ident = identity(2, N)
+    return ModuleRep(spec, 2, [ident, ident], X, Y)
+
+
+def test_mod_p_falls_back_when_the_rank_drops(monkeypatch):
+    spec = skew_sweep_spec(2)
+    M = _rank_dropping_module(spec)
+    closures = []
+    closure = reps._span_closure
+
+    def counting_closure(gens, ident, mul, span, full):
+        dim = closure(gens, ident, mul, span, full)
+        closures.append((type(span).__name__, dim))
+        return dim
+
+    kernels = []
+    kernel = reps.nullspace
+
+    def counting_nullspace(A):
+        kernels.append(len(A))
+        return kernel(A)
+
+    monkeypatch.setattr(reps, "_span_closure", counting_closure)
+    monkeypatch.setattr(reps, "nullspace", counting_nullspace)
+    report = is_simple_burnside(M)
+    assert closures == [("ModularSpan", 2), ("SpanBasis", 4)]
+    assert report.passed and report.facts["span_dimension"] == 4
+    res = are_isomorphic(M, _fresh(M))
+    # two rows independent mod p give a 2-dimensional candidate kernel, one
+    # of whose matrices fails exactly: the whole system of 16 rows decides
+    assert kernels == [2, 16]
+    assert res.status == "isomorphic" and mat_eq(res.witness, identity(2, spec.conductor))
+    assert ([report.to_dict()], [_iso_key(res)]) == \
+        _exact_results(monkeypatch, [M], [(M, M)])
+
+
+def test_mod_p_with_no_independent_row_keeps_the_whole_space(monkeypatch):
+    # a one-dimensional module against itself: every row of T a - a T is zero
+    spec = skew_sweep_spec(3)
+    M = build_torsion_char(Character(spec.group, spec.conductor, [1, 2]), spec)
+    basis = _intertwiner_space(list(zip(M.group_mats + (M.X, M.Y),
+                                        M.group_mats + (M.X, M.Y))), 1, spec.conductor)
+    assert basis == [[[Cyclotomic.one(spec.conductor)]]]
+    res = are_isomorphic(M, _fresh(M))
+    assert _iso_key(res) == ("isomorphic", "", basis[0])
+    assert [_iso_key(res)] == _exact_results(monkeypatch, [], [(M, M)])[1]
+
+
+def test_schur_shortcut_skips_inverse(monkeypatch):
+    rng = random.Random(4)
+    spec = diff_sweep_spec(3)
+    rho = Character(spec.group, spec.conductor, [2, 1])
+    M = build_Vx_diff(rho, root_of_unity(spec.conductor, 1), scalar(spec, 2), spec)
+    C = conjugate(M, random_invertible(M.dim, spec.conductor, rng))
+    # the loop over basis intertwiners, on modules that hold no certificate
+    loop = are_isomorphic(_fresh(M), _fresh(C))
+    assert is_simple_burnside(M).passed
+    calls = Counter()
+    inv = reps.inverse
+
+    def counting_inverse(A):
+        calls["inverse"] += 1
+        return inv(A)
+
+    monkeypatch.setattr(reps, "inverse", counting_inverse)
+    for pair in ((M, C), (C, M)):
+        res = are_isomorphic(*pair)
+        assert res.status == "isomorphic" and calls["inverse"] == 0
+    assert _iso_key(are_isomorphic(M, C)) == _iso_key(loop)
+    # without a certificate on either side the loop runs
+    are_isomorphic(_fresh(M), _fresh(C))
+    assert calls["inverse"] > 0
