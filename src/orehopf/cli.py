@@ -25,7 +25,7 @@ import sys
 from .abgroup import AbelianGroup, Character, SubgroupCharacter, joint_kernel
 from .catalog import catalog_entry, catalog_names
 from .exprparse import element_to_expr, parse_element, serialize_element
-from .hopfcore import (AlgebraSpec, HopfElem, antipode, antipode_order,
+from .hopfcore import (AlgebraSpec, _is_int, _raw_key, antipode, antipode_order,
                        comultiply, counit, cyclotomic_to_literal,
                        hopf_axiom_check, literal_to_cyclotomic, validate_spec)
 from .quotient import QuotientSpec, hopf_ideal_check, quotient_basis
@@ -66,11 +66,6 @@ MAX_DEGREE = 8
 # rep_check is cheap at any size, but the exact Burnside closure spans up to
 # dim^2 matrices, so its cost grows like dim^6.
 MAX_MODULE_DIM = 16
-
-
-def _is_int(value) -> bool:
-    """A JSON integer; bool is a subclass of int in Python but not here."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Config:
@@ -207,27 +202,15 @@ def _emit_report(report: Report) -> int:
     return 0 if report.passed else 1
 
 
-def _raw_monomial(spec, key, coeff):
-    """The one raw-basis term of an internal PBW monomial."""
-    rows = HopfElem(spec, {key: coeff}).sorted_raw()
-    if len(rows) != 1:
-        raise ArithmeticError(f"monomial {key!r} has {len(rows)} raw terms")
-    return rows[0]
-
-
 def serialize_tensor(t) -> list:
     """Sorted [(left monomial, right monomial, coeff)] over the raw basis,
     each monomial as [group exponents, i, j]."""
-    spec = t.spec
     out = []
     for (k1, k2), coeff in t.terms.items():
-        exps1, i1, j1, c1 = _raw_monomial(spec, k1, coeff)
-        exps2, i2, j2, c2 = _raw_monomial(spec, k2, spec.scalar(1))
-        c = c1 * c2
-        if c.is_zero():
-            continue
-        out.append([[list(exps1), i1, j1], [list(exps2), i2, j2],
-                    cyclotomic_to_literal(c)])
+        (g1, i1, j1), f1 = _raw_key(t.spec, k1)
+        (g2, i2, j2), f2 = _raw_key(t.spec, k2)
+        out.append([[list(g1.exps), i1, j1], [list(g2.exps), i2, j2],
+                    cyclotomic_to_literal(coeff * f1 * f2)])
     out.sort(key=lambda row: (row[0][0], row[0][1], row[0][2],
                               row[1][0], row[1][1], row[1][2]))
     return out

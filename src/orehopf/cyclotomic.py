@@ -181,7 +181,10 @@ def _coerce_coeff(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {v!r}") from None
     raise TypeError(f"cannot interpret {v!r} as a rational number")
 
 
@@ -559,19 +562,24 @@ def q_int(i: int, q: Cyclotomic) -> Cyclotomic:
     return out
 
 
-def q_binomial(n: int, k: int, q: Cyclotomic) -> Cyclotomic:
-    """Gauss binomial via the Pascal recurrence
-    binom(n,k) = binom(n-1,k-1) + q^k * binom(n-1,k),
-    which stays defined at roots of unity where the factorial quotient is 0/0.
+def _q_binomial_row(n: int, q: Cyclotomic) -> list:
+    """[binom(n, k)_q for k = 0..n] via the Pascal recurrence
+    binom(m, k) = binom(m-1, k-1) + q^k * binom(m-1, k),
+    which stays defined at roots of unity where the factorial quotient is
+    0/0.  The powers q^k are one running product, shared by every row.
     """
+    one = Cyclotomic.one(q.conductor)
+    powers = [one]
+    for _ in range(1, n):
+        powers.append(powers[-1] * q)
+    row = [one]
+    for m in range(1, n + 1):
+        row = [one] + [row[k - 1] + powers[k] * row[k] for k in range(1, m)] + [one]
+    return row
+
+
+def q_binomial(n: int, k: int, q: Cyclotomic) -> Cyclotomic:
+    """Gauss binomial binom(n, k)_q, read from the Pascal row of n."""
     if not 0 <= k <= n:
         raise ValueError(f"q-binomial index out of range: ({n}, {k})")
-    one = Cyclotomic.one(q.conductor)
-    row = [one]  # row for n = 0
-    for m in range(1, n + 1):
-        new = [one]
-        for j in range(1, m):
-            new.append(row[j - 1] + q ** j * row[j])
-        new.append(one)
-        row = new
-    return row[k]
+    return _q_binomial_row(n, q)[k]

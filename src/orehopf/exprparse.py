@@ -56,7 +56,10 @@ def _tokenize(text: str):
                 i = j
                 while i < n and text[i].isdigit():
                     i += 1
-            tokens.append(("num", Fraction(text[start:i]), start))
+            try:
+                tokens.append(("num", Fraction(text[start:i]), start))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", start) from None
             continue
         if ch.isalpha():
             start = i

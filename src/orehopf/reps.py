@@ -32,7 +32,7 @@ from random import Random
 from .abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
                       SubgroupCharacter, char_kernel, joint_kernel)
 from .cyclotomic import Cyclotomic, root_of_unity, zeta_log
-from .hopfcore import AlgebraSpec, GroupAlgElem, Mode, SpecError, \
+from .hopfcore import AlgebraSpec, GroupAlgElem, Mode, SpecError, _is_int, \
     cyclotomic_to_literal, literal_to_cyclotomic, wind
 from .linalg import (identity, inverse, is_zero_matrix, mat_add, mat_mul,
                      mat_mul_mod, mat_pow, mat_scale, mat_vec, nullspace,
@@ -186,7 +186,7 @@ class ModuleRep:
                             "(fingerprint mismatch)")
         dim, presentation, gens = (data.get(key) for key in
                                    ("dim", "presentation", "generators"))
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        if not _is_int(dim) or dim < 1:
             raise SpecError("module key 'dim' must be a positive integer")
         if presentation not in _PRESENTATION.values():
             raise SpecError("module key 'presentation' must be 'Raw' or 'Normalized'")

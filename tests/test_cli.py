@@ -1,10 +1,13 @@
 """CLI and expression grammar: exit codes, JSON reports, round trips."""
 
+import contextlib
+import io
 import json
 import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orehopf.abgroup import SubgroupCharacter
 from orehopf.cli import (MAX_CONDUCTOR, MAX_DEGREE, MAX_MODULE_DIM, main,
@@ -111,6 +114,95 @@ def test_serialize_element_sorted_and_nonzero():
     assert rows == sorted(rows, key=lambda r: (r[0], r[1], r[2]))
     assert all(r[3] != "0" for r in rows)
     assert serialize_element(spec.zero()) == []
+
+
+# ---------------------------------------------------------------------------
+# numeric literals and a fuzz test of the element commands
+
+
+def _beta(literal):
+    return lambda write_config, tmp_path: ["validate", write_config(dict(U1, beta=literal))]
+
+
+def _beta_text(text):
+    # a literal that json.dumps cannot write, such as 1e999
+    def argv(write_config, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(U1, beta="@")).replace('"@"', text))
+        return ["validate", str(path)]
+    return argv
+
+
+LITERALS = {
+    "expression-zero-denominator": (
+        lambda write_config, tmp_path: ["nf", write_config(U1), "1/0 x"],
+        "position 0: zero denominator"),
+    "expression-zero-denominator-later": (
+        lambda write_config, tmp_path: ["coproduct", write_config(U1), "x + 3/00 y"],
+        "position 4: zero denominator"),
+    "beta-zero-denominator": (_beta("1/0"), "zero denominator in '1/0'"),
+    "lambda-coeffs-zero-denominator": (
+        lambda write_config, tmp_path: ["validate", write_config(
+            dict(U1, quotient={"lambda1": {"coeffs": ["1/0"]}, "lambda2": 1}))],
+        "zero denominator in '1/0'"),
+    "zeta-pow-overflow": (_beta_text('{"zeta_pow": 1e999}'),
+                          "zeta_pow must be an integer, not inf"),
+    "zeta-pow-float": (_beta({"zeta_pow": 2.7}), "zeta_pow must be an integer, not 2.7"),
+    "zeta-pow-bool": (_beta({"zeta_pow": True}), "zeta_pow must be an integer, not True"),
+    "beta-bool": (_beta(True), "cannot interpret True as a field element"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LITERALS))
+def test_bad_numeric_literal_exit_2(write_config, tmp_path, capsys, case):
+    argv, message = LITERALS[case]
+    code, out, err = run(capsys, *argv(write_config, tmp_path))
+    assert code == 2
+    assert out["status"] == "error"
+    assert message in out["facts"]["error"]
+    assert "Traceback" not in err
+
+
+FUZZ_CONFIGS = {"u1": U1, "skew": SKEW3, "diff": diff_sweep_spec(2).config_dict()}
+
+# names of generators the configs do and do not have, the variables, zeta,
+# integers (exponents up to 4), fractions with any denominator and operators
+_TOKENS = st.one_of(
+    st.sampled_from(["g1", "g2", "g3", "x", "y", "z", "zeta",
+                     "^", "+", "-", "*", "/"]),
+    st.integers(0, 4).map(str),
+    st.builds("{}/{}".format, st.integers(0, 5), st.integers(0, 5)))
+
+
+@pytest.fixture(scope="module")
+def fuzz_configs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, data in FUZZ_CONFIGS.items():
+        (root / f"{name}.json").write_text(json.dumps(data))
+    return {name: str(root / f"{name}.json") for name in FUZZ_CONFIGS}
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=st.sampled_from(sorted(FUZZ_CONFIGS)),
+       command=st.sampled_from(["nf", "coproduct", "antipode"]),
+       power=st.integers(0, 6),
+       tokens=st.lists(_TOKENS, min_size=1, max_size=10),
+       separator=st.sampled_from(["", " "]))
+def test_element_commands_fuzz(fuzz_configs, config, command, power, tokens,
+                               separator):
+    argv = [command, fuzz_configs[config], separator.join(tokens)]
+    if command == "antipode":
+        argv += ["--power", str(power)]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    # an exception escaping main would be a traceback on the command line
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 20, argv
+    assert code in (0, 2), argv
+    report = json.loads(out.getvalue())     # exactly one JSON object
+    assert report["status"] == ("pass" if code == 0 else "error"), argv
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +613,14 @@ MALFORMED = {
                             "module generator 'x' must be a 3 x 3 matrix"),
     "other-presentation-singular-c": (_edited(_singular_c_in_other_presentation),
                                       "does not act invertibly"),
+    "entry-zero-denominator": (
+        _edited(lambda p: p["module"]["generators"]["x"][0].__setitem__(0, "1/0")),
+        "zero denominator in '1/0'"),
+    "param-zero-denominator": (
+        lambda payload, tmp_path, config_path: [
+            "module", "build", "skew-vx", config_path, "--params",
+            json.dumps({"alpha": "1/0", "lam": [0, 0]})],
+        "param 'alpha': zero denominator in '1/0'"),
     "induced-kvals-literal": (
         lambda payload, tmp_path, config_path: [
             "module", "build", "induced", config_path, "--params",

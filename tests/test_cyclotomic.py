@@ -7,10 +7,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orehopf.cyclotomic import (Cyclotomic, _is_prime, _reduction_table,
-                                _root_table, cyclotomic_polynomial, divisors,
-                                euler_phi, q_binomial, q_int, residue,
-                                root_of_unity, split_prime, zeta_log)
+from orehopf.cyclotomic import (Cyclotomic, _is_prime, _q_binomial_row,
+                                _reduction_table, _root_table,
+                                cyclotomic_polynomial, divisors, euler_phi,
+                                q_binomial, q_int, residue, root_of_unity,
+                                split_prime, zeta_log)
 
 from oracles import is_primitive_root, q_factorial
 
@@ -126,6 +127,30 @@ def test_gauss_binomials_vanish_interior_all_orders():
         q = root_of_unity(n, 1)
         for k in range(1, n):
             assert q_binomial(n, k, q).is_zero(), (n, k)
+
+
+def _subset_binomial(n, k, q):
+    """binom(n, k)_q as the sum over k-subsets S of {0..n-1} of
+    q^(sum(S) - k(k-1)/2), an oracle free of the Pascal recurrence."""
+    from itertools import combinations
+    out = Cyclotomic.zero(q.conductor)
+    for subset in combinations(range(n), k):
+        out = out + q ** (sum(subset) - k * (k - 1) // 2)
+    return out
+
+
+@pytest.mark.parametrize("q", [root_of_unity(1, 0), root_of_unity(4, 1),
+                               root_of_unity(6, 5), root_of_unity(5, 2),
+                               root_of_unity(12, 1) + 1, Cyclotomic.rational(3, 2)],
+                         ids=["1", "zeta4", "zeta6^5", "zeta5^2", "1+zeta12", "2"])
+def test_q_binomial_row(q):
+    for n in range(9):
+        row = _q_binomial_row(n, q)
+        assert len(row) == n + 1
+        for k, value in enumerate(row):
+            assert value == q_binomial(n, k, q) == _subset_binomial(n, k, q), (n, k)
+            # binom(n, k) [k]! [n-k]! = [n]!, which also holds where [n]! = 0
+            assert value * q_factorial(k, q) * q_factorial(n - k, q) == q_factorial(n, q)
 
 
 @settings(max_examples=60)

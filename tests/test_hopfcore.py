@@ -7,6 +7,7 @@ import pytest
 
 from orehopf.abgroup import AbelianGroup, Character
 from orehopf.cyclotomic import Cyclotomic, q_int, root_of_unity
+from orehopf import hopfcore
 from orehopf.hopfcore import (GroupAlgElem, HopfElem, Mode, SpecError, TensorElem, antipode,
                               antipode_order, change_of_variables_check, comultiply, counit,
                               hopf_axiom_check, random_element, validate_spec,
@@ -309,6 +310,39 @@ def test_hopf_axiom_check_deterministic():
     r1 = hopf_axiom_check(spec, sample_count=5, max_degree=2, seed=9)
     r2 = hopf_axiom_check(spec, sample_count=5, max_degree=2, seed=9)
     assert r1.to_dict() == r2.to_dict()
+
+
+def _broken_coproduct_of_x(spec):
+    # Delta(x) = x (x) 1 + 1 (x) x: the group-like b of x (x) 1 + b (x) x is lost
+    e, one = spec.group.identity(), Cyclotomic.one(spec.conductor)
+    spec._cop_cache[(1, 0)] = {((e, 1, 0), (e, 0, 0)): one,
+                               ((e, 0, 0), (e, 1, 0)): one}
+
+
+@pytest.mark.parametrize("make, broken_delta, broken_s", [
+    (lambda: skew_sweep_spec(3),
+     ({"antipode", "coassociativity", "delta_multiplicative"}, 8), ({"antipode"}, 9)),
+    (lambda: diff_sweep_spec(2), ({"coassociativity"}, 3), ({"antipode"}, 3)),
+], ids=["skew3", "diff2"])
+def test_hopf_axiom_check_catches_broken_maps(monkeypatch, make, broken_delta, broken_s):
+    def failures(spec):
+        report = hopf_axiom_check(spec, sample_count=10, max_degree=2, seed=0)
+        assert report.passed is not bool(report.witnesses)
+        return {w["check"] for w in report.witnesses}, len(report.witnesses)
+
+    spec = make()
+    _broken_coproduct_of_x(spec)
+    assert failures(spec) == broken_delta
+
+    antipode_power = hopfcore._antipode_power
+
+    def doubled(gen, n):
+        # S(v) for both generators v comes out twice too large
+        coeff, u = antipode_power(gen, n)
+        return (coeff * 2 if n == 1 else coeff), u
+
+    monkeypatch.setattr(hopfcore, "_antipode_power", doubled)
+    assert failures(make()) == broken_s
 
 
 def test_change_of_variables_reports():
