@@ -17,14 +17,19 @@ into any conductor).
 matrix products.  ``residue`` maps an element to F_p for the split prime
 p of its conductor (``split_prime``): zeta goes to an N-th root of unity
 omega mod p, a ring map defined wherever p does not divide the
-denominator, under which the rank of a matrix can only drop.
+denominator, under which the rank of a matrix can only drop.  Since
+p = 1 mod N, zeta can go to any of the phi(N) primitive roots omega^k;
+``residue_images`` gives the images under all of them, and ``lift``
+inverts that map by interpolation and rational reconstruction, or
+returns None.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 
 class ConductorMismatch(ValueError):
@@ -175,12 +180,19 @@ def _unit_cofactor(a: list, mod: list):
     return s1, r1[0]
 
 
+# a rational string: an optionally signed integer or n/d, ASCII digits only
+_RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _coerce_coeff(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
+        # checked first, so that no exponent such as 1e3000000 is expanded
+        if not _RATIONAL_LITERAL.fullmatch(v):
+            raise ValueError(f"{v!r} is not an integer or a fraction n/d")
         try:
             return Fraction(v)
         except ZeroDivisionError:
@@ -535,19 +547,88 @@ def split_prime(conductor: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _residue_powers(conductor: int) -> tuple:
+def _embeddings(conductor: int) -> tuple:
+    """(p, powers, interpolation) for the split prime p of the conductor.
+
+    The embeddings send zeta to omega^k for the k in [1, N] coprime to N,
+    k = 1 first: these are the phi(N) roots of Phi_N mod p, one for each
+    prime of Z[zeta] above p.  powers[e][i] is the image of zeta^i under
+    embedding e, and interpolation is the inverse of that Vandermonde
+    matrix mod p: row i maps the images back to coordinate i.  Its column
+    for the node x is the Lagrange polynomial Phi_N(t) / ((t - x) Phi_N'(x)).
+    """
     p, omega = split_prime(conductor)
-    return p, tuple(pow(omega, i, p) for i in range(euler_phi(conductor)))
+    phi = euler_phi(conductor)
+    cyc = cyclotomic_polynomial(conductor)
+    powers, columns = [], []
+    for k in range(1, conductor + 1):
+        if gcd(k, conductor) != 1:
+            continue
+        x = pow(omega, k, p)
+        powers.append(tuple(pow(x, i, p) for i in range(phi)))
+        # synthetic division: Phi_N(t) = (t - x) quo(t), and quo(x) = Phi_N'(x)
+        quo, acc = [0] * phi, 0
+        for i in range(phi, 0, -1):
+            acc = (cyc[i] + x * acc) % p
+            quo[i - 1] = acc
+        scale = pow(sum(c * w for c, w in zip(quo, powers[-1])), -1, p)
+        columns.append([c * scale % p for c in quo])
+    return p, tuple(powers), tuple(zip(*columns))
 
 
 def residue(v: Cyclotomic):
     """The image of v in F_p, p = split_prime(N)[0], under zeta -> omega:
     an integer in [0, p), or None when p divides the denominator."""
-    p, powers = _residue_powers(v.conductor)
+    p, powers, _ = _embeddings(v.conductor)
     if v.den % p == 0:
         return None
-    s = sum(a * w for a, w in zip(v.num, powers))
+    s = sum(a * w for a, w in zip(v.num, powers[0]))
     return s % p if v.den == 1 else s * pow(v.den, -1, p) % p
+
+
+def residue_images(v: Cyclotomic):
+    """The images of v in F_p under every embedding zeta -> omega^k, k
+    coprime to N, k = 1 (that of ``residue``) first; None when p divides
+    the denominator."""
+    p, powers, _ = _embeddings(v.conductor)
+    if v.den % p == 0:
+        return None
+    scale = 1 if v.den == 1 else pow(v.den, -1, p)
+    num = v.num
+    return [sum(a * w for a, w in zip(num, row)) * scale % p for row in powers]
+
+
+def _rational(a: int, p: int, bound: int):
+    """(n, d) with n = a d mod p, |n| <= bound and 0 < d <= bound, or None.
+    For 2 bound^2 < p such a fraction is unique, and the extended Euclidean
+    algorithm on (p, a), stopped at the first remainder <= bound, finds it
+    (Wang, Guy and Davenport 1982)."""
+    r0, r1, t0, t1 = p, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def lift(conductor: int, images):
+    """The element of Q(zeta_N) with the given images under the embeddings
+    of ``residue_images``, or None.  Interpolation gives each power-basis
+    coordinate mod p, and rational reconstruction reads it as n/d with
+    |n|, d <= sqrt(p/2); None when a coordinate has no such form.  An
+    element whose coordinates are so bounded is the only one with these
+    images, so a caller that checks the lift exactly has the answer."""
+    p, _, interpolation = _embeddings(conductor)
+    bound = isqrt(p // 2)
+    coords = []
+    for row in interpolation:
+        c = _rational(sum(w * y for w, y in zip(row, images)) % p, p, bound)
+        if c is None:
+            return None
+        coords.append(c)
+    den = lcm(*(d for _, d in coords))
+    return _canonical(conductor, [n * (den // d) for n, d in coords], den)
 
 
 def q_int(i: int, q: Cyclotomic) -> Cyclotomic:

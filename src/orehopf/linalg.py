@@ -12,7 +12,9 @@ products take each entry as one fused dot product (`cyclotomic.dot`).
 
 `_insert_mod` is the same routine on integer lists mod the split prime p
 of the conductor (`cyclotomic.split_prime`), with the same pivot choice;
-`ModularSpan` keeps such a basis and `residues` reduces matrices mod p.
+`ModularSpan` keeps such a basis and reads its kernel in the form of
+`nullspace`.  `residues` reduces matrices mod p, and
+`residues_per_embedding` does so under every embedding zeta -> omega^k.
 Reduction mod p is a ring map, so a rank mod p is a lower bound on the
 exact rank: a full rank mod p is an exact certificate, and anything less
 is a hint that the caller checks exactly.
@@ -20,7 +22,7 @@ is a hint that the caller checks exactly.
 
 from __future__ import annotations
 
-from .cyclotomic import Cyclotomic, dot, residue, split_prime
+from .cyclotomic import Cyclotomic, dot, residue, residue_images, split_prime
 
 
 def zeros(r: int, c: int, conductor: int):
@@ -99,24 +101,29 @@ def rref(A):
     return rows, pivots
 
 
+def _kernel(rows, pivots, ncols: int, zero, one):
+    """Basis of the right kernel of a reduced echelon basis (rows, pivots):
+    one vector per free column f, one at f, zero at the other free columns
+    and minus the row's entry in column f at each pivot."""
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [zero] * ncols
+            v[f] = one
+            for r, p in zip(rows, pivots):
+                v[p] = -r[f]
+            basis.append(v)
+    return basis
+
+
 def nullspace(A):
     """Basis of the right kernel, as a list of vectors."""
     if not A:
         return []
-    ncols = len(A[0])
     conductor = A[0][0].conductor
     rows, pivots = rref(A)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    zero = Cyclotomic.zero(conductor)
-    one = Cyclotomic.one(conductor)
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for r, p in zip(rows, pivots):
-            v[p] = -r[f]
-        basis.append(v)
-    return basis
+    return _kernel(rows, pivots, len(A[0]), Cyclotomic.zero(conductor),
+                   Cyclotomic.one(conductor))
 
 
 def inverse(A):
@@ -148,17 +155,36 @@ class SpanBasis:
 # -- the same elimination over F_p --
 
 
-def residues(mats):
-    """(p, images): every matrix of mats reduced entrywise mod the split
-    prime p of their conductor, or None when p divides a denominator."""
-    N = mats[0][0][0].conductor
+def _images(mats, reduce):
+    """The matrices of mats with reduce applied entrywise, or None when it
+    gives None for an entry."""
     images = []
     for A in mats:
-        rows = [[residue(a) for a in row] for row in A]
+        rows = [[reduce(a) for a in row] for row in A]
         if any(None in row for row in rows):
             return None
         images.append(rows)
-    return split_prime(N)[0], images
+    return images
+
+
+def residues(mats):
+    """(p, images): every matrix of mats reduced entrywise mod the split
+    prime p of their conductor, or None when p divides a denominator."""
+    images = _images(mats, residue)
+    return None if images is None else (split_prime(mats[0][0][0].conductor)[0], images)
+
+
+def residues_per_embedding(mats):
+    """(p, per_embedding): per_embedding[e] holds every matrix of mats
+    reduced under the e-th embedding of ``cyclotomic.residue_images``,
+    the first being that of ``residues``; None when p divides a
+    denominator."""
+    images = _images(mats, residue_images)
+    if images is None:
+        return None
+    count = len(images[0][0][0])
+    return split_prime(mats[0][0][0].conductor)[0], [
+        [[[v[e] for v in row] for row in A] for A in images] for e in range(count)]
 
 
 def mat_mul_mod(A, B, p: int):
@@ -202,3 +228,9 @@ class ModularSpan:
 
     def dim(self) -> int:
         return len(self.rows)
+
+    def kernel(self, ncols: int):
+        """Basis of the right kernel of the span's rows in the form of
+        ``nullspace``; an entry is an integer that stands for its residue
+        mod p (minus a row entry at each pivot, unreduced)."""
+        return _kernel(self.rows, self.pivots, ncols, 0, 1)

@@ -31,12 +31,13 @@ from random import Random
 
 from .abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
                       SubgroupCharacter, char_kernel, joint_kernel)
-from .cyclotomic import Cyclotomic, root_of_unity, zeta_log
+from .cyclotomic import Cyclotomic, lift, root_of_unity, zeta_log
 from .hopfcore import AlgebraSpec, GroupAlgElem, Mode, SpecError, _is_int, \
     cyclotomic_to_literal, literal_to_cyclotomic, wind
 from .linalg import (identity, inverse, is_zero_matrix, mat_add, mat_mul,
                      mat_mul_mod, mat_pow, mat_scale, mat_vec, nullspace,
-                     residues, zeros, ModularSpan, SpanBasis)
+                     residues, residues_per_embedding, zeros, ModularSpan,
+                     SpanBasis)
 from .report import Report
 
 # what a module file calls the matrix of H's internal second variable
@@ -321,10 +322,21 @@ def torsion_profile(M: ModuleRep) -> dict:
 
     A variable is Torsion when its action matrix is nilpotent (every vector
     is killed by a power), TorsionFree when it acts invertibly, and Mixed
-    otherwise.  Kernels stabilize by the dimension, so nilpotency is decided
-    by the dim-th power.  The profile is computed once per module.
+    otherwise.  A matrix whose rows are independent mod the split prime p
+    is invertible exactly, and an invertible matrix is never nilpotent, so
+    that decides TorsionFree with no exact elimination.  Otherwise, or when
+    p divides a denominator, the exact tests run: kernels stabilize by the
+    dimension, so nilpotency is decided by the dim-th power, then
+    invertibility by an exact inverse.  The profile is computed once per
+    module.
     """
     def profile(A):
+        image = residues([A])
+        if image is not None:
+            p, (rows,) = image
+            span = ModularSpan(p)
+            if all(span.add(row) for row in rows):
+                return TORSION_FREE
         if is_zero_matrix(mat_pow(A, M.dim)):
             return TORSION
         if inverse(A) is not None:
@@ -411,35 +423,80 @@ def _intertwiner_row(pair, i: int, j: int, zero):
 
 
 def _intertwiner_space(pairs, dim: int, conductor: int):
-    """Basis of {T : T A = B T for all pairs (A, B)}, T as dim x dim.
+    """Basis of {T : T A = B T for all pairs (A, B)}, T as dim x dim, in
+    the form of ``nullspace`` of the whole system.
 
     The system is reduced mod the split prime p first.  Its rows that are
     independent mod p are independent exactly, so full rank mod p means no
-    nonzero T.  Otherwise the exact kernel of those rows contains the
-    answer; when each of its basis matrices satisfies every pair exactly,
-    it is the answer, with the reduced echelon form of the whole system
-    and so the same basis.  Else, or when p divides a denominator, the
-    whole system is solved exactly.
+    nonzero T, and otherwise the kernel dimension mod p bounds the exact
+    one.  The kernel of those rows is then read at every prime above p
+    (``_lifted_kernel``) and lifted to Q(zeta_N).  When each lifted matrix
+    satisfies every pair exactly, the lifted vectors span the exact kernel,
+    and they have the form of its ``nullspace`` basis with the same free
+    columns, so they are that basis.  Any failure of the lift runs the
+    exact path: the exact kernel of the independent rows, accepted under
+    the same check, else the whole system solved exactly, which is also
+    the path when p divides a denominator.
     """
     n = dim * dim
     zero = Cyclotomic.zero(conductor)
     cells = [(k, i, j) for k in range(len(pairs)) for i in range(dim) for j in range(dim)]
+
+    def intertwines(basis):
+        return all(mat_mul(T, A) == mat_mul(B, T) for T in basis for A, B in pairs)
+
     image = residues([m for pair in pairs for m in pair])
     if image is not None:
         p, mats = image
         pairs_p = list(zip(mats[::2], mats[1::2]))
-        span, rows = ModularSpan(p), []
+        span, selected = ModularSpan(p), []
         for k, i, j in cells:
             if span.add([x % p for x in _intertwiner_row(pairs_p[k], i, j, 0)]):
-                rows.append(_intertwiner_row(pairs[k], i, j, zero))
+                selected.append((k, i, j))
                 if span.dim() == n:
                     return []
+        lifted = _lifted_kernel(span, selected, pairs, n, conductor)
+        if lifted is not None and intertwines(basis := _as_matrices(lifted, dim)):
+            return basis
+        rows = [_intertwiner_row(pairs[k], i, j, zero) for k, i, j in selected]
         # with no independent row the kernel is the whole space
         basis = _as_matrices(nullspace(rows or [[zero] * n]), dim)
-        if all(mat_mul(T, A) == mat_mul(B, T) for T in basis for A, B in pairs):
+        if intertwines(basis):
             return basis
     return _as_matrices(nullspace([_intertwiner_row(pairs[k], i, j, zero)
                                    for k, i, j in cells]), dim)
+
+
+def _lifted_kernel(span, selected, pairs, n: int, conductor: int):
+    """The kernel of the selected rows of the system of pairs, lifted from
+    every prime above p.
+
+    span holds the selected rows reduced under the first embedding.  The
+    same rows reduced under each other one must have the same pivots, so
+    that each kernel vector has one image per embedding, and
+    ``cyclotomic.lift`` reads each coordinate back from its images.  None
+    when the pivots differ or a coordinate has no lift; the caller checks
+    any lift exactly.
+    """
+    p = span.p
+    _, (_, *others) = residues_per_embedding([m for pair in pairs for m in pair])
+    kernels = [span.kernel(n)]
+    for mats in others:
+        pairs_e = list(zip(mats[::2], mats[1::2]))
+        span_e = ModularSpan(p)
+        for k, i, j in selected:
+            if not span_e.add([x % p for x in _intertwiner_row(pairs_e[k], i, j, 0)]):
+                return None
+        if span_e.pivots != span.pivots:
+            return None
+        kernels.append(span_e.kernel(n))
+    basis = []
+    for images in zip(*kernels):
+        vec = [lift(conductor, coordinate) for coordinate in zip(*images)]
+        if None in vec:
+            return None
+        basis.append(vec)
+    return basis
 
 
 def _as_matrices(vectors, dim: int):
@@ -449,15 +506,17 @@ def _as_matrices(vectors, dim: int):
 def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
     """Decide module isomorphism by solving the intertwiner system.
 
-    When either module holds a passed Burnside report, Schur's lemma
-    decides: a nonzero module map out of or into a simple module of the
-    same dimension is bijective, so the first basis intertwiner is the
-    witness.  Otherwise the first invertible basis intertwiner is, and
-    failing that 64 random combinations of the basis, coefficients in
-    [-dim, dim], are tried; the determinant has degree dim, so if the
-    modules are isomorphic all draws fail with probability at most
-    (dim/(2 dim + 1))^64 (Schwartz-Zippel).  That outcome is reported as
-    unknown, with the bound, not as negative.
+    The basis of intertwiners is that of ``_intertwiner_space``: lifted
+    from F_p and checked exactly, or else solved exactly, the same basis
+    either way.  When either module holds a passed Burnside report,
+    Schur's lemma decides: a nonzero module map out of or into a simple
+    module of the same dimension is bijective, so the first basis
+    intertwiner is the witness.  Otherwise the first invertible basis
+    intertwiner is, and failing that 64 random combinations of the basis,
+    coefficients in [-dim, dim], are tried; the determinant has degree
+    dim, so if the modules are isomorphic all draws fail with probability
+    at most (dim/(2 dim + 1))^64 (Schwartz-Zippel).  That outcome is
+    reported as unknown, with the bound, not as negative.
     """
     if M1.dim != M2.dim:
         return IsoResult("not_isomorphic", detail="dimension mismatch")

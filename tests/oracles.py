@@ -17,8 +17,9 @@ primitive roots, q-factorials, centrality of powers, the transversal and
 group, character triviality and restriction, the raw-to-internal PBW
 conversion (inverse of HopfElem.raw_terms), the degree and K[G] parts of
 an element, entrywise matrix equality, the reduced row echelon form by a
-column sweep, the order of the antipode by iteration, and the truncation
-index of the DiffVbar module by word rewriting.
+column sweep, the intertwiner space and the torsion type of a matrix by
+exact elimination alone, the order of the antipode by iteration, and the
+truncation index of the DiffVbar module by word rewriting.
 """
 
 from itertools import product
@@ -307,6 +308,48 @@ def rref_by_column_sweep(A):
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+def intertwiners_by_exact_nullspace(pairs, dim: int, conductor: int):
+    """Basis of {T : T A = B T for all pairs (A, B)} as dim x dim matrices:
+    the kernel of the whole system, one row per entry of T A - B T with the
+    unknown T[i][k] at column i dim + k, read from its column-sweep rref
+    with one vector per free column (one there, zero at the other free
+    columns).  The reference for the intertwiner space of reps."""
+    zero, one = Cyclotomic.zero(conductor), Cyclotomic.one(conductor)
+    n = dim * dim
+    rows = []
+    for A, B in pairs:
+        for i in range(dim):
+            for j in range(dim):
+                row = [zero] * n
+                for k in range(dim):
+                    row[i * dim + k] = row[i * dim + k] + A[k][j]
+                    row[k * dim + j] = row[k * dim + j] - B[i][k]
+                rows.append(row)
+    reduced, pivots = rref_by_column_sweep(rows)
+    basis = []
+    for f in range(n):
+        if f not in pivots:
+            v = [zero] * n
+            v[f] = one
+            for r, c in zip(reduced, pivots):
+                v[c] = -r[f]
+            basis.append([v[i * dim:(i + 1) * dim] for i in range(dim)])
+    return basis
+
+
+def torsion_type_by_exact_elimination(A) -> str:
+    """Torsion when A is nilpotent (A^dim = 0, by repeated products),
+    TorsionFree when its column-sweep rref has full rank, else Mixed."""
+    zero = Cyclotomic.zero(A[0][0].conductor)
+    power = A
+    for _ in range(len(A) - 1):
+        power = [[sum((a * b for a, b in zip(row, col)), zero) for col in zip(*A)]
+                 for row in power]
+    if all(a.is_zero() for row in power for a in row):
+        return "Torsion"
+    return "TorsionFree" if len(rref_by_column_sweep(A)[1]) == len(A) else "Mixed"
 
 
 def antipode_order_by_iteration(spec: AlgebraSpec) -> int:

@@ -133,6 +133,22 @@ def _beta_text(text):
     return argv
 
 
+def _module_entry(literal):
+    """argv of `module check` on a skew-vx file whose x[0][0] is literal."""
+    def argv(write_config, tmp_path):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["module", "build", "skew-vx", write_config(SKEW3),
+                         "--params", json.dumps({"alpha": 1, "lam": [0, 0]})])
+        assert code == 0
+        payload = json.loads(out.getvalue())
+        payload["module"]["generators"]["x"][0][0] = literal
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(payload))
+        return ["module", "check", str(path)]
+    return argv
+
+
 LITERALS = {
     "expression-zero-denominator": (
         lambda write_config, tmp_path: ["nf", write_config(U1), "1/0 x"],
@@ -150,6 +166,18 @@ LITERALS = {
     "zeta-pow-float": (_beta({"zeta_pow": 2.7}), "zeta_pow must be an integer, not 2.7"),
     "zeta-pow-bool": (_beta({"zeta_pow": True}), "zeta_pow must be an integer, not True"),
     "beta-bool": (_beta(True), "cannot interpret True as a field element"),
+    # a scalar literal string is an optionally signed integer or n/d
+    "beta-exponent": (_beta("1e3000000"), "'1e3000000' is not an integer or a fraction n/d"),
+    "beta-decimal": (_beta("0.5"), "'0.5' is not an integer or a fraction n/d"),
+    "beta-underscore": (_beta("1_0"), "'1_0' is not an integer or a fraction n/d"),
+    "lambda-coeffs-exponent": (
+        lambda write_config, tmp_path: ["validate", write_config(
+            dict(U1, quotient={"lambda1": {"coeffs": ["1e3000000"]}, "lambda2": 1}))],
+        "'1e3000000' is not an integer or a fraction n/d"),
+    "module-entry-exponent": (_module_entry("1e3000000"),
+                              "'1e3000000' is not an integer or a fraction n/d"),
+    "module-entry-decimal": (_module_entry("0.5"),
+                             "'0.5' is not an integer or a fraction n/d"),
 }
 
 

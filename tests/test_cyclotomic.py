@@ -2,16 +2,16 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orehopf.cyclotomic import (Cyclotomic, _is_prime, _q_binomial_row,
-                                _reduction_table, _root_table,
-                                cyclotomic_polynomial, divisors, euler_phi,
-                                q_binomial, q_int, residue, root_of_unity,
-                                split_prime, zeta_log)
+                                _rational, _reduction_table, _root_table,
+                                cyclotomic_polynomial, divisors, euler_phi, lift,
+                                q_binomial, q_int, residue, residue_images,
+                                root_of_unity, split_prime, zeta_log)
 
 from oracles import is_primitive_root, q_factorial
 
@@ -345,3 +345,46 @@ def test_residue_is_a_ring_map(n):
         assert residue(root_of_unity(n, k)) == pow(split_prime(n)[1], k, p)
     assert residue(Cyclotomic.rational(n, p)) == 0
     assert residue(Cyclotomic.rational(n, Fraction(1, 3 * p))) is None
+
+
+def _galois_conjugate(v, k):
+    """sigma_k(v): zeta -> zeta^k on the power-basis coordinates."""
+    n = v.conductor
+    vec = [0] * n
+    for i, c in enumerate(v.coeffs):
+        vec[i * k % n] += c
+    return Cyclotomic.from_zeta_coeffs(n, vec)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 15])
+def test_residue_images_and_lift(n):
+    p = split_prime(n)[0]
+    units = [k for k in range(1, n + 1) if gcd(k, n) == 1]
+    rng = random.Random(11 * n)
+    for _ in range(30):
+        v = _random_rational_element(rng, n)
+        images = residue_images(v)
+        # the embedding zeta -> omega^k is residue after sigma_k
+        assert images == [residue(_galois_conjugate(v, k)) for k in units]
+        assert images[0] == residue(v)
+        assert lift(n, images) == v
+    assert residue_images(Cyclotomic.rational(n, Fraction(1, 3 * p))) is None
+    # coordinates up to sqrt(p/2) lift, and one just above does not
+    bound = isqrt(p // 2)
+    edge = Cyclotomic(n, [Fraction(-bound, bound - 1)] + [bound] * (euler_phi(n) - 1))
+    assert lift(n, residue_images(edge)) == edge
+    above = Cyclotomic.rational(n, Fraction(1, bound + 1))
+    assert lift(n, residue_images(above)) != above
+
+
+def test_rational_reconstruction_against_brute_force():
+    # p = 101, bound 7: every residue with a fraction n/d, |n|, d <= 7,
+    # gives that fraction, and every other residue gives None
+    p, bound = 101, isqrt(101 // 2)
+    fractions = {}
+    for d in range(1, bound + 1):
+        for num in range(-bound, bound + 1):
+            fractions.setdefault(num * pow(d, -1, p) % p, Fraction(num, d))
+    for a in range(p):
+        got = _rational(a, p, bound)
+        assert (got and Fraction(*got)) == fractions.get(a), a

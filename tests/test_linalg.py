@@ -11,9 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from orehopf.cyclotomic import ConductorMismatch, Cyclotomic, residue, split_prime
+from orehopf.cyclotomic import (ConductorMismatch, Cyclotomic, euler_phi, residue,
+                                root_of_unity, split_prime)
 from orehopf.linalg import (ModularSpan, SpanBasis, identity, inverse, mat_mul,
-                            mat_mul_mod, mat_vec, nullspace, residues, rref)
+                            mat_mul_mod, mat_vec, nullspace, residues,
+                            residues_per_embedding, rref)
 
 from gen import random_scalar
 from oracles import mat_eq, rref_by_column_sweep
@@ -189,10 +191,31 @@ def test_modular_twin_of_the_kernel(N, seed):
         assert all(g == e for g, e in grew), name
         assert span.pivots == exact.pivots, name
         assert span.rows == [[residue(x) for x in row] for row in exact.rows], name
+        # the kernel mod p has the form of nullspace's
+        assert [[x % p for x in v] for v in span.kernel(len(A[0]))] == \
+            [[residue(x) for x in v] for v in nullspace(A)], name
         # products of the images are the images of the products
         if len(A) == len(A[0]):
             assert mat_mul_mod(image, image, p) == \
                 [[residue(x) for x in row] for row in mat_mul(A, A)], name
+
+
+@pytest.mark.parametrize("N", CONDUCTORS)
+def test_residues_per_embedding(N):
+    rng = random.Random(N)
+    A = _random_matrix(rng, 3, 3, N)
+    mats = [A, mat_mul(A, A)]
+    p, per_embedding = residues_per_embedding(mats)
+    assert len(per_embedding) == euler_phi(N)
+    assert (p, per_embedding[0]) == residues(mats)
+    # each embedding is a ring map: the image of A^2 is the image of A squared
+    for image, square in per_embedding:
+        assert mat_mul_mod(image, image, p) == square
+    # and they differ: zeta goes to each primitive N-th root mod p once
+    zeta = [[root_of_unity(N, 1)]]
+    assert len({image[0][0][0] for image in residues_per_embedding([zeta])[1]}) \
+        == euler_phi(N)
+    assert residues_per_embedding([[[Cyclotomic.rational(N, Fraction(1, p))]]]) is None
 
 
 def test_modular_rank_only_drops():

@@ -2,12 +2,13 @@
 
 import random
 from collections import Counter
+from math import isqrt
 
 import pytest
 
 from orehopf.abgroup import (AbelianGroup, Character, SubgroupCharacter,
                              char_kernel, joint_kernel)
-from orehopf.cyclotomic import Cyclotomic, root_of_unity, split_prime
+from orehopf.cyclotomic import Cyclotomic, euler_phi, root_of_unity, split_prime
 from orehopf.hopfcore import SpecError, cyclotomic_to_literal, validate_spec, wind
 from orehopf.linalg import (ModularSpan, SpanBasis, identity, inverse, mat_mul,
                             mat_scale, zeros)
@@ -22,8 +23,10 @@ from orehopf.reps import (ClassifyError, ModuleRep, SimpleParams,
 from orehopf.catalog import takeuchi_u1
 from orehopf import reps
 
-from gen import audit_spec, diff_sweep_spec, random_invertible, skew_sweep_spec
-from oracles import mat_eq, vbar_truncation_by_rewriting
+from gen import (audit_spec, diff_sweep_spec, random_group_char, random_invertible,
+                 random_kernel_char, random_scalar, skew_sweep_spec)
+from oracles import (intertwiners_by_exact_nullspace, mat_eq,
+                     torsion_type_by_exact_elimination, vbar_truncation_by_rewriting)
 from test_acceptance import sweep_instances
 
 
@@ -817,3 +820,146 @@ def test_schur_shortcut_skips_inverse(monkeypatch):
     # without a certificate on either side the loop runs
     are_isomorphic(_fresh(M), _fresh(C))
     assert calls["inverse"] > 0
+
+
+# ---------------------------------------------------------------------------
+# intertwiners lifted from every prime above p, against exact elimination
+
+
+def _pairs(M1, M2):
+    return list(zip(M1.group_mats + (M1.X, M1.Y), M2.group_mats + (M2.X, M2.Y)))
+
+
+def _counting_nullspace(monkeypatch):
+    """Patch reps.nullspace to record the row count of each exact solve."""
+    calls = []
+    kernel = reps.nullspace
+
+    def counting_nullspace(A):
+        calls.append(len(A))
+        return kernel(A)
+
+    monkeypatch.setattr(reps, "nullspace", counting_nullspace)
+    return calls
+
+
+def test_lifted_intertwiners_match_the_exact_nullspace(monkeypatch):
+    rng = random.Random(13)
+    instances = sweep_instances()
+    firsts = {}
+    for inst in instances:
+        firsts.setdefault((inst.family, inst.n), inst)
+    cases = []
+    for inst in firsts.values():
+        M, spec = _fresh(inst.module), inst.spec
+        partner = next(other.module for other in instances
+                       if other.spec is spec and other.module.dim == M.dim
+                       and other.module is not inst.module)
+        rebuilt = build_simple(classify_simple(_fresh(M), spec), spec)
+        conj = conjugate(M, random_invertible(M.dim, spec.conductor, rng))
+        cases += [(M, conj), (M, _fresh(partner)), (M, rebuilt)]
+    assert {family for family, _ in firsts} == {
+        "TorsionChar", "SkewVx", "SkewVy", "SkewVxy", "DiffVbar", "DiffVx", "DiffVy"}
+    assert {n for _, n in firsts} == {2, 3, 4}
+    assert any(euler_phi(M.spec.conductor) == 4 for M, _ in cases)
+    calls = _counting_nullspace(monkeypatch)
+    for A, B in cases:
+        pairs, N = _pairs(A, B), A.spec.conductor
+        assert _intertwiner_space(pairs, A.dim, N) == \
+            intertwiners_by_exact_nullspace(pairs, A.dim, N)
+    # every answer came from the lift: no exact elimination ran
+    assert calls == []
+    isos = [_iso_key(are_isomorphic(_fresh(a), _fresh(b))) for a, b in cases]
+    assert isos == _exact_results(monkeypatch, [], cases)[1]
+    statuses = Counter(key[0] for key in isos)
+    assert statuses["isomorphic"] >= 2 * len(firsts) and statuses["not_isomorphic"] > 0
+
+
+def test_lift_falls_back_to_the_exact_path(monkeypatch):
+    spec = diff_sweep_spec(4)   # conductor 8: four primes above p
+    N, p = spec.conductor, _split_prime(spec)
+    M = build_Vx_diff(Character(spec.group, N, [1, 2]), root_of_unity(N, 1),
+                      scalar(spec, 2), spec)
+    n = M.dim * M.dim
+    # the intertwiner M -> T M T^-1 is T, normalized to T[3][3] = 1, and
+    # one of its entries lies above sqrt(p/2): the lift fails or its exact
+    # check does, and the exact kernel of the independent rows decides
+    large = identity(M.dim, N)
+    large[0][1] = scalar(spec, isqrt(p // 2) + 1)
+    # entries p and 1/p: no image mod p, and the whole system decides
+    divisible = identity(M.dim, N)
+    divisible[0][0] = scalar(spec, p)
+    lifts = []
+    lifted_kernel = reps._lifted_kernel
+
+    def recording_lift(*args):
+        lifts.append(lifted_kernel(*args))
+        return lifts[-1]
+
+    monkeypatch.setattr(reps, "_lifted_kernel", recording_lift)
+    calls = _counting_nullspace(monkeypatch)
+    cases = [(M, conjugate(M, T)) for T in (large, divisible)]
+    for A, B in cases:
+        pairs = _pairs(A, B)
+        assert _intertwiner_space(pairs, M.dim, N) == \
+            intertwiners_by_exact_nullspace(pairs, M.dim, N)
+    assert len(lifts) == 1
+    assert calls == [n - 1, len(_pairs(M, M)) * n]
+    isos = [_iso_key(are_isomorphic(_fresh(a), _fresh(b))) for a, b in cases]
+    assert [key[0] for key in isos] == ["isomorphic"] * 2
+    assert isos == _exact_results(monkeypatch, [], cases)[1]
+
+
+def test_torsion_profile_matches_exact_elimination():
+    rng = random.Random(17)
+    for inst in sweep_instances():
+        M = _fresh(inst.module)
+        for module in (M, conjugate(M, random_invertible(M.dim, inst.spec.conductor, rng))):
+            assert torsion_profile(module) == {
+                "x": torsion_type_by_exact_elimination(module.X),
+                "y": torsion_type_by_exact_elimination(module.Y)}, inst.family
+
+
+def test_torsion_profile_runs_exact_tests_only_when_singular_mod_p(monkeypatch):
+    spec = skew_sweep_spec(2)
+    N, p = spec.conductor, _split_prime(spec)
+    one, zero = Cyclotomic.one(N), Cyclotomic.zero(N)
+    ident = identity(2, N)
+    singular_mod_p = [[scalar(spec, p), zero], [zero, one]]
+    M = ModuleRep(spec, 2, [ident, ident], singular_mod_p, ident)
+    calls = Counter()
+    for name in ("mat_pow", "inverse"):
+        def counting(*args, _name=name, _fn=getattr(reps, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(reps, name, counting)
+    # diag(p, 1) is invertible exactly: the exact tests say TorsionFree
+    assert torsion_profile(M) == {"x": "TorsionFree", "y": "TorsionFree"}
+    assert calls == {"mat_pow": 1, "inverse": 1}
+
+
+# ---------------------------------------------------------------------------
+# classification round trip at the larger dimensions
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_classification_round_trip_at_larger_dimensions(n):
+    rng = random.Random(n)
+    skew, diff = skew_sweep_spec(n), diff_sweep_spec(n)
+    modules = [
+        ("SkewVx", skew, build_Vx_skew(random_scalar(rng, skew.conductor, nonzero=True),
+                                       random_kernel_char(rng, skew, char_kernel(skew.chi)),
+                                       skew)),
+        ("DiffVx", diff, build_Vx_diff(random_group_char(rng, diff),
+                                       random_scalar(rng, diff.conductor, nonzero=True),
+                                       Cyclotomic.zero(diff.conductor), diff)),
+    ]
+    for family, spec, M in modules:
+        assert M.dim == n
+        C = conjugate(M, random_invertible(n, spec.conductor, rng))
+        for module in (M, C):
+            assert rep_check(module, spec).passed, family
+            report = is_simple_burnside(module)
+            assert report.passed and report.facts["span_dimension"] == n * n, family
+            assert classify_simple(module, spec).family == family
+        assert are_isomorphic(M, C).status == "isomorphic", family
