@@ -15,7 +15,7 @@ representatives.
 from __future__ import annotations
 
 from math import gcd
-from operator import mul
+from operator import add, mod, mul, neg
 
 from .cyclotomic import Cyclotomic, root_of_unity
 
@@ -54,10 +54,10 @@ class AbelianGroup:
         exps = list(exps)
         if len(exps) != self.ngens:
             raise ValueError(f"expected {self.ngens} exponents, got {len(exps)}")
-        return _element(self, exps)
+        return _new_element(self, exps)
 
     def identity(self) -> "GroupElement":
-        return _element(self, [0] * self.ngens)
+        return _new_element(self, [0] * self.ngens)
 
     def generator(self, i: int) -> "GroupElement":
         exps = [0] * self.ngens
@@ -87,28 +87,26 @@ class AbelianGroup:
 
 
 class GroupElement:
-    __slots__ = ("group", "exps", "_hash")
+    """An exponent vector of a group, torsion coordinates reduced; made by
+    AbelianGroup.element, identity and generator and the group operations."""
 
-    def __init__(self, group: AbelianGroup, exps: tuple):
-        _set_group(self, group)
-        _set_exps(self, exps)
-        _set_hash(self, hash(exps))
+    __slots__ = ("group", "exps", "_hash")
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
 
     def __mul__(self, other):
         group = self.group
-        if not isinstance(other, GroupElement) or (other.group is not group
+        if other.__class__ is not GroupElement or (other.group is not group
                                                    and other.group != group):
             raise ValueError("group elements belong to different groups")
-        return _element(group, [a + b for a, b in zip(self.exps, other.exps)])
+        return _new_element(group, map(add, self.exps, other.exps))
 
     def inverse(self):
-        return _element(self.group, [-a for a in self.exps])
+        return _new_element(self.group, map(neg, self.exps))
 
     def __pow__(self, k: int):
-        return _element(self.group, [k * a for a in self.exps])
+        return _new_element(self.group, [k * a for a in self.exps])
 
     def is_identity(self) -> bool:
         return not any(self.exps)
@@ -129,12 +127,19 @@ _set_exps = GroupElement.exps.__set__
 _set_hash = GroupElement._hash.__set__
 
 
-def _element(group: AbelianGroup, exps: list) -> GroupElement:
-    """The element with the exponent list exps, of length group.ngens; only
-    the torsion coordinates are reduced, in place."""
-    for i, n in enumerate(group.torsion_orders, group.free_rank):
-        exps[i] %= n
-    return GroupElement(group, tuple(exps))
+def _new_element(group: AbelianGroup, exps) -> GroupElement:
+    """The element with the exponents exps, group.ngens integers, built
+    slot by slot; only the torsion coordinates are reduced, and a
+    torsion-free group skips that."""
+    exps = tuple(exps)
+    if group.torsion_orders:
+        free = group.free_rank
+        exps = exps[:free] + tuple(map(mod, exps[free:], group.torsion_orders))
+    g = object.__new__(GroupElement)
+    _set_group(g, group)
+    _set_exps(g, exps)
+    _set_hash(g, hash(exps))
+    return g
 
 
 class Character:

@@ -6,22 +6,34 @@ power basis 1, zeta, ..., zeta^(phi(N)-1), kept canonical modulo the N-th
 cyclotomic polynomial Phi_N.  The pair is normalized so that
 gcd(num[0], ..., num[phi-1], den) = 1, and zero is (0, ..., 0) / 1, so
 equal field elements have equal pairs; equality and hashing compare them.
-Phi_N is monic with integer coefficients, so a product convolves the
-numerators as integers and folds the powers zeta^m, m >= phi(N), back with
-one integer table per N.  ``coeffs`` derives the Fraction coordinates for
-readers.  A fixed conductor N is chosen per algebra instance; mixing
-conductors raises ConductorMismatch (plain integers and Fractions coerce
-into any conductor).
+Phi_N is monic with integer coefficients, so the numerators of a product
+are integer sums: convolve, then fold the powers zeta^m, m >= phi(N), back
+with one integer table per N (``_reduction_table``).  ``_product_kernel(N)``
+does both in one function per conductor.  For phi(N) <= 16 that function is
+generated once with ``exec``: it unpacks the two numerator tuples and
+returns each coordinate as one straight-line sum of products a_i * b_j
+with the table's integer coefficients, so no Python loop runs per product.
+The source is assembled from phi(N), variable indices and the table's
+integers only, never from an input string, so exec runs no text a caller
+chose.  Above phi = 16 the kernel is the convolve+fold loop, which skips
+zero coordinates, since the generated source grows as phi^2.  Both ``*``
+and ``dot`` call the kernel; the canonical pairs are those of
+convolve+fold.  ``coeffs`` derives the Fraction coordinates for readers.
+A fixed conductor N is chosen per algebra instance; mixing conductors
+raises ConductorMismatch (plain integers and Fractions coerce into any
+conductor).
 
-``dot`` sums the products of two vectors with one fold and one gcd, for
-matrix products.  ``residue`` maps an element to F_p for the split prime
-p of its conductor (``split_prime``): zeta goes to an N-th root of unity
-omega mod p, a ring map defined wherever p does not divide the
-denominator, under which the rank of a matrix can only drop.  Since
-p = 1 mod N, zeta can go to any of the phi(N) primitive roots omega^k;
-``residue_images`` gives the images under all of them, and ``lift``
-inverts that map by interpolation and rational reconstruction, or
-returns None.
+``dot`` sums the products of two vectors for matrix products: each
+product's kernel numerators are scaled to the lcm of the products'
+denominators and added, and the sum is normalized with one gcd.
+
+``residue`` maps an element to F_p for the split prime p of its conductor
+(``split_prime``): zeta goes to an N-th root of unity omega mod p, a ring
+map defined wherever p does not divide the denominator, under which the
+rank of a matrix can only drop.  Since p = 1 mod N, zeta can go to any of
+the phi(N) primitive roots omega^k; ``residue_images`` gives the images
+under all of them, and ``lift`` inverts that map by interpolation and
+rational reconstruction, or returns None.
 """
 
 from __future__ import annotations
@@ -145,6 +157,53 @@ def _fold(n: int, vec: list, phi: int) -> list:
             for i, r in table[m]:
                 out[i] += c * r
     return out
+
+
+# the largest phi(N) whose products run as one generated function; above
+# it the source grows as phi^2 and convolve+fold skips zero coordinates
+_KERNEL_MAX_PHI = 16
+
+
+def _signed_sum(terms) -> str:
+    """Python source of the sum of c * t over pairs (c, t), c a nonzero int."""
+    out = ""
+    for c, t in terms:
+        sign, c = (" - ", -c) if c < 0 else (" + ", c)
+        out += sign + (t if c == 1 else f"{c}*{t}")
+    return out[3:] if out.startswith(" + ") else "-" + out[3:]
+
+
+@lru_cache(maxsize=None)
+def _product_kernel(n: int):
+    """The function (a, b) -> numerators of a * b, for two canonical
+    numerator tuples of conductor n: the phi power-basis coordinates of
+    the convolution folded by ``_reduction_table(n)``.
+
+    For phi(n) <= _KERNEL_MAX_PHI it is one generated function that
+    unpacks a and b and returns every coordinate as one straight-line sum
+    of products a_i * b_j with integer coefficients; a power zeta^m,
+    m >= phi, that folds into several coordinates is summed once.  Its
+    source is built from phi and the table's integers only.  Above the
+    cutoff it is convolve+fold."""
+    phi = euler_phi(n)
+    if phi > _KERNEL_MAX_PHI:
+        return lambda a, b: tuple(_fold(n, _convolve(a, b), phi))
+    table = _reduction_table(n)
+    conv = [[f"a{i}*b{m - i}" for i in range(max(0, m - phi + 1), min(m, phi - 1) + 1)]
+            for m in range(2 * phi - 1)]
+    lines = [f"    {', '.join(f'{v}{i}' for i in range(phi))}, = {v}" for v in "ab"]
+    coords = [[(1, t) for t in conv[k]] for k in range(phi)]
+    for m in range(phi, 2 * phi - 1):
+        terms = conv[m]
+        if len(table[m]) > 1 and len(terms) > 1:
+            lines.append(f"    c{m} = {' + '.join(terms)}")
+            terms = [f"c{m}"]
+        for k, c in table[m]:
+            coords[k] += [(c, t) for t in terms]
+    lines.append(f"    return ({', '.join(map(_signed_sum, coords))},)")
+    namespace = {}
+    exec("def product(a, b):\n" + "\n".join(lines) + "\n", namespace)
+    return namespace["product"]
 
 
 def _unit_cofactor(a: list, mod: list):
@@ -308,15 +367,13 @@ class Cyclotomic:
         return o - self
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.num, o.num
-        den = self.den * o.den
-        phi = len(a)
-        if phi == 1:
-            return _canonical(self.conductor, (a[0] * b[0],), den)
-        return _canonical(self.conductor, _fold(self.conductor, _convolve(a, b), phi), den)
+        n = self.conductor
+        # the hot case, an element of the same conductor, skips _lift
+        if other.__class__ is not Cyclotomic or other.conductor != n:
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        return _canonical(n, _product_kernel(n)(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -444,10 +501,12 @@ def _canonical(conductor: int, num, den: int) -> Cyclotomic:
 
 def dot(xs, ys) -> Cyclotomic:
     """sum(x * y) over the paired entries of two nonempty sequences of
-    elements of one conductor.  The convolved numerators accumulate over
-    the lcm of the products' denominators, then fold and normalize once;
-    the canonical pair equals that of the per-term sum."""
+    elements of one conductor.  Each product's numerators come from the
+    product kernel; they accumulate over the lcm of the products'
+    denominators and normalize once, so the canonical pair equals that of
+    the per-term sum."""
     n = xs[0].conductor
+    product = _product_kernel(n)
     terms, den = [], 1
     for a, b in zip(xs, ys):
         if a.conductor != n or b.conductor != n:
@@ -455,20 +514,14 @@ def dot(xs, ys) -> Cyclotomic:
                 f"conductor mismatch: {n} vs {a.conductor} and {b.conductor}")
         if any(a.num) and any(b.num):
             d = a.den * b.den
-            terms.append((a.num, b.num, d))
+            terms.append((product(a.num, b.num), d))
             if den % d:
                 den = den * d // gcd(den, d)
-    phi = len(xs[0].num)
-    acc = [0] * (2 * phi - 1)
-    for a, b, d in terms:
+    acc = [0] * len(xs[0].num)
+    for num, d in terms:
         scale = den // d
-        support = [(j, y) for j, y in enumerate(b) if y]
-        for i, x in enumerate(a):
-            if x:
-                x *= scale
-                for j, y in support:
-                    acc[i + j] += x * y
-    return _canonical(n, _fold(n, acc, phi), den)
+        acc = [s + scale * x for s, x in zip(acc, num)]
+    return _canonical(n, acc, den)
 
 
 @lru_cache(maxsize=None)

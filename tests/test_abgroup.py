@@ -47,11 +47,17 @@ def test_group_products_match_element(data):
         want = G.element(exps)
         assert got == want and got.group is G
         assert got.exps == want.exps and got._hash == want._hash == hash(got)
+        # the reduction spelled out: free coordinates as they are, torsion
+        # coordinates into [0, n)
+        assert got.exps == tuple(exps[:free]) + tuple(
+            e % n for e, n in zip(exps[free:], torsion))
     assert g * AbelianGroup(free, torsion).element(v) == g * h
     other = (AbelianGroup(free, tuple(n + 1 for n in torsion)) if torsion
              else AbelianGroup(free + 1))
     with pytest.raises(ValueError):
         g * other.identity()
+    with pytest.raises(ValueError):
+        g * 3
     with pytest.raises(ValueError):
         G.element(u + [0])
 

@@ -1,6 +1,7 @@
 """CLI and expression grammar: exit codes, JSON reports, round trips."""
 
 import contextlib
+import copy
 import io
 import json
 import random
@@ -9,12 +10,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orehopf.abgroup import SubgroupCharacter
+from orehopf.abgroup import Character, SubgroupCharacter
 from orehopf.cli import (MAX_CONDUCTOR, MAX_DEGREE, MAX_MODULE_DIM, main,
                          parse_config, ConfigError)
 from orehopf.exprparse import (MAX_TERM_DEGREE, ParseError, element_to_expr,
                                parse_element, serialize_element)
-from orehopf.reps import build_Vx_skew
+from orehopf.reps import build_Vx_diff, build_Vx_skew
 from orehopf.hopfcore import random_element
 from orehopf.catalog import takeuchi_u1
 
@@ -732,6 +733,154 @@ def test_module_classify_non_simple_exit_1(write_config, tmp_path, capsys):
     code, out, _ = run(capsys, "module", "classify", str(p2))
     assert code == 1
     assert "not certified simple" in out["facts"]["error"]
+
+
+# ---------------------------------------------------------------------------
+# a fuzz test of the module commands on edited module files
+
+
+def _module_file(spec, module):
+    return {"config": spec.config_dict(), "module": module.to_dict()}
+
+
+def _skew_vx_file(n):
+    spec = skew_sweep_spec(n)
+    lam = SubgroupCharacter(spec.chi.kernel(), spec.conductor, [0, 1])
+    return _module_file(spec, build_Vx_skew(spec.scalar(1), lam, spec))
+
+
+def _diff_vx_file(n):
+    spec = diff_sweep_spec(n)
+    rho = Character(spec.group, spec.conductor, [0] * spec.group.ngens)
+    return _module_file(spec, build_Vx_diff(rho, spec.scalar(2), spec.scalar(0), spec))
+
+
+# valid files at dimensions 3, 2, 16 (the bound, conductor 16 with phi = 8)
+# and 17 (just outside it)
+MODULE_FILES = {"skew3": _skew_vx_file(3), "diff2": _diff_vx_file(2),
+                "skew16": _skew_vx_file(16), "skew17": _skew_vx_file(17)}
+
+_ENTRY_LITERALS = [
+    "0", "1", "-1/2", 7, 10 ** 30, "1/" + "9" * 50, {"zeta_pow": 3},
+    {"coeffs": [1, "1/2"]}, {"coeffs": list(range(40))},
+    # bad literals
+    "1/0", "0.5", "1e3000000", " 3", "", "x", "9" * 5000, {"zeta_pow": 2.5},
+    {"coeffs": 5}, {"coeffs": ["x"]}, {"coeffs": None}, {"coeffs": {"a": 1}}, {},
+    [1], None, True, 1.5]
+
+_MODULE_EDITS = st.one_of(
+    st.tuples(st.just("dim"), st.sampled_from(
+        [0, -1, 1, 2, 16, 17, 10 ** 6, "3", True, None, 2.5, []])),
+    st.tuples(st.just("entry"), st.integers(0, 5), st.integers(0, 20),
+              st.integers(0, 20), st.sampled_from(_ENTRY_LITERALS)),
+    st.tuples(st.sampled_from(["drop-row", "add-row", "short-row", "long-row",
+                               "drop-generator", "generator-not-a-list",
+                               "row-not-a-list"]), st.integers(0, 5)),
+    st.tuples(st.just("extra-generator"), st.sampled_from(["g9", "w"])),
+    st.tuples(st.just("fingerprint"), st.sampled_from(["0" * 16, "", 5, None, "pop"])),
+    st.tuples(st.just("presentation"), st.sampled_from(["Raw", "Normalized", "raw", 3])),
+    st.tuples(st.just("config"), st.sampled_from(
+        ["double-conductor", "beta", "drop-chi", "not-an-object", "drop"])),
+    st.tuples(st.just("file"), st.sampled_from(
+        ["list", "drop-module", "module-list", "generators-list"])))
+
+
+def _edit_module_file(payload, edit):
+    """payload after one edit; in place while it is an object."""
+    kind, arg, *rest = edit
+    if not isinstance(payload, dict):
+        return payload
+    module, config = payload.get("module"), payload.get("config")
+    if kind == "file":
+        if arg == "list":
+            return [payload]
+        if arg == "drop-module":
+            payload.pop("module", None)
+        elif arg == "module-list":
+            payload["module"] = [module]
+        elif isinstance(module, dict):
+            module["generators"] = [module.get("generators")]
+    elif kind == "config":
+        if not isinstance(config, dict):
+            pass
+        elif arg == "double-conductor":
+            config["conductor"] *= 2
+        elif arg == "beta":
+            config["beta"] = 1
+        elif arg == "drop-chi":
+            config.pop("chi", None)
+        elif arg == "not-an-object":
+            payload["config"] = [config]
+        else:
+            del payload["config"]
+    elif not isinstance(module, dict):
+        pass
+    elif kind in ("dim", "presentation"):
+        module[kind] = arg
+    elif kind == "fingerprint":
+        if arg == "pop":
+            module.pop("spec_fingerprint", None)
+        else:
+            module["spec_fingerprint"] = arg
+    elif isinstance(module.get("generators"), dict) and module["generators"]:
+        _edit_generators(module["generators"], kind, arg, rest)
+    return payload
+
+
+def _edit_generators(gens, kind, arg, rest):
+    if kind == "extra-generator":
+        gens[arg] = [["1"]]
+        return
+    name = sorted(gens)[arg % len(gens)]
+    rows = gens[name]
+    if kind == "drop-generator":
+        del gens[name]
+    elif kind == "generator-not-a-list":
+        gens[name] = "I"
+    elif not isinstance(rows, list) or not rows:
+        pass
+    elif kind == "entry":
+        row = rows[rest[0] % len(rows)]
+        if isinstance(row, list) and row:
+            row[rest[1] % len(row)] = rest[2]
+    elif kind == "drop-row":
+        rows.pop()
+    elif kind == "add-row":
+        rows.append(copy.copy(rows[-1]))
+    elif kind == "row-not-a-list":
+        rows[0] = "0"
+    elif kind == "short-row" and isinstance(rows[-1], list) and rows[-1]:
+        rows[-1].pop()
+    elif kind == "long-row" and isinstance(rows[-1], list):
+        rows[-1].append("0")
+
+
+@pytest.fixture(scope="module")
+def module_fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("module-fuzz")
+
+
+@settings(max_examples=80, deadline=None)
+@given(base=st.sampled_from(sorted(MODULE_FILES)),
+       command=st.sampled_from(["check", "simple", "classify"]),
+       edits=st.lists(_MODULE_EDITS, max_size=3))
+def test_module_commands_fuzz(module_fuzz_dir, base, command, edits):
+    payload = copy.deepcopy(MODULE_FILES[base])
+    for edit in edits:
+        payload = _edit_module_file(payload, edit)
+    path = module_fuzz_dir / "module.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    # an exception escaping main would be a traceback on the command line
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["module", command, str(path)])
+    assert time.perf_counter() - start < 20, edits
+    assert code in (0, 1, 2), edits
+    report = json.loads(out.getvalue())     # exactly one JSON object
+    assert isinstance(report, dict)
+    assert report["status"] == {0: "pass", 1: "fail", 2: "error"}[code], edits
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

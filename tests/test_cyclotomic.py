@@ -7,10 +7,12 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orehopf.cyclotomic import (Cyclotomic, _is_prime, _q_binomial_row,
-                                _rational, _reduction_table, _root_table,
-                                cyclotomic_polynomial, divisors, euler_phi, lift,
-                                q_binomial, q_int, residue, residue_images,
+from orehopf import cyclotomic
+from orehopf.cyclotomic import (Cyclotomic, _convolve, _fold, _is_prime,
+                                _product_kernel, _q_binomial_row, _rational,
+                                _reduction_table, _root_table,
+                                cyclotomic_polynomial, divisors, dot, euler_phi,
+                                lift, q_binomial, q_int, residue, residue_images,
                                 root_of_unity, split_prime, zeta_log)
 
 from oracles import is_primitive_root, q_factorial
@@ -272,6 +274,71 @@ def test_against_sympy_reduction_mod_the_cyclotomic_polynomial(n):
                 for _ in range(rng.randint(0, 2 * n))]
         assert Cyclotomic.from_zeta_coeffs(n, zeta).coeffs == vector(
             poly(zeta).rem(phi_n))
+
+
+# every conductor up to 64, and 420 (phi = 96) above the kernel cutoff
+@pytest.mark.parametrize("n", list(range(1, 65)) + [420])
+def test_product_kernel_against_convolve_and_fold(n):
+    phi = euler_phi(n)
+    product = _product_kernel(n)
+    rng = random.Random(n)
+    big = 10 ** 40
+
+    def numerators():
+        return tuple(rng.choice((0, 0, 1, -1, rng.randint(-9, 9), rng.randint(-big, big)))
+                     for _ in range(phi))
+
+    zero = (0,) * phi
+    cases = [(zero, zero), (zero, numerators()), (numerators(), zero),
+             ((big,) * phi, (-big,) * phi)]
+    cases += [(numerators(), numerators()) for _ in range(25)]
+    for a, b in cases:
+        assert product(a, b) == tuple(_fold(n, _convolve(a, b), phi)), (a, b)
+
+
+def test_product_kernel_cutoff(monkeypatch):
+    # phi(N) is even for N > 2, so phi = 16 (N = 17, 32, 60) and phi = 18
+    # (N = 19, 27) are the values on either side of the cutoff
+    assert cyclotomic._KERNEL_MAX_PHI == 16
+    folds = []
+
+    def counting_fold(n, vec, phi):
+        folds.append(n)
+        return _fold(n, vec, phi)
+
+    monkeypatch.setattr(cyclotomic, "_fold", counting_fold)
+    for n, generated in ((17, True), (32, True), (60, True), (19, False), (27, False)):
+        _product_kernel.cache_clear()
+        a = root_of_unity(n, 1) + Fraction(2, 3)
+        b = root_of_unity(n, n - 1) - 5
+        folds.clear()
+        product = a * b
+        assert folds == ([] if generated else [n]), n
+        assert product.num == tuple(_fold(n, _convolve(a.num, b.num), euler_phi(n)))
+    _product_kernel.cache_clear()
+
+
+@st.composite
+def fractional_elements(draw, n):
+    """Zero, or an element with rational coordinates of mixed denominators."""
+    if draw(st.integers(0, 3)) == 0:
+        return Cyclotomic.zero(n)
+    rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    return Cyclotomic(n, draw(st.lists(rationals, min_size=1, max_size=euler_phi(n))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_dot_is_the_left_fold_of_products(data):
+    n = data.draw(st.sampled_from(CONDUCTORS + [7, 15, 16, 420]))
+    length = data.draw(st.integers(1, 5))
+    xs = [data.draw(fractional_elements(n)) for _ in range(length)]
+    ys = [data.draw(fractional_elements(n)) for _ in range(length)]
+    expected = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        expected = expected + x * y
+    got = dot(xs, ys)
+    assert (got.num, got.den) == (expected.num, expected.den)
 
 
 def _is_canonical(v):
