@@ -9,23 +9,27 @@ equal field elements have equal pairs; equality and hashing compare them.
 Phi_N is monic with integer coefficients, so the numerators of a product
 are integer sums: convolve, then fold the powers zeta^m, m >= phi(N), back
 with one integer table per N (``_reduction_table``).  ``_product_kernel(N)``
-does both in one function per conductor.  For phi(N) <= 16 that function is
+does both in one function per conductor.  For phi(N) <= 4 that function is
 generated once with ``exec``: it unpacks the two numerator tuples and
 returns each coordinate as one straight-line sum of products a_i * b_j
 with the table's integer coefficients, so no Python loop runs per product.
 The source is assembled from phi(N), variable indices and the table's
 integers only, never from an input string, so exec runs no text a caller
-chose.  Above phi = 16 the kernel is the convolve+fold loop, which skips
-zero coordinates, since the generated source grows as phi^2.  Both ``*``
-and ``dot`` call the kernel; the canonical pairs are those of
-convolve+fold.  ``coeffs`` derives the Fraction coordinates for readers.
+chose.  Above phi = 4 the kernel is the convolve+fold loop: the generated
+function multiplies all phi^2 pairs, zeros included, so on sparse
+operands such as roots of unity it loses to convolve+fold, which skips
+zero coordinates, in ``dot`` from phi = 6 and in ``*`` from phi = 12.
+``*`` calls the kernel; the canonical pairs are those of convolve+fold.
+``coeffs`` derives the Fraction coordinates for readers.
 A fixed conductor N is chosen per algebra instance; mixing conductors
 raises ConductorMismatch (plain integers and Fractions coerce into any
 conductor).
 
-``dot`` sums the products of two vectors for matrix products: each
-product's kernel numerators are scaled to the lcm of the products'
-denominators and added, and the sum is normalized with one gcd.
+``dot`` sums the products of two vectors for matrix products: the
+products are scaled to the lcm of their denominators and added, and the
+sum is normalized with one gcd.  Up to the cutoff each product comes from
+the kernel; above it the convolutions accumulate unfolded and the sum
+folds once.
 
 ``residue`` maps an element to F_p for the split prime p of its conductor
 (``split_prime``): zeta goes to an N-th root of unity omega mod p, a ring
@@ -160,8 +164,9 @@ def _fold(n: int, vec: list, phi: int) -> list:
 
 
 # the largest phi(N) whose products run as one generated function; above
-# it the source grows as phi^2 and convolve+fold skips zero coordinates
-_KERNEL_MAX_PHI = 16
+# it the phi^2 products, zeros included, cost more than convolve+fold on
+# sparse operands (phi = 3 and 5 do not occur)
+_KERNEL_MAX_PHI = 4
 
 
 def _signed_sum(terms) -> str:
@@ -501,12 +506,12 @@ def _canonical(conductor: int, num, den: int) -> Cyclotomic:
 
 def dot(xs, ys) -> Cyclotomic:
     """sum(x * y) over the paired entries of two nonempty sequences of
-    elements of one conductor.  Each product's numerators come from the
-    product kernel; they accumulate over the lcm of the products'
-    denominators and normalize once, so the canonical pair equals that of
-    the per-term sum."""
+    elements of one conductor.  The products accumulate over the lcm of
+    their denominators and normalize once, so the canonical pair equals
+    that of the per-term sum.  Up to the kernel cutoff each product is
+    folded by the product kernel; above it the convolutions add into one
+    vector that folds once."""
     n = xs[0].conductor
-    product = _product_kernel(n)
     terms, den = [], 1
     for a, b in zip(xs, ys):
         if a.conductor != n or b.conductor != n:
@@ -514,14 +519,27 @@ def dot(xs, ys) -> Cyclotomic:
                 f"conductor mismatch: {n} vs {a.conductor} and {b.conductor}")
         if any(a.num) and any(b.num):
             d = a.den * b.den
-            terms.append((product(a.num, b.num), d))
+            terms.append((a.num, b.num, d))
             if den % d:
                 den = den * d // gcd(den, d)
-    acc = [0] * len(xs[0].num)
-    for num, d in terms:
+    phi = len(xs[0].num)
+    if phi <= _KERNEL_MAX_PHI:
+        product = _product_kernel(n)
+        acc = [0] * phi
+        for a, b, d in terms:
+            scale = den // d
+            acc = [s + scale * x for s, x in zip(acc, product(a, b))]
+        return _canonical(n, acc, den)
+    acc = [0] * (2 * phi - 1)
+    for a, b, d in terms:
         scale = den // d
-        acc = [s + scale * x for s, x in zip(acc, num)]
-    return _canonical(n, acc, den)
+        support = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                x *= scale
+                for j, y in support:
+                    acc[i + j] += x * y
+    return _canonical(n, _fold(n, acc, phi), den)
 
 
 @lru_cache(maxsize=None)

@@ -276,7 +276,7 @@ def test_against_sympy_reduction_mod_the_cyclotomic_polynomial(n):
             poly(zeta).rem(phi_n))
 
 
-# every conductor up to 64, and 420 (phi = 96) above the kernel cutoff
+# every conductor up to 64, on both sides of the kernel cutoff, and 420 (phi = 96)
 @pytest.mark.parametrize("n", list(range(1, 65)) + [420])
 def test_product_kernel_against_convolve_and_fold(n):
     phi = euler_phi(n)
@@ -297,9 +297,9 @@ def test_product_kernel_against_convolve_and_fold(n):
 
 
 def test_product_kernel_cutoff(monkeypatch):
-    # phi(N) is even for N > 2, so phi = 16 (N = 17, 32, 60) and phi = 18
-    # (N = 19, 27) are the values on either side of the cutoff
-    assert cyclotomic._KERNEL_MAX_PHI == 16
+    # phi(N) is even for N > 2, so phi = 4 (N = 5, 8, 10, 12) and phi = 6
+    # (N = 7, 9, 14, 18) are the values on either side of the cutoff
+    assert cyclotomic._KERNEL_MAX_PHI == 4
     folds = []
 
     def counting_fold(n, vec, phi):
@@ -307,7 +307,8 @@ def test_product_kernel_cutoff(monkeypatch):
         return _fold(n, vec, phi)
 
     monkeypatch.setattr(cyclotomic, "_fold", counting_fold)
-    for n, generated in ((17, True), (32, True), (60, True), (19, False), (27, False)):
+    for n, generated in ((5, True), (8, True), (10, True), (12, True),
+                         (7, False), (9, False), (14, False), (18, False)):
         _product_kernel.cache_clear()
         a = root_of_unity(n, 1) + Fraction(2, 3)
         b = root_of_unity(n, n - 1) - 5
