@@ -227,21 +227,22 @@ def _need(params: dict, family: str, *keys):
                           f"{', '.join(unknown)}")
 
 
-def _group_character(spec, params, key):
+def _exponents(params, key, what):
     exps = params[key]
-    if not isinstance(exps, list):
-        raise ConfigError(f"param '{key}' must be a list of integer exponents, "
-                          f"one per group generator")
-    return Character(spec.group, spec.conductor, exps)
+    if not isinstance(exps, list) or not all(_is_int(e) for e in exps):
+        raise ConfigError(f"param '{key}' must be a list of integer exponents, {what}")
+    return exps
+
+
+def _group_character(spec, params, key):
+    return Character(spec.group, spec.conductor,
+                     _exponents(params, key, "one per group generator"))
 
 
 def _kernel_character(spec, sub, params, key):
-    exps = params[key]
-    if not isinstance(exps, list):
-        raise ConfigError(f"param '{key}' must be a list of integer exponents, "
-                          f"one per Hermite generator of the kernel subgroup "
-                          f"({len(sub.rows)} expected)")
-    return SubgroupCharacter(sub, spec.conductor, exps)
+    return SubgroupCharacter(sub, spec.conductor, _exponents(
+        params, key, f"one per Hermite generator of the kernel subgroup "
+                     f"({len(sub.rows)} expected)"))
 
 
 def _literal(spec, value, name):

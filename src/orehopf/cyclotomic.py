@@ -31,13 +31,14 @@ sum is normalized with one gcd.  Up to the cutoff each product comes from
 the kernel; above it the convolutions accumulate unfolded and the sum
 folds once.
 
-``residue`` maps an element to F_p for the split prime p of its conductor
-(``split_prime``): zeta goes to an N-th root of unity omega mod p, a ring
-map defined wherever p does not divide the denominator, under which the
-rank of a matrix can only drop.  Since p = 1 mod N, zeta can go to any of
-the phi(N) primitive roots omega^k; ``residue_images`` gives the images
-under all of them, and ``lift`` inverts that map by interpolation and
-rational reconstruction, or returns None.
+``residue(v, e)`` maps an element to F_p for the split prime p of its
+conductor (``split_prime``) under the e-th embedding: since p = 1 mod N,
+zeta can go to any of the phi(N) primitive N-th roots omega^k mod p, k
+coprime to N in increasing order, and e = 0 sends zeta to omega.  Each is
+a ring map defined wherever p does not divide the denominator, under which
+the rank of a matrix can only drop.  ``lift`` inverts the images under all
+phi(N) embeddings by interpolation and rational reconstruction, or returns
+None.
 """
 
 from __future__ import annotations
@@ -647,26 +648,16 @@ def _embeddings(conductor: int) -> tuple:
     return p, tuple(powers), tuple(zip(*columns))
 
 
-def residue(v: Cyclotomic):
-    """The image of v in F_p, p = split_prime(N)[0], under zeta -> omega:
-    an integer in [0, p), or None when p divides the denominator."""
+def residue(v: Cyclotomic, e: int):
+    """The image of v in F_p, p = split_prime(N)[0], under the e-th
+    embedding zeta -> omega^k (k coprime to N in increasing order, so e = 0
+    is zeta -> omega): an integer in [0, p), or None when p divides the
+    denominator."""
     p, powers, _ = _embeddings(v.conductor)
     if v.den % p == 0:
         return None
-    s = sum(a * w for a, w in zip(v.num, powers[0]))
+    s = sum(a * w for a, w in zip(v.num, powers[e]))
     return s % p if v.den == 1 else s * pow(v.den, -1, p) % p
-
-
-def residue_images(v: Cyclotomic):
-    """The images of v in F_p under every embedding zeta -> omega^k, k
-    coprime to N, k = 1 (that of ``residue``) first; None when p divides
-    the denominator."""
-    p, powers, _ = _embeddings(v.conductor)
-    if v.den % p == 0:
-        return None
-    scale = 1 if v.den == 1 else pow(v.den, -1, p)
-    num = v.num
-    return [sum(a * w for a, w in zip(num, row)) * scale % p for row in powers]
 
 
 def _rational(a: int, p: int, bound: int):
@@ -685,7 +676,7 @@ def _rational(a: int, p: int, bound: int):
 
 def lift(conductor: int, images):
     """The element of Q(zeta_N) with the given images under the embeddings
-    of ``residue_images``, or None.  Interpolation gives each power-basis
+    e = 0, ..., phi(N) - 1 of ``residue``, or None.  Interpolation gives each power-basis
     coordinate mod p, and rational reconstruction reads it as n/d with
     |n|, d <= sqrt(p/2); None when a coordinate has no such form.  An
     element whose coordinates are so bounded is the only one with these

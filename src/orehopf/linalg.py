@@ -13,8 +13,8 @@ products take each entry as one fused dot product (`cyclotomic.dot`).
 `_insert_mod` is the same routine on integer lists mod the split prime p
 of the conductor (`cyclotomic.split_prime`), with the same pivot choice;
 `ModularSpan` keeps such a basis and reads its kernel in the form of
-`nullspace`.  `residues` reduces matrices mod p, and
-`residues_per_embedding` does so under every embedding zeta -> omega^k.
+`nullspace`.  `residues(mats, e)` reduces matrices mod p under the e-th
+embedding zeta -> omega^k of `cyclotomic.residue`.
 Reduction mod p is a ring map, so a rank mod p is a lower bound on the
 exact rank: a full rank mod p is an exact certificate, and anything less
 is a hint that the caller checks exactly.
@@ -22,7 +22,7 @@ is a hint that the caller checks exactly.
 
 from __future__ import annotations
 
-from .cyclotomic import Cyclotomic, dot, residue, residue_images, split_prime
+from .cyclotomic import Cyclotomic, dot, residue, split_prime
 
 
 def zeros(r: int, c: int, conductor: int):
@@ -155,36 +155,14 @@ class SpanBasis:
 # -- the same elimination over F_p --
 
 
-def _images(mats, reduce):
-    """The matrices of mats with reduce applied entrywise, or None when it
-    gives None for an entry."""
-    images = []
-    for A in mats:
-        rows = [[reduce(a) for a in row] for row in A]
-        if any(None in row for row in rows):
-            return None
-        images.append(rows)
-    return images
-
-
-def residues(mats):
-    """(p, images): every matrix of mats reduced entrywise mod the split
-    prime p of their conductor, or None when p divides a denominator."""
-    images = _images(mats, residue)
-    return None if images is None else (split_prime(mats[0][0][0].conductor)[0], images)
-
-
-def residues_per_embedding(mats):
-    """(p, per_embedding): per_embedding[e] holds every matrix of mats
-    reduced under the e-th embedding of ``cyclotomic.residue_images``,
-    the first being that of ``residues``; None when p divides a
-    denominator."""
-    images = _images(mats, residue_images)
-    if images is None:
+def residues(mats, e: int):
+    """(p, images): every matrix of mats reduced entrywise under the e-th
+    embedding of ``cyclotomic.residue`` mod the split prime p of their
+    conductor, or None when p divides a denominator."""
+    images = [[[residue(a, e) for a in row] for row in A] for A in mats]
+    if any(None in row for A in images for row in A):
         return None
-    count = len(images[0][0][0])
-    return split_prime(mats[0][0][0].conductor)[0], [
-        [[[v[e] for v in row] for row in A] for A in images] for e in range(count)]
+    return split_prime(mats[0][0][0].conductor)[0], images
 
 
 def mat_mul_mod(A, B, p: int):

@@ -20,8 +20,11 @@ by Cayley-Hamilton the inverse of an invertible matrix is a polynomial in
 it, so they lie in that algebra already.
 
 A module has dimension >= 1 and never changes, so its generator inverses,
-Burnside report and rep_check report per spec object are computed once and
-kept on it; conjugate and direct_sum return new modules that certify anew.
+its reduction mod the split prime p under each embedding (made when first
+read), Burnside report, torsion profile and rep_check report per spec
+object are computed once and kept on it; conjugate and direct_sum return
+new modules that certify anew.  Burnside, the torsion profile and the
+intertwiner system read embedding 0; the intertwiner lift reads the others.
 """
 
 from dataclasses import dataclass
@@ -31,13 +34,12 @@ from random import Random
 
 from .abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
                       SubgroupCharacter, char_kernel, joint_kernel)
-from .cyclotomic import Cyclotomic, lift, root_of_unity, zeta_log
+from .cyclotomic import Cyclotomic, euler_phi, lift, root_of_unity, zeta_log
 from .hopfcore import AlgebraSpec, GroupAlgElem, Mode, SpecError, _is_int, \
-    cyclotomic_to_literal, literal_to_cyclotomic, wind
+    cyclotomic_to_literal, literal_to_cyclotomic
 from .linalg import (identity, inverse, is_zero_matrix, mat_add, mat_mul,
                      mat_mul_mod, mat_pow, mat_scale, mat_vec, nullspace,
-                     residues, residues_per_embedding, zeros, ModularSpan,
-                     SpanBasis)
+                     residues, zeros, ModularSpan, SpanBasis)
 from .report import Report
 
 # what a module file calls the matrix of H's internal second variable
@@ -128,6 +130,13 @@ class ModuleRep:
     def _inverses(self):
         """The inverse of each group generator matrix, None where singular."""
         return tuple(inverse(A) for A in self.group_mats)
+
+    @_memoized
+    def _residues(self, e: int):
+        """The group generator matrices, X and Y reduced under the e-th
+        embedding, as (p, images) of ``linalg.residues``, or None when p
+        divides a denominator."""
+        return residues(self.group_mats + (self.X, self.Y), e)
 
     def _gen_inverse(self, k: int):
         inv = self._inverses()[k]
@@ -324,18 +333,19 @@ def torsion_profile(M: ModuleRep) -> dict:
     is killed by a power), TorsionFree when it acts invertibly, and Mixed
     otherwise.  A matrix whose rows are independent mod the split prime p
     is invertible exactly, and an invertible matrix is never nilpotent, so
-    that decides TorsionFree with no exact elimination.  Otherwise, or when
-    p divides a denominator, the exact tests run: kernels stabilize by the
-    dimension, so nilpotency is decided by the dim-th power, then
-    invertibility by an exact inverse.  The profile is computed once per
-    module.
+    that decides TorsionFree with no exact elimination; the rows are those of
+    the module's reduction under embedding 0.  Otherwise, or when p divides
+    a denominator, the exact tests run: kernels stabilize by the dimension,
+    so nilpotency is decided by the dim-th power, then invertibility by an
+    exact inverse.  The profile is computed once per module.
     """
-    def profile(A):
-        image = residues([A])
+    image = M._residues(0)
+
+    # k is the index of A among the module's reduced generators
+    def profile(A, k):
         if image is not None:
-            p, (rows,) = image
-            span = ModularSpan(p)
-            if all(span.add(row) for row in rows):
+            span = ModularSpan(image[0])
+            if all(span.add(row) for row in image[1][k]):
                 return TORSION_FREE
         if is_zero_matrix(mat_pow(A, M.dim)):
             return TORSION
@@ -343,7 +353,7 @@ def torsion_profile(M: ModuleRep) -> dict:
             return TORSION_FREE
         return MIXED
 
-    return {"x": profile(M.X), "y": profile(M.Y)}
+    return {"x": profile(M.X, -2), "y": profile(M.Y, -1)}
 
 
 def _span_closure(gens, ident, mul, span, full: int) -> int:
@@ -369,7 +379,8 @@ def is_simple_burnside(M: ModuleRep) -> Report:
 
     The certificate is valid over the non-closed coefficient field: full
     matrix algebra span is equivalent to absolute simplicity.  The closure
-    runs mod the split prime p first: products of the reduced matrices are
+    runs mod the split prime p first, on the module's reduction under
+    embedding 0: products of the reduced matrices are
     the reductions of the exact products, and a rank can only drop mod p,
     so a full span mod p certifies a full exact span.  Otherwise, or when
     p divides a denominator, the exact closure decides.  The report is
@@ -382,7 +393,7 @@ def is_simple_burnside(M: ModuleRep) -> Report:
     # A^{-1} is a polynomial in A (Cayley-Hamilton): no inverse generators
     gens = M.group_mats + (M.X, M.Y)
     span_dim = None
-    image = residues(gens)
+    image = M._residues(0)
     if image is not None:
         p, gens_p = image
         ident = [[int(i == j) for j in range(d)] for i in range(d)]
@@ -422,40 +433,44 @@ def _intertwiner_row(pair, i: int, j: int, zero):
     return row
 
 
-def _intertwiner_space(pairs, dim: int, conductor: int):
-    """Basis of {T : T A = B T for all pairs (A, B)}, T as dim x dim, in
-    the form of ``nullspace`` of the whole system.
+def _intertwiner_space(M1: ModuleRep, M2: ModuleRep):
+    """Basis of {T : T A = B T for every generator}, A acting on M1 and B on
+    M2 (of the same dimension), T as dim x dim, in the form of ``nullspace``
+    of the whole system.
 
-    The system is reduced mod the split prime p first.  Its rows that are
-    independent mod p are independent exactly, so full rank mod p means no
-    nonzero T, and otherwise the kernel dimension mod p bounds the exact
-    one.  The kernel of those rows is then read at every prime above p
-    (``_lifted_kernel``) and lifted to Q(zeta_N).  When each lifted matrix
-    satisfies every pair exactly, the lifted vectors span the exact kernel,
-    and they have the form of its ``nullspace`` basis with the same free
-    columns, so they are that basis.  Any failure of the lift runs the
-    exact path: the exact kernel of the independent rows, accepted under
-    the same check, else the whole system solved exactly, which is also
-    the path when p divides a denominator.
+    The system is reduced mod the split prime p first, from the modules'
+    reductions under embedding 0.  Its rows that are independent mod p are
+    independent exactly, so full rank mod p means no nonzero T, and
+    otherwise the kernel dimension mod p bounds the exact one.  The kernel
+    of those rows is then read at every prime above p (``_lifted_kernel``)
+    and lifted to Q(zeta_N).  When each lifted matrix satisfies every pair
+    exactly, the lifted vectors span the exact kernel, and they have the
+    form of its ``nullspace`` basis with the same free columns, so they are
+    that basis.  Any failure of the lift runs the exact path: the exact
+    kernel of the independent rows, accepted under the same check, else the
+    whole system solved exactly, which is also the path when p divides a
+    denominator.
     """
+    dim = M1.dim
     n = dim * dim
-    zero = Cyclotomic.zero(conductor)
+    zero = Cyclotomic.zero(M1.spec.conductor)
+    pairs = list(zip(M1.group_mats + (M1.X, M1.Y), M2.group_mats + (M2.X, M2.Y)))
     cells = [(k, i, j) for k in range(len(pairs)) for i in range(dim) for j in range(dim)]
 
     def intertwines(basis):
         return all(mat_mul(T, A) == mat_mul(B, T) for T in basis for A, B in pairs)
 
-    image = residues([m for pair in pairs for m in pair])
-    if image is not None:
-        p, mats = image
-        pairs_p = list(zip(mats[::2], mats[1::2]))
+    image1 = M1._residues(0)
+    if image1 is not None and (image2 := M2._residues(0)) is not None:
+        p = image1[0]
+        pairs_p = list(zip(image1[1], image2[1]))
         span, selected = ModularSpan(p), []
         for k, i, j in cells:
             if span.add([x % p for x in _intertwiner_row(pairs_p[k], i, j, 0)]):
                 selected.append((k, i, j))
                 if span.dim() == n:
                     return []
-        lifted = _lifted_kernel(span, selected, pairs, n, conductor)
+        lifted = _lifted_kernel(M1, M2, span, selected)
         if lifted is not None and intertwines(basis := _as_matrices(lifted, dim)):
             return basis
         rows = [_intertwiner_row(pairs[k], i, j, zero) for k, i, j in selected]
@@ -467,22 +482,21 @@ def _intertwiner_space(pairs, dim: int, conductor: int):
                                    for k, i, j in cells]), dim)
 
 
-def _lifted_kernel(span, selected, pairs, n: int, conductor: int):
-    """The kernel of the selected rows of the system of pairs, lifted from
-    every prime above p.
+def _lifted_kernel(M1: ModuleRep, M2: ModuleRep, span, selected):
+    """The kernel of the selected rows of the intertwiner system of M1 and
+    M2, lifted from every prime above p.
 
-    span holds the selected rows reduced under the first embedding.  The
-    same rows reduced under each other one must have the same pivots, so
-    that each kernel vector has one image per embedding, and
-    ``cyclotomic.lift`` reads each coordinate back from its images.  None
-    when the pivots differ or a coordinate has no lift; the caller checks
-    any lift exactly.
+    span holds the selected rows reduced under embedding 0.  The same rows
+    reduced under each other one, read from the modules' reductions one
+    embedding at a time, must have the same pivots, so that each kernel
+    vector has one image per embedding, and ``cyclotomic.lift`` reads each
+    coordinate back from its images.  None when the pivots differ or a
+    coordinate has no lift; the caller checks any lift exactly.
     """
-    p = span.p
-    _, (_, *others) = residues_per_embedding([m for pair in pairs for m in pair])
+    p, n, conductor = span.p, M1.dim * M1.dim, M1.spec.conductor
     kernels = [span.kernel(n)]
-    for mats in others:
-        pairs_e = list(zip(mats[::2], mats[1::2]))
+    for e in range(1, euler_phi(conductor)):
+        pairs_e = list(zip(M1._residues(e)[1], M2._residues(e)[1]))
         span_e = ModularSpan(p)
         for k, i, j in selected:
             if not span_e.add([x % p for x in _intertwiner_row(pairs_e[k], i, j, 0)]):
@@ -522,8 +536,7 @@ def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
         return IsoResult("not_isomorphic", detail="dimension mismatch")
     dim = M1.dim
     N = M1.spec.conductor
-    pairs = list(zip(M1.group_mats + (M1.X, M1.Y), M2.group_mats + (M2.X, M2.Y)))
-    basis = _intertwiner_space(pairs, dim, N)
+    basis = _intertwiner_space(M1, M2)
     if not basis:
         return IsoResult("not_isomorphic", detail="no nonzero intertwiner")
     if _certified_simple(M1) or _certified_simple(M2):
@@ -768,32 +781,38 @@ def build_Vxy_skew(alpha_x: Cyclotomic, alpha_y: Cyclotomic, lam, t: int,
     return _from_z(spec, n, mats, X, Z)
 
 
+def _windings(rho: Character, char: Character, spec: AlgebraSpec) -> list:
+    """[rho(wind(e, i; char)) for i = 0..order(chi)], as the prefix sums of
+    rho(tau_char^(-k)(e)): wind(e, i; char) = sum_{k<i} tau_char^(-k)(e)."""
+    wound = [Cyclotomic.zero(spec.conductor)]
+    for k in range(spec.chi.order()):
+        wound.append(wound[-1] + spec.e.twist(char, -k).apply_char(rho))
+    return wound
+
+
+def _vanishing_index(wound):
+    """Least d >= 1 with wound[d] = 0, or None."""
+    return next((d for d in range(1, len(wound)) if wound[d].is_zero()), None)
+
+
 def truncation_index(rho: Character, spec: AlgebraSpec):
     """Least d >= 1 with rho(wind(e, d)) = 0, or None if none exists up to
     the order of chi."""
-    # rho(wind(e, d)) = sum_{k<d} rho(tau_chi^(-k)(e)), summed as d grows
-    value = Cyclotomic.zero(spec.conductor)
-    for d in range(1, spec.chi.order() + 1):
-        value = value + spec.e.twist(spec.chi, 1 - d).apply_char(rho)
-        if value.is_zero():
-            return d
-    return None
+    return _vanishing_index(_windings(rho, spec.chi, spec))
 
 
 def _diff_matrices(rho: Character, n: int, wrap: Cyclotomic, offset: Cyclotomic,
-                   char: Character, sign: int, spec: AlgebraSpec):
+                   wound, sign: int, spec: AlgebraSpec):
     """Diff-family matrices on n lines: shift i -> i + 1 (last -> first times
-    wrap), lowering i -> i - 1 times offset + sign rho(wind(e, i; char))
-    (first -> last times offset / wrap), group action chi(g)^(-sign i) rho(g)."""
+    wrap), lowering i -> i - 1 times offset + sign wound[i] (first -> last
+    times offset / wrap), group action chi(g)^(-sign i) rho(g); wound is the
+    ``_windings`` list of rho along the winding character."""
     N = spec.conductor
     S = zeros(n, n, N)
     L = zeros(n, n, N)
-    # rho(wind(e, i; char)) = sum_{k<i} rho(tau_char^(-k)(e)), summed as i grows
-    wound = Cyclotomic.zero(N)
     for i in range(1, n):
         S[i][i - 1] = Cyclotomic.one(N)
-        wound = wound + spec.e.twist(char, 1 - i).apply_char(rho)
-        L[i - 1][i] = offset + sign * wound
+        L[i - 1][i] = offset + sign * wound[i]
     if not wrap.is_zero():
         S[0][n - 1] = wrap
         L[n - 1][0] = wrap.inverse() * offset
@@ -815,11 +834,12 @@ def build_Vbar_diff(rho: Character, spec: AlgebraSpec) -> ModuleRep:
              "this family lives in the differential mode")
     if not isinstance(rho, Character) or rho.group != spec.group:
         raise SpecError("rho must be a character of the underlying group")
-    d = truncation_index(rho, spec)
+    wound = _windings(rho, spec.chi, spec)
+    d = _vanishing_index(wound)
     if d is None:
         raise SpecError("no finite-dimensional torsion quotient for this rho")
     zero = Cyclotomic.zero(spec.conductor)
-    X, Z, mats = _diff_matrices(rho, d, zero, zero, spec.chi, 1, spec)
+    X, Z, mats = _diff_matrices(rho, d, zero, zero, wound, 1, spec)
     return ModuleRep(spec, d, mats, X, Z)
 
 
@@ -835,10 +855,11 @@ def _diff_cyclic(rho: Character, wrap: Cyclotomic, offset: Cyclotomic,
     if not isinstance(rho, Character) or rho.group != spec.group:
         raise SpecError("rho must be a character of the underlying group")
     n = spec.chi.order()
-    if not wind(spec.e, n, spec, character=char).apply_char(rho).is_zero():
+    wound = _windings(rho, char, spec)
+    if not wound[n].is_zero():
         raise SpecError(f"construction needs rho(wind(e, n{wind_label})) = 0 "
                         f"at n = order(chi)")
-    return _diff_matrices(rho, n, wrap, offset, char, sign, spec)
+    return _diff_matrices(rho, n, wrap, offset, wound, sign, spec)
 
 
 def build_Vx_diff(rho: Character, lam: Cyclotomic, mu: Cyclotomic,
@@ -940,9 +961,9 @@ def _diff_shift_iso(source, target, rho, fixed, moved, char: Character,
     moves lambda along eta with sign -1."""
     if fixed[0] != fixed[1]:
         return False
+    wound = _windings(rho, char, spec)
     for k in range(spec.chi.order()):
-        if target == source * (spec.chi ** (-k)) and moved[0] == moved[1] + \
-                sign * wind(spec.e, k, spec, character=char).apply_char(rho):
+        if target == source * (spec.chi ** (-k)) and moved[0] == moved[1] + sign * wound[k]:
             return True
     return False
 

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import random
 import time
 
@@ -701,6 +702,35 @@ def test_module_bad_params(write_config, capsys):
     assert "alpha must be nonzero" in err
 
 
+@pytest.mark.parametrize("family, params", [
+    ("torsion-char", {"lam": [math.inf, 0]}),
+    ("torsion-char", {"lam": [-math.inf, 0]}),
+    ("torsion-char", {"lam": [math.nan, 0]}),
+    ("torsion-char", {"lam": [2.7, "1"]}),
+    ("torsion-char", {"lam": [True, 0]}),
+    ("torsion-char", {"lam": [[1], None]}),
+    ("skew-vx", {"alpha": 1, "lam": [math.inf]}),
+    ("skew-vx", {"alpha": 1, "lam": [0, "1"]}),
+    ("skew-vxy", {"alpha_x": 1, "alpha_y": 1, "t": 1, "lam": [0, 1.0]}),
+    ("induced", {"kvals": [1, 1], "lam": [False, 0]}),
+    ("diff-vbar", {"rho": [0.0, 0]}),
+    ("diff-vx", {"rho": [math.inf, 0], "lam": 1, "mu": 0}),
+], ids=["inf", "-inf", "nan", "float-and-string", "bool", "list-and-null",
+        "kernel-inf", "kernel-string", "kernel-float", "kernel-bool",
+        "rho-float", "rho-inf"])
+def test_module_build_rejects_non_integer_exponents(write_config, capsys, family,
+                                                    params):
+    # character exponents are JSON integers, as in config vectors: no
+    # float, string or boolean is read as one, and infinity is no traceback
+    config = diff_sweep_spec(3) if family.startswith("diff") else skew_sweep_spec(3)
+    code, out, err = run(capsys, "module", "build", family,
+                         write_config(config.config_dict()),
+                         "--params", json.dumps(params))
+    assert code == 2 and out["status"] == "error"
+    assert "must be a list of integer exponents" in out["facts"]["error"]
+    assert "Traceback" not in err
+
+
 def test_module_classify_non_simple_exit_1(write_config, tmp_path, capsys):
     # a 1-dim module for the trivial character is simple, so tamper instead:
     # direct sum via two identical builds is not expressible through the CLI,
@@ -880,6 +910,81 @@ def test_module_commands_fuzz(module_fuzz_dir, base, command, edits):
     report = json.loads(out.getvalue())     # exactly one JSON object
     assert isinstance(report, dict)
     assert report["status"] == {0: "pass", 1: "fail", 2: "error"}[code], edits
+    assert "Traceback" not in err.getvalue()
+
+
+# params that build a module of each family on the skew config (families
+# named skew- and induced) or the diff config (families named diff-)
+BUILD_PARAMS = {
+    "torsion-char": {"lam": [0, 0]},
+    "skew-vx": {"alpha": 1, "lam": [0, 1]},
+    "skew-vy": {"alpha": "1/2", "lam": [1, 0]},
+    "skew-vxy": {"alpha_x": 1, "alpha_y": -1, "t": 1, "lam": [0, 1]},
+    "induced": {"kvals": [1, 2], "lam": [0, 0]},
+    "diff-vbar": {"rho": [1, 0]},
+    "diff-vx": {"rho": [0, 0], "lam": 1, "mu": 0},
+    "diff-vy": {"rho": [0, 0], "lam": 0, "mu": 1},
+}
+BUILD_CONFIGS = {"skew": skew_sweep_spec(3).config_dict(),
+                 "diff": diff_sweep_spec(3).config_dict()}
+
+# ints, floats with infinities and NaN, strings, booleans, null and lists
+_PARAM_VALUES = st.recursive(
+    st.one_of(st.integers(-10, 10), st.integers(), st.floats(),
+              st.sampled_from(["1", "1/2", "0", "zeta", ""]), st.text(max_size=6),
+              st.booleans(), st.none(), st.just({"zeta_pow": 1})),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+
+_PARAM_EDITS = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 5), _PARAM_VALUES),
+    st.tuples(st.just("drop"), st.integers(0, 5), st.none()),
+    st.tuples(st.just("extra"), st.sampled_from(["beta", "n", "", "LAM"]), _PARAM_VALUES))
+
+
+def _edit_params(params, edit):
+    kind, arg, value = edit
+    if kind == "extra":
+        params[arg] = value
+    elif params:
+        key = sorted(params)[arg % len(params)]
+        if kind == "set":
+            params[key] = value
+        else:
+            del params[key]
+
+
+@pytest.fixture(scope="module")
+def build_fuzz_configs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("build-fuzz")
+    for name, data in BUILD_CONFIGS.items():
+        (root / f"{name}.json").write_text(json.dumps(data))
+    return {name: str(root / f"{name}.json") for name in BUILD_CONFIGS}
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(sorted(BUILD_PARAMS)),
+       config=st.sampled_from(sorted(BUILD_CONFIGS)),
+       edits=st.lists(_PARAM_EDITS, max_size=3))
+def test_module_build_fuzz(build_fuzz_configs, family, config, edits):
+    params = copy.deepcopy(BUILD_PARAMS[family])
+    for edit in edits:
+        _edit_params(params, edit)
+    argv = ["module", "build", family, build_fuzz_configs[config],
+            "--params", json.dumps(params)]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    # an exception escaping main would be a traceback on the command line
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 20, argv
+    assert code in (0, 1, 2), argv
+    payload = json.loads(out.getvalue())     # exactly one JSON object
+    assert isinstance(payload, dict)
+    if code == 0:
+        # a module file, which module check reads back
+        assert sorted(payload) == ["config", "family", "module", "params"], argv
+    else:
+        assert payload["status"] == {1: "fail", 2: "error"}[code], argv
     assert "Traceback" not in err.getvalue()
 
 

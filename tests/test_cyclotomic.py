@@ -12,7 +12,7 @@ from orehopf.cyclotomic import (Cyclotomic, _convolve, _fold, _is_prime,
                                 _product_kernel, _q_binomial_row, _rational,
                                 _reduction_table, _root_table,
                                 cyclotomic_polynomial, divisors, dot, euler_phi,
-                                lift, q_binomial, q_int, residue, residue_images,
+                                lift, q_binomial, q_int, residue,
                                 root_of_unity, split_prime, zeta_log)
 
 from oracles import is_primitive_root, q_factorial
@@ -400,19 +400,19 @@ def test_residue_is_a_ring_map(n):
     for _ in range(10 if n > 100 else 40):
         a = _random_rational_element(rng, n)
         b = _random_rational_element(rng, n)
-        ra, rb = residue(a), residue(b)
+        ra, rb = residue(a, 0), residue(b, 0)
         assert 0 <= ra < p and 0 <= rb < p
-        assert residue(a + b) == (ra + rb) % p
-        assert residue(a - b) == (ra - rb) % p
-        assert residue(a * b) == ra * rb % p
+        assert residue(a + b, 0) == (ra + rb) % p
+        assert residue(a - b, 0) == (ra - rb) % p
+        assert residue(a * b, 0) == ra * rb % p
         # dense inverses at phi(N) = 96 are slow and add nothing here
         if n < 100 and not b.is_zero() and rb:
-            assert residue(b.inverse()) == pow(rb, -1, p)
+            assert residue(b.inverse(), 0) == pow(rb, -1, p)
     for k in divisors(n):
         # zeta^k goes to omega^k
-        assert residue(root_of_unity(n, k)) == pow(split_prime(n)[1], k, p)
-    assert residue(Cyclotomic.rational(n, p)) == 0
-    assert residue(Cyclotomic.rational(n, Fraction(1, 3 * p))) is None
+        assert residue(root_of_unity(n, k), 0) == pow(split_prime(n)[1], k, p)
+    assert residue(Cyclotomic.rational(n, p), 0) == 0
+    assert residue(Cyclotomic.rational(n, Fraction(1, 3 * p)), 0) is None
 
 
 def _galois_conjugate(v, k):
@@ -424,6 +424,11 @@ def _galois_conjugate(v, k):
     return Cyclotomic.from_zeta_coeffs(n, vec)
 
 
+def _images(v):
+    """The residues of v under every embedding, e = 0 first."""
+    return [residue(v, e) for e in range(euler_phi(v.conductor))]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 15])
 def test_residue_images_and_lift(n):
     p = split_prime(n)[0]
@@ -431,18 +436,17 @@ def test_residue_images_and_lift(n):
     rng = random.Random(11 * n)
     for _ in range(30):
         v = _random_rational_element(rng, n)
-        images = residue_images(v)
-        # the embedding zeta -> omega^k is residue after sigma_k
-        assert images == [residue(_galois_conjugate(v, k)) for k in units]
-        assert images[0] == residue(v)
+        images = _images(v)
+        # the embedding zeta -> omega^k is embedding 0 after sigma_k
+        assert images == [residue(_galois_conjugate(v, k), 0) for k in units]
         assert lift(n, images) == v
-    assert residue_images(Cyclotomic.rational(n, Fraction(1, 3 * p))) is None
+    assert _images(Cyclotomic.rational(n, Fraction(1, 3 * p))) == [None] * euler_phi(n)
     # coordinates up to sqrt(p/2) lift, and one just above does not
     bound = isqrt(p // 2)
     edge = Cyclotomic(n, [Fraction(-bound, bound - 1)] + [bound] * (euler_phi(n) - 1))
-    assert lift(n, residue_images(edge)) == edge
+    assert lift(n, _images(edge)) == edge
     above = Cyclotomic.rational(n, Fraction(1, bound + 1))
-    assert lift(n, residue_images(above)) != above
+    assert lift(n, _images(above)) != above
 
 
 def test_rational_reconstruction_against_brute_force():

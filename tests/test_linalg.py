@@ -14,8 +14,7 @@ import pytest
 from orehopf.cyclotomic import (ConductorMismatch, Cyclotomic, euler_phi, residue,
                                 root_of_unity, split_prime)
 from orehopf.linalg import (ModularSpan, SpanBasis, identity, inverse, mat_mul,
-                            mat_mul_mod, mat_vec, nullspace, residues,
-                            residues_per_embedding, rref)
+                            mat_mul_mod, mat_vec, nullspace, residues, rref)
 
 from gen import random_scalar
 from oracles import mat_eq, rref_by_column_sweep
@@ -185,19 +184,19 @@ def test_modular_twin_of_the_kernel(N, seed):
     rng = random.Random(2000 * N + seed)
     p = split_prime(N)[0]
     for name, A in _shapes(rng, N):
-        (_, [image]) = residues([A])
+        (_, [image]) = residues([A], 0)
         span, exact = ModularSpan(p), SpanBasis()
         grew = [(span.add(row_p), exact.add(row)) for row_p, row in zip(image, A)]
         assert all(g == e for g, e in grew), name
         assert span.pivots == exact.pivots, name
-        assert span.rows == [[residue(x) for x in row] for row in exact.rows], name
+        assert span.rows == [[residue(x, 0) for x in row] for row in exact.rows], name
         # the kernel mod p has the form of nullspace's
         assert [[x % p for x in v] for v in span.kernel(len(A[0]))] == \
-            [[residue(x) for x in v] for v in nullspace(A)], name
+            [[residue(x, 0) for x in v] for v in nullspace(A)], name
         # products of the images are the images of the products
         if len(A) == len(A[0]):
             assert mat_mul_mod(image, image, p) == \
-                [[residue(x) for x in row] for row in mat_mul(A, A)], name
+                [[residue(x, 0) for x in row] for row in mat_mul(A, A)], name
 
 
 @pytest.mark.parametrize("N", CONDUCTORS)
@@ -205,17 +204,18 @@ def test_residues_per_embedding(N):
     rng = random.Random(N)
     A = _random_matrix(rng, 3, 3, N)
     mats = [A, mat_mul(A, A)]
-    p, per_embedding = residues_per_embedding(mats)
-    assert len(per_embedding) == euler_phi(N)
-    assert (p, per_embedding[0]) == residues(mats)
-    # each embedding is a ring map: the image of A^2 is the image of A squared
-    for image, square in per_embedding:
+    p = split_prime(N)[0]
+    for e in range(euler_phi(N)):
+        q, (image, square) = residues(mats, e)
+        assert q == p and image == [[residue(x, e) for x in row] for row in A]
+        # each embedding is a ring map: the image of A^2 is the image of A squared
         assert mat_mul_mod(image, image, p) == square
     # and they differ: zeta goes to each primitive N-th root mod p once
     zeta = [[root_of_unity(N, 1)]]
-    assert len({image[0][0][0] for image in residues_per_embedding([zeta])[1]}) \
+    assert len({residues([zeta], e)[1][0][0][0] for e in range(euler_phi(N))}) \
         == euler_phi(N)
-    assert residues_per_embedding([[[Cyclotomic.rational(N, Fraction(1, p))]]]) is None
+    assert all(residues([[[Cyclotomic.rational(N, Fraction(1, p))]]], e) is None
+               for e in range(euler_phi(N)))
 
 
 def test_modular_rank_only_drops():
@@ -223,6 +223,6 @@ def test_modular_rank_only_drops():
     p = split_prime(1)[0]
     A = [[Cyclotomic.rational(1, v) for v in row] for row in ((1, 2), (3, 6 + p))]
     span = ModularSpan(p)
-    assert [span.add(row) for row in residues([A])[1][0]] == [True, False]
+    assert [span.add(row) for row in residues([A], 0)[1][0]] == [True, False]
     assert len(rref(A)[1]) == 2
-    assert residues([[[Cyclotomic.rational(1, Fraction(1, p))]]]) is None
+    assert residues([[[Cyclotomic.rational(1, Fraction(1, p))]]], 0) is None

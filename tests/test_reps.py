@@ -198,6 +198,21 @@ def test_vy_diff_build():
 
 
 @pytest.mark.parametrize("n", range(2, 7))
+def test_winding_values_match_wind(n):
+    # one prefix-sum list per (rho, char) against rho(wind(e, i; char))
+    # computed afresh for every i <= n = order(chi), in both directions
+    spec = diff_sweep_spec(n)
+    N = spec.conductor
+    assert spec.chi.order() == n
+    for exps in ((0, 0), (1, 0), (2, 1), (N - 1, 3), (3, N - 2)):
+        rho = Character(spec.group, N, [x % N for x in exps])
+        for char in (spec.chi, spec.eta):
+            assert reps._windings(rho, char, spec) == [
+                wind(spec.e, i, spec, character=char).apply_char(rho)
+                for i in range(n + 1)], (exps, char)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
 def test_diff_matrices_match_per_line_winding(n):
     # the running winding sum of the diff families against
     # rho(wind(e, i; char)) computed afresh for every line i
@@ -551,7 +566,7 @@ def test_burnside_stops_once_the_span_is_full(monkeypatch):
     # with no image mod p the exact closure decides, and stops as early
     inserts.clear()
     with monkeypatch.context() as m:
-        m.setattr(reps, "residues", lambda mats: None)
+        m.setattr(reps, "residues", lambda mats, e: None)
         certify_new_modules()
     assert inserts["SpanBasis"] > 0 and inserts["ModularSpan"] == 0
     assert late == []
@@ -656,7 +671,7 @@ def test_are_isomorphic_random_fallback_witness():
     pairs = list(zip(S.group_mats, C.group_mats))
     pairs += [(S.X, C.X), (S.Y, C.Y)]
     # no basis intertwiner is invertible: the random combinations decide
-    basis = _intertwiner_space(pairs, S.dim, spec.conductor)
+    basis = _intertwiner_space(S, C)
     assert basis and all(inverse(B) is None for B in basis)
     res = are_isomorphic(S, C)
     assert res.status == "isomorphic"
@@ -674,7 +689,7 @@ def _exact_results(monkeypatch, burnside_modules, iso_pairs):
     """Burnside reports and isomorphism results of the exact path alone, on
     fresh modules: no image mod p and no certificate held in advance."""
     with monkeypatch.context() as m:
-        m.setattr(reps, "residues", lambda mats: None)
+        m.setattr(reps, "residues", lambda mats, e: None)
         reports = [is_simple_burnside(_fresh(M)).to_dict() for M in burnside_modules]
         isos = [_iso_key(are_isomorphic(_fresh(a), _fresh(b))) for a, b in iso_pairs]
     return reports, isos
@@ -788,8 +803,7 @@ def test_mod_p_with_no_independent_row_keeps_the_whole_space(monkeypatch):
     # a one-dimensional module against itself: every row of T a - a T is zero
     spec = skew_sweep_spec(3)
     M = build_torsion_char(Character(spec.group, spec.conductor, [1, 2]), spec)
-    basis = _intertwiner_space(list(zip(M.group_mats + (M.X, M.Y),
-                                        M.group_mats + (M.X, M.Y))), 1, spec.conductor)
+    basis = _intertwiner_space(M, M)
     assert basis == [[[Cyclotomic.one(spec.conductor)]]]
     res = are_isomorphic(M, _fresh(M))
     assert _iso_key(res) == ("isomorphic", "", basis[0])
@@ -865,7 +879,7 @@ def test_lifted_intertwiners_match_the_exact_nullspace(monkeypatch):
     calls = _counting_nullspace(monkeypatch)
     for A, B in cases:
         pairs, N = _pairs(A, B), A.spec.conductor
-        assert _intertwiner_space(pairs, A.dim, N) == \
+        assert _intertwiner_space(A, B) == \
             intertwiners_by_exact_nullspace(pairs, A.dim, N)
     # every answer came from the lift: no exact elimination ran
     assert calls == []
@@ -901,13 +915,53 @@ def test_lift_falls_back_to_the_exact_path(monkeypatch):
     cases = [(M, conjugate(M, T)) for T in (large, divisible)]
     for A, B in cases:
         pairs = _pairs(A, B)
-        assert _intertwiner_space(pairs, M.dim, N) == \
+        assert _intertwiner_space(A, B) == \
             intertwiners_by_exact_nullspace(pairs, M.dim, N)
     assert len(lifts) == 1
     assert calls == [n - 1, len(_pairs(M, M)) * n]
     isos = [_iso_key(are_isomorphic(_fresh(a), _fresh(b))) for a, b in cases]
     assert [key[0] for key in isos] == ["isomorphic"] * 2
     assert isos == _exact_results(monkeypatch, [], cases)[1]
+
+
+def test_each_module_is_reduced_once_per_embedding(monkeypatch):
+    reductions = Counter()
+    reduce = reps.residues
+
+    def counting_residues(mats, e):
+        reductions[tuple(map(id, mats)), e] += 1
+        return reduce(mats, e)
+
+    def reduced(M):
+        """The embeddings under which M was reduced."""
+        key = tuple(map(id, M.group_mats + (M.X, M.Y)))
+        return sorted(e for mats, e in reductions if mats == key)
+
+    monkeypatch.setattr(reps, "residues", counting_residues)
+    spec = diff_sweep_spec(4)   # conductor 8: four embeddings
+    N = spec.conductor
+    rho = Character(spec.group, N, [1, 2])
+
+    def build(mu):
+        return build_Vx_diff(rho, root_of_unity(N, 1), scalar(spec, mu), spec)
+
+    M = build(2)
+    C = conjugate(M, random_invertible(M.dim, N, random.Random(23)))
+    for module in (M, C):
+        assert rep_check(module, spec).passed and is_simple_burnside(module).passed
+        assert torsion_profile(module)["x"] == "TorsionFree"
+        assert classify_simple(module, spec).family == "DiffVx"
+    for _ in range(2):
+        assert are_isomorphic(M, C).status == "isomorphic"
+    # at most one reduction per (module, embedding); the lift read all four
+    # embeddings of M and C
+    assert max(reductions.values()) == 1
+    assert reduced(M) == reduced(C) == list(range(euler_phi(N)))
+    # a pair with no intertwiner mod p reduces embedding 0 of each module only
+    reductions.clear()
+    A, B = build(2), build(5)
+    assert are_isomorphic(A, B).status == "not_isomorphic"
+    assert reduced(A) == reduced(B) == [0] and sum(reductions.values()) == 2
 
 
 def test_torsion_profile_matches_exact_elimination():
