@@ -48,6 +48,15 @@ def test_taft_alternate_parameters():
     assert entry.quotient.n == entry.quotient.m == 7
 
 
+def test_taft_nilpotency_orders_at_a_composite_conductor():
+    # chi(b) = zeta_12^(a21 a22) = zeta_12^16 has order 3 and
+    # eta(c) = zeta_12^(a11 a12) = zeta_12^2 has order 6
+    entry = generalized_taft(12, ((1, 2), (2, 8)))
+    assert entry.report.passed, entry.report.witnesses
+    assert entry.report.facts["nilpotency_orders"] == {"N_x": 3, "N_y": 6}
+    assert entry.report.facts["quotient_rank"] == 18
+
+
 def test_wwt_hypothesis_validation():
     with pytest.raises(SpecError, match="1 <= n1 <= n"):
         wang_wu_tan(3, 4, 1, 1, 1)
@@ -61,6 +70,11 @@ def test_wwt_alternate_parameters():
     entry = wang_wu_tan(3, 1, Fraction(1, 2), Fraction(-2), Fraction(3, 4))
     assert entry.report.passed, entry.report.witnesses
     assert entry.spec.beta == entry.spec.scalar("3/4")
+    # n1 = n makes chi(e) trivial: no quotient, reported as a plain value
+    entry = wang_wu_tan(3, 3, 1, 1, 1)
+    assert entry.report.passed, entry.report.witnesses
+    assert entry.quotient is None
+    assert entry.report.facts["quotient_skipped"] == "chi(e) has order 1"
 
 
 def test_fantino_garcia_validation():

@@ -32,6 +32,34 @@ def test_the_check_sees_both_forms():
     assert list(_assert_sites(tree)) == [1, 2, 3]
 
 
+def _literal_checks(tree):
+    """Line numbers of the calls x.check(name, passed, ...) whose passed
+    argument, positional or keyword, is a literal."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "check"):
+            continue
+        passed = [k.value for k in node.keywords if k.arg == "passed"]
+        if len(node.args) > 1:
+            passed.append(node.args[1])
+        if any(isinstance(arg, ast.Constant) for arg in passed):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_check_passes_a_literal(path):
+    # a fact that cannot fail is a plain value, not a check
+    sites = list(_literal_checks(ast.parse(path.read_text(), filename=str(path))))
+    assert sites == [], f"{path.name}: check( with a literal passed at lines {sites}"
+
+
+def test_the_literal_check_sees_both_forms():
+    tree = ast.parse("f.check('a', True, 1)\nf.check('b', ok)\n"
+                     "f.check('c', passed=False)\ncheck('d', True)\n"
+                     "f.check('e', passed=ok, value=None)\nf.check(None)\n")
+    assert list(_literal_checks(tree)) == [1, 3]
+
+
 def _unused_imports(tree):
     """(line, name) of every name an import binds and the module never reads."""
     bound = {}

@@ -3,10 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orehopf.abgroup import AbelianGroup, Character
 from orehopf.cyclotomic import Cyclotomic, root_of_unity
-from orehopf.hopfcore import (SpecError, comultiply, random_element,
+from orehopf.hopfcore import (HopfElem, SpecError, comultiply, random_element,
                               validate_spec, TensorElem)
 from orehopf.quotient import (QuotientElem, QuotientSpec, hopf_ideal_check,
                               q_multiply, q_reduce, quotient_basis)
@@ -167,20 +168,56 @@ def test_hopf_ideal_check_sweep_random_lambda():
             assert rep.facts["sign_r"] == "-1"
 
 
-def test_quotient_basis_rank_and_fixed_points():
+def test_quotient_basis_rank_and_monomials():
     qs = QuotientSpec(quotient_sweep_spec(3, 4), 1, 1)
-    basis = quotient_basis(qs, samples=10, seed=2)
+    basis = quotient_basis(qs)
     assert basis["rank"] == 12
     assert len(basis["monomials"]) == 12
-    assert basis["group_algebra_fixed_points"] is True
     assert "dimension_over_field" not in basis  # free group, infinite
 
 
 def test_quotient_basis_finite_group_dimension():
     entry = generalized_taft(5, ((1, 2), (1, 3)))
-    basis = quotient_basis(entry.quotient, samples=5, seed=0)
+    basis = quotient_basis(entry.quotient)
     assert basis["rank"] == 25
     assert basis["dimension_over_field"] == 125
+
+
+_SWEEP_SPECS = {(n, m): quotient_sweep_spec(n, m)
+                for n in (2, 3, 4) for m in (2, 3, 4)}
+
+# a term: group exponents in [-3, 3], PBW exponents i, j in [0, 9] and a
+# small coefficient sum_k a_k zeta^k
+_TERMS = st.lists(st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            st.integers(0, 9), st.integers(0, 9),
+                            st.lists(st.integers(-2, 2), min_size=1, max_size=4)),
+                  min_size=1, max_size=4)
+_LAMBDA = st.lists(st.integers(-2, 2), max_size=4)
+
+
+def _element(spec, terms, group_only):
+    out = {}
+    for exps, i, j, coeffs in terms:
+        key = (spec.group.element(list(exps)), 0, 0) if group_only else \
+            (spec.group.element(list(exps)), i, j)
+        out[key] = Cyclotomic.from_zeta_coeffs(spec.conductor, coeffs)
+    return HopfElem(spec, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders=st.sampled_from(sorted(_SWEEP_SPECS)), lam1=_LAMBDA, lam2=_LAMBDA,
+       terms=_TERMS)
+def test_reduce_fixes_the_group_algebra_and_is_idempotent(orders, lam1, lam2,
+                                                         terms):
+    # K[G] meets the ideal trivially: q_reduce rewrites only exponents >= n
+    # or >= m, so it fixes every element of K[G]
+    spec = _SWEEP_SPECS[orders]
+    qs = QuotientSpec(spec, Cyclotomic.from_zeta_coeffs(spec.conductor, lam1),
+                      Cyclotomic.from_zeta_coeffs(spec.conductor, lam2))
+    group_elem = _element(spec, terms, group_only=True)
+    assert q_reduce(group_elem, qs).to_hopf() == group_elem
+    reduced = q_reduce(_element(spec, terms, group_only=False), qs)
+    assert q_reduce(reduced.to_hopf(), qs) == reduced
 
 
 def test_products_check_their_quotient():
