@@ -2,9 +2,16 @@
 
 A group is Z^r x Z/n_1 x ... x Z/n_s in invariant-factor style coordinates
 (free generators first).  Elements are exponent vectors with torsion
-coordinates reduced.  Characters take values in a fixed cyclotomic field
-Q(zeta_N) and are encoded by the exponent of zeta_N on each generator, so
-every character has finite order by construction.
+coordinates reduced.  A group object interns its elements: it keeps one
+GroupElement per reduced exponent vector, so every constructor and group
+operation returns the stored object, and dict and tuple lookups of keys
+holding elements match on identity before any __eq__ call.  Equality and
+hashing stay by value, so elements of equal but distinct group objects
+compare and hash equal.  The table lives on the group object and goes
+with it.  Characters take values in a fixed cyclotomic field Q(zeta_N) and
+are encoded by the exponent of zeta_N on each generator, so every
+character has finite order by construction; they, like subgroups, reject
+elements of another group.
 
 Subgroups are integer lattices between the torsion-relation lattice L and
 Z^k, stored as a row-style Hermite normal form.  This gives exact
@@ -21,9 +28,13 @@ from .cyclotomic import Cyclotomic, root_of_unity
 
 
 class AbelianGroup:
-    """Z^free_rank x prod Z/n_i with generator order: free then torsion."""
+    """Z^free_rank x prod Z/n_i with generator order: free then torsion.
 
-    __slots__ = ("free_rank", "torsion_orders", "ngens")
+    _elements maps each reduced exponent tuple to the one GroupElement made
+    for it by this group object.
+    """
+
+    __slots__ = ("free_rank", "torsion_orders", "ngens", "_elements")
 
     def __init__(self, free_rank: int, torsion_orders=()):
         if free_rank < 0:
@@ -34,6 +45,7 @@ class AbelianGroup:
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion_orders", torsion)
         object.__setattr__(self, "ngens", free_rank + len(torsion))
+        object.__setattr__(self, "_elements", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("AbelianGroup is immutable")
@@ -88,7 +100,12 @@ class AbelianGroup:
 
 class GroupElement:
     """An exponent vector of a group, torsion coordinates reduced; made by
-    AbelianGroup.element, identity and generator and the group operations."""
+    AbelianGroup.element, identity and generator and the group operations.
+
+    A group object holds one element per exponent vector, so these all
+    return that shared object.  Equality is still by value: an element of an
+    equal but distinct group object is equal and hash-equal, not identical.
+    """
 
     __slots__ = ("group", "exps", "_hash")
 
@@ -128,17 +145,21 @@ _set_hash = GroupElement._hash.__set__
 
 
 def _new_element(group: AbelianGroup, exps) -> GroupElement:
-    """The element with the exponents exps, group.ngens integers, built
-    slot by slot; only the torsion coordinates are reduced, and a
-    torsion-free group skips that."""
+    """The element of group with the exponents exps, group.ngens integers:
+    only the torsion coordinates are reduced, and a torsion-free group skips
+    that.  The group's stored element is returned; a new one is built slot
+    by slot and stored."""
     exps = tuple(exps)
     if group.torsion_orders:
         free = group.free_rank
         exps = exps[:free] + tuple(map(mod, exps[free:], group.torsion_orders))
-    g = object.__new__(GroupElement)
-    _set_group(g, group)
-    _set_exps(g, exps)
-    _set_hash(g, hash(exps))
+    g = group._elements.get(exps)
+    if g is None:
+        g = object.__new__(GroupElement)
+        _set_group(g, group)
+        _set_exps(g, exps)
+        _set_hash(g, hash(exps))
+        group._elements[exps] = g
     return g
 
 
@@ -172,7 +193,9 @@ class Character:
         return root_of_unity(self.conductor, self.exponent(g, t))
 
     def exponent(self, g: GroupElement, t: int = 1) -> int:
-        """k in [0, N) with chi(g)^t = zeta_N^k."""
+        """k in [0, N) with chi(g)^t = zeta_N^k; g must be of this group."""
+        if g.group is not self.group and g.group != self.group:
+            raise ValueError("the element belongs to a different group")
         return (t * sum(map(mul, self.exps, g.exps))) % self.conductor
 
     def order(self) -> int:
@@ -318,7 +341,10 @@ class Subgroup:
         raise AttributeError("Subgroup is immutable")
 
     def express(self, g: GroupElement):
-        """Integer coefficients of a lift of g over the HNF rows, or None."""
+        """Integer coefficients of a lift of g over the HNF rows, or None;
+        g must be of this subgroup's group."""
+        if g.group is not self.group and g.group != self.group:
+            raise ValueError("the element belongs to a different group")
         return self.express_lift(g.exps)
 
     def express_lift(self, vec):

@@ -23,7 +23,9 @@ gives the product of two keys as rows (key, r, coeff) of sum coeff zeta^r key,
 with the group part and the root chi(h)^i eta(h)^j of moving h left folded
 into the x/w rows (one row in skew mode, the rows of z^j x^k in diff mode).
 Delta, S and epsilon are per-key maps: _cop_key, _antipode_key (one kernel
-product) and epsilon = 1 in degree 0, else 0.  The products, comultiply,
+product) and epsilon = 1 in degree 0, else 0.  The spec keeps Delta(x^i w^j)
+and the constants (s_w s_x, u_x^i, u_w^j) of S(w)^j S(x)^i per (i, j), so a
+key only moves its group element through them.  The products, comultiply,
 antipode and hopf_axiom_check only accumulate rows, with no element per key.
 
 Both PBW generators are skew-primitive, so Delta and S of a PBW monomial
@@ -192,6 +194,8 @@ class AlgebraSpec:
         self._z_past_x_cache = {}
         self._wind_cache = {}
         self._cop_cache = {}
+        self._antipode_cache = {}
+        self._q_exponent = eta.exponent(b)      # q = zeta^_q_exponent
 
     # -- element constructors --
 
@@ -441,21 +445,24 @@ def _monomial_product(spec: AlgebraSpec, a, b):
     """The product of the keys a = g x^i w^j and b = h x^k w^l in PBW form, as
     rows (key, r, coeff) of sum coeff zeta^r key.
 
-    h moves left past x^i w^j as chi(h)^i eta(h)^j.  Skew mode: w^j x^k =
-    q^(jk) x^k w^j, one row with coeff 1.  Diff mode: the rows of
-    z^j x^k = sum cm m x^a z^b, where x^i m = chi(m)^i m x^i adds to r; a
-    zero cm (a vanishing q-binomial) gives no row.
+    h moves left past x^i w^j as chi(h)^i eta(h)^j; a zero degree skips its
+    character.  Skew mode: w^j x^k = q^(jk) x^k w^j, one row with coeff 1,
+    and r is left unreduced (callers reduce it in _times_root).  Diff mode:
+    the rows of z^j x^k = sum cm m x^a z^b, where x^i m = chi(m)^i m x^i
+    adds to r; a zero cm (a vanishing q-binomial) gives no row.
     """
     g, i, j = a
     h, k, l = b
-    chi, eta = spec.chi, spec.eta
+    chi = spec.chi
     gh = g * h
-    root = chi.exponent(h, i) + eta.exponent(h, j)
+    root = chi.exponent(h, i) if i else 0
+    if j:
+        root += spec.eta.exponent(h, j)
     if spec.mode is Mode.SKEW_GROUP_RING:
-        return (((gh, i + k, j + l), root + eta.exponent(spec.b, j * k),
+        return (((gh, i + k, j + l), root + spec._q_exponent * j * k,
                  root_of_unity(spec.conductor, 0)),)
     return [((gh if m.is_identity() else gh * m, i + xdeg, wdeg + l),
-             root + chi.exponent(m, i), cm)
+             (root + chi.exponent(m, i)) if i else root, cm)
             for (m, xdeg, wdeg), cm in spec._z_past_x(j, k).items() if cm]
 
 
@@ -617,15 +624,19 @@ def _antipode_key(spec: AlgebraSpec, key):
 
     With S(v)^k = s_v u_v^k v^k: S(x)^i g^(-1) = s_x chi(g^(-1))^i h x^i for
     h = u_x^i g^(-1), so S of the key is s_w s_x chi(g^(-1))^i times the
-    kernel product of the keys u_w^j w^j and h x^i.
+    kernel product of the keys u_w^j w^j and h x^i.  (s_w s_x, u_x^i, u_w^j)
+    is cached on the spec per (i, j).
     """
     g, i, j = key
-    gx, gw = _skew_primitives(spec)
-    sx, ux = _antipode_power(gx, i)
-    sw, uw = _antipode_power(gw, j)
+    cached = spec._antipode_cache.get((i, j))
+    if cached is None:
+        gx, gw = _skew_primitives(spec)
+        sx, ux = _antipode_power(gx, i)
+        sw, uw = _antipode_power(gw, j)
+        cached = spec._antipode_cache[(i, j)] = (sw * sx, ux, uw)
+    s, ux, uw = cached
     g_inv = g.inverse()
-    s = sw * sx
-    root = spec.chi.exponent(g_inv, i)
+    root = spec.chi.exponent(g_inv, i) if i else 0
     one = root_of_unity(spec.conductor, 0)
     return [(k, root + r, s if cm is one else s * cm)
             for k, r, cm in _monomial_product(spec, (uw, 0, j), (ux * g_inv, i, 0))]

@@ -41,17 +41,25 @@ def test_group_products_match_element(data):
     u, v = data.draw(vec), data.draw(vec)
     k = data.draw(st.integers(-6, 6))
     g, h = G.element(u), G.element(v)
+    # one object per element and group object, torsion-equivalent vectors
+    # included
+    assert G.element(u) is g
+    assert G.element([e + n for e, n in zip(u, (0,) * free + torsion)]) is g
     for got, exps in ((g * h, [a + b for a, b in zip(u, v)]),
                       (g.inverse(), [-a for a in u]),
                       (g ** k, [k * a for a in u])):
         want = G.element(exps)
-        assert got == want and got.group is G
+        assert got is want and got.group is G
         assert got.exps == want.exps and got._hash == want._hash == hash(got)
         # the reduction spelled out: free coordinates as they are, torsion
         # coordinates into [0, n)
         assert got.exps == tuple(exps[:free]) + tuple(
             e % n for e, n in zip(exps[free:], torsion))
-    assert g * AbelianGroup(free, torsion).element(v) == g * h
+    twin = AbelianGroup(free, torsion)
+    h2 = twin.element(v)
+    # equality is by value across equal group objects, identity is not
+    assert h2 == h and hash(h2) == hash(h) and h2 is not h and h2.group is twin
+    assert g * h2 == g * h and (g * h2).group is G
     other = (AbelianGroup(free, tuple(n + 1 for n in torsion)) if torsion
              else AbelianGroup(free + 1))
     with pytest.raises(ValueError):
@@ -60,6 +68,28 @@ def test_group_products_match_element(data):
         g * 3
     with pytest.raises(ValueError):
         G.element(u + [0])
+
+
+def test_character_rejects_an_element_of_another_group():
+    chi = Character(AbelianGroup(2), 4, [1, 1])
+    g = AbelianGroup(3).element([1, 1, 1])
+    for evaluate in (chi.eval, lambda g: chi.eval_pow(g, 3), chi.exponent):
+        with pytest.raises(ValueError):
+            evaluate(g)
+    # an element of an equal but distinct group object is accepted
+    assert chi.eval(AbelianGroup(2).element([1, 1])) == root_of_unity(4, 2)
+
+
+def test_subgroup_character_rejects_an_element_of_another_group():
+    K = char_kernel(Character(AbelianGroup(2), 4, [1, 0]))
+    lam = SubgroupCharacter(K, 4, [1, 1])
+    g = AbelianGroup(3).element([4, 1, 7])
+    with pytest.raises(ValueError):
+        lam.eval(g)
+    with pytest.raises(ValueError):
+        K.contains(g)
+    inside = AbelianGroup(2).element([4, 1])
+    assert K.contains(inside) and lam.eval(inside) == root_of_unity(4, 2)
 
 
 def test_group_order():

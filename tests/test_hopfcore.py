@@ -312,6 +312,33 @@ def test_hopf_axiom_check_deterministic():
     assert r1.to_dict() == r2.to_dict()
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_antipode_constants_are_computed_once_per_degree_pair(monkeypatch, name):
+    # S(x^i w^j) reads its constants from the spec: two _antipode_power
+    # calls (one per generator) for each (i, j) seen, none on a second check
+    spec = catalog_entry(name).spec
+    spec = validate_spec(spec.group, spec.chi, spec.eta, spec.b, spec.c, spec.beta)
+    power_calls, pairs = [], set()
+    antipode_power, antipode_key = hopfcore._antipode_power, hopfcore._antipode_key
+
+    def counted_power(gen, n):
+        power_calls.append(n)
+        return antipode_power(gen, n)
+
+    def recorded_key(spec, key):
+        pairs.add(key[1:])
+        return antipode_key(spec, key)
+
+    monkeypatch.setattr(hopfcore, "_antipode_power", counted_power)
+    monkeypatch.setattr(hopfcore, "_antipode_key", recorded_key)
+    first = hopf_axiom_check(spec, 10, max_degree=3)
+    assert first.passed and pairs
+    assert 0 < len(power_calls) <= 2 * len(pairs)
+    del power_calls[:]
+    assert hopf_axiom_check(spec, 10, max_degree=3) == first
+    assert power_calls == []
+
+
 def _broken_coproduct_of_x(spec):
     # Delta(x) = x (x) 1 + 1 (x) x: the group-like b of x (x) 1 + b (x) x is lost
     e, one = spec.group.identity(), Cyclotomic.one(spec.conductor)
