@@ -54,14 +54,18 @@ def mat_vec(A, v):
 
 
 def mat_pow(A, k: int):
+    """A^k as a new matrix, by left-to-right binary powering from the top
+    bit of k: floor(lg k) + popcount(k) - 1 products for k >= 1 (none for
+    A^1), the identity for k = 0."""
     if k < 0:
         raise ValueError("matrix powers need an exponent >= 0")
-    out = identity(len(A), A[0][0].conductor)
-    while k:
-        if k & 1:
+    if k == 0:
+        return identity(len(A), A[0][0].conductor)
+    out = [list(row) for row in A]
+    for bit in bin(k)[3:]:
+        out = mat_mul(out, out)
+        if bit == "1":
             out = mat_mul(out, A)
-        A = mat_mul(A, A)
-        k >>= 1
     return out
 
 

@@ -28,7 +28,7 @@ intertwiner system read embedding 0; the intertwiner lift reads the others.
 """
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import reduce, wraps
 from math import gcd
 from random import Random
 
@@ -145,21 +145,25 @@ class ModuleRep:
         return inv
 
     def act_group(self, g: GroupElement):
-        """Action matrix of a group element."""
-        out = identity(self.dim, self.spec.conductor)
+        """Action matrix of a group element: the product of its generator
+        powers, the first of them as the start, so no identity factor is
+        multiplied in; the identity only for the unit element."""
+        out = None
         for k, e in enumerate(g.exps):
             if e == 0:
                 continue
             base = self.group_mats[k] if e > 0 else self._gen_inverse(k)
-            out = mat_mul(out, mat_pow(base, abs(e)))
-        return out
+            power = mat_pow(base, abs(e))
+            out = power if out is None else mat_mul(out, power)
+        return identity(self.dim, self.spec.conductor) if out is None else out
 
     def act_group_alg(self, u: GroupAlgElem):
-        """Action matrix of a group-algebra element."""
-        out = zeros(self.dim, self.dim, self.spec.conductor)
-        for g, coeff in u.terms.items():
-            out = mat_add(out, mat_scale(self.act_group(g), coeff))
-        return out
+        """Action matrix of a group-algebra element: the sum of its scaled
+        terms, started from the first term; the zero matrix for u = 0."""
+        terms = [mat_scale(self.act_group(g), coeff) for g, coeff in u.terms.items()]
+        if not terms:
+            return zeros(self.dim, self.dim, self.spec.conductor)
+        return reduce(mat_add, terms)
 
     def _c_times(self, power: int, A):
         """c^power A for power = 1 or -1; c must act invertibly."""
@@ -1054,11 +1058,18 @@ def _eigen_ratio(A, v, conductor: int):
 
 
 def _verify_rebuild(M: ModuleRep, params: SimpleParams, spec: AlgebraSpec):
+    """params, once build_simple(params, spec) is shown isomorphic to M.
+
+    A rebuild whose group matrices, X and Y equal M's is certified by the
+    identity map, so only a rebuild that differs solves the intertwiner
+    system of ``are_isomorphic``.
+    """
     try:
         rebuilt = build_simple(params, spec)
     except SpecError as exc:
         _classify_fail(f"recovered parameters rejected by the constructor: {exc}")
-    if not are_isomorphic(M, rebuilt):
+    if (rebuilt.group_mats, rebuilt.X, rebuilt.Y) != (M.group_mats, M.X, M.Y) \
+            and not are_isomorphic(M, rebuilt):
         _classify_fail("rebuilt module is not isomorphic to the input")
     return params
 
@@ -1116,8 +1127,10 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
     kernel-subgroup scalars) and a joint eigenvector of the group action;
     the answer is verified against a rebuilt module where concrete
     parameters are available, and against the defining scalar identities
-    otherwise.  The input's rep_check and Burnside certificates are read
-    from the module when its caller has already computed them.
+    otherwise.  A rebuild equal to the input is certified by the identity;
+    one that differs by an intertwiner from ``are_isomorphic``.  The
+    input's rep_check and Burnside certificates are read from the module
+    when its caller has already computed them.
     """
     if not rep_check(M, spec).passed:
         _classify_fail("input fails rep_check")

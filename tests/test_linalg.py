@@ -13,8 +13,9 @@ import pytest
 
 from orehopf.cyclotomic import (ConductorMismatch, Cyclotomic, euler_phi, residue,
                                 root_of_unity, split_prime)
+from orehopf import linalg
 from orehopf.linalg import (ModularSpan, SpanBasis, identity, inverse, mat_mul,
-                            mat_mul_mod, mat_vec, nullspace, residues, rref)
+                            mat_mul_mod, mat_pow, mat_vec, nullspace, residues, rref)
 
 from gen import random_scalar
 from oracles import mat_eq, rref_by_column_sweep
@@ -168,6 +169,37 @@ def test_fused_products_equal_the_per_term_sum(N):
         v = [row[0] for row in B]
         assert [(x.num, x.den) for x in mat_vec(A, v)] == \
             [(w.num, w.den) for w in (_per_term_sum(row, v) for row in A)]
+
+
+def _power_by_repeated_products(A, k):
+    """A^k as identity * A * ... * A, each entry a per-term sum."""
+    out = identity(len(A), A[0][0].conductor)
+    for _ in range(k):
+        out = [[_per_term_sum(row, col) for col in zip(*A)] for row in out]
+    return out
+
+
+@pytest.mark.parametrize("N", [3, 8])
+def test_mat_pow_makes_only_the_binary_powering_products(N, monkeypatch):
+    calls = []
+
+    def counting_mul(A, B):
+        calls.append(len(A))
+        return mat_mul(A, B)
+
+    monkeypatch.setattr(linalg, "mat_mul", counting_mul)
+    rng = random.Random(N)
+    for dim in range(1, 5):
+        A = [[random_scalar(rng, N, nonzero=True) for _ in range(dim)]
+             for _ in range(dim)]
+        for k in range(10):
+            calls.clear()
+            power = mat_pow(A, k)
+            assert mat_eq(power, _power_by_repeated_products(A, k)) and power is not A
+            expected = k.bit_length() - 1 + bin(k).count("1") - 1 if k else 0
+            assert len(calls) == expected, (dim, k)
+    with pytest.raises(ValueError, match="exponent >= 0"):
+        mat_pow(A, -1)
 
 
 def test_fused_product_rejects_mixed_conductors():

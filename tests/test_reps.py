@@ -21,7 +21,7 @@ from orehopf.reps import (ClassifyError, ModuleRep, SimpleParams,
                           direct_sum, is_simple_burnside, iso_criterion,
                           rep_check, torsion_profile, truncation_index)
 from orehopf.catalog import takeuchi_u1
-from orehopf import reps
+from orehopf import linalg, reps
 
 from gen import (audit_spec, diff_sweep_spec, random_group_char, random_invertible,
                  random_kernel_char, random_scalar, skew_sweep_spec)
@@ -1017,3 +1017,149 @@ def test_classification_round_trip_at_larger_dimensions(n):
             assert report.passed and report.facts["span_dimension"] == n * n, family
             assert classify_simple(module, spec).family == family
         assert are_isomorphic(M, C).status == "isomorphic", family
+
+
+# ---------------------------------------------------------------------------
+# exact products: group actions without identity factors
+
+
+def test_act_group_multiplies_no_identity_it_built(monkeypatch):
+    rng = random.Random(18)
+    spec = diff_sweep_spec(3)
+    N = spec.conductor
+    M = build_Vx_diff(Character(spec.group, N, [2, 1]), root_of_unity(N, 1),
+                      scalar(spec, 2), spec)
+    modules = [M, conjugate(M, random_invertible(M.dim, N, rng))]
+    draws = [[rng.randint(-3, 3) for _ in range(spec.group.ngens)] for _ in range(30)]
+    draws += [[0, 0], [1, 0], [0, -1], [-2, 3]]
+
+    def by_products(module, exps):
+        """Identity times each generator, or its inverse, |e| times."""
+        out = identity(module.dim, N)
+        for k, e in enumerate(exps):
+            base = module.group_mats[k] if e > 0 else inverse(module.group_mats[k])
+            for _ in range(abs(e)):
+                out = mat_mul(out, base)
+        return out
+
+    oracle = {(i, tuple(exps)): by_products(module, exps)
+              for i, module in enumerate(modules) for exps in draws}
+    built, operands = [], []
+
+    def recording_identity(d, conductor, _fn=identity):
+        built.append(_fn(d, conductor))
+        return built[-1]
+
+    def recording_mul(A, B, _fn=mat_mul):
+        operands.extend((A, B))
+        return _fn(A, B)
+
+    for target in (reps, linalg):
+        monkeypatch.setattr(target, "identity", recording_identity)
+        monkeypatch.setattr(target, "mat_mul", recording_mul)
+    for (i, exps), want in oracle.items():
+        built.clear()
+        operands.clear()
+        got = modules[i].act_group(spec.group.element(exps))
+        assert mat_eq(got, want), exps
+        assert not any(A is I for A in operands for I in built), exps
+        assert (len(built) == 1) == (not any(exps)), exps
+
+
+# ---------------------------------------------------------------------------
+# classification: a rebuild equal to the input is certified by the identity
+
+
+def _counting_intertwiners(monkeypatch):
+    """Patch reps._intertwiner_space to count its calls."""
+    calls = Counter()
+    space = reps._intertwiner_space
+
+    def counting(M1, M2):
+        calls["intertwiner_space"] += 1
+        return space(M1, M2)
+
+    monkeypatch.setattr(reps, "_intertwiner_space", counting)
+    return calls
+
+
+def _classify_cost(calls, M, spec):
+    before = calls["intertwiner_space"]
+    params = classify_simple(M, spec)
+    return params, calls["intertwiner_space"] - before
+
+
+def _one_module_per_family():
+    """(spec, module) for each of the seven families, built by the library."""
+    skew, diff = skew_sweep_spec(4), diff_sweep_spec(4)
+    lam = kernel_char(skew, skew.chi, [2, 1])
+    lam_y = kernel_char(skew, skew.eta, [2, 1])
+    # rho as the classification recovers it: rho * chi^k would be rebuilt
+    # from rho, a different basis of the same module
+    rho = Character(diff.group, diff.conductor, [1, 1])
+    return [
+        (skew, build_torsion_char(Character(skew.group, skew.conductor, [3, 2]), skew)),
+        (skew, build_Vx_skew(root_of_unity(4, 1), lam, skew)),
+        (skew, build_Vy_skew(scalar(skew, 3), lam_y, skew)),
+        (skew, build_Vxy_skew(scalar(skew, 1), root_of_unity(4, 2), lam, 1, skew)),
+        (diff, build_Vbar_diff(rho, diff)),
+        (diff, build_Vx_diff(rho, root_of_unity(diff.conductor, 3), scalar(diff, 2), diff)),
+        (diff, build_Vy_diff(rho, scalar(diff, 0), root_of_unity(diff.conductor, 1), diff)),
+    ]
+
+
+def test_classify_takes_an_equal_rebuild_without_intertwiners(monkeypatch):
+    calls = _counting_intertwiners(monkeypatch)
+    rebuilds = Counter()
+
+    def rebuild_in_another_basis(params, spec, _build=build_simple):
+        """The rebuild conjugated by diag(1, 2, ..., d): isomorphic, and not
+        equal to a simple input of dimension >= 2, whose x or y is not
+        diagonal."""
+        rebuilds["build"] += 1
+        M = _build(params, spec)
+        D = [[scalar(spec, i + 1) if i == j else scalar(spec, 0)
+              for j in range(M.dim)] for i in range(M.dim)]
+        return conjugate(M, D)
+
+    families = set()
+    for spec, M in _one_module_per_family():
+        params, cost = _classify_cost(calls, M, spec)
+        families.add(params.family)
+        assert cost == 0, params.family
+        # the same module against a rebuild that differs from it: one
+        # intertwiner system, and the same parameters
+        with monkeypatch.context() as m:
+            m.setattr(reps, "build_simple", rebuild_in_another_basis)
+            exact, exact_cost = _classify_cost(calls, _fresh(M), spec)
+        assert exact.describe() == params.describe()
+        assert exact_cost == (1 if M.dim >= 2 else 0), params.family
+    assert rebuilds["build"] == 7
+    assert families == {"TorsionChar", "SkewVx", "SkewVy", "SkewVxy",
+                        "DiffVbar", "DiffVx", "DiffVy"}
+
+
+def test_classify_checks_a_rebuild_that_differs_by_intertwiners(monkeypatch):
+    calls = _counting_intertwiners(monkeypatch)
+    rng = random.Random(11)
+    for spec, M in _one_module_per_family():
+        C = conjugate(M, random_invertible(M.dim, spec.conductor, rng))
+        params, cost = _classify_cost(calls, C, spec)
+        if params.family in ("DiffVbar", "DiffVx", "DiffVy"):
+            assert M.dim >= 2 and cost == 1, params.family
+        if M.dim == 1:
+            # a 1 x 1 conjugate is its module: the identity certifies it
+            assert (C.group_mats, C.X, C.Y) == (M.group_mats, M.X, M.Y)
+            assert cost == 0
+
+
+def test_classify_rejects_a_rebuild_that_is_not_isomorphic(monkeypatch):
+    spec = diff_sweep_spec(3)
+    N = spec.conductor
+    rho = Character(spec.group, N, [2, 1])
+    M = build_Vx_diff(rho, root_of_unity(N, 1), scalar(spec, 2), spec)
+    other = build_Vx_diff(rho, root_of_unity(N, 1), scalar(spec, 5), spec)
+    assert are_isomorphic(_fresh(M), other).status == "not_isomorphic"
+    monkeypatch.setattr(reps, "build_simple", lambda params, spec: other)
+    with pytest.raises(ClassifyError, match="rebuilt module is not isomorphic"):
+        classify_simple(M, spec)
