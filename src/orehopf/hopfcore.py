@@ -24,9 +24,14 @@ with the group part and the root chi(h)^i eta(h)^j of moving h left folded
 into the x/w rows (one row in skew mode, the rows of z^j x^k in diff mode).
 Delta, S and epsilon are per-key maps: _cop_key, _antipode_key (one kernel
 product) and epsilon = 1 in degree 0, else 0.  The spec keeps Delta(x^i w^j)
-and the constants (s_w s_x, u_x^i, u_w^j) of S(w)^j S(x)^i per (i, j), so a
-key only moves its group element through them.  The products, comultiply,
-antipode and hopf_axiom_check only accumulate rows, with no element per key.
+and the constants (s_w s_x, u_x^i, u_w^j) of S(w)^j S(x)^i per (i, j), and
+the product Delta(x^i w^j) Delta(x^k w^l) per (i, j, k, l) for the check that
+Delta is multiplicative (_cop_product_key), so a key only moves its group
+element through them.  The last table is filled at first use and holds at
+most (d+1)^4 products for degrees <= d: about 0.6 MB for the four benchmark
+specs at d = 3, and an estimated 12-35 MB per spec if every quadruple of
+degree <= 8 is filled.  The products, comultiply, antipode and
+hopf_axiom_check only accumulate rows, with no element per key.
 
 Both PBW generators are skew-primitive, so Delta and S of a PBW monomial
 g x^i w^j come from closed forms (Gauss binomials for Delta(v^n), a group
@@ -45,6 +50,7 @@ conductor, spec or quotient spec) and its own products and maps.
 from __future__ import annotations
 
 import enum
+from array import array
 from math import lcm
 from random import Random
 
@@ -194,6 +200,8 @@ class AlgebraSpec:
         self._z_past_x_cache = {}
         self._wind_cache = {}
         self._cop_cache = {}
+        self._cop_product_cache = {}
+        self._cop_values = {}
         self._antipode_cache = {}
         self._q_exponent = eta.exponent(b)      # q = zeta^_q_exponent
 
@@ -441,13 +449,22 @@ def _acc_rows(out: dict, coeff: Cyclotomic, rows, n: int, root: int = 0):
         _acc(out, key, _times_root(coeff if cm is one else coeff * cm, root + r, n))
 
 
+def _moved_root(spec: AlgebraSpec, h: GroupElement, i: int, j: int) -> int:
+    """r with x^i w^j h = zeta^r h x^i w^j, that is chi(h)^i eta(h)^j; a zero
+    degree skips its character."""
+    root = spec.chi.exponent(h, i) if i else 0
+    if j:
+        root += spec.eta.exponent(h, j)
+    return root
+
+
 def _monomial_product(spec: AlgebraSpec, a, b):
     """The product of the keys a = g x^i w^j and b = h x^k w^l in PBW form, as
     rows (key, r, coeff) of sum coeff zeta^r key.
 
-    h moves left past x^i w^j as chi(h)^i eta(h)^j; a zero degree skips its
-    character.  Skew mode: w^j x^k = q^(jk) x^k w^j, one row with coeff 1,
-    and r is left unreduced (callers reduce it in _times_root).  Diff mode:
+    h moves left past x^i w^j as chi(h)^i eta(h)^j (_moved_root).  Skew
+    mode: w^j x^k = q^(jk) x^k w^j, one row with coeff 1, and r is left
+    unreduced (callers reduce it in _times_root).  Diff mode:
     the rows of z^j x^k = sum cm m x^a z^b, where x^i m = chi(m)^i m x^i
     adds to r; a zero cm (a vanishing q-binomial) gives no row.
     """
@@ -455,9 +472,7 @@ def _monomial_product(spec: AlgebraSpec, a, b):
     h, k, l = b
     chi = spec.chi
     gh = g * h
-    root = chi.exponent(h, i) if i else 0
-    if j:
-        root += spec.eta.exponent(h, j)
+    root = _moved_root(spec, h, i, j)
     if spec.mode is Mode.SKEW_GROUP_RING:
         return (((gh, i + k, j + l), root + spec._q_exponent * j * k,
                  root_of_unity(spec.conductor, 0)),)
@@ -591,6 +606,45 @@ def _cop_key(spec: AlgebraSpec, key):
         yield ((g * h1, i1, j1), (g * h2, i2, j2)), v
 
 
+def _cop_product_key(spec: AlgebraSpec, a, b, coeff: Cyclotomic):
+    """coeff Delta(a) Delta(b) for the keys a = g x^i w^j and b = h x^k w^l,
+    as pairs ((left key, right key), coeff).
+
+    Every term of Delta(x^i w^j) has total degrees (i, j), so h (x) h moves
+    left past it as chi(h)^i eta(h)^j and Delta(a) Delta(b) is
+    chi(h)^i eta(h)^j (gh (x) gh) P with P = Delta(x^i w^j) Delta(x^k w^l).
+    P is one TensorElem product of two group-free _cop_key outputs, made
+    from _cop_cache at first use of (i, j, k, l) and kept on the spec as
+    (group parts, values, rows): the rows (h1, i1, j1, h2, i2, j2, v) of P,
+    with h1, h2 and v indices into the first two, lie in one flat array of
+    unsigned ints, and equal values are one object per spec.  So a key pair
+    costs one group product per group part and one field product per value,
+    and a spec keeps at most (d+1)^4 tables for degrees <= d.
+    """
+    g, i, j = a
+    h, k, l = b
+    table = spec._cop_product_cache.get((i, j, k, l))
+    if table is None:
+        e = spec.group.identity()
+        p = (TensorElem(spec, dict(_cop_key(spec, (e, i, j))))
+             * TensorElem(spec, dict(_cop_key(spec, (e, k, l)))))
+        shared, parts, values, rows = spec._cop_values, {}, {}, []
+        for ((h1, i1, j1), (h2, i2, j2)), v in p.terms.items():
+            rows += (parts.setdefault(h1, len(parts)), i1, j1,
+                     parts.setdefault(h2, len(parts)), i2, j2,
+                     values.setdefault(shared.setdefault(v, v), len(values)))
+        table = spec._cop_product_cache[(i, j, k, l)] = (
+            tuple(parts), tuple(values), array('I', rows))
+    parts, values, rows = table
+    gh = g * h
+    moved = [gh * m for m in parts]
+    f = _times_root(coeff, _moved_root(spec, h, i, j), spec.conductor)
+    scaled = [f * v for v in values]
+    it = iter(rows)
+    return [(((moved[h1], i1, j1), (moved[h2], i2, j2)), scaled[v])
+            for h1, i1, j1, h2, i2, j2, v in zip(*[it] * 7)]
+
+
 def comultiply(a: HopfElem) -> TensorElem:
     """Delta extended linearly, key by key (_cop_key)."""
     spec = a.spec
@@ -698,8 +752,15 @@ def hopf_axiom_check(spec: AlgebraSpec, sample_count: int = 50,
     """Randomized verification of the Hopf axioms on sampled elements.
 
     Checks coassociativity, both counit laws, both antipode laws, and that
-    Delta and epsilon are algebra maps on sampled pairs.
+    Delta and epsilon are algebra maps on sampled pairs.  Delta(a) Delta(b)
+    is summed over the key pairs of a and b from _cop_product_key, whose
+    per-spec table holds at most (max_degree+1)^4 products.  ValueError for
+    sample_count < 1 (zero samples would certify nothing) or max_degree < 0.
     """
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, not {sample_count}")
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be at least 0, not {max_degree}")
     rng = Random(seed)
     n = spec.conductor
     witnesses = []
@@ -737,7 +798,13 @@ def hopf_axiom_check(spec: AlgebraSpec, sample_count: int = 50,
 
         b = random_element(spec, rng, max_degree=max_degree)
         ab = multiply(a, b)
-        if comultiply(ab) != da * comultiply(b):
+        # Delta(a) Delta(b), summed key pair by key pair
+        prod = {}
+        for ka, ca in a.terms.items():
+            for kb, cb in b.terms.items():
+                for pair, v in _cop_product_key(spec, ka, kb, ca * cb):
+                    _acc(prod, pair, v)
+        if comultiply(ab).terms != _nonzero(prod):
             fail("delta_multiplicative", [_describe(a), _describe(b)])
         if counit(ab) != counit(a) * counit(b):
             fail("counit_multiplicative", [_describe(a), _describe(b)])

@@ -1,6 +1,7 @@
 """Algebra and Hopf structure of the Ore extension H(G, chi, eta, b, c, beta)."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -245,6 +246,66 @@ def test_tensor_product_matches_pairwise_oracle(name):
             assert t1 * t2 == tensor_multiply_by_pairs(t1, t2), name
 
 
+def _cop_products_by_key_pairs(a, b):
+    # Delta(a) Delta(b) summed over the key pairs of a and b
+    out = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            for pair, v in hopfcore._cop_product_key(a.spec, ka, kb, ca * cb):
+                out[pair] = out[pair] + v if pair in out else v
+    return TensorElem(a.spec, out)
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["diff-beta2"])
+def test_cop_product_rows_match_tensor_products(name):
+    # the rows of the per-spec table of Delta(x^i w^j) Delta(x^k w^l), moved
+    # by the group parts, against the product in H (x) H and the pairwise
+    # rewriting oracle (up to degree 3: at degree 8 it takes seconds a draw)
+    spec = _diff_beta2_spec() if name == "diff-beta2" else catalog_entry(name).spec
+    rng = random.Random(f"cop-product:{name}")
+    negative = False
+    for max_degree, draws in ((3, 6), (8, 2)):
+        for _ in range(draws):
+            a, b = (random_element(spec, rng, max_degree=max_degree) for _ in range(2))
+            negative |= any(min(g.exps, default=0) < 0 for g, _, _ in a.terms)
+            summed = _cop_products_by_key_pairs(a, b)
+            da, db = comultiply(a), comultiply(b)
+            assert summed == da * db, (name, max_degree)
+            if max_degree == 3:
+                assert summed == tensor_multiply_by_pairs(da, db), name
+    # a free factor draws negative exponents; taft, fantino-garcia and klein
+    # are torsion only
+    assert negative is (spec.group.free_rank > 0)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_cop_products_are_computed_once_per_degree_quadruple(monkeypatch, name):
+    # Delta(a) Delta(b) reads Delta(x^i w^j) Delta(x^k w^l) from the spec:
+    # at most one TensorElem product for each (i, j, k, l) seen, none on a
+    # second check
+    spec = catalog_entry(name).spec
+    spec = validate_spec(spec.group, spec.chi, spec.eta, spec.b, spec.c, spec.beta)
+    products, quadruples = [], set()
+    tensor_mul, cop_product_key = TensorElem.__mul__, hopfcore._cop_product_key
+
+    def counted_mul(s, t):
+        products.append(1)
+        return tensor_mul(s, t)
+
+    def recorded_key(spec, a, b, coeff):
+        quadruples.add(a[1:] + b[1:])
+        return cop_product_key(spec, a, b, coeff)
+
+    monkeypatch.setattr(TensorElem, "__mul__", counted_mul)
+    monkeypatch.setattr(hopfcore, "_cop_product_key", recorded_key)
+    first = hopf_axiom_check(spec, 10, max_degree=3)
+    assert first.passed and quadruples
+    assert 0 < len(products) <= len(quadruples)
+    del products[:]
+    assert hopf_axiom_check(spec, 10, max_degree=3) == first
+    assert products == []
+
+
 def test_counit():
     spec = skew_sweep_spec(3)
     assert counit(spec.x()).is_zero()
@@ -370,6 +431,35 @@ def test_hopf_axiom_check_catches_broken_maps(monkeypatch, make, broken_delta, b
 
     monkeypatch.setattr(hopfcore, "_antipode_power", doubled)
     assert failures(make()) == broken_s
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: diff_sweep_spec(2),
+     {"antipode": 3, "delta_multiplicative": 2, "coassociativity": 1}),
+    (lambda: skew_sweep_spec(3),
+     {"coassociativity": 6, "antipode": 5, "delta_multiplicative": 5}),
+], ids=["diff2", "skew3"])
+def test_hopf_axiom_check_catches_broken_coproduct_through_product_table(make, expected):
+    """A primitive Delta(w) = w (x) 1 + 1 (x) w put into _cop_cache[(0, 1)]
+    of a fresh spec.  The table of Delta(x^i w^j) Delta(x^k w^l) is built
+    from _cop_cache at first use, so Delta(a) Delta(b) reads the broken
+    Delta(w) while Delta(ab) does not: delta_multiplicative fails as the
+    product of the two coproducts did, with the same witness counts."""
+    spec = make()
+    e, one = spec.group.identity(), Cyclotomic.one(spec.conductor)
+    spec._cop_cache[(0, 1)] = {((e, 0, 1), (e, 0, 0)): one,
+                               ((e, 0, 0), (e, 0, 1)): one}
+    report = hopf_axiom_check(spec, sample_count=10, max_degree=2, seed=0)
+    assert report.passed is False
+    assert Counter(w["check"] for w in report.witnesses) == expected
+
+
+@pytest.mark.parametrize("settings", [
+    {"sample_count": 0}, {"sample_count": -3}, {"max_degree": -1},
+], ids=["no-samples", "negative-samples", "negative-degree"])
+def test_hopf_axiom_check_rejects_meaningless_sample_settings(settings):
+    with pytest.raises(ValueError, match="sample_count|max_degree"):
+        hopf_axiom_check(skew_sweep_spec(3), **settings)
 
 
 def test_change_of_variables_reports():
