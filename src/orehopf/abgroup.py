@@ -27,6 +27,27 @@ from operator import add, mod, mul, neg
 from .cyclotomic import Cyclotomic, root_of_unity
 
 
+def _is_int(value) -> bool:
+    """An integer; bool is a subclass of int in Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _ints(values, what: str) -> list:
+    """values as a list; ValueError unless each is an integer (_is_int)."""
+    values = list(values)
+    for v in values:
+        if not _is_int(v):
+            raise ValueError(f"{what} must be integers, not {v!r}")
+    return values
+
+
+def _conductor(conductor):
+    """conductor; ValueError unless it is a positive integer (_is_int)."""
+    if not _is_int(conductor) or conductor < 1:
+        raise ValueError(f"conductor must be a positive integer, not {conductor!r}")
+    return conductor
+
+
 class AbelianGroup:
     """Z^free_rank x prod Z/n_i with generator order: free then torsion.
 
@@ -37,9 +58,9 @@ class AbelianGroup:
     __slots__ = ("free_rank", "torsion_orders", "ngens", "_elements")
 
     def __init__(self, free_rank: int, torsion_orders=()):
-        if free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
-        torsion = tuple(int(n) for n in torsion_orders)
+        if not _is_int(free_rank) or free_rank < 0:
+            raise ValueError(f"free rank must be a nonnegative integer, not {free_rank!r}")
+        torsion = tuple(_ints(torsion_orders, "torsion orders"))
         if any(n < 2 for n in torsion):
             raise ValueError("torsion orders must be >= 2")
         object.__setattr__(self, "free_rank", free_rank)
@@ -62,8 +83,8 @@ class AbelianGroup:
         return f"AbelianGroup(free_rank={self.free_rank}, torsion={list(self.torsion_orders)})"
 
     def element(self, exps) -> "GroupElement":
-        """The element with these exponents; checks their number."""
-        exps = list(exps)
+        """The element with these exponents; checks their number and type."""
+        exps = _ints(exps, "group element exponents")
         if len(exps) != self.ngens:
             raise ValueError(f"expected {self.ngens} exponents, got {len(exps)}")
         return _new_element(self, exps)
@@ -169,7 +190,8 @@ class Character:
     __slots__ = ("group", "conductor", "exps")
 
     def __init__(self, group: AbelianGroup, conductor: int, exps):
-        exps = list(int(e) for e in exps)
+        conductor = _conductor(conductor)
+        exps = _ints(exps, "character exponents")
         if len(exps) != group.ngens:
             raise ValueError(f"expected {group.ngens} character exponents, got {len(exps)}")
         for i, n in enumerate(group.torsion_orders):
@@ -453,7 +475,8 @@ class SubgroupCharacter:
     __slots__ = ("subgroup", "conductor", "exps")
 
     def __init__(self, subgroup: Subgroup, conductor: int, exps):
-        exps = [int(e) % conductor for e in exps]
+        conductor = _conductor(conductor)
+        exps = [e % conductor for e in _ints(exps, "character exponents")]
         if len(exps) != len(subgroup.rows):
             raise ValueError(
                 f"expected {len(subgroup.rows)} exponents for the Hermite generators")

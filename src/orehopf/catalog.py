@@ -231,7 +231,7 @@ def klein_example() -> CatalogEntry:
     f.check("joint_kernel_trivial", sub.index() == 4, sub.index())
     lam = SubgroupCharacter(sub, 2, [0] * len(sub.hermite_generators()))
     one = Cyclotomic.one(2)
-    module = build_induced_skew(2, [chi, eta], [one, one], lam, spec)
+    module = build_induced_skew([one, one], lam, spec)
     f.check("dim", module.dim == 4, module.dim)
     f.check("rep_check", rep_check(module, spec).passed)
     burnside = is_simple_burnside(module)

@@ -24,10 +24,10 @@ import json
 import os
 import sys
 
-from .abgroup import AbelianGroup, Character, SubgroupCharacter, joint_kernel
+from .abgroup import AbelianGroup, Character, SubgroupCharacter, _is_int, joint_kernel
 from .catalog import catalog_entry, catalog_names
 from .exprparse import element_to_expr, parse_element, serialize_element
-from .hopfcore import (AlgebraSpec, _is_int, _raw_key, antipode, antipode_order,
+from .hopfcore import (AlgebraSpec, _raw_key, antipode, antipode_order,
                        comultiply, counit, cyclotomic_to_literal,
                        hopf_axiom_check, literal_to_cyclotomic, validate_spec)
 from .quotient import QuotientSpec, hopf_ideal_check, quotient_basis
@@ -288,7 +288,7 @@ def build_family_module(family: str, params: dict, spec: AlgebraSpec) -> ModuleR
         sub = joint_kernel([spec.chi, spec.eta])
         lam = _kernel_character(spec, sub, params, "lam")
         _check_module_dim(sub.index())
-        return build_induced_skew(2, [spec.chi, spec.eta], kvals, lam, spec)
+        return build_induced_skew(kvals, lam, spec)
     if family == "diff-vbar":
         _need(params, family, "rho")
         rho = _group_character(spec, params, "rho")

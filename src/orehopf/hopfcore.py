@@ -23,15 +23,16 @@ gives the product of two keys as rows (key, r, coeff) of sum coeff zeta^r key,
 with the group part and the root chi(h)^i eta(h)^j of moving h left folded
 into the x/w rows (one row in skew mode, the rows of z^j x^k in diff mode).
 Delta, S and epsilon are per-key maps: _cop_key, _antipode_key (one kernel
-product) and epsilon = 1 in degree 0, else 0.  The spec keeps Delta(x^i w^j)
-and the constants (s_w s_x, u_x^i, u_w^j) of S(w)^j S(x)^i per (i, j), and
-the product Delta(x^i w^j) Delta(x^k w^l) per (i, j, k, l) for the check that
-Delta is multiplicative (_cop_product_key), so a key only moves its group
-element through them.  The last table is filled at first use and holds at
-most (d+1)^4 products for degrees <= d: about 0.6 MB for the four benchmark
-specs at d = 3, and an estimated 12-35 MB per spec if every quadruple of
-degree <= 8 is filled.  The products, comultiply, antipode and
-hopf_axiom_check only accumulate rows, with no element per key.
+product) and epsilon = 1 in degree 0, else 0.  The spec keeps the constants
+(s_w s_x, u_x^i, u_w^j) of S(w)^j S(x)^i per (i, j) and one dict of packed
+group-free coproduct tables (_cop_rows): Delta(x^i w^j) per (i, j) and, for
+the check that Delta is multiplicative, Delta(x^i w^j) Delta(x^k w^l) per
+(i, j, k, l).  A key only moves its group element and coefficient through
+them.  The products are made at first use, at most (d+1)^4 for degrees
+<= d: about 0.6 MB for the four benchmark specs at d = 3, and an estimated
+12-35 MB per spec if every quadruple of degree <= 8 is filled.  The
+products, comultiply, antipode and hopf_axiom_check only accumulate rows,
+with no element per key.
 
 Both PBW generators are skew-primitive, so Delta and S of a PBW monomial
 g x^i w^j come from closed forms (Gauss binomials for Delta(v^n), a group
@@ -54,7 +55,7 @@ from array import array
 from math import lcm
 from random import Random
 
-from .abgroup import AbelianGroup, Character, GroupElement
+from .abgroup import AbelianGroup, Character, GroupElement, _is_int
 from .cyclotomic import (Cyclotomic, _coerce_coeff, _q_binomial_row, q_int,
                          root_of_unity, zeta_log)
 from .report import Report
@@ -199,8 +200,7 @@ class AlgebraSpec:
             self.e = GroupAlgElem.zero(group, conductor)
         self._z_past_x_cache = {}
         self._wind_cache = {}
-        self._cop_cache = {}
-        self._cop_product_cache = {}
+        self._cop_tables = {}
         self._cop_values = {}
         self._antipode_cache = {}
         self._q_exponent = eta.exponent(b)      # q = zeta^_q_exponent
@@ -314,11 +314,6 @@ def cyclotomic_to_literal(v: Cyclotomic):
     if k is not None:
         return {"zeta_pow": k}
     return {"coeffs": [str(c) for c in v.coeffs]}
-
-
-def _is_int(value) -> bool:
-    """A JSON integer; bool is a subclass of int in Python but not here."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def literal_to_cyclotomic(lit, conductor: int) -> Cyclotomic:
@@ -583,66 +578,65 @@ def _cop_power(gen, n: int):
             for l in range(n + 1)]
 
 
-def _cop_key(spec: AlgebraSpec, key):
-    """Delta(g x^i w^j) = (g (x) g) Delta(x^i w^j) as pairs
-    ((left key, right key), coeff); Delta(x^i w^j) is cached on the spec.
-
-    The product Delta(x^i) Delta(w^j) is already in PBW order; moving x^(i-k)
-    past R^l and x^k past L^(j-l) gives the only extra factors.
-    """
-    g, i, j = key
-    cached = spec._cop_cache.get((i, j))
-    if cached is None:
-        gx, gw = _skew_primitives(spec)
-        chi = spec.chi
-        cached = {}
-        for cx, lx, rx, k in _cop_power(gx, i):
-            for cw, lw, rw, l in _cop_power(gw, j):
-                coeff = cx * cw * chi.eval_pow(lw, i - k) * chi.eval_pow(rw, k)
-                if not coeff.is_zero():
-                    cached[((lx * lw, i - k, j - l), (rx * rw, k, l))] = coeff
-        spec._cop_cache[(i, j)] = cached
-    for ((h1, i1, j1), (h2, i2, j2)), v in cached.items():
-        yield ((g * h1, i1, j1), (g * h2, i2, j2)), v
+def _pack_cop(t: TensorElem):
+    """The table (group parts, values, rows) of t: one flat array of unsigned
+    ints holds (h1, i1, j1, h2, i2, j2, v) per term v h1 x^i1 w^j1 (x)
+    h2 x^i2 w^j2, with h1, h2 and v indices into the first two, and equal
+    values are one object per spec."""
+    shared, parts, values, rows = t.spec._cop_values, {}, {}, []
+    for ((h1, i1, j1), (h2, i2, j2)), v in t.terms.items():
+        rows += (parts.setdefault(h1, len(parts)), i1, j1,
+                 parts.setdefault(h2, len(parts)), i2, j2,
+                 values.setdefault(shared.setdefault(v, v), len(values)))
+    return tuple(parts), tuple(values), array('I', rows)
 
 
-def _cop_product_key(spec: AlgebraSpec, a, b, coeff: Cyclotomic):
-    """coeff Delta(a) Delta(b) for the keys a = g x^i w^j and b = h x^k w^l,
-    as pairs ((left key, right key), coeff).
-
-    Every term of Delta(x^i w^j) has total degrees (i, j), so h (x) h moves
-    left past it as chi(h)^i eta(h)^j and Delta(a) Delta(b) is
-    chi(h)^i eta(h)^j (gh (x) gh) P with P = Delta(x^i w^j) Delta(x^k w^l).
-    P is one TensorElem product of two group-free _cop_key outputs, made
-    from _cop_cache at first use of (i, j, k, l) and kept on the spec as
-    (group parts, values, rows): the rows (h1, i1, j1, h2, i2, j2, v) of P,
-    with h1, h2 and v indices into the first two, lie in one flat array of
-    unsigned ints, and equal values are one object per spec.  So a key pair
-    costs one group product per group part and one field product per value,
-    and a spec keeps at most (d+1)^4 tables for degrees <= d.
-    """
-    g, i, j = a
-    h, k, l = b
-    table = spec._cop_product_cache.get((i, j, k, l))
+def _cop_rows(spec: AlgebraSpec, degrees, g: GroupElement, coeff: Cyclotomic):
+    """coeff (g (x) g) T as pairs ((left key, right key), coeff), where T is
+    the group-free table Delta(x^i w^j) for degrees (i, j) (closed form) or
+    Delta(x^i w^j) Delta(x^k w^l) for (i, j, k, l) (one TensorElem product).
+    T is packed into spec._cop_tables at first use (_pack_cop) and read with
+    one group product per group part and one field product per value."""
+    table = spec._cop_tables.get(degrees)
     if table is None:
-        e = spec.group.identity()
-        p = (TensorElem(spec, dict(_cop_key(spec, (e, i, j))))
-             * TensorElem(spec, dict(_cop_key(spec, (e, k, l)))))
-        shared, parts, values, rows = spec._cop_values, {}, {}, []
-        for ((h1, i1, j1), (h2, i2, j2)), v in p.terms.items():
-            rows += (parts.setdefault(h1, len(parts)), i1, j1,
-                     parts.setdefault(h2, len(parts)), i2, j2,
-                     values.setdefault(shared.setdefault(v, v), len(values)))
-        table = spec._cop_product_cache[(i, j, k, l)] = (
-            tuple(parts), tuple(values), array('I', rows))
+        if len(degrees) == 2:
+            # Delta(x^i) Delta(w^j) is already in PBW order; moving x^(i-k)
+            # past R^l and x^k past L^(j-l) gives the only extra factors
+            (gx, gw), (i, j), chi = _skew_primitives(spec), degrees, spec.chi
+            t = TensorElem(spec, {
+                ((lx * lw, i - k, j - l), (rx * rw, k, l)):
+                    cx * cw * chi.eval_pow(lw, i - k) * chi.eval_pow(rw, k)
+                for cx, lx, rx, k in _cop_power(gx, i)
+                for cw, lw, rw, l in _cop_power(gw, j)})
+        else:
+            e, one = spec.group.identity(), Cyclotomic.one(spec.conductor)
+            t = (TensorElem(spec, dict(_cop_rows(spec, degrees[:2], e, one)))
+                 * TensorElem(spec, dict(_cop_rows(spec, degrees[2:], e, one))))
+        table = spec._cop_tables[degrees] = _pack_cop(t)
     parts, values, rows = table
-    gh = g * h
-    moved = [gh * m for m in parts]
-    f = _times_root(coeff, _moved_root(spec, h, i, j), spec.conductor)
-    scaled = [f * v for v in values]
+    moved = [g * m for m in parts]
+    scaled = [coeff * v for v in values]
     it = iter(rows)
     return [(((moved[h1], i1, j1), (moved[h2], i2, j2)), scaled[v])
             for h1, i1, j1, h2, i2, j2, v in zip(*[it] * 7)]
+
+
+def _cop_key(spec: AlgebraSpec, key, coeff: Cyclotomic):
+    """coeff Delta(g x^i w^j) = coeff (g (x) g) Delta(x^i w^j) as pairs
+    ((left key, right key), coeff) (_cop_rows)."""
+    g, i, j = key
+    return _cop_rows(spec, (i, j), g, coeff)
+
+
+def _cop_product_key(spec: AlgebraSpec, a, b, coeff: Cyclotomic):
+    """coeff Delta(a) Delta(b) for the keys a = g x^i w^j and b = h x^k w^l
+    (_cop_rows).  Every term of Delta(x^i w^j) has total degrees (i, j), so
+    h (x) h moves left past it as chi(h)^i eta(h)^j and Delta(a) Delta(b) is
+    chi(h)^i eta(h)^j (gh (x) gh) Delta(x^i w^j) Delta(x^k w^l)."""
+    g, i, j = a
+    h, k, l = b
+    return _cop_rows(spec, (i, j, k, l), g * h,
+                     _times_root(coeff, _moved_root(spec, h, i, j), spec.conductor))
 
 
 def comultiply(a: HopfElem) -> TensorElem:
@@ -650,8 +644,8 @@ def comultiply(a: HopfElem) -> TensorElem:
     spec = a.spec
     out = {}
     for key, c in a.terms.items():
-        for pair, v in _cop_key(spec, key):
-            _acc(out, pair, c * v)
+        for pair, v in _cop_key(spec, key, c):
+            _acc(out, pair, v)
     return TensorElem(spec, out)
 
 
@@ -776,10 +770,10 @@ def hopf_axiom_check(spec: AlgebraSpec, sample_count: int = 50,
         # antipode laws m(S (x) id)Delta = eps(a) 1 = m(id (x) S)Delta
         left, right, eps_id, id_eps, s_left, s_right = {}, {}, {}, {}, {}, {}
         for (k1, k2), c in da.terms.items():
-            for (l1, l2), v in _cop_key(spec, k1):
-                _acc(left, (l1, l2, k2), c * v)
-            for (r1, r2), v in _cop_key(spec, k2):
-                _acc(right, (k1, r1, r2), c * v)
+            for (l1, l2), v in _cop_key(spec, k1, c):
+                _acc(left, (l1, l2, k2), v)
+            for (r1, r2), v in _cop_key(spec, k2, c):
+                _acc(right, (k1, r1, r2), v)
             if k1[1] == k1[2] == 0:
                 _acc(eps_id, k2, c)
             if k2[1] == k2[2] == 0:

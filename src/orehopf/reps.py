@@ -676,21 +676,19 @@ def build_torsion_char(lam: Character, spec: AlgebraSpec) -> ModuleRep:
     return ModuleRep(spec, 1, mats, zeros(1, 1, N), zeros(1, 1, N))
 
 
-def build_induced_skew(nvars: int, chars, kvals, lam, spec: AlgebraSpec) -> ModuleRep:
-    """Induced module for the skew case: variables act diagonally through
-    their characters times nonzero scalars, the group permutes the cosets of
-    the joint kernel N with a cocycle factor through lam; dimension [G : N]."""
+def build_induced_skew(kvals, lam, spec: AlgebraSpec) -> ModuleRep:
+    """Induced module for the skew case: x and z act diagonally through chi
+    and eta times the nonzero scalars kvals, the group permutes the cosets of
+    the joint kernel N of chi and eta with a cocycle factor through lam;
+    dimension [G : N]."""
     _require(spec.mode is Mode.SKEW_GROUP_RING,
              "induced construction applies to the skew mode")
-    if not (nvars == len(chars) == len(kvals)):
-        raise SpecError("need one character and one scalar per variable")
-    _require(nvars == 2, "the algebra has exactly two variables")
-    if chars[0] != spec.chi or chars[1] != spec.eta:
-        raise SpecError("variable characters must be chi (for x) and eta (for z)")
+    if len(kvals) != 2:
+        raise SpecError("need one scalar per variable, x and z")
     for kv in kvals:
         if kv.is_zero():
             raise SpecError("not X-torsion-free")
-    N_sub = joint_kernel(chars)
+    N_sub = joint_kernel([spec.chi, spec.eta])
     _require(N_sub.is_finite_index(), "joint character kernel has infinite index")
     _check_subgroup_char(lam, N_sub, "lam")
     reps = N_sub.cosets()

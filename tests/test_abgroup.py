@@ -92,6 +92,31 @@ def test_subgroup_character_rejects_an_element_of_another_group():
     assert K.contains(inside) and lam.eval(inside) == root_of_unity(4, 2)
 
 
+_KERNEL = char_kernel(Character(AbelianGroup(2), 4, [1, 0]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AbelianGroup(1.0),
+    lambda: AbelianGroup(True),
+    lambda: AbelianGroup(0, (2.5,)),
+    lambda: AbelianGroup(0, ("3",)),
+    lambda: AbelianGroup(1, (4,)).element([0.5, 2.7]),
+    lambda: AbelianGroup(1, (4,)).element(["1", 2]),
+    lambda: AbelianGroup(1, (4,)).element([1, True]),
+    lambda: Character(AbelianGroup(1, (4,)), 4, [1.9, True]),
+    lambda: Character(AbelianGroup(2), 4.0, [1, 1]),
+    lambda: SubgroupCharacter(_KERNEL, 4, [1.5, 1]),
+    lambda: SubgroupCharacter(_KERNEL, 4, [False, 1]),
+    lambda: SubgroupCharacter(_KERNEL, True, [0, 0]),
+], ids=["float-rank", "bool-rank", "float-order", "string-order", "float-exponents",
+        "string-exponent", "bool-exponent", "character-float-bool", "float-conductor",
+        "subgroup-float", "subgroup-bool", "subgroup-bool-conductor"])
+def test_non_integer_ranks_orders_and_exponents_are_rejected(build):
+    # no silent int(), float arithmetic or string exponent
+    with pytest.raises(ValueError, match="integer"):
+        build()
+
+
 def test_group_order():
     assert AbelianGroup(0, (2, 3)).order() == 6
     assert AbelianGroup(1).order() is None

@@ -222,8 +222,7 @@ def _skew_family_instances(rng):
                  for _ in range(2)]
         out.append(Instance(
             "SkewVxy",
-            build_induced_skew(2, [spec.chi, spec.eta], kvals,
-                               random_kernel_char(rng, spec, sub), spec),
+            build_induced_skew(kvals, random_kernel_char(rng, spec, sub), spec),
             spec, n, "skew"))
     return out
 
@@ -506,7 +505,7 @@ def test_criterion_10_klein_example():
     sub = joint_kernel([spec.chi, spec.eta])
     lam = SubgroupCharacter(sub, 2, [0] * len(sub.hermite_generators()))
     one = Cyclotomic.one(2)
-    module = build_induced_skew(2, [spec.chi, spec.eta], [one, one], lam, spec)
+    module = build_induced_skew([one, one], lam, spec)
     assert module.dim == 4
     assert rep_check(module, spec).passed
     burnside = is_simple_burnside(module)

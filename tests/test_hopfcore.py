@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from orehopf.abgroup import AbelianGroup, Character
+from orehopf.abgroup import AbelianGroup, Character, GroupElement
 from orehopf.cyclotomic import Cyclotomic, q_int, root_of_unity
 from orehopf import hopfcore
 from orehopf.hopfcore import (GroupAlgElem, HopfElem, Mode, SpecError, TensorElem, antipode,
@@ -306,6 +306,34 @@ def test_cop_products_are_computed_once_per_degree_quadruple(monkeypatch, name):
     assert products == []
 
 
+def _counted(mul, counts, kind):
+    def counted(s, t):
+        counts[kind] += 1
+        return mul(s, t)
+    return counted
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_comultiply_reads_each_table_entry_once(monkeypatch, name):
+    # on a warm spec, Delta(c g x^i w^j) costs one group product per group
+    # part and one field product per value of the table of Delta(x^i w^j)
+    spec = catalog_entry(name).spec
+    spec = validate_spec(spec.group, spec.chi, spec.eta, spec.b, spec.c, spec.beta)
+    rng = random.Random(f"comultiply-counts:{name}")
+    for i, j in ((0, 0), (1, 0), (0, 1), (2, 3), (4, 1)):
+        g = hopfcore.random_group_element(spec.group, rng)
+        a = HopfElem(spec, {(g, i, j): hopfcore.random_cyclotomic(spec, rng, nonzero=True)})
+        expected = comultiply(a)
+        parts, values, _ = spec._cop_tables[(i, j)]
+        counts = Counter()
+        with monkeypatch.context() as m:
+            for cls, kind in ((GroupElement, "group"), (Cyclotomic, "field")):
+                m.setattr(cls, "__mul__", _counted(cls.__mul__, counts, kind))
+            out = comultiply(a)
+        assert out == expected
+        assert counts == Counter(group=len(parts), field=len(values)), (name, i, j)
+
+
 def test_counit():
     spec = skew_sweep_spec(3)
     assert counit(spec.x()).is_zero()
@@ -400,11 +428,13 @@ def test_antipode_constants_are_computed_once_per_degree_pair(monkeypatch, name)
     assert power_calls == []
 
 
-def _broken_coproduct_of_x(spec):
-    # Delta(x) = x (x) 1 + 1 (x) x: the group-like b of x (x) 1 + b (x) x is lost
+def _put_primitive_coproduct(spec, degrees):
+    # Delta(v) = v (x) 1 + 1 (x) v for v = x^i w^j, put into the spec's table
+    # of Delta(x^i w^j) before any use
     e, one = spec.group.identity(), Cyclotomic.one(spec.conductor)
-    spec._cop_cache[(1, 0)] = {((e, 1, 0), (e, 0, 0)): one,
-                               ((e, 0, 0), (e, 1, 0)): one}
+    v = (e,) + degrees
+    spec._cop_tables[degrees] = hopfcore._pack_cop(TensorElem(
+        spec, {(v, (e, 0, 0)): one, ((e, 0, 0), v): one}))
 
 
 @pytest.mark.parametrize("make, broken_delta, broken_s", [
@@ -419,7 +449,8 @@ def test_hopf_axiom_check_catches_broken_maps(monkeypatch, make, broken_delta, b
         return {w["check"] for w in report.witnesses}, len(report.witnesses)
 
     spec = make()
-    _broken_coproduct_of_x(spec)
+    # Delta(x) = x (x) 1 + 1 (x) x: the group-like b of x (x) 1 + b (x) x is lost
+    _put_primitive_coproduct(spec, (1, 0))
     assert failures(spec) == broken_delta
 
     antipode_power = hopfcore._antipode_power
@@ -440,15 +471,14 @@ def test_hopf_axiom_check_catches_broken_maps(monkeypatch, make, broken_delta, b
      {"coassociativity": 6, "antipode": 5, "delta_multiplicative": 5}),
 ], ids=["diff2", "skew3"])
 def test_hopf_axiom_check_catches_broken_coproduct_through_product_table(make, expected):
-    """A primitive Delta(w) = w (x) 1 + 1 (x) w put into _cop_cache[(0, 1)]
-    of a fresh spec.  The table of Delta(x^i w^j) Delta(x^k w^l) is built
-    from _cop_cache at first use, so Delta(a) Delta(b) reads the broken
-    Delta(w) while Delta(ab) does not: delta_multiplicative fails as the
-    product of the two coproducts did, with the same witness counts."""
+    """A primitive Delta(w) = w (x) 1 + 1 (x) w put into the table of
+    Delta(x^0 w^1) of a fresh spec.  The table of Delta(x^i w^j)
+    Delta(x^k w^l) is built from the (i, j) tables at first use, so
+    Delta(a) Delta(b) reads the broken Delta(w) while Delta(ab) does not:
+    delta_multiplicative fails as the product of the two coproducts did,
+    with the same witness counts."""
     spec = make()
-    e, one = spec.group.identity(), Cyclotomic.one(spec.conductor)
-    spec._cop_cache[(0, 1)] = {((e, 0, 1), (e, 0, 0)): one,
-                               ((e, 0, 0), (e, 0, 1)): one}
+    _put_primitive_coproduct(spec, (0, 1))
     report = hopf_axiom_check(spec, sample_count=10, max_degree=2, seed=0)
     assert report.passed is False
     assert Counter(w["check"] for w in report.witnesses) == expected
