@@ -25,11 +25,12 @@ A fixed conductor N is chosen per algebra instance; mixing conductors
 raises ConductorMismatch (plain integers and Fractions coerce into any
 conductor).
 
-``dot`` sums the products of two vectors for matrix products: the
-products are scaled to the lcm of their denominators and added, and the
-sum is normalized with one gcd.  Up to the cutoff each product comes from
-the kernel; above it the convolutions accumulate unfolded and the sum
-folds once.
+``dot`` sums the products of two vectors, and ``linalg.mat_mul`` those of
+each row and column, through one routine per conductor
+(``_sum_of_products``): the products are scaled to the lcm of their
+denominators and added, and the sum is normalized with one gcd.  Up to
+the cutoff each product comes from the kernel; above it the convolutions
+accumulate unfolded and the sum folds once.
 
 ``residue(v, e)`` maps an element to F_p for the split prime p of its
 conductor (``split_prime``) under the e-th embedding: since p = 1 mod N,
@@ -47,6 +48,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import add
 
 
 class ConductorMismatch(ValueError):
@@ -507,40 +509,63 @@ def _canonical(conductor: int, num, den: int) -> Cyclotomic:
 
 def dot(xs, ys) -> Cyclotomic:
     """sum(x * y) over the paired entries of two nonempty sequences of
-    elements of one conductor.  The products accumulate over the lcm of
-    their denominators and normalize once, so the canonical pair equals
-    that of the per-term sum.  Up to the kernel cutoff each product is
-    folded by the product kernel; above it the convolutions add into one
-    vector that folds once."""
+    elements of one conductor, through ``_sum_of_products``."""
     n = xs[0].conductor
-    terms, den = [], 1
+    terms = []
     for a, b in zip(xs, ys):
         if a.conductor != n or b.conductor != n:
             raise ConductorMismatch(
                 f"conductor mismatch: {n} vs {a.conductor} and {b.conductor}")
         if any(a.num) and any(b.num):
-            d = a.den * b.den
-            terms.append((a.num, b.num, d))
+            terms.append((a.num, b.num, a.den * b.den))
+    return _sum_of_products(n)(terms)
+
+
+@lru_cache(maxsize=None)
+def _sum_of_products(n: int):
+    """The function terms -> sum(a * b / d) over terms (a, b, d): the
+    numerator tuples a and b of two nonzero elements of conductor n and the
+    product d of their denominators.  The products accumulate over the lcm
+    of the d and normalize once, so the canonical pair equals that of the
+    per-term sum.  Up to the kernel cutoff each product is folded by the
+    product kernel; above it the convolutions add into one vector that
+    folds once."""
+    phi = euler_phi(n)
+    product = _product_kernel(n)
+    zero = (0,) * phi
+    zero_element = _new(n, zero, 1)
+
+    def total(terms):
+        if not terms:
+            return zero_element
+        if len(terms) == 1:
+            a, b, d = terms[0]
+            return _new(n, product(a, b), 1) if d == 1 else _canonical(n, product(a, b), d)
+        den = 1
+        for _, _, d in terms:
             if den % d:
                 den = den * d // gcd(den, d)
-    phi = len(xs[0].num)
-    if phi <= _KERNEL_MAX_PHI:
-        product = _product_kernel(n)
-        acc = [0] * phi
+        if phi <= _KERNEL_MAX_PHI:
+            acc = zero
+            for a, b, d in terms:
+                if d == den:
+                    acc = list(map(add, acc, product(a, b)))
+                else:
+                    scale = den // d
+                    acc = [s + scale * x for s, x in zip(acc, product(a, b))]
+            return _canonical(n, acc, den)
+        acc = [0] * (2 * phi - 1)
         for a, b, d in terms:
             scale = den // d
-            acc = [s + scale * x for s, x in zip(acc, product(a, b))]
-        return _canonical(n, acc, den)
-    acc = [0] * (2 * phi - 1)
-    for a, b, d in terms:
-        scale = den // d
-        support = [(j, y) for j, y in enumerate(b) if y]
-        for i, x in enumerate(a):
-            if x:
-                x *= scale
-                for j, y in support:
-                    acc[i + j] += x * y
-    return _canonical(n, _fold(n, acc, phi), den)
+            support = [(j, y) for j, y in enumerate(b) if y]
+            for i, x in enumerate(a):
+                if x:
+                    x *= scale
+                    for j, y in support:
+                        acc[i + j] += x * y
+        return _canonical(n, _fold(n, acc, phi), den)
+
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -7,8 +7,9 @@ row echelon basis, pivot normalized to 1 and cleared from the other rows.
 read its result, and `SpanBasis` keeps a basis for closure runs.  The
 reduced echelon form of a row space is unique, so the order of insertion
 does not change it.  Sizes stay at desk scale (dimensions bounded by a few
-dozen), so no pivoting strategy beyond first-nonzero is needed.  Matrix
-products take each entry as one fused dot product (`cyclotomic.dot`).
+dozen), so no pivoting strategy beyond first-nonzero is needed.  A matrix
+product reads the nonzero entries of each row and column once and sums
+each entry's products in one pass, as `cyclotomic.dot` does.
 
 `_insert_mod` is the same routine on integer lists mod the split prime p
 of the conductor (`cyclotomic.split_prime`), with the same pivot choice;
@@ -22,7 +23,11 @@ is a hint that the caller checks exactly.
 
 from __future__ import annotations
 
-from .cyclotomic import Cyclotomic, dot, residue, split_prime
+from itertools import chain
+from operator import attrgetter
+
+from .cyclotomic import (ConductorMismatch, Cyclotomic, _sum_of_products, dot,
+                         residue, split_prime)
 
 
 def zeros(r: int, c: int, conductor: int):
@@ -44,9 +49,26 @@ def mat_scale(A, s):
     return [[a * s for a in row] for row in A]
 
 
+_conductor = attrgetter("conductor")
+
+
 def mat_mul(A, B):
-    cols = list(zip(*B))
-    return [[dot(row, col) for col in cols] for row in A]
+    """A B, with the entries that ``dot`` of each row and column gives.
+
+    The conductors of both matrices are checked once.  Each row of A is
+    read once as its nonzero entries (column, numerators, denominator) and
+    each column of B once as the (numerators, denominator) of its nonzero
+    entries, None at a zero; an entry of the product sums the paired
+    nonzero products through ``cyclotomic._sum_of_products``."""
+    conductors = set(map(_conductor, chain(*A, *B)))
+    if len(conductors) > 1:
+        raise ConductorMismatch(f"conductor mismatch: {sorted(conductors)}")
+    # a product with no entries reads no conductor, and sums nothing
+    total = _sum_of_products(next(iter(conductors), 1))
+    rows = [[(k, a.num, a.den) for k, a in enumerate(row) if any(a.num)] for row in A]
+    cols = [[(b.num, b.den) if any(b.num) else None for b in col] for col in zip(*B)]
+    return [[total([(a, c[0], d * c[1]) for k, a, d in row if (c := col[k]) is not None])
+             for col in cols] for row in rows]
 
 
 def mat_vec(A, v):
@@ -134,7 +156,8 @@ def inverse(A):
     """Exact inverse, or None when singular."""
     d = len(A)
     conductor = A[0][0].conductor
-    aug = [list(row) + list(idrow) for row, idrow in zip(A, identity(d, conductor))]
+    one, zero = Cyclotomic.one(conductor), Cyclotomic.zero(conductor)
+    aug = [list(row) + [one if i == j else zero for j in range(d)] for i, row in enumerate(A)]
     rows, pivots = rref(aug)
     if pivots[:d] != list(range(d)):
         return None
@@ -194,6 +217,12 @@ def _insert_mod(rows, pivots, vec, p: int) -> bool:
     rows.insert(idx, v)
     pivots.insert(idx, c)
     return True
+
+
+def full_rank_mod(A, p: int) -> bool:
+    """Whether the rows of the integer matrix A are independent mod p."""
+    span = ModularSpan(p)
+    return all(span.add(row) for row in A)
 
 
 class ModularSpan:

@@ -12,19 +12,23 @@ load.
 Everything here is certificate-grade: relation checking is exact matrix
 identity testing, simplicity is certified by the span of the generated
 matrix algebra, and isomorphism is decided by solving the intertwiner
-system.
+system (``are_isomorphic``) or, where classify_simple already holds a
+cyclic vector v of a simple module, by the Krylov matrix [v, A v, ...,
+A^(d-1) v] checked exactly as a module map.
 
 The Burnside certificate spans the unital algebra generated by the group
 generator matrices, x and y.  The inverse group matrices are not needed:
 by Cayley-Hamilton the inverse of an invertible matrix is a polynomial in
 it, so they lie in that algebra already.
 
-A module has dimension >= 1 and never changes, so its generator inverses,
-its reduction mod the split prime p under each embedding (made when first
-read), Burnside report, torsion profile and rep_check report per spec
-object are computed once and kept on it; conjugate and direct_sum return
-new modules that certify anew.  Burnside, the torsion profile and the
-intertwiner system read embedding 0; the intertwiner lift reads the others.
+A module has dimension >= 1 and never changes, so whether its group
+generators are invertible, each generator inverse that a negative power
+needs, its reduction mod the split prime p under each embedding (made
+when first read), Burnside report, torsion profile and rep_check report
+per spec object are computed once and kept on it; conjugate and
+direct_sum return new modules that certify anew.  Invertibility, Burnside,
+the torsion profile, the group eigenvalue filter and the intertwiner
+system read embedding 0; the intertwiner lift reads the others.
 """
 
 from dataclasses import dataclass
@@ -34,11 +38,11 @@ from random import Random
 
 from .abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
                       SubgroupCharacter, char_kernel, joint_kernel)
-from .cyclotomic import Cyclotomic, euler_phi, lift, root_of_unity, zeta_log
+from .cyclotomic import Cyclotomic, euler_phi, lift, residue, root_of_unity, zeta_log
 from .hopfcore import AlgebraSpec, GroupAlgElem, Mode, SpecError, _is_int, \
     cyclotomic_to_literal, literal_to_cyclotomic
-from .linalg import (identity, inverse, is_zero_matrix, mat_add, mat_mul,
-                     mat_mul_mod, mat_pow, mat_scale, mat_vec, nullspace,
+from .linalg import (full_rank_mod, identity, inverse, is_zero_matrix, mat_add,
+                     mat_mul, mat_mul_mod, mat_pow, mat_scale, mat_vec, nullspace,
                      residues, zeros, ModularSpan, SpanBasis)
 from .report import Report
 
@@ -127,19 +131,31 @@ class ModuleRep:
         self._memo = {}
 
     @_memoized
-    def _inverses(self):
-        """The inverse of each group generator matrix, None where singular."""
-        return tuple(inverse(A) for A in self.group_mats)
-
-    @_memoized
     def _residues(self, e: int):
         """The group generator matrices, X and Y reduced under the e-th
         embedding, as (p, images) of ``linalg.residues``, or None when p
         divides a denominator."""
         return residues(self.group_mats + (self.X, self.Y), e)
 
+    def _full_rank_mod_p(self, k: int) -> bool:
+        """Whether the k-th generator (the group generators, then X and Y)
+        has independent rows mod p under embedding 0, which makes it
+        invertible exactly; False when p divides a denominator."""
+        image = self._residues(0)
+        return image is not None and full_rank_mod(image[1][k], image[0])
+
+    @_memoized
+    def _group_invertible(self):
+        """Whether each group generator matrix is invertible: by full rank
+        mod p, else by the exact inverse."""
+        return tuple(self._full_rank_mod_p(k) or inverse(A) is not None
+                     for k, A in enumerate(self.group_mats))
+
+    @_memoized
     def _gen_inverse(self, k: int):
-        inv = self._inverses()[k]
+        """The inverse of group generator k's matrix; SpecError when it is
+        singular."""
+        inv = inverse(self.group_mats[k])
         if inv is None:
             raise SpecError(f"group generator {k} does not act invertibly")
         return inv
@@ -296,8 +312,8 @@ def rep_check(M: ModuleRep, spec: AlgebraSpec) -> Report:
     ident = identity(M.dim, spec.conductor)
     # one row (relation, detail, failure) per relation; failure is None when
     # the relation holds, else the extra witness keys
-    rows = [(f"group_invertible({g[k]})", "", None if inv is not None else {})
-            for k, inv in enumerate(M._inverses())]
+    rows = [(f"group_invertible({g[k]})", "", None if invertible else {})
+            for k, invertible in enumerate(M._group_invertible())]
     rows += [(f"group_commutation({g[k]},{g[l]})", "",
               _first_difference(mat_mul(mats[k], mats[l]), mat_mul(mats[l], mats[k])))
              for k in range(group.ngens) for l in range(k + 1, group.ngens)]
@@ -343,14 +359,10 @@ def torsion_profile(M: ModuleRep) -> dict:
     so nilpotency is decided by the dim-th power, then invertibility by an
     exact inverse.  The profile is computed once per module.
     """
-    image = M._residues(0)
-
     # k is the index of A among the module's reduced generators
     def profile(A, k):
-        if image is not None:
-            span = ModularSpan(image[0])
-            if all(span.add(row) for row in image[1][k]):
-                return TORSION_FREE
+        if M._full_rank_mod_p(k):
+            return TORSION_FREE
         if is_zero_matrix(mat_pow(A, M.dim)):
             return TORSION
         if inverse(A) is not None:
@@ -392,8 +404,9 @@ def is_simple_burnside(M: ModuleRep) -> Report:
     """
     d = M.dim
     full = d * d
-    for k in range(M.spec.group.ngens):
-        M._gen_inverse(k)  # a singular group matrix raises SpecError
+    singular = next((k for k, ok in enumerate(M._group_invertible()) if not ok), None)
+    if singular is not None:
+        raise SpecError(f"group generator {singular} does not act invertibly")
     # A^{-1} is a polynomial in A (Cayley-Hamilton): no inverse generators
     gens = M.group_mats + (M.X, M.Y)
     span_dim = None
@@ -998,12 +1011,25 @@ def _subgroup_char_from_action(M: ModuleRep, sub: Subgroup):
         _classify_fail(f"kernel scalars are inconsistent: {exc}")
 
 
+def _no_eigenvalue_mod_p(image, k: int, xi: Cyclotomic) -> bool:
+    """Whether A - xi I has full rank mod p for the k-th reduced generator A
+    of the module's reduction image = (p, matrices) under embedding 0; then
+    xi is no eigenvalue of the exact A."""
+    p, mats = image
+    w = residue(xi, 0)
+    return full_rank_mod([[(a - w) % p if i == j else a for j, a in enumerate(row)]
+                          for i, row in enumerate(mats[k])], p)
+
+
 def _joint_group_eigen(M: ModuleRep):
     """A joint eigenvector of the commuting group action, with the eigenvalue
     per group generator.  Eigenvalues are searched among the roots of unity
-    of the conductor."""
+    of the conductor, in order; a root for which the generator minus the
+    root has full rank mod p is skipped, and the exact kernel decides every
+    other one."""
     N = M.spec.conductor
     d = M.dim
+    image = M._residues(0)
     cols = [[Cyclotomic.one(N) if i == j else Cyclotomic.zero(N)
              for i in range(d)] for j in range(d)]
     values = []
@@ -1012,6 +1038,8 @@ def _joint_group_eigen(M: ModuleRep):
         found = None
         for e in range(N):
             xi = root_of_unity(N, e)
+            if image is not None and _no_eigenvalue_mod_p(image, k, xi):
+                continue
             rows = [[images[j][i] - xi * cols[j][i] for j in range(len(cols))]
                     for i in range(d)]
             kernel = nullspace(rows)
@@ -1055,19 +1083,45 @@ def _eigen_ratio(A, v, conductor: int):
     return s
 
 
-def _verify_rebuild(M: ModuleRep, params: SimpleParams, spec: AlgebraSpec):
+def _krylov_certifies(M: ModuleRep, rebuilt: ModuleRep, v, active) -> bool:
+    """Whether T, with columns v, A v, ..., A^(d-1) v for A = active, is a
+    nonzero module map from rebuilt to M: T A' = A T exactly for every
+    generator, A' acting on rebuilt and A on M.  With M certified simple,
+    such a T is onto, so with equal dimensions it is an isomorphism."""
+    if not _certified_simple(M):
+        return False
+    cols = [list(v)]
+    for _ in range(M.dim - 1):
+        cols.append(mat_vec(active, cols[-1]))
+    T = [list(row) for row in zip(*cols)]
+    pairs = zip(M.group_mats + (M.X, M.Y), rebuilt.group_mats + (rebuilt.X, rebuilt.Y))
+    return not is_zero_matrix(T) and all(mat_mul(T, B) == mat_mul(A, T) for A, B in pairs)
+
+
+def _verify_rebuild(M: ModuleRep, params: SimpleParams, spec: AlgebraSpec,
+                    v=None, active=None):
     """params, once build_simple(params, spec) is shown isomorphic to M.
 
     A rebuild whose group matrices, X and Y equal M's is certified by the
-    identity map, so only a rebuild that differs solves the intertwiner
-    system of ``are_isomorphic``.
+    identity map.  DiffVbar, DiffVx and DiffVy rebuilds have the basis
+    e'_i = A'^i e'_0, A' their x (DiffVbar, DiffVx) or z (DiffVy), where
+    e'_0 is the line that the classifier read in M as v: the line z kills,
+    or the joint group eigenline.  For them the caller passes v and M's
+    matrix active of that variable, and the Krylov matrix of
+    ``_krylov_certifies`` is the isomorphism, checked exactly with no
+    prime, lift or solve.  Any other rebuild, or one that fails that
+    check, solves the intertwiner system of ``are_isomorphic``, so wrong
+    parameters still fail.
     """
     try:
         rebuilt = build_simple(params, spec)
     except SpecError as exc:
         _classify_fail(f"recovered parameters rejected by the constructor: {exc}")
-    if (rebuilt.group_mats, rebuilt.X, rebuilt.Y) != (M.group_mats, M.X, M.Y) \
-            and not are_isomorphic(M, rebuilt):
+    if (rebuilt.group_mats, rebuilt.X, rebuilt.Y) == (M.group_mats, M.X, M.Y):
+        return params
+    if v is not None and _krylov_certifies(M, rebuilt, v, active):
+        return params
+    if not are_isomorphic(M, rebuilt):
         _classify_fail("rebuilt module is not isomorphic to the input")
     return params
 
@@ -1101,8 +1155,9 @@ def _classify_skew_cyclic(M: ModuleRep, spec: AlgebraSpec, family: str,
 
 def _diff_cyclic_invariants(M: ModuleRep, spec: AlgebraSpec, active, idle,
                             names: str):
-    """(rho, s, r) of a DiffVx or DiffVy module whose torsion-free variable
-    names[0] acts by active: active^n = s, active idle = r on a rho-eigenline."""
+    """(rho, s, r, v) of a DiffVx or DiffVy module whose torsion-free
+    variable names[0] acts by active: active^n = s, and active idle = r on
+    the joint group eigenvector v of character rho."""
     var, other = names
     N = spec.conductor
     s = _scalar_of(mat_pow(active, spec.chi.order()))
@@ -1114,7 +1169,7 @@ def _diff_cyclic_invariants(M: ModuleRep, spec: AlgebraSpec, active, idle,
     if r is None:
         _classify_fail(f"{var}{other} does not act as a scalar on the joint "
                        f"group eigenline")
-    return rho, s, r
+    return rho, s, r, v
 
 
 def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
@@ -1125,8 +1180,11 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
     kernel-subgroup scalars) and a joint eigenvector of the group action;
     the answer is verified against a rebuilt module where concrete
     parameters are available, and against the defining scalar identities
-    otherwise.  A rebuild equal to the input is certified by the identity;
-    one that differs by an intertwiner from ``are_isomorphic``.  The
+    otherwise.  A rebuild equal to the input is certified by the identity.
+    A DiffVbar, DiffVx or DiffVy rebuild that differs is certified by the
+    Krylov matrix of the line the classifier read (``_verify_rebuild``),
+    with no intertwiner system; any other differing rebuild, or one that
+    fails that check, by an intertwiner from ``are_isomorphic``.  The
     input's rep_check and Burnside certificates are read from the module
     when its caller has already computed them.
     """
@@ -1208,16 +1266,16 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
             _classify_fail("dimension does not equal the least vanishing "
                            "winding index of the recovered character")
         params = SimpleParams(family="DiffVbar", rho=rho, d=d, n=n)
-        return _verify_rebuild(M, params, spec)
+        return _verify_rebuild(M, params, spec, v, M.X)
 
     # neither mixed nor doubly torsion: one variable is torsion-free
     if M.dim != n:
         _classify_fail("dimension does not match the order of chi")
     if prof["x"] == TORSION_FREE:
-        rho, lam, mu = _diff_cyclic_invariants(M, spec, M.X, Z, "xy")
-        family = "DiffVx"
+        family, active = "DiffVx", M.X
+        rho, lam, mu, v = _diff_cyclic_invariants(M, spec, active, Z, "xy")
     else:
-        rho, mu, lam = _diff_cyclic_invariants(M, spec, Z, M.X, "yx")
-        family = "DiffVy"
+        family, active = "DiffVy", Z
+        rho, mu, lam, v = _diff_cyclic_invariants(M, spec, active, M.X, "yx")
     params = SimpleParams(family=family, rho=rho, lam_scalar=lam, mu=mu, n=n)
-    return _verify_rebuild(M, params, spec)
+    return _verify_rebuild(M, params, spec, v, active)

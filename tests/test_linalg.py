@@ -11,10 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from orehopf.cyclotomic import (ConductorMismatch, Cyclotomic, euler_phi, residue,
+from orehopf.cyclotomic import (ConductorMismatch, Cyclotomic, dot, euler_phi, residue,
                                 root_of_unity, split_prime)
 from orehopf import linalg
-from orehopf.linalg import (ModularSpan, SpanBasis, identity, inverse, mat_mul,
+from orehopf.linalg import (ModularSpan, SpanBasis, full_rank_mod, identity, inverse, mat_mul,
                             mat_mul_mod, mat_pow, mat_vec, nullspace, residues, rref)
 
 from gen import random_scalar
@@ -205,6 +205,56 @@ def test_mat_pow_makes_only_the_binary_powering_products(N, monkeypatch):
 def test_fused_product_rejects_mixed_conductors():
     with pytest.raises(ConductorMismatch):
         mat_mul([[Cyclotomic.one(3)]], [[Cyclotomic.one(4)]])
+    # a stray conductor anywhere, on a zero entry or inside one factor
+    one, zero = Cyclotomic.one(8), Cyclotomic.zero(8)
+    for stray in (Cyclotomic.zero(4), Cyclotomic.one(12)):
+        with pytest.raises(ConductorMismatch):
+            mat_mul([[one, stray]], [[one], [zero]])
+        with pytest.raises(ConductorMismatch):
+            mat_mul([[one, zero]], [[one], [stray]])
+
+
+def _fractional_matrix(rng, nrows, ncols, N):
+    """Zero with probability 0.4, else a random scalar over a random
+    denominator in 1..6, so that the entries' denominators mix."""
+    zero = Cyclotomic.zero(N)
+    return [[random_scalar(rng, N) * Fraction(1, rng.randint(1, 6))
+             if rng.random() < 0.6 else zero for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+# phi(N) = 1, 2 and 4 run the generated product kernel; 6, 8 and 16 the
+# convolutions summed before one fold
+@pytest.mark.parametrize("N", (1, 4, 12, 9, 16, 32))
+def test_mat_mul_equals_the_entrywise_dot(N):
+    rng = random.Random(N)
+    for rows, inner, cols in ((1, 1, 1), (2, 3, 1), (3, 2, 4), (4, 4, 4), (1, 5, 3)):
+        for _ in range(4):
+            A = _fractional_matrix(rng, rows, inner, N)
+            B = _fractional_matrix(rng, inner, cols, N)
+            got = mat_mul(A, B)
+            want = [[dot(row, col) for col in zip(*B)] for row in A]
+            assert [[(x.num, x.den) for x in row] for row in got] == \
+                [[(x.num, x.den) for x in row] for row in want]
+    zero = Cyclotomic.zero(N)
+    assert mat_mul([[zero, zero]], [[zero], [zero]]) == [[zero]]
+    assert mat_mul([[zero, zero]], [[zero], [zero]])[0][0].den == 1
+
+
+def test_full_rank_mod_p_matches_the_exact_rank():
+    for N in CONDUCTORS:
+        rng = random.Random(N)
+        p = split_prime(N)[0]
+        for name, A in _shapes(rng, N):
+            image = residues([A], 0)
+            if image is None or len(A) > len(A[0]):
+                continue
+            full = full_rank_mod(image[1][0], p)
+            # full rank mod p is an exact certificate
+            if full:
+                assert _rank(A) == len(A), name
+        assert not full_rank_mod([[1, 2], [2, 4]], 7)
+        assert full_rank_mod([[1, 2], [3, 4]], 7)
 
 
 @pytest.mark.parametrize("N", CONDUCTORS)

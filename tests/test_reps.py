@@ -1,7 +1,9 @@
 """Module layer: constructors, certificates, isomorphism, classification."""
 
+import dataclasses
 import random
 from collections import Counter
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -584,9 +586,15 @@ def test_certificates_are_computed_once(monkeypatch):
         counts["mat_mul"] += 1
         return mul(A, B)
 
+    @reps._memoized
+    def _group_invertible(M, _decide=ModuleRep._group_invertible.__wrapped__):
+        counts["invertible"] += 1
+        return _decide(M)
+
     monkeypatch.setattr(reps, "_span_closure", counting_closure)
     monkeypatch.setattr(ModularSpan, "add", counting_add)
     monkeypatch.setattr(reps, "mat_mul", counting_mul)
+    monkeypatch.setattr(ModuleRep, "_group_invertible", _group_invertible)
 
     def cost(fn, *args):
         before = Counter(counts)
@@ -603,11 +611,14 @@ def test_certificates_are_computed_once(monkeypatch):
     burnside, burnside_cost = cost(is_simple_burnside, M)
     assert check.passed and burnside.passed
     assert check_cost["mat_mul"] > 0
+    # invertibility of the group matrices is decided once per module, by
+    # rep_check here; Burnside reads it
+    assert check_cost["invertible"] == 1 and burnside_cost["invertible"] == 0
     # one closure, mod p, which the span fills: no exact closure after it
     assert burnside_cost["closure"] == 1 and burnside_cost["span_add_mod_p"] > 0
     # classify_simple on a certified module: no closure, no relation products
     params, classify_cost = cost(classify_simple, M, spec)
-    assert classify_cost["closure"] == 0
+    assert classify_cost["closure"] == 0 and classify_cost["invertible"] == 0
     fresh_params, fresh_cost = cost(classify_simple, build(), spec)
     assert fresh_params.describe() == params.describe()
     assert fresh_cost == check_cost + burnside_cost + classify_cost
@@ -615,11 +626,13 @@ def test_certificates_are_computed_once(monkeypatch):
     assert cost(is_simple_burnside, M) == (burnside, Counter())
     assert rep_check(M, spec) is check and is_simple_burnside(M) is burnside
 
-    # another spec object, equal in value, gets its own report
+    # another spec object, equal in value, gets its own report, which reads
+    # the module's invertibility: the same cost less that decision
     other = diff_sweep_spec(3)
     assert other is not spec
     again, again_cost = cost(rep_check, M, other)
-    assert again is not check and again == check and again_cost == check_cost
+    decided = Counter(invertible=1, span_add_mod_p=M.spec.group.ngens * M.dim)
+    assert again is not check and again == check and again_cost == check_cost - decided
 
     # a conjugate is a new module and certifies from scratch
     conj = conjugate(M, random_invertible(M.dim, spec.conductor, random.Random(3)))
@@ -1136,17 +1149,163 @@ def test_classify_takes_an_equal_rebuild_without_intertwiners(monkeypatch):
 
 
 def test_classify_checks_a_rebuild_that_differs_by_intertwiners(monkeypatch):
+    # a DiffVbar, DiffVx or DiffVy conjugate differs from its rebuild, and
+    # the Krylov matrix certifies it: no classification solves a system
     calls = _counting_intertwiners(monkeypatch)
+    krylov = _counting_krylov(monkeypatch)
     rng = random.Random(11)
     for spec, M in _one_module_per_family():
         C = conjugate(M, random_invertible(M.dim, spec.conductor, rng))
+        before = Counter(krylov)
         params, cost = _classify_cost(calls, C, spec)
+        assert cost == 0, params.family
         if params.family in ("DiffVbar", "DiffVx", "DiffVy"):
-            assert M.dim >= 2 and cost == 1, params.family
+            assert M.dim >= 2 and krylov - before == Counter({True: 1}), params.family
         if M.dim == 1:
             # a 1 x 1 conjugate is its module: the identity certifies it
             assert (C.group_mats, C.X, C.Y) == (M.group_mats, M.X, M.Y)
             assert cost == 0
+
+
+def _counting_krylov(monkeypatch):
+    """Patch reps._krylov_certifies to count its outcomes."""
+    outcomes = Counter()
+
+    def counting(*args, _fn=reps._krylov_certifies):
+        certified = _fn(*args)
+        outcomes[certified] += 1
+        return certified
+
+    monkeypatch.setattr(reps, "_krylov_certifies", counting)
+    return outcomes
+
+
+def test_krylov_certificate_agrees_with_are_isomorphic(monkeypatch):
+    calls = _counting_intertwiners(monkeypatch)
+    rebuilds = []
+
+    def recording_verify(M, params, spec, v=None, active=None, _fn=reps._verify_rebuild):
+        rebuilds.append((M, params, spec, v, active))
+        return _fn(M, params, spec, v, active)
+
+    monkeypatch.setattr(reps, "_verify_rebuild", recording_verify)
+    rng = random.Random(21)
+    diff_modules = 0
+    for inst in sweep_instances():
+        M = inst.module
+        C = conjugate(M, random_invertible(M.dim, inst.spec.conductor, rng))
+        for module in (M, C):
+            assert _classify_cost(calls, module, inst.spec)[1] == 0, inst.family
+        diff_modules += inst.mode == "diff"
+    spun = [r for r in rebuilds if r[3] is not None]
+    assert {r[1].family for r in spun} == {"DiffVbar", "DiffVx", "DiffVy"}
+    assert len(spun) == 2 * diff_modules
+    for M, params, spec, v, active in spun:
+        rebuilt = build_simple(params, spec)
+        iso = are_isomorphic(M, rebuilt)
+        assert iso.status == "isomorphic", params.family
+        assert reps._krylov_certifies(M, rebuilt, v, active), params.family
+
+
+def test_classify_falls_back_when_the_krylov_check_fails(monkeypatch):
+    calls = _counting_intertwiners(monkeypatch)
+    krylov = _counting_krylov(monkeypatch)
+
+    def rebuild_with_a_wrong_mu(params, spec, _build=build_simple):
+        return _build(dataclasses.replace(params, mu=params.mu + 3), spec)
+
+    rng = random.Random(8)
+    # the DiffVx and DiffVy modules, as conjugates
+    for spec, M in _one_module_per_family()[5:]:
+        C = conjugate(M, random_invertible(M.dim, spec.conductor, rng))
+        params = classify_simple(_fresh(C), spec)
+        wrong = rebuild_with_a_wrong_mu(params, spec)
+        assert are_isomorphic(_fresh(C), wrong).status == "not_isomorphic"
+        before_calls, before_krylov = calls["intertwiner_space"], Counter(krylov)
+        with monkeypatch.context() as m:
+            m.setattr(reps, "build_simple", rebuild_with_a_wrong_mu)
+            with pytest.raises(ClassifyError, match="rebuilt module is not isomorphic"):
+                classify_simple(C, spec)
+        assert krylov - before_krylov == Counter({False: 1}), params.family
+        assert calls["intertwiner_space"] - before_calls == 1, params.family
+
+
+def test_group_invertibility_mod_p_matches_the_exact_inverse(monkeypatch):
+    inverses = Counter()
+
+    def counting_inverse(A, _fn=reps.inverse):
+        inverses["exact"] += 1
+        return _fn(A)
+
+    monkeypatch.setattr(reps, "inverse", counting_inverse)
+    # the sweep modules are decided mod p, with no exact inverse
+    for inst in sweep_instances():
+        M = _fresh(inst.module)
+        assert all(M._group_invertible()) and inverses["exact"] == 0
+    spec = skew_sweep_spec(2)
+    N = spec.conductor
+    p = split_prime(N)[0]
+    one, zero = Cyclotomic.one(N), Cyclotomic.zero(N)
+
+    def diag(a, b):
+        return [[a, zero], [zero, b]]
+
+    ident = diag(one, one)
+    # name: (first group matrix, exact inverses made)
+    cases = {
+        "singular": (diag(one, zero), 1),
+        # invertible, singular mod p: the exact inverse decides
+        "p on the diagonal": (diag(scalar(spec, p), one), 1),
+        # p divides a denominator: no reduction, exact inverses decide both
+        "p in a denominator": (diag(Cyclotomic.rational(N, Fraction(1, p)), one), 2),
+    }
+    for name, (A, exact) in cases.items():
+        M = ModuleRep(spec, 2, [A, ident], zeros(2, 2, N), zeros(2, 2, N))
+        inverses.clear()
+        got = M._group_invertible()
+        assert got == tuple(inverse(B) is not None for B in M.group_mats), name
+        assert inverses["exact"] == exact, name
+        assert rep_check(M, spec).witnesses[:1] == ([] if got[0] else [
+            {"relation": "group_invertible(g1)", "detail": ""}]), name
+
+
+def test_generator_inverses_are_made_one_at_a_time(monkeypatch):
+    inverted = []
+
+    def recording_inverse(A, _fn=reps.inverse):
+        inverted.append(A)
+        return _fn(A)
+
+    spec, M = _one_module_per_family()[5]
+    group = spec.group
+    monkeypatch.setattr(reps, "inverse", recording_inverse)
+    M.act_group(group.element([2, 1]))
+    assert inverted == []
+    M.act_group(group.element([0, -2]))
+    M.act_group(group.element([1, -1]))
+    assert inverted == [M.group_mats[1]]
+
+
+def test_eigen_filter_keeps_the_eigenline_and_the_character(monkeypatch):
+    skipped = Counter()
+
+    def counting_filter(*args, _fn=reps._no_eigenvalue_mod_p):
+        verdict = _fn(*args)
+        skipped[verdict] += 1
+        return verdict
+
+    monkeypatch.setattr(reps, "_no_eigenvalue_mod_p", counting_filter)
+    rng = random.Random(13)
+    modules = []
+    for inst in sweep_instances():
+        if inst.mode == "diff":
+            M = inst.module
+            modules += [M, conjugate(M, random_invertible(M.dim, inst.spec.conductor, rng))]
+    filtered = [reps._joint_group_eigen(M) for M in modules]
+    assert skipped[True] > 0
+    monkeypatch.setattr(reps, "_no_eigenvalue_mod_p", lambda image, k, xi: False)
+    for M, (v, values) in zip(modules, filtered):
+        assert reps._joint_group_eigen(M) == (v, values)
 
 
 def test_classify_rejects_a_rebuild_that_is_not_isomorphic(monkeypatch):
