@@ -12,9 +12,9 @@ load.
 Everything here is certificate-grade: relation checking is exact matrix
 identity testing, simplicity is certified by the span of the generated
 matrix algebra, and isomorphism is decided by solving the intertwiner
-system (``are_isomorphic``) or, where classify_simple already holds a
-cyclic vector v of a simple module, by the Krylov matrix [v, A v, ...,
-A^(d-1) v] checked exactly as a module map.
+system (``are_isomorphic``).  classify_simple solves no system: it
+certifies its rebuild by the identity, or by the Krylov matrix [v, A v,
+..., A^(d-1) v] of the line v it read, checked exactly as a module map.
 
 The Burnside certificate spans the unital algebra generated by the group
 generator matrices, x and y.  The inverse group matrices are not needed:
@@ -181,21 +181,6 @@ class ModuleRep:
             return zeros(self.dim, self.dim, self.spec.conductor)
         return reduce(mat_add, terms)
 
-    def _c_times(self, power: int, A):
-        """c^power A for power = 1 or -1; c must act invertibly."""
-        C = self.act_group(self.spec.c)
-        C_inv = inverse(C)
-        if C_inv is None:
-            raise SpecError("c does not act invertibly")
-        return mat_mul(C if power > 0 else C_inv, A)
-
-    def z_matrix(self):
-        """Matrix of the normalized variable z: c^{-1} y in skew mode, Y
-        itself in differential mode."""
-        if self.spec.mode is Mode.DIFFERENTIAL_OPERATOR:
-            return self.Y
-        return self._c_times(-1, self.Y)
-
     def to_dict(self) -> dict:
         mats = {f"g{k + 1}": A for k, A in enumerate(self.group_mats)}
         mats.update(x=self.X, y=self.Y)
@@ -229,17 +214,24 @@ class ModuleRep:
             return ModuleRep(spec, dim, group_mats, X, V)
         if spec.mode is Mode.SKEW_GROUP_RING:
             return _from_z(spec, dim, group_mats, X, V)
-        c_inv_y = ModuleRep(spec, dim, group_mats, X, V)._c_times(-1, V)
-        return ModuleRep(spec, dim, group_mats, X, mat_scale(c_inv_y, spec.beta.inverse()))
+        C_inv = inverse(ModuleRep(spec, dim, group_mats, X, V).act_group(spec.c))
+        _require(C_inv is not None, "c does not act invertibly")
+        return ModuleRep(spec, dim, group_mats, X,
+                         mat_scale(mat_mul(C_inv, V), spec.beta.inverse()))
 
     def __repr__(self):
         return f"ModuleRep(dim={self.dim}, spec={self.spec!r})"
 
 
 def _from_z(spec: AlgebraSpec, dim: int, group_mats, X, Z) -> ModuleRep:
-    """The skew-mode module whose normalized variable z = c^{-1} y acts by Z."""
-    Y = ModuleRep(spec, dim, group_mats, X, Z)._c_times(1, Z)
-    return ModuleRep(spec, dim, group_mats, X, Y)
+    """The skew-mode module whose z = c^{-1} y acts by Z: y acts by C Z for
+    c's matrix C, a product of generator powers, invertible when each
+    generator in c is (``_group_invertible``, kept for the certificates)."""
+    C = ModuleRep(spec, dim, group_mats, X, Z).act_group(spec.c)
+    M = ModuleRep(spec, dim, group_mats, X, mat_mul(C, Z))
+    _require(all(ok for ok, e in zip(M._group_invertible(), spec.c.exps) if e),
+             "c does not act invertibly")
+    return M
 
 
 def _matrix_from_literal(gens: dict, name: str, dim: int, conductor: int):
@@ -435,6 +427,13 @@ class IsoResult:
         return self.status == "isomorphic"
 
 
+def _intertwines(T, M1: ModuleRep, M2: ModuleRep) -> bool:
+    """Whether T A = B T exactly for every generator, A acting on M1 and B
+    on M2: T is a module map from M1 to M2."""
+    return all(mat_mul(T, A) == mat_mul(B, T) for A, B in
+               zip(M1.group_mats + (M1.X, M1.Y), M2.group_mats + (M2.X, M2.Y)))
+
+
 def _intertwiner_row(pair, i: int, j: int, zero):
     """Entry (i, j) of T A - B T for pair = (A, B), as a row over the
     unknowns T[i][k] at column i * dim + k."""
@@ -475,7 +474,7 @@ def _intertwiner_space(M1: ModuleRep, M2: ModuleRep):
     cells = [(k, i, j) for k in range(len(pairs)) for i in range(dim) for j in range(dim)]
 
     def intertwines(basis):
-        return all(mat_mul(T, A) == mat_mul(B, T) for T in basis for A, B in pairs)
+        return all(_intertwines(T, M1, M2) for T in basis)
 
     image1 = M1._residues(0)
     if image1 is not None and (image2 := M2._residues(0)) is not None:
@@ -1094,24 +1093,23 @@ def _krylov_certifies(M: ModuleRep, rebuilt: ModuleRep, v, active) -> bool:
     for _ in range(M.dim - 1):
         cols.append(mat_vec(active, cols[-1]))
     T = [list(row) for row in zip(*cols)]
-    pairs = zip(M.group_mats + (M.X, M.Y), rebuilt.group_mats + (rebuilt.X, rebuilt.Y))
-    return not is_zero_matrix(T) and all(mat_mul(T, B) == mat_mul(A, T) for A, B in pairs)
+    return not is_zero_matrix(T) and _intertwines(T, rebuilt, M)
 
 
-def _verify_rebuild(M: ModuleRep, params: SimpleParams, spec: AlgebraSpec,
-                    v=None, active=None):
+def _verify_rebuild(M: ModuleRep, params: SimpleParams, spec: AlgebraSpec, v, active):
     """params, once build_simple(params, spec) is shown isomorphic to M.
 
-    A rebuild whose group matrices, X and Y equal M's is certified by the
-    identity map.  DiffVbar, DiffVx and DiffVy rebuilds have the basis
-    e'_i = A'^i e'_0, A' their x (DiffVbar, DiffVx) or z (DiffVy), where
-    e'_0 is the line that the classifier read in M as v: the line z kills,
-    or the joint group eigenline.  For them the caller passes v and M's
-    matrix active of that variable, and the Krylov matrix of
-    ``_krylov_certifies`` is the isomorphism, checked exactly with no
-    prime, lift or solve.  Any other rebuild, or one that fails that
-    check, solves the intertwiner system of ``are_isomorphic``, so wrong
-    parameters still fail.
+    One certificate, found with matrix products only: the identity map
+    when the rebuild's matrices equal M's, else the Krylov matrix of
+    ``_krylov_certifies``.  Every rebuild has the basis e'_i = A'^i e'_0,
+    A' its matrix of the active element: x (DiffVbar, DiffVx), z (DiffVy),
+    or the shifter c (SkewVx, SkewVxy) or b (SkewVy), which moves line i
+    to line i + 1 with factor lam(1) = 1.  e'_0 is the line the classifier
+    read in M as v: the line z kills, the joint group eigenline, or e_0 of
+    the diagonal x or y whose first entry is alpha.  The caller passes v
+    and active, M's matrix of the same element.  TorsionChar's 1 x 1
+    rebuild always equals its input.  A failed Krylov check alone does not
+    prove non-isomorphism, so the ClassifyError names the check.
     """
     try:
         rebuilt = build_simple(params, spec)
@@ -1119,10 +1117,9 @@ def _verify_rebuild(M: ModuleRep, params: SimpleParams, spec: AlgebraSpec,
         _classify_fail(f"recovered parameters rejected by the constructor: {exc}")
     if (rebuilt.group_mats, rebuilt.X, rebuilt.Y) == (M.group_mats, M.X, M.Y):
         return params
-    if v is not None and _krylov_certifies(M, rebuilt, v, active):
-        return params
-    if not are_isomorphic(M, rebuilt):
-        _classify_fail("rebuilt module is not isomorphic to the input")
+    if not _krylov_certifies(M, rebuilt, v, active):
+        _classify_fail("the rebuilt module fails the Krylov check: the matrix "
+                       "spun from the line read in the input is no module map")
     return params
 
 
@@ -1149,7 +1146,8 @@ def _classify_skew_cyclic(M: ModuleRep, spec: AlgebraSpec, family: str,
     alpha = active[0][0] if _is_diagonal(active) else None
     params = SimpleParams(family=family, lam=lam, alpha=alpha, alpha_pow=s, n=n)
     if alpha is not None:
-        return _verify_rebuild(M, params, spec)
+        return _verify_rebuild(M, params, spec, identity(n, spec.conductor)[0],
+                               M.act_group(getattr(spec, shifter_name)))
     return params
 
 
@@ -1180,13 +1178,11 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
     kernel-subgroup scalars) and a joint eigenvector of the group action;
     the answer is verified against a rebuilt module where concrete
     parameters are available, and against the defining scalar identities
-    otherwise.  A rebuild equal to the input is certified by the identity.
-    A DiffVbar, DiffVx or DiffVy rebuild that differs is certified by the
-    Krylov matrix of the line the classifier read (``_verify_rebuild``),
-    with no intertwiner system; any other differing rebuild, or one that
-    fails that check, by an intertwiner from ``are_isomorphic``.  The
-    input's rep_check and Burnside certificates are read from the module
-    when its caller has already computed them.
+    otherwise.  A rebuild has one certificate (``_verify_rebuild``): the
+    identity, or the Krylov matrix of the line the classifier read, with
+    no intertwiner system, prime or lift.  The input's rep_check and
+    Burnside certificates are read from the module when its caller has
+    already computed them.
     """
     if not rep_check(M, spec).passed:
         _classify_fail("input fails rep_check")
@@ -1205,7 +1201,7 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
             values = [M.group_mats[k][0][0] for k in range(spec.group.ngens)]
             lam = _character_from_values(spec.group, N, values)
             params = SimpleParams(family="TorsionChar", lam=lam, n=1)
-            return _verify_rebuild(M, params, spec)
+            return _verify_rebuild(M, params, spec, [Cyclotomic.one(N)], M.X)
 
         X = M.X
         if prof["y"] == TORSION:
@@ -1226,22 +1222,25 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
                            "hypothesis")
         if M.dim != n:
             _classify_fail("dimension does not match the order of chi")
-        Z = M.z_matrix()
         s = _scalar_of(mat_pow(X, n))
         if s is None or s.is_zero():
             _classify_fail("x^n does not act as a nonzero scalar")
-        Xt_inv = inverse(mat_pow(X, t))
-        w = _scalar_of(mat_mul(Z, Xt_inv))
-        if w is None or w.is_zero():
+        # z = c^{-1} y = w x^t, read as y = w C X^t with no inverse
+        C = M.act_group(spec.c)
+        CXt = mat_mul(C, mat_pow(X, t))
+        a, y = next((a, y) for row, row_y in zip(CXt, M.Y) for a, y in zip(row, row_y)
+                    if not a.is_zero())
+        w = y * a.inverse()
+        if w.is_zero() or _first_difference(M.Y, mat_scale(CXt, w)) is not None:
             _classify_fail("z x^{-t} does not act as a nonzero scalar")
         lam = _subgroup_char_from_action(M, char_kernel(spec.chi))
         alpha_x = X[0][0] if _is_diagonal(X) else None
-        alpha_y = Z[0][0] if alpha_x is not None and _is_diagonal(Z) else None
+        alpha_y = None if alpha_x is None else w * alpha_x ** t
         params = SimpleParams(family="SkewVxy", lam=lam, alpha_x=alpha_x,
                               alpha_y=alpha_y, alpha_x_pow=s, coupling=w,
                               t=t, n=n)
-        if alpha_x is not None and alpha_y is not None:
-            return _verify_rebuild(M, params, spec)
+        if alpha_x is not None:
+            return _verify_rebuild(M, params, spec, identity(n, N)[0], C)
         return params
 
     # differential mode

@@ -102,3 +102,15 @@ def random_invertible(dim: int, conductor: int, rng: random.Random):
               for _ in range(dim)] for _ in range(dim)]
         if inverse(T) is not None:
             return T
+
+
+def random_monomial(dim: int, conductor: int, rng: random.Random):
+    """Random permutation matrix times an invertible diagonal one, entries
+    in +-{1, 2, 3}: conjugating by it keeps a diagonal matrix diagonal."""
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    zero = Cyclotomic.zero(conductor)
+    T = [[zero] * dim for _ in range(dim)]
+    for i, j in enumerate(perm):
+        T[i][j] = Cyclotomic.rational(conductor, rng.choice([-3, -2, -1, 1, 2, 3]))
+    return T

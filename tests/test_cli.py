@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orehopf.abgroup import Character, SubgroupCharacter
-from orehopf.cli import (MAX_CONDUCTOR, MAX_DEGREE, MAX_MODULE_DIM, main,
-                         parse_config, ConfigError)
+from orehopf.cyclotomic import Cyclotomic
+from orehopf.cli import (MAX_CONDUCTOR, MAX_DEGREE, MAX_MODULE_DIM, config_from_dict,
+                         main, parse_config, ConfigError)
 from orehopf.exprparse import (MAX_TERM_DEGREE, ParseError, element_to_expr,
                                parse_element, serialize_element)
-from orehopf.reps import build_Vx_diff, build_Vx_skew
-from orehopf.hopfcore import random_element
+from orehopf.reps import ModuleRep, build_Vx_diff, build_Vx_skew, conjugate
+from orehopf.hopfcore import cyclotomic_to_literal, random_element
+from orehopf.linalg import inverse, mat_mul
 from orehopf.catalog import generalized_taft, takeuchi_u1
 
 from gen import diff_sweep_spec, quotient_sweep_spec, skew_sweep_spec
@@ -665,6 +667,36 @@ def test_module_build_check_simple_classify(write_config, tmp_path, capsys):
     assert out["facts"]["dimension"] == 3
     assert out["facts"]["torsion_profile"] == {"x": "TorsionFree",
                                                "y": "Torsion"}
+
+
+def test_module_classify_a_permuted_skew_vxy_file(write_config, tmp_path, capsys):
+    # a permutation conjugate keeps x diagonal with another first entry, so
+    # classify rebuilds from other alphas and certifies that rebuild by its
+    # Krylov matrix, from a Raw or a Normalized file alike
+    config_path = write_config(skew_sweep_spec(3).config_dict())
+    path, payload = build_module_file(
+        capsys, tmp_path, config_path, "skew-vxy",
+        {"alpha_x": 2, "alpha_y": -1, "t": 1, "lam": [0, 1]}, "vxy.json")
+    code, canonical, _ = run(capsys, "module", "classify", path)
+    assert code == 0
+    spec = config_from_dict(payload["config"]).spec
+    P = [[Cyclotomic.rational(spec.conductor, int(j == (i + 1) % 3)) for j in range(3)]
+         for i in range(3)]
+    M = conjugate(ModuleRep.from_dict(spec, payload["module"]), P)
+    z = mat_mul(inverse(M.act_group(spec.c)), M.Y)
+    for presentation, second in (("Raw", M.Y), ("Normalized", z)):
+        data = M.to_dict()
+        data["presentation"] = presentation
+        data["generators"]["y"] = [[cyclotomic_to_literal(v) for v in row] for row in second]
+        file = tmp_path / f"permuted-{presentation}.json"
+        file.write_text(json.dumps({"config": payload["config"], "module": data}))
+        code, out, _ = run(capsys, "module", "classify", str(file))
+        assert code == 0, presentation
+        assert out["facts"]["family"] == "SkewVxy", presentation
+        got, want = out["facts"]["parameters"], canonical["facts"]["parameters"]
+        assert got["alpha_x"] != want["alpha_x"], presentation
+        for key in ("alpha_x_pow", "coupling"):
+            assert got[key] == want[key], (presentation, key)
 
 
 def test_module_iso_and_counterexample(write_config, tmp_path, capsys):

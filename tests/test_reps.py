@@ -22,11 +22,11 @@ from orehopf.reps import (ClassifyError, ModuleRep, SimpleParams,
                           build_Vy_skew, classify_simple, conjugate,
                           direct_sum, is_simple_burnside, iso_criterion,
                           rep_check, torsion_profile, truncation_index)
-from orehopf.catalog import takeuchi_u1
+from orehopf.catalog import klein_example, takeuchi_u1
 from orehopf import linalg, reps
 
 from gen import (audit_spec, diff_sweep_spec, random_group_char, random_invertible,
-                 random_kernel_char, random_scalar, skew_sweep_spec)
+                 random_kernel_char, random_monomial, random_scalar, skew_sweep_spec)
 from oracles import (intertwiners_by_exact_nullspace, mat_eq,
                      torsion_type_by_exact_elimination, vbar_truncation_by_rewriting)
 from test_acceptance import sweep_instances
@@ -308,8 +308,9 @@ def test_presentation_round_trip():
     diff = diff_sweep_spec(3)
     Vx = build_Vx_diff(Character(diff.group, diff.conductor, [2, 1]),
                        root_of_unity(diff.conductor, 1), scalar(diff, 2), diff)
+    z_of_y = mat_mul(inverse(Vxy.act_group(skew.c)), Vxy.Y)
     y_of_z = mat_scale(mat_mul(Vx.act_group(diff.c), Vx.Y), diff.beta)
-    for M, other, V in ((Vxy, "Normalized", Vxy.z_matrix()), (Vx, "Raw", y_of_z)):
+    for M, other, V in ((Vxy, "Normalized", z_of_y), (Vx, "Raw", y_of_z)):
         data = M.to_dict()
         assert data["presentation"] != other
         data["presentation"] = other
@@ -1136,13 +1137,16 @@ def test_classify_takes_an_equal_rebuild_without_intertwiners(monkeypatch):
         params, cost = _classify_cost(calls, M, spec)
         families.add(params.family)
         assert cost == 0, params.family
-        # the same module against a rebuild that differs from it: one
-        # intertwiner system, and the same parameters
+        # the same module against a rebuild in another basis: its Krylov
+        # matrix is no module map, and no intertwiner system is solved
         with monkeypatch.context() as m:
             m.setattr(reps, "build_simple", rebuild_in_another_basis)
-            exact, exact_cost = _classify_cost(calls, _fresh(M), spec)
-        assert exact.describe() == params.describe()
-        assert exact_cost == (1 if M.dim >= 2 else 0), params.family
+            if M.dim == 1:
+                assert _classify_cost(calls, _fresh(M), spec) == (params, 0)
+            else:
+                with pytest.raises(ClassifyError, match="fails the Krylov check"):
+                    classify_simple(_fresh(M), spec)
+        assert calls["intertwiner_space"] == 0, params.family
     assert rebuilds["build"] == 7
     assert families == {"TorsionChar", "SkewVx", "SkewVy", "SkewVxy",
                         "DiffVbar", "DiffVx", "DiffVy"}
@@ -1184,30 +1188,32 @@ def test_krylov_certificate_agrees_with_are_isomorphic(monkeypatch):
     calls = _counting_intertwiners(monkeypatch)
     rebuilds = []
 
-    def recording_verify(M, params, spec, v=None, active=None, _fn=reps._verify_rebuild):
+    def recording_verify(M, params, spec, v, active, _fn=reps._verify_rebuild):
         rebuilds.append((M, params, spec, v, active))
         return _fn(M, params, spec, v, active)
 
     monkeypatch.setattr(reps, "_verify_rebuild", recording_verify)
     rng = random.Random(21)
-    diff_modules = 0
     for inst in sweep_instances():
-        M = inst.module
-        C = conjugate(M, random_invertible(M.dim, inst.spec.conductor, rng))
-        for module in (M, C):
+        M, N = inst.module, inst.spec.conductor
+        modules = [M, conjugate(M, random_invertible(M.dim, N, rng))]
+        if inst.mode == "skew":
+            # a permutation x diagonal conjugate keeps x or y diagonal, so
+            # its parameters are concrete and it is rebuilt
+            modules.append(conjugate(M, random_monomial(M.dim, N, rng)))
+        for module in modules:
             assert _classify_cost(calls, module, inst.spec)[1] == 0, inst.family
-        diff_modules += inst.mode == "diff"
-    spun = [r for r in rebuilds if r[3] is not None]
-    assert {r[1].family for r in spun} == {"DiffVbar", "DiffVx", "DiffVy"}
-    assert len(spun) == 2 * diff_modules
-    for M, params, spec, v, active in spun:
+    differs = Counter()
+    for M, params, spec, v, active in rebuilds:
         rebuilt = build_simple(params, spec)
-        iso = are_isomorphic(M, rebuilt)
-        assert iso.status == "isomorphic", params.family
-        assert reps._krylov_certifies(M, rebuilt, v, active), params.family
+        if (rebuilt.group_mats, rebuilt.X, rebuilt.Y) != (M.group_mats, M.X, M.Y):
+            differs[params.family] += 1
+            assert are_isomorphic(M, rebuilt).status == "isomorphic", params.family
+            assert reps._krylov_certifies(M, rebuilt, v, active), params.family
+    assert set(differs) == {"SkewVx", "SkewVy", "SkewVxy", "DiffVbar", "DiffVx", "DiffVy"}
 
 
-def test_classify_falls_back_when_the_krylov_check_fails(monkeypatch):
+def test_classify_raises_when_the_krylov_check_fails(monkeypatch):
     calls = _counting_intertwiners(monkeypatch)
     krylov = _counting_krylov(monkeypatch)
 
@@ -1224,10 +1230,76 @@ def test_classify_falls_back_when_the_krylov_check_fails(monkeypatch):
         before_calls, before_krylov = calls["intertwiner_space"], Counter(krylov)
         with monkeypatch.context() as m:
             m.setattr(reps, "build_simple", rebuild_with_a_wrong_mu)
-            with pytest.raises(ClassifyError, match="rebuilt module is not isomorphic"):
+            with pytest.raises(ClassifyError, match="fails the Krylov check"):
                 classify_simple(C, spec)
         assert krylov - before_krylov == Counter({False: 1}), params.family
-        assert calls["intertwiner_space"] - before_calls == 1, params.family
+        assert calls["intertwiner_space"] == before_calls, params.family
+
+
+def test_classify_solves_no_intertwiner_system(monkeypatch):
+    # every sweep module, a random conjugate of each and a permutation x
+    # diagonal conjugate of each skew module: the identity or the Krylov
+    # matrix certifies every rebuild, and SkewVxy's coupling is read with
+    # no exact inverse
+    def unreachable(*args):
+        raise AssertionError("classify_simple solved an intertwiner system")
+
+    monkeypatch.setattr(reps, "_intertwiner_space", unreachable)
+    monkeypatch.setattr(reps, "are_isomorphic", unreachable)
+    krylov = _counting_krylov(monkeypatch)
+    inverses = Counter()
+
+    def counting_inverse(A, _fn=reps.inverse):
+        inverses["exact"] += 1
+        return _fn(A)
+
+    monkeypatch.setattr(reps, "inverse", counting_inverse)
+    rng = random.Random(22)
+    recovered = Counter()
+    for inst in sweep_instances():
+        M, spec = inst.module, inst.spec
+        modules = [M, conjugate(M, random_invertible(M.dim, spec.conductor, rng))]
+        if inst.mode == "skew":
+            modules.append(conjugate(M, random_monomial(M.dim, spec.conductor, rng)))
+        for module in modules:
+            assert rep_check(module, spec).passed
+            assert is_simple_burnside(module).passed
+            torsion_profile(module)
+            before = inverses["exact"]
+            params = classify_simple(module, spec)
+            if params.family == "SkewVxy":
+                assert inverses["exact"] == before
+            # each conjugate lands in the class of the module itself
+            if module is M:
+                first = params
+            assert params.family == first.family, first.family
+            assert iso_criterion(first, params, spec), first.family
+            recovered[params.family] += 1
+    assert set(recovered) == {"TorsionChar", "SkewVx", "SkewVy", "SkewVxy",
+                              "DiffVbar", "DiffVx", "DiffVy"}
+    assert krylov[True] > 0 and krylov[False] == 0
+
+
+def test_skew_modules_from_z_make_no_exact_inverse(monkeypatch):
+    # y = C z is formed with c's invertibility decided mod p
+    inverted = []
+
+    def recording_inverse(A, _fn=reps.inverse):
+        inverted.append(A)
+        return _fn(A)
+
+    monkeypatch.setattr(reps, "inverse", recording_inverse)
+    skew = [klein_example().module]
+    for n, t in ((2, 1), (3, 2), (4, 3), (5, 2)):
+        spec = skew_sweep_spec(n, t)
+        lam = kernel_char(spec, spec.chi, [1, 0])
+        sub = joint_kernel([spec.chi, spec.eta])
+        skew += [build_Vxy_skew(scalar(spec, 2), root_of_unity(n, 1), lam, t, spec),
+                 build_induced_skew([scalar(spec, -3), root_of_unity(n, 1)],
+                                    SubgroupCharacter(sub, n, [1] * len(sub.rows)), spec)]
+    assert inverted == []
+    for M in skew:
+        assert rep_check(M, M.spec).passed
 
 
 def test_group_invertibility_mod_p_matches_the_exact_inverse(monkeypatch):
@@ -1316,5 +1388,5 @@ def test_classify_rejects_a_rebuild_that_is_not_isomorphic(monkeypatch):
     other = build_Vx_diff(rho, root_of_unity(N, 1), scalar(spec, 5), spec)
     assert are_isomorphic(_fresh(M), other).status == "not_isomorphic"
     monkeypatch.setattr(reps, "build_simple", lambda params, spec: other)
-    with pytest.raises(ClassifyError, match="rebuilt module is not isomorphic"):
+    with pytest.raises(ClassifyError, match="fails the Krylov check"):
         classify_simple(M, spec)
