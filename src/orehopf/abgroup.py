@@ -16,7 +16,9 @@ elements of another group.
 Subgroups are integer lattices between the torsion-relation lattice L and
 Z^k, stored as a row-style Hermite normal form.  This gives exact
 membership tests, finite-index detection, and canonical coset
-representatives.
+representatives.  One Hermite routine, `_hnf`, serves both the lattices
+and `left_kernel`, which reads its transform from the same run on
+[M | I].
 """
 
 from __future__ import annotations
@@ -270,16 +272,14 @@ def _exgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def hnf_with_transform(rows):
-    """HNF plus a record of the full transformed matrix.
-
-    Returns (H, U) where U is unimodular with U * M having the rows of H
-    followed by zero rows.  H has zero rows removed.
-    """
-    M = [list(map(int, r)) for r in rows]
+def _hnf(rows, ncols: int):
+    """The integer rows brought to row-style Hermite normal form on their
+    first ncols columns by unimodular row operations: positive pivots,
+    entries above each pivot in [0, pivot), and below the pivot rows only
+    rows that are zero on those columns.  Columns past ncols ride along,
+    so on [M | I] they read the transform U with U M the result."""
+    M = list(rows)
     m = len(M)
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    ncols = len(M[0]) if M else 0
     pivot_row = 0
     for col in range(ncols):
         if pivot_row == m:
@@ -294,42 +294,24 @@ def hnf_with_transform(rows):
                     row_p = [s * x + t * y for x, y in zip(M[pivot_row], M[r])]
                     row_r = [-v * x + u * y for x, y in zip(M[pivot_row], M[r])]
                     M[pivot_row], M[r] = row_p, row_r
-                    urow_p = [s * x + t * y for x, y in zip(U[pivot_row], U[r])]
-                    urow_r = [-v * x + u * y for x, y in zip(U[pivot_row], U[r])]
-                    U[pivot_row], U[r] = urow_p, urow_r
         if M[pivot_row][col]:
             if M[pivot_row][col] < 0:
                 M[pivot_row] = [-x for x in M[pivot_row]]
-                U[pivot_row] = [-x for x in U[pivot_row]]
             p = M[pivot_row][col]
             for r in range(pivot_row):
                 q = M[r][col] // p
                 if q:
                     M[r] = [x - q * y for x, y in zip(M[r], M[pivot_row])]
-                    U[r] = [x - q * y for x, y in zip(U[r], U[pivot_row])]
             pivot_row += 1
-    H = [r for r in M if any(r)]
-    return H, U
+    return M
 
 
 def left_kernel(rows):
-    """Basis of {v : v * M = 0} over Z for the integer matrix M."""
-    M = [list(r) for r in rows]
-    if not M:
-        return []
-    H, U = hnf_with_transform(M)
-    rank = len(H)
-    # rows of U beyond the echelon rank transform M to zero rows
-    Mt = [list(r) for r in M]
-    out = []
-    for i in range(len(Mt)):
-        reduced = [sum(U[i][j] * Mt[j][c] for j in range(len(Mt)))
-                   for c in range(len(Mt[0]))]
-        if not any(reduced):
-            out.append(U[i])
-    if len(out) != len(Mt) - rank:
-        raise ArithmeticError("kernel rank does not match the echelon rank")
-    return out
+    """Basis of {v : v * M = 0} over Z for the integer matrix M, read from
+    one Hermite run on [M | I]: the rows of U that U M leaves zero."""
+    m, ncols = len(rows), len(rows[0])
+    augmented = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+    return [r[ncols:] for r in _hnf(augmented, ncols) if not any(r[:ncols])]
 
 
 class Subgroup:
@@ -348,9 +330,7 @@ class Subgroup:
             if len(r) != k:
                 raise ValueError("generator row has wrong length")
         rows.extend(group.relation_rows())
-        # row-style HNF: positive pivots, entries above each pivot in
-        # [0, pivot), zero rows dropped
-        H = hnf_with_transform(rows)[0] if rows else []
+        H = [r for r in _hnf(rows, k) if any(r)]
         pivots = []
         for r in H:
             col = next(i for i, x in enumerate(r) if x)

@@ -4,9 +4,10 @@ Matrices are lists of row lists of Cyclotomic values.  One elimination
 routine, `_insert`, serves every exact solver: it adds a row to a reduced
 row echelon basis, pivot normalized to 1 and cleared from the other rows.
 `rref` inserts the rows of a matrix one by one, `nullspace` and `inverse`
-read its result, and `SpanBasis` keeps a basis for closure runs.  The
-reduced echelon form of a row space is unique, so the order of insertion
-does not change it.  Sizes stay at desk scale (dimensions bounded by a few
+read its result, and `SpanBasis` keeps a basis for closure runs; on it
+`full_rank` decides invertibility with no inverse built.  The reduced
+echelon form of a row space is unique, so the order of insertion does
+not change it.  Sizes stay at desk scale (dimensions bounded by a few
 dozen), so no pivoting strategy beyond first-nonzero is needed.  A matrix
 product reads the nonzero entries of each row and column once and sums
 each entry's products in one pass, as `cyclotomic.dot` does.
@@ -14,11 +15,12 @@ each entry's products in one pass, as `cyclotomic.dot` does.
 `_insert_mod` is the same routine on integer lists mod the split prime p
 of the conductor (`cyclotomic.split_prime`), with the same pivot choice;
 `ModularSpan` keeps such a basis and reads its kernel in the form of
-`nullspace`.  `residues(mats, e)` reduces matrices mod p under the e-th
-embedding zeta -> omega^k of `cyclotomic.residue`.
-Reduction mod p is a ring map, so a rank mod p is a lower bound on the
-exact rank: a full rank mod p is an exact certificate, and anything less
-is a hint that the caller checks exactly.
+`nullspace`, and `full_rank_mod` is the twin of `full_rank`.
+`residues(mats, e)` reduces matrices mod p under the e-th embedding
+zeta -> omega^k of `cyclotomic.residue`.  Reduction mod p is a ring map,
+so a rank mod p is a lower bound on the exact rank: a full rank mod p is
+an exact certificate, and anything less is a hint that the caller checks
+exactly.
 """
 
 from __future__ import annotations
@@ -162,6 +164,13 @@ def inverse(A):
     if pivots[:d] != list(range(d)):
         return None
     return [row[d:] for row in rows]
+
+
+def full_rank(A) -> bool:
+    """Whether the rows of A are independent: the exact rank, with no
+    inverse built; for a square A, whether it is invertible."""
+    span = SpanBasis()
+    return all(span.add(row) for row in A)
 
 
 class SpanBasis:

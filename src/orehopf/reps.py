@@ -32,18 +32,18 @@ system read embedding 0; the intertwiner lift reads the others.
 """
 
 from dataclasses import dataclass
-from functools import reduce, wraps
+from functools import wraps
 from math import gcd
 from random import Random
 
 from .abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
                       SubgroupCharacter, char_kernel, joint_kernel)
 from .cyclotomic import Cyclotomic, euler_phi, lift, residue, root_of_unity, zeta_log
-from .hopfcore import AlgebraSpec, GroupAlgElem, Mode, SpecError, _is_int, \
+from .hopfcore import AlgebraSpec, Mode, SpecError, _is_int, \
     cyclotomic_to_literal, literal_to_cyclotomic
-from .linalg import (full_rank_mod, identity, inverse, is_zero_matrix, mat_add,
-                     mat_mul, mat_mul_mod, mat_pow, mat_scale, mat_vec, nullspace,
-                     residues, zeros, ModularSpan, SpanBasis)
+from .linalg import (full_rank, full_rank_mod, identity, inverse, is_zero_matrix,
+                     mat_add, mat_mul, mat_mul_mod, mat_pow, mat_scale, mat_vec,
+                     nullspace, residues, zeros, ModularSpan, SpanBasis)
 from .report import Report
 
 # what a module file calls the matrix of H's internal second variable
@@ -147,8 +147,8 @@ class ModuleRep:
     @_memoized
     def _group_invertible(self):
         """Whether each group generator matrix is invertible: by full rank
-        mod p, else by the exact inverse."""
-        return tuple(self._full_rank_mod_p(k) or inverse(A) is not None
+        mod p, else by the exact rank (``linalg.full_rank``)."""
+        return tuple(self._full_rank_mod_p(k) or full_rank(A)
                      for k, A in enumerate(self.group_mats))
 
     @_memoized
@@ -172,14 +172,6 @@ class ModuleRep:
             power = mat_pow(base, abs(e))
             out = power if out is None else mat_mul(out, power)
         return identity(self.dim, self.spec.conductor) if out is None else out
-
-    def act_group_alg(self, u: GroupAlgElem):
-        """Action matrix of a group-algebra element: the sum of its scaled
-        terms, started from the first term; the zero matrix for u = 0."""
-        terms = [mat_scale(self.act_group(g), coeff) for g, coeff in u.terms.items()]
-        if not terms:
-            return zeros(self.dim, self.dim, self.spec.conductor)
-        return reduce(mat_add, terms)
 
     def to_dict(self) -> dict:
         mats = {f"g{k + 1}": A for k, A in enumerate(self.group_mats)}
@@ -292,10 +284,12 @@ def rep_check(M: ModuleRep, spec: AlgebraSpec) -> Report:
     """Verify every defining relation as an exact matrix identity, including
     the group relations.
 
-    The cross relation is w x = q_w x w + e on H's internal variable w, with
-    q_w = q in skew mode (w = y, e = 0) and q_w = 1 in differential mode
-    (w = z).  The witness of a failing identity names its first differing
-    entry with both sides.  The report is computed once per module and
+    The cross relation is y x = q x y in skew mode.  In differential mode
+    z x - x z = c^{-1} - b is checked times c, as c (z x - x z + b) = 1 with
+    no inverse: the same when c acts invertibly, and otherwise the
+    group_invertible rows fail.  Its row has no entry only when b or c
+    needs a negative power of a singular generator.  The witness of a
+    failing identity names its first differing entry with both sides.  The report is computed once per module and
     spec object.
     """
     group = spec.group
@@ -318,16 +312,18 @@ def rep_check(M: ModuleRep, spec: AlgebraSpec) -> Report:
              for k, gen in enumerate(group.generators())
              for v, A, name, char in (("x", X, "chi", spec.chi), ("y", W, "eta", spec.eta))]
     if spec.mode is Mode.SKEW_GROUP_RING:
-        q_w, detail = spec.q, "y x = q x y + beta(1 - cb) fails"
+        rows.append(("cross_relation", "y x = q x y + beta(1 - cb) fails",
+                     _first_difference(mat_mul(W, X), mat_scale(mat_mul(X, W), spec.q))))
     else:
-        q_w, detail = Cyclotomic.one(spec.conductor), "z x - x z = e fails"
-    try:
-        rho_e = M.act_group_alg(spec.e)
-    except SpecError as exc:  # e needs the inverse of a singular group matrix
-        rows.append(("cross_relation", f"rho(e) cannot be formed: {exc}", {}))
-    else:
-        rows.append(("cross_relation", detail, _first_difference(
-            mat_mul(W, X), mat_add(mat_scale(mat_mul(X, W), q_w), rho_e))))
+        try:
+            C, B = M.act_group(spec.c), M.act_group(spec.b)
+        except SpecError as exc:  # a negative power of a singular generator
+            rows.append(("cross_relation", f"rho(c) or rho(b) cannot be formed: {exc}", {}))
+        else:
+            inner = [[wx - xw + b for wx, xw, b in zip(*entries)]
+                     for entries in zip(mat_mul(W, X), mat_mul(X, W), B)]
+            rows.append(("cross_relation", "c (z x - x z + b) = 1 fails",
+                         _first_difference(mat_mul(C, inner), ident)))
 
     witnesses = [{"relation": relation, "detail": detail, **failure}
                  for relation, detail, failure in rows if failure is not None]
@@ -348,8 +344,9 @@ def torsion_profile(M: ModuleRep) -> dict:
     that decides TorsionFree with no exact elimination; the rows are those of
     the module's reduction under embedding 0.  Otherwise, or when p divides
     a denominator, the exact tests run: kernels stabilize by the dimension,
-    so nilpotency is decided by the dim-th power, then invertibility by an
-    exact inverse.  The profile is computed once per module.
+    so nilpotency is decided by the dim-th power, then invertibility by the
+    exact rank (``linalg.full_rank``).  The profile is computed once per
+    module.
     """
     # k is the index of A among the module's reduced generators
     def profile(A, k):
@@ -357,7 +354,7 @@ def torsion_profile(M: ModuleRep) -> dict:
             return TORSION_FREE
         if is_zero_matrix(mat_pow(A, M.dim)):
             return TORSION
-        if inverse(A) is not None:
+        if full_rank(A):
             return TORSION_FREE
         return MIXED
 
@@ -543,8 +540,8 @@ def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
     module of the same dimension is bijective, so the first basis
     intertwiner is the witness.  Otherwise the first invertible basis
     intertwiner is, and failing that 64 random combinations of the basis,
-    coefficients in [-dim, dim], are tried; the determinant has degree
-    dim, so if the modules are isomorphic all draws fail with probability
+    coefficients in [-dim, dim], are tried, each by its exact rank
+    (``linalg.full_rank``); the determinant has degree dim, so if the modules are isomorphic all draws fail with probability
     at most (dim/(2 dim + 1))^64 (Schwartz-Zippel).  That outcome is
     reported as unknown, with the bound, not as negative.
     """
@@ -559,7 +556,7 @@ def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
         return IsoResult("isomorphic", witness=basis[0])
 
     for T in basis:
-        if inverse(T) is not None:
+        if full_rank(T):
             return IsoResult("isomorphic", witness=T)
 
     rng, draws = Random(0), 64
@@ -567,7 +564,7 @@ def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
         T = zeros(dim, dim, N)
         for B in basis:
             T = mat_add(T, mat_scale(B, Cyclotomic.rational(N, rng.randint(-dim, dim))))
-        if inverse(T) is not None:
+        if full_rank(T):
             return IsoResult("isomorphic", witness=T)
     bound = (dim / (2 * dim + 1)) ** draws
     return IsoResult(
@@ -937,7 +934,13 @@ def _coupling(params: SimpleParams):
 
 def iso_criterion(p1: SimpleParams, p2: SimpleParams, spec: AlgebraSpec) -> bool:
     """Closed-form isomorphism test between two parameter tuples of the same
-    family, quantifying the shift index over 0..n-1 where applicable."""
+    family, quantifying the shift index over 0..n-1 where applicable.  A
+    DiffVx and a DiffVy tuple are decided by classification: the families
+    overlap where x and z both act invertibly, and ``classify_simple``
+    returns DiffVx whenever x does, so the DiffVy side is read through it."""
+    if {p1.family, p2.family} == {"DiffVx", "DiffVy"}:
+        p1, p2 = (classify_simple(build_simple(p, spec), spec) if p.family == "DiffVy"
+                  else p for p in (p1, p2))
     if p1.family != p2.family:
         return False
     f = p1.family

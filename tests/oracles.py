@@ -18,8 +18,10 @@ group, character triviality and restriction, the raw-to-internal PBW
 conversion (inverse of HopfElem.raw_terms), the degree and K[G] parts of
 an element, entrywise matrix equality, the reduced row echelon form by a
 column sweep, the intertwiner space and the torsion type of a matrix by
-exact elimination alone, the order of the antipode by iteration, and the
-truncation index of the DiffVbar module by word rewriting.
+exact elimination alone, a module's cross relation in H's internal form
+with rho(e) built from exact inverses, the order of the antipode by
+iteration, and the truncation index of the DiffVbar module by word
+rewriting.
 """
 
 from itertools import product
@@ -29,6 +31,7 @@ from orehopf.abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
 from orehopf.cyclotomic import Cyclotomic, divisors, q_int
 from orehopf.hopfcore import (AlgebraSpec, GroupAlgElem, HopfElem, Mode,
                               TensorElem, antipode, multiply)
+from orehopf.linalg import identity, inverse, mat_mul
 
 
 def _word_of(g, i, j):
@@ -350,6 +353,36 @@ def torsion_type_by_exact_elimination(A) -> str:
     if all(a.is_zero() for row in power for a in row):
         return "Torsion"
     return "TorsionFree" if len(rref_by_column_sweep(A)[1]) == len(A) else "Mixed"
+
+
+def cross_relation_by_inverses(module, spec: AlgebraSpec):
+    """Whether the module's matrices satisfy w x = q_w x w + rho(e), the
+    cross relation in H's internal form: q_w = q and e = 0 in skew mode,
+    q_w = 1 and e = c^{-1} - b in differential mode.  rho(e) is the sum of
+    its terms' coefficients times their actions, each a product of
+    generator powers with an exact inverse for a negative power; None when
+    such a power needs the inverse of a singular generator.  The reference
+    for rep_check's cross_relation row, which multiplies the differential
+    relation by c's action instead."""
+    conductor, dim = spec.conductor, module.dim
+    rho_e = [[Cyclotomic.zero(conductor)] * dim for _ in range(dim)]
+    for g, coeff in spec.e.terms.items():
+        action = identity(dim, conductor)
+        for k, e in enumerate(g.exps):
+            if e == 0:
+                continue
+            base = module.group_mats[k] if e > 0 else inverse(module.group_mats[k])
+            if base is None:
+                return None
+            for _ in range(abs(e)):
+                action = mat_mul(action, base)
+        rho_e = [[r + coeff * a for r, a in zip(row_r, row_a)]
+                 for row_r, row_a in zip(rho_e, action)]
+    q_w = spec.q if spec.mode is Mode.SKEW_GROUP_RING else Cyclotomic.one(conductor)
+    W, X = module.Y, module.X
+    rhs = [[q_w * a + r for a, r in zip(row_a, row_r)]
+           for row_a, row_r in zip(mat_mul(X, W), rho_e)]
+    return mat_eq(mat_mul(W, X), rhs)
 
 
 def antipode_order_by_iteration(spec: AlgebraSpec) -> int:

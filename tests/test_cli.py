@@ -729,7 +729,8 @@ def test_module_simple_singular_group_matrix_exit_2(write_config, tmp_path,
 
 def test_module_check_singular_group_matrix_in_diff_mode(write_config, tmp_path,
                                                          capsys):
-    # rho(e) needs the inverse of g1: check reports it, simple still refuses
+    # c = g1 g2 acts by zero: check names the failing entry of
+    # c (z x - x z + b) = 1, simple still refuses
     path, payload = build_module_file(
         capsys, tmp_path, write_config(diff_sweep_spec(2).config_dict()),
         "torsion-char", {"lam": [2, 0]}, "char.json")
@@ -741,7 +742,9 @@ def test_module_check_singular_group_matrix_in_diff_mode(write_config, tmp_path,
     assert out["status"] == "fail"
     assert [w["relation"] for w in out["witnesses"]] == ["group_invertible(g1)",
                                                          "cross_relation"]
-    assert "entry" not in out["witnesses"][1]
+    assert out["witnesses"][1] == {"relation": "cross_relation",
+                                   "detail": "c (z x - x z + b) = 1 fails",
+                                   "entry": [0, 0], "lhs": "0", "rhs": "1"}
     assert "Traceback" not in err
     code, out, err = run(capsys, "module", "simple", str(path))
     assert code == 2

@@ -60,6 +60,35 @@ def test_the_literal_check_sees_both_forms():
     assert list(_literal_checks(tree)) == [1, 3]
 
 
+def _inverse_tests(tree):
+    """Line numbers of the comparisons of a call inverse(...), with at least
+    one argument, with None: an inverse built only to test invertibility."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        if any(isinstance(op, ast.Constant) and op.value is None for op in operands) and any(
+                isinstance(op, ast.Call) and op.args
+                and getattr(op.func, "id", getattr(op.func, "attr", None)) == "inverse"
+                for op in operands):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_inverse_built_to_test_invertibility(path):
+    # invertibility is a rank (linalg.full_rank); an inverse is built only
+    # where it is read
+    sites = list(_inverse_tests(ast.parse(path.read_text(), filename=str(path))))
+    assert sites == [], f"{path.name}: inverse(...) compared with None at lines {sites}"
+
+
+def test_the_inverse_check_sees_both_forms():
+    tree = ast.parse("inverse(A) is None\nif inverse(B) is not None:\n    pass\n"
+                     "T = inverse(C)\nok = T is not None\nlinalg.inverse(D) is None\n"
+                     "x.inverse() is None\nNone is not inverse(E)\ninverse(F) == G\n")
+    assert list(_inverse_tests(tree)) == [1, 2, 6, 8]
+
+
 def _unused_imports(tree):
     """(line, name) of every name an import binds and the module never reads."""
     bound = {}

@@ -11,7 +11,7 @@ import pytest
 from orehopf.abgroup import (AbelianGroup, Character, SubgroupCharacter,
                              char_kernel, joint_kernel)
 from orehopf.cyclotomic import Cyclotomic, euler_phi, root_of_unity, split_prime
-from orehopf.hopfcore import SpecError, cyclotomic_to_literal, validate_spec, wind
+from orehopf.hopfcore import Mode, SpecError, cyclotomic_to_literal, validate_spec, wind
 from orehopf.linalg import (ModularSpan, SpanBasis, identity, inverse, mat_mul,
                             mat_scale, zeros)
 from orehopf.reps import (ClassifyError, ModuleRep, SimpleParams,
@@ -27,7 +27,7 @@ from orehopf import linalg, reps
 
 from gen import (audit_spec, diff_sweep_spec, random_group_char, random_invertible,
                  random_kernel_char, random_monomial, random_scalar, skew_sweep_spec)
-from oracles import (intertwiners_by_exact_nullspace, mat_eq,
+from oracles import (cross_relation_by_inverses, intertwiners_by_exact_nullspace, mat_eq,
                      torsion_type_by_exact_elimination, vbar_truncation_by_rewriting)
 from test_acceptance import sweep_instances
 
@@ -270,8 +270,8 @@ def test_rep_check_catches_broken_relation():
 
 
 def test_rep_check_reports_singular_group_matrix_in_diff_mode():
-    # rho(e) for e = c^-1 - b needs the inverse of g1, so the cross relation
-    # fails without an entry instead of raising
+    # the cross relation is checked as c (z x - x z + b) = 1, which needs no
+    # inverse: with g1 = 0, c = g1 g2 acts by zero and the entry names it
     spec = diff_sweep_spec(2)
     M = build_torsion_char(Character(spec.group, spec.conductor, [2, 0]), spec)
     assert M.group_mats[0] == ((-Cyclotomic.one(spec.conductor),),)
@@ -282,11 +282,80 @@ def test_rep_check_reports_singular_group_matrix_in_diff_mode():
     assert rep.facts == rep_check(M, spec).facts
     assert rep.witnesses == [
         {"relation": "group_invertible(g1)", "detail": ""},
-        {"relation": "cross_relation",
-         "detail": "rho(e) cannot be formed: group generator 0 does not act invertibly"},
+        {"relation": "cross_relation", "detail": "c (z x - x z + b) = 1 fails",
+         "entry": [0, 0], "lhs": "0", "rhs": "1"},
     ]
     with pytest.raises(SpecError, match="does not act invertibly"):
         is_simple_burnside(singular)
+
+
+def _one_entry_perturbations(M, rng):
+    """M with one added at a random entry of X, of Y and of a random group
+    generator's matrix, one module each."""
+    out = []
+    for which in ("x", "y", "g"):
+        mats = [[list(row) for row in A] for A in M.group_mats + (M.X, M.Y)]
+        A = {"x": mats[-2], "y": mats[-1]}.get(which) or mats[rng.randrange(len(mats) - 2)]
+        i, j = rng.randrange(M.dim), rng.randrange(M.dim)
+        A[i][j] = A[i][j] + Cyclotomic.one(M.spec.conductor)
+        out.append(ModuleRep(M.spec, M.dim, mats[:-2], mats[-2], mats[-1]))
+    return out
+
+
+def test_cross_relation_row_matches_the_inverse_oracle():
+    # the differential row checks c (z x - x z + b) = 1 with no inverse; it
+    # passes exactly when z x - x z = c^-1 - b does with rho(e) built from
+    # exact inverses, on the sweep modules, a conjugate of each, one-entry
+    # perturbations of x, z and a group matrix, and a singular-g1 file
+    rng = random.Random(23)
+    modules = []
+    for inst in sweep_instances():
+        M = inst.module
+        modules += [M, conjugate(M, random_invertible(M.dim, M.spec.conductor, rng))]
+        modules += _one_entry_perturbations(M, rng)
+    spec = diff_sweep_spec(3)
+    data = build_Vx_diff(Character(spec.group, spec.conductor, [2, 1]),
+                         root_of_unity(spec.conductor, 1), scalar(spec, 2), spec).to_dict()
+    data["generators"]["g1"] = [["0"] * 3 for _ in range(3)]
+    modules.append(ModuleRep.from_dict(spec, data))
+    verdicts = Counter()
+    for module in modules:
+        row = [w for w in rep_check(module, module.spec).witnesses
+               if w["relation"] == "cross_relation"]
+        oracle = cross_relation_by_inverses(module, module.spec)
+        assert (row == []) == (oracle is True), row
+        verdicts[module.spec.mode, oracle] += 1
+    assert all(verdicts[mode, verdict] > 0 for mode in (Mode.SKEW_GROUP_RING,
+               Mode.DIFFERENTIAL_OPERATOR) for verdict in (True, False))
+    # the singular-g1 file, and perturbations that leave a generator singular
+    assert verdicts[Mode.DIFFERENTIAL_OPERATOR, None] > 0
+
+
+def test_rep_check_cannot_form_a_negative_power_of_a_singular_generator():
+    # c = g1 g2^-1: with g2 = 0, c's action needs an inverse that does not
+    # exist, and the cross relation row says so with no entry; with g1 = 0,
+    # c acts by zero and the row names its entry
+    group = AbelianGroup(2)
+    chi = Character(group, 4, [2, 0])
+    spec = validate_spec(group, chi, chi.inverse(), group.element([1, 0]),
+                         group.element([1, -1]), 1)
+    assert spec.mode is Mode.DIFFERENTIAL_OPERATOR
+    M = build_torsion_char(Character(group, 4, [1, 2]), spec)
+    assert rep_check(M, spec).passed
+    zero = [[Cyclotomic.zero(4)]]
+    cross = {}
+    for k in range(2):
+        mats = list(M.group_mats)
+        mats[k] = zero
+        report = rep_check(ModuleRep(spec, 1, mats, M.X, M.Y), spec)
+        assert report.witnesses[0] == {"relation": f"group_invertible(g{k + 1})",
+                                       "detail": ""}
+        cross[k] = report.witnesses[-1]
+    assert cross[1] == {"relation": "cross_relation",
+                        "detail": "rho(c) or rho(b) cannot be formed: "
+                                  "group generator 1 does not act invertibly"}
+    assert cross[0] == {"relation": "cross_relation", "detail": "c (z x - x z + b) = 1 fails",
+                        "entry": [0, 0], "lhs": "0", "rhs": "1"}
 
 
 def test_module_dimension_must_be_positive():
@@ -414,6 +483,30 @@ def test_iso_criterion_vx_diff_shift():
                       mu=mu + scalar(spec, 1))
     assert not iso_criterion(p1, p3, spec)
     assert are_isomorphic(M1, build_simple(p3, spec)).status == "not_isomorphic"
+
+
+def test_iso_criterion_reads_diff_vy_parameters_by_classification():
+    # x and z both act invertibly, so the module lies in DiffVx and in DiffVy
+    spec = diff_sweep_spec(3)
+    N = spec.conductor
+    rho = Character(spec.group, N, [1, 0])
+    py = SimpleParams(family="DiffVy", rho=rho, lam_scalar=scalar(spec, 2),
+                      mu=root_of_unity(N, 1))
+    My = build_simple(py, spec)
+    px = classify_simple(My, spec)
+    assert px.family == "DiffVx"
+    assert are_isomorphic(My, build_simple(px, spec)).status == "isomorphic"
+    assert iso_criterion(py, px, spec) and iso_criterion(px, py, spec)
+    moved = dataclasses.replace(px, mu=px.mu + scalar(spec, 1))
+    assert are_isomorphic(My, build_simple(moved, spec)).status == "not_isomorphic"
+    assert not iso_criterion(py, moved, spec) and not iso_criterion(moved, py, spec)
+    # lam = 0: x is nilpotent, the module is DiffVy alone and no DiffVx
+    # module is isomorphic to it
+    pn = dataclasses.replace(py, lam_scalar=Cyclotomic.zero(N))
+    Mn = build_simple(pn, spec)
+    assert classify_simple(Mn, spec).family == "DiffVy"
+    assert are_isomorphic(Mn, build_simple(px, spec)).status == "not_isomorphic"
+    assert not iso_criterion(pn, px, spec) and not iso_criterion(px, pn, spec)
 
 
 def test_iso_criterion_family_mismatch():
@@ -644,16 +737,21 @@ def test_certificates_are_computed_once(monkeypatch):
 
 def test_torsion_profile_is_computed_once(monkeypatch):
     counts = Counter()
-    for name in ("mat_pow", "inverse"):
+    for name in ("mat_pow", "full_rank"):
         def counting(*args, _fn=getattr(reps, name), _name=name):
             counts[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(reps, name, counting)
     spec = diff_sweep_spec(3)
     rho = Character(spec.group, spec.conductor, [2, 1])
-    M = build_Vx_diff(rho, root_of_unity(spec.conductor, 1), scalar(spec, 2), spec)
+    V = build_Vx_diff(rho, root_of_unity(spec.conductor, 1), scalar(spec, 2), spec)
+    # p divides a denominator of this conjugate, so its torsion profile runs
+    # the exact tests: the dim-th power and the exact rank
+    T = identity(V.dim, spec.conductor)
+    T[0][0] = scalar(spec, _split_prime(spec))
+    M = conjugate(V, T)
     classify_simple(M, spec)
-    assert counts["mat_pow"] > 0 and counts["inverse"] > 0
+    assert counts["mat_pow"] > 0 and counts["full_rank"] > 0
     before = Counter(counts)
     profile = torsion_profile(M)
     assert counts == before
@@ -830,20 +928,20 @@ def test_schur_shortcut_skips_inverse(monkeypatch):
     loop = are_isomorphic(_fresh(M), _fresh(C))
     assert is_simple_burnside(M).passed
     calls = Counter()
-    inv = reps.inverse
+    rank = reps.full_rank
 
-    def counting_inverse(A):
-        calls["inverse"] += 1
-        return inv(A)
+    def counting_full_rank(A):
+        calls["full_rank"] += 1
+        return rank(A)
 
-    monkeypatch.setattr(reps, "inverse", counting_inverse)
+    monkeypatch.setattr(reps, "full_rank", counting_full_rank)
     for pair in ((M, C), (C, M)):
         res = are_isomorphic(*pair)
-        assert res.status == "isomorphic" and calls["inverse"] == 0
+        assert res.status == "isomorphic" and calls["full_rank"] == 0
     assert _iso_key(are_isomorphic(M, C)) == _iso_key(loop)
     # without a certificate on either side the loop runs
     are_isomorphic(_fresh(M), _fresh(C))
-    assert calls["inverse"] > 0
+    assert calls["full_rank"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -992,14 +1090,14 @@ def test_torsion_profile_runs_exact_tests_only_when_singular_mod_p(monkeypatch):
     singular_mod_p = [[scalar(spec, p), zero], [zero, one]]
     M = ModuleRep(spec, 2, [ident, ident], singular_mod_p, ident)
     calls = Counter()
-    for name in ("mat_pow", "inverse"):
+    for name in ("mat_pow", "full_rank"):
         def counting(*args, _name=name, _fn=getattr(reps, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(reps, name, counting)
     # diag(p, 1) is invertible exactly: the exact tests say TorsionFree
     assert torsion_profile(M) == {"x": "TorsionFree", "y": "TorsionFree"}
-    assert calls == {"mat_pow": 1, "inverse": 1}
+    assert calls == {"mat_pow": 1, "full_rank": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -1280,6 +1378,26 @@ def test_classify_solves_no_intertwiner_system(monkeypatch):
     assert krylov[True] > 0 and krylov[False] == 0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_classify_recovers_diff_vy_with_nilpotent_x(monkeypatch, n):
+    # lam = 0, as module-sweep builds DiffVy: z invertible and x nilpotent,
+    # so the module and a random conjugate classify as DiffVy, not DiffVx
+    rng = random.Random(2300 + n)
+    spec = diff_sweep_spec(n)
+    N = spec.conductor
+    krylov = _counting_krylov(monkeypatch)
+    params = SimpleParams(family="DiffVy", rho=random_group_char(rng, spec),
+                          lam_scalar=Cyclotomic.zero(N),
+                          mu=random_scalar(rng, N, nonzero=True))
+    M = build_simple(params, spec)
+    for module in (M, conjugate(M, random_invertible(n, N, rng))):
+        assert torsion_profile(module) == {"x": "Torsion", "y": "TorsionFree"}
+        got = classify_simple(module, spec)
+        assert got.family == "DiffVy"
+        assert iso_criterion(params, got, spec) and iso_criterion(got, params, spec)
+    assert krylov[True] > 0 and krylov[False] == 0
+
+
 def test_skew_modules_from_z_make_no_exact_inverse(monkeypatch):
     # y = C z is formed with c's invertibility decided mod p
     inverted = []
@@ -1303,17 +1421,17 @@ def test_skew_modules_from_z_make_no_exact_inverse(monkeypatch):
 
 
 def test_group_invertibility_mod_p_matches_the_exact_inverse(monkeypatch):
-    inverses = Counter()
+    ranks = Counter()
 
-    def counting_inverse(A, _fn=reps.inverse):
-        inverses["exact"] += 1
+    def counting_full_rank(A, _fn=reps.full_rank):
+        ranks["exact"] += 1
         return _fn(A)
 
-    monkeypatch.setattr(reps, "inverse", counting_inverse)
-    # the sweep modules are decided mod p, with no exact inverse
+    monkeypatch.setattr(reps, "full_rank", counting_full_rank)
+    # the sweep modules are decided mod p, with no exact rank
     for inst in sweep_instances():
         M = _fresh(inst.module)
-        assert all(M._group_invertible()) and inverses["exact"] == 0
+        assert all(M._group_invertible()) and ranks["exact"] == 0
     spec = skew_sweep_spec(2)
     N = spec.conductor
     p = split_prime(N)[0]
@@ -1323,20 +1441,20 @@ def test_group_invertibility_mod_p_matches_the_exact_inverse(monkeypatch):
         return [[a, zero], [zero, b]]
 
     ident = diag(one, one)
-    # name: (first group matrix, exact inverses made)
+    # name: (first group matrix, exact ranks taken)
     cases = {
         "singular": (diag(one, zero), 1),
-        # invertible, singular mod p: the exact inverse decides
+        # invertible, singular mod p: the exact rank decides
         "p on the diagonal": (diag(scalar(spec, p), one), 1),
-        # p divides a denominator: no reduction, exact inverses decide both
+        # p divides a denominator: no reduction, exact ranks decide both
         "p in a denominator": (diag(Cyclotomic.rational(N, Fraction(1, p)), one), 2),
     }
     for name, (A, exact) in cases.items():
         M = ModuleRep(spec, 2, [A, ident], zeros(2, 2, N), zeros(2, 2, N))
-        inverses.clear()
+        ranks.clear()
         got = M._group_invertible()
         assert got == tuple(inverse(B) is not None for B in M.group_mats), name
-        assert inverses["exact"] == exact, name
+        assert ranks["exact"] == exact, name
         assert rep_check(M, spec).witnesses[:1] == ([] if got[0] else [
             {"relation": "group_invertible(g1)", "detail": ""}]), name
 
