@@ -7,7 +7,6 @@ identity of the source construction, so that a failing fact means the
 library broke, or a plain value (an order, a rank, a dimension).
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 from .abgroup import AbelianGroup, Character, SubgroupCharacter, joint_kernel
@@ -21,13 +20,23 @@ from .reps import (ModuleRep, build_induced_skew, is_simple_burnside,
 from .report import Report
 
 
-@dataclass
 class CatalogEntry:
-    name: str
-    spec: AlgebraSpec
-    quotient: QuotientSpec | None
-    module: ModuleRep | None
-    report: Report
+    """A built catalog instance: its spec, its quotient and module where the
+    entry has them, and the report of its regression facts."""
+
+    def __init__(self, name: str, spec: AlgebraSpec, quotient: QuotientSpec | None,
+                 module: ModuleRep | None, report: Report):
+        self.name = name
+        self.spec = spec
+        self.quotient = quotient
+        self.module = module
+        self.report = report
+
+    def __eq__(self, other):
+        if not isinstance(other, CatalogEntry):
+            return NotImplemented
+        return (self.name, self.spec, self.quotient, self.module, self.report) == \
+            (other.name, other.spec, other.quotient, other.module, other.report)
 
     def __bool__(self):
         return bool(self.report)

@@ -11,8 +11,8 @@ default seed.  quotient-check is exact: it still accepts --samples and
 --seed and echoes the seed, but samples nothing.
 
 Input bounds: the conductor is an integer in [1, MAX_CONDUCTOR], JSON
-booleans are not integers, --samples is at least 1 (quotient-check too,
-where it is otherwise unused), --max-degree lies in
+booleans are not integers, --samples lies in [1, MAX_SAMPLES]
+(quotient-check too, where it is otherwise unused), --max-degree lies in
 [0, MAX_DEGREE], the x, y, z degree of each term of an expression is at
 most exprparse.MAX_TERM_DEGREE, and a module (a module file, or the output
 of module build) has dimension at most MAX_MODULE_DIM.  module build checks
@@ -64,6 +64,10 @@ MAX_CONDUCTOR = 420
 # specs u1, diff-z2 and taft, one of degree 12 up to 13 s, and the cost
 # keeps growing steeply.
 MAX_DEGREE = 8
+
+# hopf-check draws and checks each sample afresh: at --max-degree 8, 1000
+# samples take 15 to 25 s on the catalog specs u1, diff-z2 and taft.
+MAX_SAMPLES = 1000
 
 # rep_check is cheap at any size, but the exact Burnside closure spans up to
 # dim^2 matrices, so its cost grows like dim^6.
@@ -388,6 +392,8 @@ def _cmd_antipode(args) -> int:
 def _check_samples(args) -> None:
     if args.samples < 1:
         raise ConfigError("--samples must be a positive integer")
+    if args.samples > MAX_SAMPLES:
+        raise ConfigError(f"--samples must be at most {MAX_SAMPLES}")
 
 
 def _cmd_hopf_check(args) -> int:

@@ -6,16 +6,28 @@ exceptions are reserved for malformed inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Report:
-    name: str
-    passed: bool
-    facts: dict = field(default_factory=dict)
-    witnesses: list = field(default_factory=list)
-    seed: int | None = None
+    """Verdict of one named check: its facts, and a witness per failure.
+
+    Equal reports have equal fields.  A plain class rather than a
+    dataclass, so that importing the package (every CLI call pays it) does
+    not load ``dataclasses`` and ``inspect``.
+    """
+
+    def __init__(self, name: str, passed: bool, facts: dict | None = None,
+                 witnesses: list | None = None, seed: int | None = None):
+        self.name = name
+        self.passed = passed
+        self.facts = {} if facts is None else facts
+        self.witnesses = [] if witnesses is None else witnesses
+        self.seed = seed
+
+    def __eq__(self, other):
+        if not isinstance(other, Report):
+            return NotImplemented
+        return (self.name, self.passed, self.facts, self.witnesses, self.seed) == \
+            (other.name, other.passed, other.facts, other.witnesses, other.seed)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -29,4 +41,3 @@ class Report:
         if self.seed is not None:
             out["facts"]["seed"] = self.seed
         return out
-

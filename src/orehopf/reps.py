@@ -31,7 +31,6 @@ the torsion profile, the group eigenvalue filter and the intertwiner
 system read embedding 0; the intertwiner lift reads the others.
 """
 
-from dataclasses import dataclass
 from functools import wraps
 from math import gcd
 from random import Random
@@ -413,12 +412,21 @@ def is_simple_burnside(M: ModuleRep) -> Report:
                   facts={"span_dimension": span_dim, "full_dimension": full})
 
 
-@dataclass
 class IsoResult:
-    """Outcome of the intertwiner search between two modules."""
-    status: str  # "isomorphic" | "not_isomorphic" | "unknown"
-    witness: list | None = None
-    detail: str = ""
+    """Outcome of the intertwiner search between two modules: status is
+    "isomorphic" (witness is an invertible intertwiner), "not_isomorphic" or
+    "unknown", with a reason in detail."""
+
+    def __init__(self, status: str, witness: list | None = None, detail: str = ""):
+        self.status = status
+        self.witness = witness
+        self.detail = detail
+
+    def __eq__(self, other):
+        if not isinstance(other, IsoResult):
+            return NotImplemented
+        return (self.status, self.witness, self.detail) == \
+            (other.status, other.witness, other.detail)
 
     def __bool__(self):
         return self.status == "isomorphic"
@@ -579,7 +587,6 @@ def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
 # simple-family parameters
 
 
-@dataclass
 class SimpleParams:
     """Parameters naming a simple module inside one of the seven families.
 
@@ -588,32 +595,44 @@ class SimpleParams:
     TorsionChar, subgroup character otherwise) and rho; scalar data in
     alpha/alpha_x/alpha_y/lam_scalar/mu.  For modules recovered from a
     non-monomial basis only the invariant powers (alpha_pow, alpha_x_pow,
-    coupling) may be known; they determine the isomorphism class.
+    coupling) may be known; they determine the isomorphism class.  Equal
+    parameters have equal fields; a zero alpha, lambda or mu where the
+    family needs it invertible is a SpecError.
     """
-    family: str
-    lam: object = None
-    rho: Character | None = None
-    alpha: Cyclotomic | None = None
-    alpha_x: Cyclotomic | None = None
-    alpha_y: Cyclotomic | None = None
-    lam_scalar: Cyclotomic | None = None
-    mu: Cyclotomic | None = None
-    t: int | None = None
-    n: int | None = None
-    d: int | None = None
-    alpha_pow: Cyclotomic | None = None
-    alpha_x_pow: Cyclotomic | None = None
-    coupling: Cyclotomic | None = None
 
-    def __post_init__(self):
-        if self.family in ("SkewVx", "SkewVy") and self.alpha is not None \
-                and self.alpha.is_zero():
+    def __init__(self, family: str, *, lam=None, rho: Character | None = None,
+                 alpha: Cyclotomic | None = None, alpha_x: Cyclotomic | None = None,
+                 alpha_y: Cyclotomic | None = None,
+                 lam_scalar: Cyclotomic | None = None, mu: Cyclotomic | None = None,
+                 t: int | None = None, n: int | None = None, d: int | None = None,
+                 alpha_pow: Cyclotomic | None = None,
+                 alpha_x_pow: Cyclotomic | None = None,
+                 coupling: Cyclotomic | None = None):
+        if family in ("SkewVx", "SkewVy") and alpha is not None and alpha.is_zero():
             raise SpecError("alpha must be nonzero")
-        if self.family == "DiffVx" and self.lam_scalar is not None \
-                and self.lam_scalar.is_zero():
+        if family == "DiffVx" and lam_scalar is not None and lam_scalar.is_zero():
             raise SpecError("lambda must be nonzero for the x-cyclic family")
-        if self.family == "DiffVy" and self.mu is not None and self.mu.is_zero():
+        if family == "DiffVy" and mu is not None and mu.is_zero():
             raise SpecError("mu must be nonzero for the y-cyclic family")
+        self.family = family
+        self.lam = lam
+        self.rho = rho
+        self.alpha = alpha
+        self.alpha_x = alpha_x
+        self.alpha_y = alpha_y
+        self.lam_scalar = lam_scalar
+        self.mu = mu
+        self.t = t
+        self.n = n
+        self.d = d
+        self.alpha_pow = alpha_pow
+        self.alpha_x_pow = alpha_x_pow
+        self.coupling = coupling
+
+    def __eq__(self, other):
+        if not isinstance(other, SimpleParams):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def describe(self) -> dict:
         out = {"family": self.family}
@@ -626,8 +645,7 @@ class SimpleParams:
             v = getattr(self, name)
             if v is not None:
                 out[name] = cyclotomic_to_literal(v)
-        for name in ("t", "n", "d"):
-            v = getattr(self, name)
+        for name, v in (("t", self.t), ("n", self.n), ("d", self.d)):
             if v is not None:
                 out[name] = v
         return out

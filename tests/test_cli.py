@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from orehopf.abgroup import Character, SubgroupCharacter
 from orehopf.cyclotomic import Cyclotomic
-from orehopf.cli import (MAX_CONDUCTOR, MAX_DEGREE, MAX_MODULE_DIM, config_from_dict,
-                         main, parse_config, ConfigError)
+from orehopf.cli import (MAX_CONDUCTOR, MAX_DEGREE, MAX_MODULE_DIM, MAX_SAMPLES,
+                         config_from_dict, main, parse_config, ConfigError)
 from orehopf.exprparse import (MAX_TERM_DEGREE, ParseError, element_to_expr,
                                parse_element, serialize_element)
 from orehopf.reps import ModuleRep, build_Vx_diff, build_Vx_skew, conjugate
@@ -260,12 +260,18 @@ CONFIG_BASES = dict(
                   quotient={"lambda1": 1, "lambda2": "-1/2"}))
 
 # every subcommand that loads a config, as the arguments after the config
-# path; module build builds a torsion character of the base's group
+# path; module build builds a torsion character of the base's group.  The two
+# commands that take --samples get a drawn value after these.
 CONFIG_COMMANDS = {
     "validate": [], "nf": ["x*y + 2"], "coproduct": ["x*y + 2"],
     "antipode": ["x*y + 2", "--power", "3"],
-    "hopf-check": ["--samples", "1", "--max-degree", "1"], "quotient-check": [],
+    "hopf-check": ["--max-degree", "1"], "quotient-check": [],
     "module-build": None}
+
+# --samples values on both sides of both bounds; MAX_SAMPLES itself is
+# exercised by test_samples_is_bounded, since a config edited to conductor 420
+# would make a run at the bound slow
+_SAMPLES = st.sampled_from([-1, 0, 1, MAX_SAMPLES + 1, 10 ** 9])
 
 _DROP = "<drop>"
 _CONFIG_VALUES = st.one_of(
@@ -315,8 +321,8 @@ def config_fuzz_dir(tmp_path_factory):
 @settings(max_examples=200, deadline=None)
 @given(base=st.sampled_from(sorted(CONFIG_BASES)),
        command=st.sampled_from(sorted(CONFIG_COMMANDS)),
-       edits=st.lists(_CONFIG_EDITS, max_size=3))
-def test_config_commands_fuzz(config_fuzz_dir, base, command, edits):
+       edits=st.lists(_CONFIG_EDITS, max_size=3), samples=_SAMPLES)
+def test_config_commands_fuzz(config_fuzz_dir, base, command, edits, samples):
     data = copy.deepcopy(CONFIG_BASES[base])
     for edit in edits:
         data = _edit_config(data, edit)
@@ -328,11 +334,16 @@ def test_config_commands_fuzz(config_fuzz_dir, base, command, edits):
                 "--params", json.dumps({"lam": lam})]
     else:
         argv = [command, str(path)] + CONFIG_COMMANDS[command]
+    if command in ("hopf-check", "quotient-check"):
+        argv += ["--samples", str(samples)]
     code, payload = contract_run(argv)
     if command == "module-build" and code == 0:
         assert sorted(payload) == ["config", "family", "module", "params"], edits
     else:
         assert payload["status"] == STATUS[code], edits
+    # --samples is checked before the config is read
+    if "--samples" in argv and not 1 <= samples <= MAX_SAMPLES:
+        assert code == 2 and "--samples must be" in payload["facts"]["error"], argv
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +576,19 @@ def test_hopf_check_deterministic(write_config, capsys):
     code, out2, _ = run(capsys, "hopf-check", path, "--samples", "5",
                         "--seed", "3")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command", ["hopf-check", "quotient-check"])
+def test_samples_is_bounded(write_config, capsys, command):
+    assert MAX_SAMPLES == 1000
+    path = write_config(U1)
+    for value in (str(MAX_SAMPLES + 1), "10000000000"):
+        code, out, err = timed_run(capsys, 5, command, path, "--samples", value)
+        assert code == 2 and out["status"] == "error"
+        assert "--samples must be at most 1000" in err
+    code, out, _ = timed_run(capsys, 20, command, path, "--samples", str(MAX_SAMPLES),
+                             *(["--max-degree", "0"] if command == "hopf-check" else []))
+    assert code == 0
 
 
 @pytest.mark.parametrize("command", ["hopf-check", "quotient-check"])

@@ -1,6 +1,9 @@
 """Static checks on the library source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -269,3 +272,26 @@ def test_the_parameter_check_sees_unset_defaults():
     assert _unset_parameters({"a.py": tree}, [tree, calls]) == [
         ("a.py", 1, "f", "b"), ("a.py", 1, "f", "d"), ("a.py", 5, "K", "y"),
         ("a.py", 8, "m", "z")]
+
+
+def _newly_loaded(statement):
+    """Names of the modules that running statement adds to sys.modules, in
+    a fresh interpreter started with -S and with src/ as PYTHONPATH."""
+    probe = ("import sys\nbefore = set(sys.modules)\n" + statement
+             + "\nprint(' '.join(sorted(set(sys.modules) - before)))\n")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    return set(out.stdout.split())
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # every CLI call imports the package, and dataclasses would bring in
+    # inspect, ast, dis and tokenize with it
+    loaded = _newly_loaded("import orehopf.cli")
+    assert "orehopf.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
+
+
+def test_the_import_probe_sees_a_loaded_module():
+    assert {"dataclasses", "inspect"} <= _newly_loaded("import dataclasses")

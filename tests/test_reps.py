@@ -1,6 +1,5 @@
 """Module layer: constructors, certificates, isomorphism, classification."""
 
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,7 +13,7 @@ from orehopf.cyclotomic import Cyclotomic, euler_phi, root_of_unity, split_prime
 from orehopf.hopfcore import Mode, SpecError, cyclotomic_to_literal, validate_spec, wind
 from orehopf.linalg import (ModularSpan, SpanBasis, identity, inverse, mat_mul,
                             mat_scale, zeros)
-from orehopf.reps import (ClassifyError, ModuleRep, SimpleParams,
+from orehopf.reps import (ClassifyError, IsoResult, ModuleRep, SimpleParams,
                           _intertwiner_space,
                           are_isomorphic, build_induced_skew, build_simple,
                           build_torsion_char, build_Vbar_diff, build_Vx_diff,
@@ -497,12 +496,14 @@ def test_iso_criterion_reads_diff_vy_parameters_by_classification():
     assert px.family == "DiffVx"
     assert are_isomorphic(My, build_simple(px, spec)).status == "isomorphic"
     assert iso_criterion(py, px, spec) and iso_criterion(px, py, spec)
-    moved = dataclasses.replace(px, mu=px.mu + scalar(spec, 1))
+    moved = SimpleParams(family="DiffVx", rho=px.rho, lam_scalar=px.lam_scalar,
+                         mu=px.mu + scalar(spec, 1), n=px.n)
     assert are_isomorphic(My, build_simple(moved, spec)).status == "not_isomorphic"
     assert not iso_criterion(py, moved, spec) and not iso_criterion(moved, py, spec)
     # lam = 0: x is nilpotent, the module is DiffVy alone and no DiffVx
     # module is isomorphic to it
-    pn = dataclasses.replace(py, lam_scalar=Cyclotomic.zero(N))
+    pn = SimpleParams(family="DiffVy", rho=rho, lam_scalar=Cyclotomic.zero(N),
+                      mu=py.mu)
     Mn = build_simple(pn, spec)
     assert classify_simple(Mn, spec).family == "DiffVy"
     assert are_isomorphic(Mn, build_simple(px, spec)).status == "not_isomorphic"
@@ -573,10 +574,26 @@ def test_classify_round_trip_diff_families():
 
 
 def test_simple_params_validation():
-    with pytest.raises(SpecError, match="alpha must be nonzero"):
-        SimpleParams(family="SkewVx", alpha=Cyclotomic.zero(4))
+    zero = Cyclotomic.zero(4)
+    for family in ("SkewVx", "SkewVy"):
+        with pytest.raises(SpecError, match="alpha must be nonzero"):
+            SimpleParams(family=family, alpha=zero)
     with pytest.raises(SpecError, match="lambda must be nonzero"):
-        SimpleParams(family="DiffVx", lam_scalar=Cyclotomic.zero(4))
+        SimpleParams(family="DiffVx", lam_scalar=zero)
+    with pytest.raises(SpecError, match="mu must be nonzero"):
+        SimpleParams(family="DiffVy", mu=zero)
+    # the families that allow a zero keep it
+    assert SimpleParams(family="DiffVy", lam_scalar=zero).lam_scalar is zero
+    assert SimpleParams(family="DiffVx", mu=zero).mu is zero
+    with pytest.raises(TypeError):
+        SimpleParams(family="DiffVx", lam=None, nu=zero)
+
+
+def test_iso_result_truth_is_its_status():
+    assert IsoResult("isomorphic", witness=[[1]])
+    assert IsoResult("isomorphic")
+    assert not IsoResult("not_isomorphic", detail="no nonzero intertwiner")
+    assert not IsoResult("unknown", detail="none invertible")
 
 
 def test_are_isomorphic_dimension_mismatch():
@@ -1316,7 +1333,9 @@ def test_classify_raises_when_the_krylov_check_fails(monkeypatch):
     krylov = _counting_krylov(monkeypatch)
 
     def rebuild_with_a_wrong_mu(params, spec, _build=build_simple):
-        return _build(dataclasses.replace(params, mu=params.mu + 3), spec)
+        return _build(SimpleParams(family=params.family, rho=params.rho,
+                                   lam_scalar=params.lam_scalar, mu=params.mu + 3,
+                                   n=params.n), spec)
 
     rng = random.Random(8)
     # the DiffVx and DiffVy modules, as conjugates
