@@ -22,7 +22,10 @@ from .report import Report
 
 class CatalogEntry:
     """A built catalog instance: its spec, its quotient and module where the
-    entry has them, and the report of its regression facts."""
+    entry has them, and the report of its regression facts.
+
+    Exported in ``orehopf.__all__``; equal entries have equal fields, as
+    when this was a dataclass."""
 
     def __init__(self, name: str, spec: AlgebraSpec, quotient: QuotientSpec | None,
                  module: ModuleRep | None, report: Report):

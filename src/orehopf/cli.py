@@ -66,7 +66,10 @@ MAX_CONDUCTOR = 420
 MAX_DEGREE = 8
 
 # hopf-check draws and checks each sample afresh: at --max-degree 8, 1000
-# samples take 15 to 25 s on the catalog specs u1, diff-z2 and taft.
+# samples take 15 to 25 s on the catalog specs u1, diff-z2 and taft, whose
+# conductors are 2 to 12.  A sample's cost grows with the field, and near
+# conductor 420 one sample of degree 8 can take minutes, so this bounds the
+# count, not the run time.
 MAX_SAMPLES = 1000
 
 # rep_check is cheap at any size, but the exact Burnside closure spans up to

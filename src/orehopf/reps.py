@@ -415,7 +415,10 @@ def is_simple_burnside(M: ModuleRep) -> Report:
 class IsoResult:
     """Outcome of the intertwiner search between two modules: status is
     "isomorphic" (witness is an invertible intertwiner), "not_isomorphic" or
-    "unknown", with a reason in detail."""
+    "unknown", with a reason in detail.
+
+    Exported in ``orehopf.__all__``; equal results have equal fields, as
+    when this was a dataclass."""
 
     def __init__(self, status: str, witness: list | None = None, detail: str = ""):
         self.status = status

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from orehopf.catalog import (catalog_entry, catalog_names,
+from orehopf.catalog import (CatalogEntry, catalog_entry, catalog_names,
                              fantino_garcia_core, generalized_taft,
                              wang_wu_tan)
 from orehopf.hopfcore import Mode, SpecError
+from orehopf.report import Report
 
 
 def test_all_entries_pass():
@@ -18,6 +19,14 @@ def test_all_entries_pass():
         entry = catalog_entry(name)
         assert entry.report.passed, (name, entry.report.witnesses)
         assert entry.name == name
+
+
+def test_catalog_entries_with_equal_fields_are_equal():
+    spec = catalog_entry("u1").spec
+    entry = CatalogEntry("u1", spec, None, None, Report("u1", True, {"n": 1}))
+    assert entry == CatalogEntry("u1", spec, None, None, Report("u1", True, {"n": 1}))
+    assert entry != CatalogEntry("u1", spec, None, None, Report("u1", False, {"n": 1}))
+    assert entry != CatalogEntry("u2", spec, None, None, Report("u1", True, {"n": 1}))
 
 
 def test_unknown_entry():

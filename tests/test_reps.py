@@ -596,6 +596,12 @@ def test_iso_result_truth_is_its_status():
     assert not IsoResult("unknown", detail="none invertible")
 
 
+def test_iso_results_with_equal_fields_are_equal():
+    assert IsoResult("isomorphic", witness=[[1]]) == IsoResult("isomorphic", [[1]])
+    assert IsoResult("isomorphic", witness=[[1]]) != IsoResult("isomorphic", [[2]])
+    assert IsoResult("unknown", detail="a") != IsoResult("unknown", detail="b")
+
+
 def test_are_isomorphic_dimension_mismatch():
     spec = skew_sweep_spec(3)
     lam = kernel_char(spec, spec.chi, [0, 0])
