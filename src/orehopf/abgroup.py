@@ -54,10 +54,11 @@ class AbelianGroup:
     """Z^free_rank x prod Z/n_i with generator order: free then torsion.
 
     _elements maps each reduced exponent tuple to the one GroupElement made
-    for it by this group object.
+    for it by this group object; _identity is its identity element, which
+    GroupElement.__mul__ passes through without a lookup.
     """
 
-    __slots__ = ("free_rank", "torsion_orders", "ngens", "_elements")
+    __slots__ = ("free_rank", "torsion_orders", "ngens", "_elements", "_identity")
 
     def __init__(self, free_rank: int, torsion_orders=()):
         if not _is_int(free_rank) or free_rank < 0:
@@ -69,6 +70,7 @@ class AbelianGroup:
         object.__setattr__(self, "torsion_orders", torsion)
         object.__setattr__(self, "ngens", free_rank + len(torsion))
         object.__setattr__(self, "_elements", {})
+        object.__setattr__(self, "_identity", _new_element(self, [0] * self.ngens))
 
     def __setattr__(self, name, value):
         raise AttributeError("AbelianGroup is immutable")
@@ -92,7 +94,7 @@ class AbelianGroup:
         return _new_element(self, exps)
 
     def identity(self) -> "GroupElement":
-        return _new_element(self, [0] * self.ngens)
+        return self._identity
 
     def generator(self, i: int) -> "GroupElement":
         exps = [0] * self.ngens
@@ -137,8 +139,13 @@ class GroupElement:
 
     def __mul__(self, other):
         group = self.group
-        if other.__class__ is not GroupElement or (other.group is not group
-                                                   and other.group != group):
+        if other.__class__ is GroupElement and other.group is group:
+            # the product stays in self's group object, as _new_element's would
+            if other is group._identity:
+                return self
+            if self is group._identity:
+                return other
+        elif other.__class__ is not GroupElement or other.group != group:
             raise ValueError("group elements belong to different groups")
         return _new_element(group, map(add, self.exps, other.exps))
 

@@ -1,10 +1,11 @@
 """Prebuilt algebra instances with machine-checked regression facts.
 
-Each entry builds a spec (and where applicable a quotient or a module),
-evaluates a list of exact facts about it, and returns everything bundled
-with a report.  A fact is either a check that can fail, such as a defining
-identity of the source construction, so that a failing fact means the
-library broke, or a plain value (an order, a rank, a dimension).
+Each entry checks its parameters and builds a spec (and where applicable a
+quotient or a module) when it is made; its list of exact facts runs on the
+first read of the entry's report, once.  A fact is either a check that can
+fail, such as a defining identity of the source construction, so that a
+failing fact means the library broke, or a plain value (an order, a rank,
+a dimension).
 """
 
 from math import gcd
@@ -24,16 +25,26 @@ class CatalogEntry:
     """A built catalog instance: its spec, its quotient and module where the
     entry has them, and the report of its regression facts.
 
+    report is a Report, or a function of no arguments that returns one.
+    The builders pass the function that runs their facts, so the facts run
+    on the first read of ``report``, once, and the Report is kept.
     Exported in ``orehopf.__all__``; equal entries have equal fields, as
-    when this was a dataclass."""
+    when this was a dataclass, so ``==`` and ``bool`` read the report and
+    run the facts if they have not run yet."""
 
     def __init__(self, name: str, spec: AlgebraSpec, quotient: QuotientSpec | None,
-                 module: ModuleRep | None, report: Report):
+                 module: ModuleRep | None, report):
         self.name = name
         self.spec = spec
         self.quotient = quotient
         self.module = module
-        self.report = report
+        self._report = report
+
+    @property
+    def report(self) -> Report:
+        if not isinstance(self._report, Report):
+            self._report = self._report()
+        return self._report
 
     def __eq__(self, other):
         if not isinstance(other, CatalogEntry):
@@ -56,9 +67,16 @@ class _Facts:
             self.witnesses.append({"fact": name})
         return passed
 
-    def report(self, name: str) -> Report:
-        return Report(name=f"catalog:{name}", passed=not self.witnesses,
-                      facts=self.facts, witnesses=self.witnesses)
+
+def _entry(name: str, spec: AlgebraSpec, quotient: QuotientSpec | None,
+           module: ModuleRep | None, facts) -> CatalogEntry:
+    """The entry whose report runs facts(f) on a fresh _Facts f."""
+    def report():
+        f = _Facts()
+        facts(f)
+        return Report(name=f"catalog:{name}", passed=not f.witnesses,
+                      facts=f.facts, witnesses=f.witnesses)
+    return CatalogEntry(name, spec, quotient, module, report)
 
 
 def takeuchi_u1() -> CatalogEntry:
@@ -68,19 +86,20 @@ def takeuchi_u1() -> CatalogEntry:
     b = group.generator(0)
     chi = Character(group, 2, [1])
     spec = validate_spec(group, chi, chi, b, b, -1)
-    f = _Facts()
-    f.check("mode", spec.mode is Mode.DIFFERENTIAL_OPERATOR, spec.mode.value)
-    minus_one = Cyclotomic.rational(2, -1)
-    f.check("q_is_minus_one", spec.q == minus_one)
-    lhs = spec.y() * spec.x()
-    rhs = (spec.x() * spec.y()).scale(minus_one) \
-        + spec.group_element(b ** 2) - spec.one()
-    f.check("relation_yx", lhs == rhs)
-    hopf = hopf_axiom_check(spec, sample_count=10, max_degree=3, seed=0)
-    f.check("hopf_axioms", hopf.passed, hopf.facts.get("samples"))
-    cov = change_of_variables_check(spec)
-    f.check("change_of_variables", cov.passed)
-    return CatalogEntry("u1", spec, None, None, f.report("u1"))
+
+    def facts(f):
+        f.check("mode", spec.mode is Mode.DIFFERENTIAL_OPERATOR, spec.mode.value)
+        minus_one = Cyclotomic.rational(2, -1)
+        f.check("q_is_minus_one", spec.q == minus_one)
+        lhs = spec.y() * spec.x()
+        rhs = (spec.x() * spec.y()).scale(minus_one) \
+            + spec.group_element(b ** 2) - spec.one()
+        f.check("relation_yx", lhs == rhs)
+        hopf = hopf_axiom_check(spec, sample_count=10, max_degree=3, seed=0)
+        f.check("hopf_axioms", hopf.passed, hopf.facts.get("samples"))
+        cov = change_of_variables_check(spec)
+        f.check("change_of_variables", cov.passed)
+    return _entry("u1", spec, None, None, facts)
 
 
 def generalized_taft(N: int, a_matrix) -> CatalogEntry:
@@ -101,42 +120,43 @@ def generalized_taft(N: int, a_matrix) -> CatalogEntry:
     b = g ** (-a21)
     c = g ** (-a11)
     spec = validate_spec(group, chi, eta, b, c, 0)
-    f = _Facts()
-    f.check("mode", spec.mode is Mode.SKEW_GROUP_RING, spec.mode.value)
-    # primed variables: y' = x * b^{-1}, x' = c^{-1} * y
-    yp = spec.x() * spec.group_element(b.inverse())
-    xp = spec.group_element(c.inverse()) * spec.y()
-    f.check("primed_commutation",
-            xp * yp == (yp * xp).scale(spec.chi.eval(c)))
-    f.check("coproduct_yp",
-            comultiply(yp) == TensorElem.of(yp, spec.group_element(g ** a21))
-            + TensorElem.of(spec.one(), yp))
-    f.check("coproduct_xp",
-            comultiply(xp) == TensorElem.of(xp, spec.group_element(g ** a11))
-            + TensorElem.of(spec.one(), xp))
-    f.check("counit_primed",
-            counit(xp).is_zero() and counit(yp).is_zero())
-    f.check("antipode_xp",
-            antipode(xp) == (xp * spec.group_element(g ** (-a11))).scale(
-                Cyclotomic.rational(N, -1)))
-    f.check("antipode_yp",
-            antipode(yp) == (yp * spec.group_element(g ** (-a21))).scale(
-                Cyclotomic.rational(N, -1)))
     qs = QuotientSpec(spec, 0, 0)
-    ideal = hopf_ideal_check(qs)
-    f.check("hopf_ideal", ideal.passed)
-    f.facts["quotient_rank"] = quotient_basis(qs)["rank"]
-    # chi(b) = zeta^(a21 a22) and eta(c) = zeta^(a11 a12); with lambda = 0,
-    # x^n and y^m lie in the ideal and x^(n-1), y^(m-1) do not
-    x, y = spec.x(), spec.y()
-    f.check("nilpotency_orders",
-            (qs.n, qs.m) == (N // gcd(a21 * a22, N), N // gcd(a11 * a12, N))
-            and q_reduce(x ** qs.n, qs).is_zero()
-            and q_reduce(y ** qs.m, qs).is_zero()
-            and not q_reduce(x ** (qs.n - 1), qs).is_zero()
-            and not q_reduce(y ** (qs.m - 1), qs).is_zero(),
-            {"N_x": qs.n, "N_y": qs.m})
-    return CatalogEntry("taft", spec, qs, None, f.report("taft"))
+
+    def facts(f):
+        f.check("mode", spec.mode is Mode.SKEW_GROUP_RING, spec.mode.value)
+        # primed variables: y' = x * b^{-1}, x' = c^{-1} * y
+        yp = spec.x() * spec.group_element(b.inverse())
+        xp = spec.group_element(c.inverse()) * spec.y()
+        f.check("primed_commutation",
+                xp * yp == (yp * xp).scale(spec.chi.eval(c)))
+        f.check("coproduct_yp",
+                comultiply(yp) == TensorElem.of(yp, spec.group_element(g ** a21))
+                + TensorElem.of(spec.one(), yp))
+        f.check("coproduct_xp",
+                comultiply(xp) == TensorElem.of(xp, spec.group_element(g ** a11))
+                + TensorElem.of(spec.one(), xp))
+        f.check("counit_primed",
+                counit(xp).is_zero() and counit(yp).is_zero())
+        f.check("antipode_xp",
+                antipode(xp) == (xp * spec.group_element(g ** (-a11))).scale(
+                    Cyclotomic.rational(N, -1)))
+        f.check("antipode_yp",
+                antipode(yp) == (yp * spec.group_element(g ** (-a21))).scale(
+                    Cyclotomic.rational(N, -1)))
+        ideal = hopf_ideal_check(qs)
+        f.check("hopf_ideal", ideal.passed)
+        f.facts["quotient_rank"] = quotient_basis(qs)["rank"]
+        # chi(b) = zeta^(a21 a22) and eta(c) = zeta^(a11 a12); with lambda = 0,
+        # x^n and y^m lie in the ideal and x^(n-1), y^(m-1) do not
+        x, y = spec.x(), spec.y()
+        f.check("nilpotency_orders",
+                (qs.n, qs.m) == (N // gcd(a21 * a22, N), N // gcd(a11 * a12, N))
+                and q_reduce(x ** qs.n, qs).is_zero()
+                and q_reduce(y ** qs.m, qs).is_zero()
+                and not q_reduce(x ** (qs.n - 1), qs).is_zero()
+                and not q_reduce(y ** (qs.m - 1), qs).is_zero(),
+                {"N_x": qs.n, "N_y": qs.m})
+    return _entry("taft", spec, qs, None, facts)
 
 
 def wang_wu_tan(n: int, n1: int, beta1, beta2, beta3) -> CatalogEntry:
@@ -155,42 +175,44 @@ def wang_wu_tan(n: int, n1: int, beta1, beta2, beta3) -> CatalogEntry:
     chi = Character(group, n, [1 % n, (-n1) % n, (-n1) % n])
     eta = chi.inverse()
     spec = validate_spec(group, chi, eta, e, fgen, beta3)
-    f = _Facts()
-    an1 = spec.group_element(a ** n1)
-    X = spec.x() * an1
-    Y = an1 * spec.y()
-    b_w = e * a ** n1
-    c_w = fgen * a ** n1
-    lhs = Y * X
-    rhs = (X * Y).scale(root_of_unity(n, -n1)) \
-        + (spec.group_element(a ** (2 * n1))
-           - spec.group_element(c_w * b_w)).scale(spec.beta)
-    f.check("translated_cross_relation", lhs == rhs)
-    f.check("coproduct_X",
-            comultiply(X) == TensorElem.of(X, an1)
-            + TensorElem.of(spec.group_element(b_w), X))
-    f.check("coproduct_Y",
-            comultiply(Y) == TensorElem.of(Y, an1)
-            + TensorElem.of(spec.group_element(c_w), Y))
     sign_x = root_of_unity(n, n1 * n * (n + 1) // 2)
-    f.facts["xn_sign"] = {"zeta_exponent": (n1 * n * (n + 1) // 2) % n}
-    f.check("Xn_translation",
-            X ** n == (spec.group_element(a ** (n * n1))
-                       * spec.x() ** n).scale(sign_x))
     sign_y = root_of_unity(n, -n1 * n * (n - 1) // 2)
-    f.check("Yn_translation",
-            Y ** n == (spec.group_element(a ** (n * n1))
-                       * spec.y() ** n).scale(sign_y))
     qs = None
     p_order = spec.chi.eval(e).multiplicative_order()
     if p_order is not None and p_order > 1:
         qs = QuotientSpec(spec, sign_x.inverse() * spec.scalar(beta1),
                           sign_y.inverse() * spec.scalar(beta2))
-        ideal = hopf_ideal_check(qs)
-        f.check("hopf_ideal", ideal.passed)
-    else:
-        f.facts["quotient_skipped"] = "chi(e) has order 1"
-    return CatalogEntry("wwt", spec, qs, None, f.report("wwt"))
+
+    def facts(f):
+        an1 = spec.group_element(a ** n1)
+        X = spec.x() * an1
+        Y = an1 * spec.y()
+        b_w = e * a ** n1
+        c_w = fgen * a ** n1
+        lhs = Y * X
+        rhs = (X * Y).scale(root_of_unity(n, -n1)) \
+            + (spec.group_element(a ** (2 * n1))
+               - spec.group_element(c_w * b_w)).scale(spec.beta)
+        f.check("translated_cross_relation", lhs == rhs)
+        f.check("coproduct_X",
+                comultiply(X) == TensorElem.of(X, an1)
+                + TensorElem.of(spec.group_element(b_w), X))
+        f.check("coproduct_Y",
+                comultiply(Y) == TensorElem.of(Y, an1)
+                + TensorElem.of(spec.group_element(c_w), Y))
+        f.facts["xn_sign"] = {"zeta_exponent": (n1 * n * (n + 1) // 2) % n}
+        f.check("Xn_translation",
+                X ** n == (spec.group_element(a ** (n * n1))
+                           * spec.x() ** n).scale(sign_x))
+        f.check("Yn_translation",
+                Y ** n == (spec.group_element(a ** (n * n1))
+                           * spec.y() ** n).scale(sign_y))
+        if qs is not None:
+            ideal = hopf_ideal_check(qs)
+            f.check("hopf_ideal", ideal.passed)
+        else:
+            f.facts["quotient_skipped"] = "chi(e) has order 1"
+    return _entry("wwt", spec, qs, None, facts)
 
 
 def fantino_garcia_core(m: int, i: int, lam) -> CatalogEntry:
@@ -208,23 +230,23 @@ def fantino_garcia_core(m: int, i: int, lam) -> CatalogEntry:
     b = h ** i
     c = h ** (-i)
     spec = validate_spec(group, chi, chi, b, c, 0)
-    f = _Facts()
-    minus_one = Cyclotomic.rational(2, -1)
-    f.check("q_is_minus_one", spec.chi.eval(b) == minus_one)
-    f.check("relation_vu",
-            spec.y() * spec.x() == (spec.x() * spec.y()).scale(minus_one))
-    h_elem = spec.group_element(h)
-    f.check("relation_uh",
-            spec.x() * h_elem == (h_elem * spec.x()).scale(minus_one))
     lam_c = spec.scalar(lam)
     qs = QuotientSpec(spec, lam_c, lam_c)
-    f.check("quotient_exponents", qs.n == 2 and qs.m == 2,
-            {"n": qs.n, "m": qs.m})
-    ideal = hopf_ideal_check(qs)
-    f.check("hopf_ideal", ideal.passed)
-    f.facts["dimension_over_field"] = quotient_basis(qs)["dimension_over_field"]
-    return CatalogEntry("fantino-garcia", spec, qs, None,
-                        f.report("fantino-garcia"))
+
+    def facts(f):
+        minus_one = Cyclotomic.rational(2, -1)
+        f.check("q_is_minus_one", spec.chi.eval(b) == minus_one)
+        f.check("relation_vu",
+                spec.y() * spec.x() == (spec.x() * spec.y()).scale(minus_one))
+        h_elem = spec.group_element(h)
+        f.check("relation_uh",
+                spec.x() * h_elem == (h_elem * spec.x()).scale(minus_one))
+        f.check("quotient_exponents", qs.n == 2 and qs.m == 2,
+                {"n": qs.n, "m": qs.m})
+        ideal = hopf_ideal_check(qs)
+        f.check("hopf_ideal", ideal.passed)
+        f.facts["dimension_over_field"] = quotient_basis(qs)["dimension_over_field"]
+    return _entry("fantino-garcia", spec, qs, None, facts)
 
 
 def klein_example() -> CatalogEntry:
@@ -237,22 +259,23 @@ def klein_example() -> CatalogEntry:
     chi = Character(group, 2, [0, 1])
     eta = Character(group, 2, [1, 0])
     spec = validate_spec(group, chi, eta, b, c, 0)
-    f = _Facts()
-    f.check("mode", spec.mode is Mode.SKEW_GROUP_RING, spec.mode.value)
     sub = joint_kernel([chi, eta])
-    f.check("joint_kernel_trivial", sub.index() == 4, sub.index())
     lam = SubgroupCharacter(sub, 2, [0] * len(sub.hermite_generators()))
     one = Cyclotomic.one(2)
     module = build_induced_skew([one, one], lam, spec)
-    f.check("dim", module.dim == 4, module.dim)
-    f.check("rep_check", rep_check(module, spec).passed)
-    burnside = is_simple_burnside(module)
-    f.check("burnside_span", burnside.facts["span_dimension"] == 16,
-            burnside.facts["span_dimension"])
-    prof = torsion_profile(module)
-    f.check("torsion_profile",
-            prof == {"x": "TorsionFree", "y": "TorsionFree"}, prof)
-    return CatalogEntry("klein", spec, None, module, f.report("klein"))
+
+    def facts(f):
+        f.check("mode", spec.mode is Mode.SKEW_GROUP_RING, spec.mode.value)
+        f.check("joint_kernel_trivial", sub.index() == 4, sub.index())
+        f.check("dim", module.dim == 4, module.dim)
+        f.check("rep_check", rep_check(module, spec).passed)
+        burnside = is_simple_burnside(module)
+        f.check("burnside_span", burnside.facts["span_dimension"] == 16,
+                burnside.facts["span_dimension"])
+        prof = torsion_profile(module)
+        f.check("torsion_profile",
+                prof == {"x": "TorsionFree", "y": "TorsionFree"}, prof)
+    return _entry("klein", spec, None, module, facts)
 
 
 def skew_z2() -> CatalogEntry:
@@ -264,13 +287,14 @@ def skew_z2() -> CatalogEntry:
     chi = Character(group, 4, [0, 1])
     eta = Character(group, 4, [3, 1])
     spec = validate_spec(group, chi, eta, b, c, 0)
-    f = _Facts()
-    f.check("mode", spec.mode is Mode.SKEW_GROUP_RING, spec.mode.value)
-    hopf = hopf_axiom_check(spec, sample_count=10, max_degree=3, seed=0)
-    f.check("hopf_axioms", hopf.passed)
-    cov = change_of_variables_check(spec)
-    f.check("change_of_variables", cov.passed)
-    return CatalogEntry("skew-z2", spec, None, None, f.report("skew-z2"))
+
+    def facts(f):
+        f.check("mode", spec.mode is Mode.SKEW_GROUP_RING, spec.mode.value)
+        hopf = hopf_axiom_check(spec, sample_count=10, max_degree=3, seed=0)
+        f.check("hopf_axioms", hopf.passed)
+        cov = change_of_variables_check(spec)
+        f.check("change_of_variables", cov.passed)
+    return _entry("skew-z2", spec, None, None, facts)
 
 
 def diff_z2() -> CatalogEntry:
@@ -282,16 +306,15 @@ def diff_z2() -> CatalogEntry:
     chi = Character(group, 3, [2, 2])
     eta = chi.inverse()
     spec = validate_spec(group, chi, eta, b, c, 1)
-    f = _Facts()
-    f.check("mode", spec.mode is Mode.DIFFERENTIAL_OPERATOR, spec.mode.value)
-    f.check("q_value", spec.q == root_of_unity(3, 1))
-    hopf = hopf_axiom_check(spec, sample_count=10, max_degree=3, seed=0)
-    f.check("hopf_axioms", hopf.passed)
-    cov = change_of_variables_check(spec)
-    f.check("change_of_variables", cov.passed)
-    return CatalogEntry("diff-z2", spec, None, None, f.report("diff-z2"))
 
-
+    def facts(f):
+        f.check("mode", spec.mode is Mode.DIFFERENTIAL_OPERATOR, spec.mode.value)
+        f.check("q_value", spec.q == root_of_unity(3, 1))
+        hopf = hopf_axiom_check(spec, sample_count=10, max_degree=3, seed=0)
+        f.check("hopf_axioms", hopf.passed)
+        cov = change_of_variables_check(spec)
+        f.check("change_of_variables", cov.passed)
+    return _entry("diff-z2", spec, None, None, facts)
 _DEFAULTS = {
     "u1": takeuchi_u1,
     "taft": lambda: generalized_taft(5, ((1, 2), (1, 3))),

@@ -56,8 +56,9 @@ from math import lcm
 from random import Random
 
 from .abgroup import AbelianGroup, Character, GroupElement, _is_int
-from .cyclotomic import (Cyclotomic, _coerce_coeff, _q_binomial_row, q_int,
-                         root_of_unity, zeta_log)
+from .cyclotomic import (Cyclotomic, _canonical, _coerce_coeff, _fold,
+                         _q_binomial_row, euler_phi, q_int, root_of_unity,
+                         zeta_log)
 from .report import Report
 
 
@@ -702,15 +703,20 @@ def antipode(a: HopfElem) -> HopfElem:
 # -- randomized structural checks --
 
 def random_cyclotomic(spec: AlgebraSpec, rng: Random, nonzero=False) -> Cyclotomic:
+    """Up to min(N, 4) terms a zeta^k, a in [-2, 2] and k in [0, N), plus
+    an integer in [-3, 3] half the time, summed as one integer vector over
+    zeta^0 .. zeta^(N-1) and reduced once."""
     conductor = spec.conductor
+    phi = euler_phi(conductor)
     while True:
-        v = Cyclotomic.zero(conductor)
-        for k in range(min(conductor, 4)):
+        vec = [0] * conductor
+        for _ in range(min(conductor, 4)):
             a = rng.randint(-2, 2)
             if a:
-                v = v + root_of_unity(conductor, rng.randrange(conductor)) * a
+                vec[rng.randrange(conductor)] += a
         if rng.random() < 0.5:
-            v = v + rng.randint(-3, 3)
+            vec[0] += rng.randint(-3, 3)
+        v = _canonical(conductor, _fold(conductor, vec, phi), 1)
         if not (nonzero and v.is_zero()):
             return v
 
@@ -854,25 +860,28 @@ def change_of_variables_check(spec: AlgebraSpec, max_power: int = 8) -> Report:
         if zx - xz != e_elem:
             failures.append({"check": "z_x_commutator"})
         q = spec.chi.eval(spec.c).inverse()   # equals eta(b)
+        # running powers: x^(n-1), z^(n-1) from the step before, one
+        # product each for x^n, z^n
+        xprev = zprev = spec.one()
         for n in range(1, max_power + 1):
-            xn = spec.x() ** n
-            zn = spec.z() ** n
+            xn = multiply(xprev, x)
+            zn = multiply(zprev, z)
             lhs = multiply(z, xn) - multiply(xn, z)
             coeff = GroupAlgElem(spec.group, spec.conductor, {
                 cinv: q_int(n, q), spec.b: -q_int(n, q.inverse())})
-            rhs = multiply(spec.from_group_alg(coeff), spec.x() ** (n - 1))
+            rhs = multiply(spec.from_group_alg(coeff), xprev)
             if lhs != rhs:
                 failures.append({"check": "z_past_x_power", "n": n})
             lhs2 = multiply(x, zn) - multiply(zn, x)
             coeff2 = GroupAlgElem(spec.group, spec.conductor, {
                 spec.b: q_int(n, q), cinv: -q_int(n, q.inverse())})
-            rhs2 = multiply(spec.from_group_alg(coeff2), spec.z() ** (n - 1))
+            rhs2 = multiply(spec.from_group_alg(coeff2), zprev)
             if lhs2 != rhs2:
                 failures.append({"check": "x_past_z_power", "n": n})
-            wind_rhs = multiply(spec.x() ** (n - 1),
-                                spec.from_group_alg(wind(spec.e, n, spec)))
+            wind_rhs = multiply(xprev, spec.from_group_alg(wind(spec.e, n, spec)))
             if lhs != wind_rhs:
                 failures.append({"check": "winding_commutator", "n": n})
+            xprev, zprev = xn, zn
 
     return Report(name="change_of_variables_check", passed=not failures,
                   facts={"mode": spec.mode.value, "max_power": max_power},

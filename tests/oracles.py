@@ -16,7 +16,8 @@ primitive roots, q-factorials, centrality of powers, the transversal and
 2-cocycle of a cyclic quotient of the group, the enumeration of a finite
 group, character triviality and restriction, the raw-to-internal PBW
 conversion (inverse of HopfElem.raw_terms), the degree and K[G] parts of
-an element, entrywise matrix equality, the reduced row echelon form by a
+an element, a random field element drawn as a sum of field products,
+entrywise matrix equality, the reduced row echelon form by a
 column sweep, the intertwiner space and the torsion type of a matrix by
 exact elimination alone, a module's cross relation in H's internal form
 with rho(e) built from exact inverses, the order of the antipode by
@@ -28,7 +29,7 @@ from itertools import product
 
 from orehopf.abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
                              SubgroupCharacter)
-from orehopf.cyclotomic import Cyclotomic, divisors, q_int
+from orehopf.cyclotomic import Cyclotomic, divisors, q_int, root_of_unity
 from orehopf.hopfcore import (AlgebraSpec, GroupAlgElem, HopfElem, Mode,
                               TensorElem, antipode, multiply)
 from orehopf.linalg import identity, inverse, mat_mul
@@ -280,6 +281,22 @@ def group_part(a: HopfElem) -> GroupAlgElem:
     """The K[G] component (terms with i = j = 0)."""
     return GroupAlgElem(a.spec.group, a.spec.conductor,
                         {g: c for (g, i, j), c in a.terms.items() if i == j == 0})
+
+
+def random_cyclotomic_by_field_sums(spec: AlgebraSpec, rng, nonzero=False) -> Cyclotomic:
+    """hopfcore.random_cyclotomic's draws, summed term by term with field
+    products and sums."""
+    conductor = spec.conductor
+    while True:
+        v = Cyclotomic.zero(conductor)
+        for _ in range(min(conductor, 4)):
+            a = rng.randint(-2, 2)
+            if a:
+                v = v + root_of_unity(conductor, rng.randrange(conductor)) * a
+        if rng.random() < 0.5:
+            v = v + rng.randint(-3, 3)
+        if not (nonzero and v.is_zero()):
+            return v
 
 
 def mat_eq(A, B) -> bool:

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orehopf import abgroup
 from orehopf.abgroup import (AbelianGroup, Character, Subgroup,
                              SubgroupCharacter, char_kernel, joint_kernel)
 from orehopf.cyclotomic import Cyclotomic, root_of_unity
@@ -68,6 +69,25 @@ def test_group_products_match_element(data):
         g * 3
     with pytest.raises(ValueError):
         G.element(u + [0])
+
+
+def test_identity_factor_returns_the_other_factor(monkeypatch):
+    G = AbelianGroup(1, (4,))
+    g, e = G.element([2, 3]), G.identity()
+    assert e is G.identity() is G.element([0, 4])
+    monkeypatch.setattr(abgroup, "_new_element", None)
+    # no element is looked up or built: the shortcut returns a factor
+    assert g * e is g
+    assert e * g is g
+    assert e * e is e
+    monkeypatch.undo()
+    # a factor of an equal but distinct group object takes the general
+    # product, which stays in the left factor's group object
+    twin = AbelianGroup(1, (4,))
+    h = twin.element([2, 3])
+    assert e * h is g
+    assert h * twin.identity() is h
+    assert (h * e).group is twin and h * e == g
 
 
 def test_character_rejects_an_element_of_another_group():

@@ -1,9 +1,11 @@
 """Catalog entries: every prebuilt instance must certify itself."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from orehopf import catalog
 from orehopf.catalog import (CatalogEntry, catalog_entry, catalog_names,
                              fantino_garcia_core, generalized_taft,
                              wang_wu_tan)
@@ -29,6 +31,75 @@ def test_catalog_entries_with_equal_fields_are_equal():
     assert entry != CatalogEntry("u2", spec, None, None, Report("u1", True, {"n": 1}))
 
 
+# the functions of catalog.py that only the facts call
+FACT_CHECKS = ("hopf_axiom_check", "change_of_variables_check", "rep_check",
+               "is_simple_burnside", "hopf_ideal_check", "comultiply", "counit",
+               "antipode", "q_reduce", "quotient_basis", "torsion_profile")
+
+
+def _facts_raise(monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("a fact ran")
+    for name in FACT_CHECKS:
+        monkeypatch.setattr(catalog, name, fail)
+
+
+def test_entry_parts_are_built_without_running_facts(monkeypatch):
+    _facts_raise(monkeypatch)
+    for name in catalog_names():
+        entry = catalog_entry(name)
+        assert entry.name == name
+        assert entry.spec.conductor >= 2
+        assert (entry.quotient is not None) == (name in ("taft", "wwt", "fantino-garcia"))
+        assert (entry.module is not None) == (name == "klein")
+        with pytest.raises(RuntimeError, match="a fact ran"):
+            entry.report
+
+
+def _count_certificates(monkeypatch):
+    """A Counter of the calls the facts make to their five certificates."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("hopf_axiom_check", "change_of_variables_check", "rep_check",
+                 "is_simple_burnside", "hopf_ideal_check"):
+        monkeypatch.setattr(catalog, name, counted(name, getattr(catalog, name)))
+    return calls
+
+
+def test_report_runs_each_fact_once(monkeypatch):
+    calls = _count_certificates(monkeypatch)
+    expected = {"u1": ("hopf_axiom_check", "change_of_variables_check"),
+                "skew-z2": ("hopf_axiom_check", "change_of_variables_check"),
+                "diff-z2": ("hopf_axiom_check", "change_of_variables_check"),
+                "taft": ("hopf_ideal_check",), "wwt": ("hopf_ideal_check",),
+                "fantino-garcia": ("hopf_ideal_check",),
+                "klein": ("rep_check", "is_simple_burnside")}
+    for name in catalog_names():
+        calls.clear()
+        entry = catalog_entry(name)
+        assert not calls
+        report = entry.report
+        assert calls == Counter(expected[name]), name
+        assert entry.report is report and calls == Counter(expected[name])
+        assert report.name == f"catalog:{name}" and report.passed
+
+
+@pytest.mark.parametrize("force", [bool, lambda entry: entry == entry],
+                         ids=["bool", "eq"])
+def test_equality_and_truth_run_the_facts(monkeypatch, force):
+    entry = catalog_entry("u1")
+    calls = _count_certificates(monkeypatch)
+    assert force(entry) is True
+    assert calls["hopf_axiom_check"] == 1
+    assert entry.report.facts["hopf_axioms"] == 10 and calls["hopf_axiom_check"] == 1
+
+
 def test_unknown_entry():
     with pytest.raises(SpecError, match="unknown catalog entry"):
         catalog_entry("nope")
@@ -41,7 +112,9 @@ def test_u1_facts():
     assert entry.report.facts["relation_yx"] is True
 
 
-def test_taft_congruence_validation():
+def test_taft_congruence_validation(monkeypatch):
+    # the parameter checks run in the builder call, not with the facts
+    _facts_raise(monkeypatch)
     with pytest.raises(SpecError, match="a11 != a12"):
         generalized_taft(5, ((1, 1), (1, 3)))
     with pytest.raises(SpecError, match="a21 != a22"):
@@ -66,7 +139,9 @@ def test_taft_nilpotency_orders_at_a_composite_conductor():
     assert entry.report.facts["quotient_rank"] == 18
 
 
-def test_wwt_hypothesis_validation():
+def test_wwt_hypothesis_validation(monkeypatch):
+    # the parameter checks run in the builder call, not with the facts
+    _facts_raise(monkeypatch)
     with pytest.raises(SpecError, match="1 <= n1 <= n"):
         wang_wu_tan(3, 4, 1, 1, 1)
     with pytest.raises(SpecError, match="gcd\\(n, n1\\) odd"):
@@ -86,7 +161,9 @@ def test_wwt_alternate_parameters():
     assert entry.report.facts["quotient_skipped"] == "chi(e) has order 1"
 
 
-def test_fantino_garcia_validation():
+def test_fantino_garcia_validation(monkeypatch):
+    # the parameter checks run in the builder call, not with the facts
+    _facts_raise(monkeypatch)
     with pytest.raises(SpecError, match="m = 4t with t >= 3"):
         fantino_garcia_core(8, 1, 1)
     with pytest.raises(SpecError, match="m = 4t"):

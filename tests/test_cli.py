@@ -20,7 +20,8 @@ from orehopf.exprparse import (MAX_TERM_DEGREE, ParseError, element_to_expr,
 from orehopf.reps import ModuleRep, build_Vx_diff, build_Vx_skew, conjugate
 from orehopf.hopfcore import cyclotomic_to_literal, random_element
 from orehopf.linalg import inverse, mat_mul
-from orehopf.catalog import generalized_taft, takeuchi_u1
+from orehopf.catalog import (catalog_entry, catalog_names, generalized_taft,
+                             takeuchi_u1)
 
 from gen import diff_sweep_spec, quotient_sweep_spec, skew_sweep_spec
 
@@ -1161,11 +1162,13 @@ def test_catalog_list(capsys):
                                        "skew-z2", "taft", "u1", "wwt"]
 
 
-def test_catalog_entry(capsys):
-    code, out, _ = run(capsys, "catalog", "u1")
-    assert code == 0
-    assert out["facts"]["name"] == "u1"
-    assert out["facts"]["spec"]["conductor"] == 2
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_entry(capsys, name):
+    # run parses stdout as exactly one JSON object
+    code, out, _ = run(capsys, "catalog", name)
+    assert code == 0 and out["status"] == "pass"
+    assert out["facts"]["name"] == name
+    assert out["facts"]["spec"] == catalog_entry(name).spec.config_dict()
 
 
 def test_catalog_unknown(capsys):

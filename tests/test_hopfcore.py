@@ -11,15 +11,15 @@ from orehopf.cyclotomic import Cyclotomic, q_int, root_of_unity
 from orehopf import hopfcore
 from orehopf.hopfcore import (GroupAlgElem, HopfElem, Mode, SpecError, TensorElem, antipode,
                               antipode_order, change_of_variables_check, comultiply, counit,
-                              hopf_axiom_check, random_element, validate_spec,
-                              wind)
+                              hopf_axiom_check, random_cyclotomic, random_element,
+                              validate_spec, wind)
 from orehopf.catalog import catalog_entry, catalog_names, takeuchi_u1
 from orehopf.quotient import QuotientElem, QuotientSpec, q_reduce
 
 from gen import diff_sweep_spec, quotient_sweep_spec, skew_sweep_spec
 from oracles import (antipode_order_by_iteration, assert_product_matches,
                      centrality_check, from_raw_terms, group_part, max_degrees,
-                     tensor_multiply_by_pairs)
+                     random_cyclotomic_by_field_sums, tensor_multiply_by_pairs)
 
 
 def u1_spec():
@@ -496,6 +496,42 @@ def test_change_of_variables_reports():
     assert change_of_variables_check(skew_sweep_spec(3), max_power=4).passed
     assert change_of_variables_check(diff_sweep_spec(2), max_power=4).passed
     assert change_of_variables_check(u1_spec(), max_power=4).passed
+
+
+def test_change_of_variables_makes_a_fixed_number_of_products_per_power(monkeypatch):
+    # running powers: each n costs the same products, so the count is linear
+    # in max_power
+    calls = Counter()
+    multiply = hopfcore.multiply
+
+    def counted(a, b):
+        calls["multiply"] += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(hopfcore, "multiply", counted)
+    spec = catalog_entry("diff-z2").spec
+    counts = []
+    for max_power in (0, 4, 8):
+        calls.clear()
+        assert change_of_variables_check(spec, max_power=max_power).passed
+        counts.append(calls["multiply"])
+    assert counts[2] - counts[1] == counts[1] - counts[0] > 0
+
+
+@pytest.mark.parametrize("name", ["u1", "skew-z2", "diff-z2", "taft", "phi-6"])
+def test_random_cyclotomic_matches_field_sums(name):
+    # one integer vector reduced once gives the values of the term-by-term
+    # field sums, from the same draws in the same order
+    spec = skew_sweep_spec(7) if name == "phi-6" else catalog_entry(name).spec
+    for seed in range(5):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for k in range(400):
+            nonzero = k % 2 == 0
+            value = random_cyclotomic(spec, fast, nonzero=nonzero)
+            assert value == random_cyclotomic_by_field_sums(spec, slow, nonzero=nonzero)
+            assert value.conductor == spec.conductor
+            assert not (nonzero and value.is_zero())
+        assert fast.getstate() == slow.getstate()
 
 
 def test_centrality():
