@@ -7,10 +7,17 @@ row echelon basis, pivot normalized to 1 and cleared from the other rows.
 read its result, and `SpanBasis` keeps a basis for closure runs; on it
 `full_rank` decides invertibility with no inverse built.  The reduced
 echelon form of a row space is unique, so the order of insertion does
-not change it.  Sizes stay at desk scale (dimensions bounded by a few
-dozen), so no pivoting strategy beyond first-nonzero is needed.  A matrix
-product reads the nonzero entries of each row and column once and sums
-each entry's products in one pass, as `cyclotomic.dot` does.
+not change it.  Its three row operations (reducing the new row by each
+basis row, normalizing it, clearing its pivot from the other rows)
+multiply only nonzero entries: where the factor read from the other row
+is zero, x - f*0 and 0*inv equal the entry already there, so it is kept
+as it is and every result is the same value as with the dense update.
+Echelon rows, intertwiner rows, [A | I] augmentations and direct-sum
+closure vectors are mostly zeros.  Sizes stay at desk scale (dimensions
+bounded by a few dozen), so no pivoting strategy beyond first-nonzero is
+needed.  A matrix product reads the nonzero entries of each row and
+column once and sums each entry's products in one pass, as
+`cyclotomic.dot` does.
 
 `_insert_mod` is the same routine on integer lists mod the split prime p
 of the conductor (`cyclotomic.split_prime`), with the same pivot choice;
@@ -99,22 +106,23 @@ def is_zero_matrix(A) -> bool:
 
 def _insert(rows, pivots, vec) -> bool:
     """Add vec to the reduced echelon basis (rows, pivots) in place; returns
-    True when it enlarged the span."""
+    True when it enlarged the span.  Each row operation keeps an entry as
+    it is where the product it would add has a zero factor."""
     v = list(vec)
     for row, p in zip(rows, pivots):
         if not v[p].is_zero():
             f = v[p]
-            v = [x - f * y for x, y in zip(v, row)]
+            v = [x - f * y if y else x for x, y in zip(v, row)]
     p = next((i for i, x in enumerate(v) if not x.is_zero()), None)
     if p is None:
         return False
     inv = v[p].inverse()
-    v = [x * inv for x in v]
+    v = [x * inv if x else x for x in v]
     # keep the basis fully reduced so membership tests stay valid
     for i, row in enumerate(rows):
         if not row[p].is_zero():
             f = row[p]
-            rows[i] = [x - f * y for x, y in zip(row, v)]
+            rows[i] = [x - f * y if y else x for x, y in zip(row, v)]
     idx = next((i for i, q in enumerate(pivots) if q > p), len(pivots))
     rows.insert(idx, v)
     pivots.insert(idx, p)

@@ -6,13 +6,21 @@ x^i y^j, 0 <= i < n, 0 <= j < m.
 
 In the raw presentation x and y are (1, R)-skew-primitive, R = b and c, in
 both modes, so each variable v of order k has one generator
-v^k - lambda(1 - R^k) and one rule.  lambda != 0 needs q^k = 1 for
-q = eta(b), since moving the other variable across the generator leaves
-lambda(q^k - 1) times it; this is asserted at construction (it holds
-automatically in DifferentialOperator mode, where q has order n = m).  In
-H's internal basis {g x^i w^j} the generator is lead h u^k + P with u = x
-or w and P in K[G], so reduction replaces u^k by -(lead h)^(-1) P; only
-hopfcore knows how y is written in that basis.  The group elements of
+v^k - lambda(1 - R^k) and one rule.  The ideal is two-sided only when each
+generator with lambda != 0 is normal, which the constructor checks and
+raises SpecError otherwise:
+- q^k = 1 for q = eta(b), since moving the other variable across the
+  generator leaves lambda(q^k - 1) times it (automatic in
+  DifferentialOperator mode, where q has order n = m);
+- chi^n = epsilon for x and eta^m = epsilon for y, read on the group
+  generators, since g v^k g^-1 = psi(g)^k v^k for the character psi of v:
+  where psi(g)^k != 1 the ideal holds v^k - g v^k g^-1, a nonzero multiple
+  of v^k, and with it lambda(1 - R^k) in K[G], so the reduced monomials
+  below would not be a basis.
+
+In H's internal basis {g x^i w^j} the generator is lead h u^k + P with
+u = x or w and P in K[G], so reduction replaces u^k by -(lead h)^(-1) P;
+only hopfcore knows how y is written in that basis.  The group elements of
 -(lead h)^(-1) P are 1 and R^(+-k), which commute with both variables:
 chi(b^n) = p^n = 1 and eta(c^m) = r^m = 1, and when lambda != 0,
 eta(b^n) = q^n = 1 and chi(c^m) = q^(-m) = 1.  So the substitute needs no
@@ -39,19 +47,27 @@ class QuotientSpec:
         self.lambda2 = base.scalar(lambda2)
         one = Cyclotomic.one(base.conductor)
         roots = []
-        for char, R, lam, order_error, lambda_error in (
+        for char, R, lam, order_error, lambda_error, normal_error in (
                 (base.chi, base.b, self.lambda1,
                  "chi(b) must be a primitive n-th root with n > 1",
-                 "lambda1 != 0 requires q^n = 1 (b^n must commute with y)"),
+                 "lambda1 != 0 requires q^n = 1 (b^n must commute with y)",
+                 "lambda1 != 0 requires chi^n = epsilon (x^n must be normal)"),
                 (base.eta, base.c, self.lambda2,
                  "eta(c) must be a primitive m-th root with m > 1",
-                 "lambda2 != 0 requires q^m = 1 (c^m must commute with x)")):
+                 "lambda2 != 0 requires q^m = 1 (c^m must commute with x)",
+                 "lambda2 != 0 requires eta^m = epsilon (y^m must be normal)")):
             root = char.eval(R)
             k = root.multiplicative_order()
             if k is None or k <= 1:
                 raise SpecError(order_error)
-            if not lam.is_zero() and base.q ** k != one:
-                raise SpecError(lambda_error)
+            if not lam.is_zero():
+                if base.q ** k != one:
+                    raise SpecError(lambda_error)
+                g = next((g for g in base.group.generators()
+                          if char.exponent(g, k)), None)
+                if g is not None:
+                    raise SpecError(f"{normal_error}; it fails on the generator "
+                                    f"{list(g.exps)}")
             roots.append((root, k))
         (self.p, self.n), (self.r, self.m) = roots
 

@@ -657,6 +657,19 @@ def test_quotient_check(write_config, capsys):
     assert "no quotient section" in err
 
 
+def test_quotient_with_a_non_normal_generator_exits_2(write_config):
+    # chi(g3)^2 = -1 with n = 2, so x^2 is not normal and lambda1 != 0
+    # would put 1 - b^2 into the ideal
+    config = {"conductor": 4, "group": {"free_rank": 0, "torsion": [4, 4, 4]},
+              "chi": [2, 0, 1], "eta": [0, 2, 0], "b": [1, 0, 0], "c": [0, 1, 0],
+              "beta": 0, "quotient": {"lambda1": 1, "lambda2": 0}}
+    code, out = contract_run(["quotient-check", write_config(config)])
+    assert code == 2 and out["status"] == "error"
+    assert "chi^n = epsilon" in out["facts"]["error"]
+    config["quotient"] = {"lambda1": 0, "lambda2": 0}
+    assert contract_run(["quotient-check", write_config(config)])[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # module commands
 

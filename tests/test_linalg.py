@@ -23,10 +23,11 @@ from oracles import mat_eq, rref_by_column_sweep
 CONDUCTORS = (1, 3, 8, 12)
 
 
-def _random_matrix(rng, nrows, ncols, N):
-    """Entries are zero with probability 0.4, else small random scalars."""
+def _random_matrix(rng, nrows, ncols, N, density=0.6):
+    """Entries are zero with probability 1 - density, else small random
+    scalars."""
     zero = Cyclotomic.zero(N)
-    return [[random_scalar(rng, N) if rng.random() < 0.6 else zero
+    return [[random_scalar(rng, N) if rng.random() < density else zero
              for _ in range(ncols)] for _ in range(nrows)]
 
 
@@ -50,6 +51,40 @@ def _intertwiner_rows(pairs, dim):
     return rows
 
 
+def _block_diagonal_products(rng, N):
+    """The Burnside closure's rows on a direct sum: the identity and the
+    products of up to two block-diagonal generators diag(A_k, B_k), with
+    A_k 2 x 2 and B_k 1 x 1, each flattened to a row of length 9.  The
+    off-diagonal blocks stay zero in every product, so the 9 rows span at
+    most 5 dimensions."""
+    zero = Cyclotomic.zero(N)
+    gens = []
+    for _ in range(2):
+        A, B = _random_matrix(rng, 2, 2, N, 0.8), _random_matrix(rng, 1, 1, N, 0.8)
+        gens.append([A[0] + [zero], A[1] + [zero], [zero, zero] + B[0]])
+    products = [identity(3, N)]
+    for _ in range(2):
+        products += [mat_mul(G, P) for P in products for G in gens]
+    return [[v for row in P for v in row] for P in products]
+
+
+def _cancelling_rows(rng, N):
+    """Rows whose elimination cancels nonzero entries partway: each row
+    after the first is a multiple of an earlier dense row plus a sparse
+    correction, so reducing it leaves zeros where both rows had entries."""
+    while True:
+        u = [random_scalar(rng, N, nonzero=True) for _ in range(6)]
+        w = [random_scalar(rng, N, nonzero=True) for _ in range(6)]
+        s = random_scalar(rng, N, nonzero=True)
+        e = [[Cyclotomic.one(N) if i == k else Cyclotomic.zero(N) for i in range(6)]
+             for k in range(6)]
+        rows = [u, [a + b for a, b in zip(u, e[2])],
+                [s * a for a in w], [a + s * b for a, b in zip(w, e[4])],
+                [a - b + c for a, b, c in zip(u, w, e[1])]]
+        if _rank(rows) == 5:
+            return rows
+
+
 def _shapes(rng, N):
     """(name, matrix) for every shape the kernel meets."""
     while True:
@@ -70,7 +105,10 @@ def _shapes(rng, N):
             ("wide", _random_matrix(rng, 3, 6, N)),
             ("all zero", [[Cyclotomic.zero(N)] * 4 for _ in range(3)]),
             ("single row", _random_matrix(rng, 1, 5, N)),
-            ("single zero row", [[Cyclotomic.zero(N)] * 3])]
+            ("single zero row", [[Cyclotomic.zero(N)] * 3]),
+            ("block-diagonal closure products", _block_diagonal_products(rng, N)),
+            ("mostly zero", _random_matrix(rng, 6, 8, N, 0.2)),
+            ("cancelling rows", _cancelling_rows(rng, N))]
 
 
 def _nullspace_from(rows, pivots, ncols, N):
@@ -123,6 +161,33 @@ def test_kernel_matches_column_sweep(N, seed):
             want_inv = [row[ncols:] for row in rref_by_column_sweep(aug)[0]]
             assert inv == want_inv, name
             assert mat_eq(mat_mul(A, inv), identity(ncols, N)), name
+
+
+@pytest.mark.parametrize("N", [3, 8])
+def test_elimination_multiplies_no_zero_entry(N, monkeypatch):
+    """rref and SpanBasis.add on sparse matrices call Cyclotomic.__mul__
+    only on two nonzero operands, and still return the column sweep's
+    rows and pivots."""
+    rng = random.Random(N)
+    shapes = [_block_diagonal_products(rng, N), _random_matrix(rng, 6, 8, N, 0.2),
+              _intertwiner_rows([(A, A) for A in (_random_matrix(rng, 3, 3, N, 0.5),)], 3)]
+    wants = [rref_by_column_sweep(A) for A in shapes]
+    product = Cyclotomic.__mul__
+    calls = []
+
+    def counting_mul(a, b):
+        calls.append(a.is_zero() or (isinstance(b, Cyclotomic) and b.is_zero()))
+        return product(a, b)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counting_mul)
+    for A, want in zip(shapes, wants):
+        calls.clear()
+        assert rref(A) == want
+        span = SpanBasis()
+        for vec in A:
+            span.add(vec)
+        assert (span.rows, span.pivots) == want
+        assert calls and not any(calls)
 
 
 def test_empty_matrix():

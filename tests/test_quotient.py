@@ -67,6 +67,24 @@ def test_rejects_lambda2_when_qm_not_one():
     QuotientSpec(spec, 1, 0)
 
 
+def test_rejects_lambda_when_the_power_is_not_normal():
+    # G = Z_4^3, n = m = 2 and q = 1; chi(g3)^2 = -1, so g3 x^2 g3^-1 = -x^2,
+    # and in the second spec eta(g3)^2 = -1 likewise for y^2
+    group = AbelianGroup(0, [4, 4, 4])
+    b, c = group.element([1, 0, 0]), group.element([0, 1, 0])
+    spec = validate_spec(group, Character(group, 4, [2, 0, 1]),
+                         Character(group, 4, [0, 2, 0]), b, c, 0)
+    assert (spec.q ** 2) == Cyclotomic.one(4)
+    with pytest.raises(SpecError, match=r"chi\^n = epsilon.*\[0, 0, 1\]"):
+        QuotientSpec(spec, 1, 0)
+    assert (QuotientSpec(spec, 0, 1).n, QuotientSpec(spec, 0, 0).m) == (2, 2)
+    swapped = validate_spec(group, Character(group, 4, [2, 0, 0]),
+                            Character(group, 4, [0, 2, 1]), b, c, 0)
+    with pytest.raises(SpecError, match=r"eta\^m = epsilon.*\[0, 0, 1\]"):
+        QuotientSpec(swapped, 0, 1)
+    QuotientSpec(swapped, 1, 0)
+
+
 def test_generators_reduce_to_zero():
     d = diff_sweep_spec(3)
     # beta = 2 makes the lead coefficient of y^3 = beta^3 c^3 z^3 other than +-1
