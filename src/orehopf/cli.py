@@ -5,10 +5,12 @@ with "status", "facts", and "witnesses" fields.  Exit codes: 0 on
 success / property true, 1 on property failure / false, 2 on usage or
 validation errors.  Usage errors (a missing or malformed argument, an
 unknown subcommand) take the same JSON error path; only --help prints
-plain text.  Randomness is seed-controlled; the seed is recorded
-in the report.  The environment variable ORE_HOPF_SEED supplies the
-default seed.  quotient-check is exact: it still accepts --samples and
---seed and echoes the seed, but samples nothing.
+plain text.  A call whose standard output is closed before the report is
+written exits 2 with one "error:" line on standard error.  Randomness is
+seed-controlled; the seed is recorded in the report.  The environment
+variable ORE_HOPF_SEED supplies the default seed.  quotient-check is
+exact: it still accepts --samples and --seed and echoes the seed, but
+samples nothing.
 
 Input bounds: the conductor is an integer in [1, MAX_CONDUCTOR], JSON
 booleans are not integers, --samples lies in [1, MAX_SAMPLES]
@@ -19,24 +21,22 @@ of module build) has dimension at most MAX_MODULE_DIM.  module build checks
 the dimension of the family before it builds the module.
 """
 
+from __future__ import annotations
+
 import argparse
 import json
 import os
 import sys
 
+# Layers that some subcommands do not use are imported as modules and read
+# on use: each runs on its first attribute read (see orehopf/__init__.py), and
+# annotations stay strings, so a call runs only the layers it reads.
+from . import catalog, exprparse, quotient, reps
 from .abgroup import AbelianGroup, Character, SubgroupCharacter, _is_int, joint_kernel
-from .catalog import catalog_entry, catalog_names
-from .exprparse import element_to_expr, parse_element, serialize_element
 from .hopfcore import (AlgebraSpec, _raw_key, antipode, antipode_order,
                        comultiply, counit, cyclotomic_to_literal,
                        hopf_axiom_check, literal_to_cyclotomic, validate_spec)
-from .quotient import QuotientSpec, hopf_ideal_check, quotient_basis
 from .report import Report
-from .reps import (ClassifyError, ModuleRep, are_isomorphic, build_Vbar_diff,
-                   build_Vx_diff, build_Vx_skew, build_Vxy_skew, build_Vy_diff,
-                   build_Vy_skew, build_induced_skew, build_torsion_char,
-                   classify_simple, is_simple_burnside, rep_check,
-                   torsion_profile, truncation_index)
 
 
 class ConfigError(ValueError):
@@ -144,7 +144,7 @@ def config_from_dict(data) -> Config:
 
     spec = validate_spec(group, chi, eta, b, c, beta)
 
-    quotient = None
+    quotient_spec = None
     if "quotient" in data:
         qdata = data["quotient"]
         if not isinstance(qdata, dict):
@@ -161,12 +161,12 @@ def config_from_dict(data) -> Config:
             lam2 = literal_to_cyclotomic(qdata["lambda2"], conductor)
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"quotient lambda literal: {exc}") from exc
-        quotient = QuotientSpec(spec, lam1, lam2)
+        quotient_spec = quotient.QuotientSpec(spec, lam1, lam2)
 
     seed = data.get("seed")
     if seed is not None and not _is_int(seed):
         raise ConfigError("config key 'seed' must be an integer")
-    return Config(spec, quotient, seed)
+    return Config(spec, quotient_spec, seed)
 
 
 def parse_config(text: str) -> Config:
@@ -261,22 +261,22 @@ def _literal(spec, value, name):
         raise ConfigError(f"param '{name}': {exc}") from exc
 
 
-def build_family_module(family: str, params: dict, spec: AlgebraSpec) -> ModuleRep:
+def build_family_module(family: str, params: dict, spec: AlgebraSpec) -> reps.ModuleRep:
     if not isinstance(params, dict):
         raise ConfigError("--params must be a JSON object")
     if family == "torsion-char":
         _need(params, family, "lam")
-        return build_torsion_char(_group_character(spec, params, "lam"), spec)
+        return reps.build_torsion_char(_group_character(spec, params, "lam"), spec)
     if family == "skew-vx":
         _need(params, family, "alpha", "lam")
         lam = _kernel_character(spec, spec.chi.kernel(), params, "lam")
         _check_module_dim(spec.chi.order())
-        return build_Vx_skew(_literal(spec, params["alpha"], "alpha"), lam, spec)
+        return reps.build_Vx_skew(_literal(spec, params["alpha"], "alpha"), lam, spec)
     if family == "skew-vy":
         _need(params, family, "alpha", "lam")
         lam = _kernel_character(spec, spec.eta.kernel(), params, "lam")
         _check_module_dim(spec.eta.order())
-        return build_Vy_skew(_literal(spec, params["alpha"], "alpha"), lam, spec)
+        return reps.build_Vy_skew(_literal(spec, params["alpha"], "alpha"), lam, spec)
     if family == "skew-vxy":
         _need(params, family, "alpha_x", "alpha_y", "t", "lam")
         t = params["t"]
@@ -284,8 +284,9 @@ def build_family_module(family: str, params: dict, spec: AlgebraSpec) -> ModuleR
             raise ConfigError("param 't' must be an integer")
         lam = _kernel_character(spec, spec.chi.kernel(), params, "lam")
         _check_module_dim(spec.chi.order())
-        return build_Vxy_skew(_literal(spec, params["alpha_x"], "alpha_x"),
-                              _literal(spec, params["alpha_y"], "alpha_y"), lam, t, spec)
+        return reps.build_Vxy_skew(_literal(spec, params["alpha_x"], "alpha_x"),
+                                   _literal(spec, params["alpha_y"], "alpha_y"),
+                                   lam, t, spec)
     if family == "induced":
         _need(params, family, "kvals", "lam")
         kvals = params["kvals"]
@@ -295,18 +296,18 @@ def build_family_module(family: str, params: dict, spec: AlgebraSpec) -> ModuleR
         sub = joint_kernel([spec.chi, spec.eta])
         lam = _kernel_character(spec, sub, params, "lam")
         _check_module_dim(sub.index())
-        return build_induced_skew(kvals, lam, spec)
+        return reps.build_induced_skew(kvals, lam, spec)
     if family == "diff-vbar":
         _need(params, family, "rho")
         rho = _group_character(spec, params, "rho")
-        _check_module_dim(truncation_index(rho, spec))
-        return build_Vbar_diff(rho, spec)
+        _check_module_dim(reps.truncation_index(rho, spec))
+        return reps.build_Vbar_diff(rho, spec)
     if family in ("diff-vx", "diff-vy"):
         _need(params, family, "rho", "lam", "mu")
         rho = _group_character(spec, params, "rho")
         lam, mu = (_literal(spec, params[key], key) for key in ("lam", "mu"))
         _check_module_dim(spec.chi.order())
-        build = build_Vx_diff if family == "diff-vx" else build_Vy_diff
+        build = reps.build_Vx_diff if family == "diff-vx" else reps.build_Vy_diff
         return build(rho, lam, mu, spec)
     raise ConfigError(
         f"unknown module family {family!r}; known: torsion-char, skew-vx, "
@@ -319,7 +320,7 @@ def _check_module_dim(dim) -> None:
                           f"{MAX_MODULE_DIM}")
 
 
-def _load_module(path: str) -> ModuleRep:
+def _load_module(path: str) -> reps.ModuleRep:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -334,7 +335,8 @@ def _load_module(path: str) -> ModuleRep:
                           f"'config' and 'module' keys")
     if isinstance(data["module"], dict):
         _check_module_dim(data["module"].get("dim"))
-    return ModuleRep.from_dict(config_from_dict(data["config"]).spec, data["module"])
+    spec = config_from_dict(data["config"]).spec
+    return reps.ModuleRep.from_dict(spec, data["module"])
 
 
 # ---------------------------------------------------------------- commands
@@ -356,7 +358,7 @@ def _cmd_validate(args) -> int:
 
 def _element_command(args, transform) -> int:
     config = _load_config(args.config)
-    elem = parse_element(args.expr, config.spec)
+    elem = exprparse.parse_element(args.expr, config.spec)
     facts = {"input": args.expr}
     facts.update(transform(elem, config))
     _emit("pass", facts)
@@ -365,8 +367,8 @@ def _element_command(args, transform) -> int:
 
 def _cmd_nf(args) -> int:
     def transform(elem, config):
-        return {"normal_form": serialize_element(elem),
-                "expression": element_to_expr(elem)}
+        return {"normal_form": exprparse.serialize_element(elem),
+                "expression": exprparse.element_to_expr(elem)}
     return _element_command(args, transform)
 
 
@@ -387,8 +389,8 @@ def _cmd_antipode(args) -> int:
         for _ in range(args.power % antipode_order(config.spec)):
             out = antipode(out)
         return {"power": args.power,
-                "result": serialize_element(out),
-                "expression": element_to_expr(out)}
+                "result": exprparse.serialize_element(out),
+                "expression": exprparse.element_to_expr(out)}
     return _element_command(args, transform)
 
 
@@ -417,9 +419,9 @@ def _cmd_quotient_check(args) -> int:
         raise ConfigError("config has no quotient section; quotient-check "
                           "needs 'quotient': {lambda1, lambda2}")
     seed = _resolve_seed(args.seed, config)
-    ideal = hopf_ideal_check(config.quotient)
+    ideal = quotient.hopf_ideal_check(config.quotient)
     facts = {"hopf_ideal": ideal.facts,
-             "basis": quotient_basis(config.quotient)}
+             "basis": quotient.quotient_basis(config.quotient)}
     report = Report("quotient_check", ideal.passed, facts,
                     witnesses=ideal.witnesses, seed=seed)
     return _emit_report(report)
@@ -442,11 +444,11 @@ def _cmd_module_build(args) -> int:
 
 def _cmd_module_check(args) -> int:
     module = _load_module(args.file)
-    return _emit_report(rep_check(module, module.spec))
+    return _emit_report(reps.rep_check(module, module.spec))
 
 
 def _cmd_module_simple(args) -> int:
-    return _emit_report(is_simple_burnside(_load_module(args.file)))
+    return _emit_report(reps.is_simple_burnside(_load_module(args.file)))
 
 
 def _cmd_module_iso(args) -> int:
@@ -455,7 +457,7 @@ def _cmd_module_iso(args) -> int:
     if mod_a.spec.fingerprint() != mod_b.spec.fingerprint():
         raise ConfigError("modules belong to different algebras "
                           "(config mismatch)")
-    result = are_isomorphic(mod_a, mod_b)
+    result = reps.are_isomorphic(mod_a, mod_b)
     facts = {"result": result.status.replace("_", " ")}
     if result.detail:
         facts["detail"] = result.detail
@@ -466,19 +468,23 @@ def _cmd_module_iso(args) -> int:
 
 def _cmd_module_classify(args) -> int:
     module = _load_module(args.file)
-    params = classify_simple(module, module.spec)
+    try:
+        params = reps.classify_simple(module, module.spec)
+    except reps.ClassifyError as exc:
+        _emit("fail", {"error": str(exc)})
+        return 1
     _emit("pass", {"family": params.family,
                    "parameters": params.describe(),
                    "dimension": module.dim,
-                   "torsion_profile": torsion_profile(module)})
+                   "torsion_profile": reps.torsion_profile(module)})
     return 0
 
 
 def _cmd_catalog(args) -> int:
     if args.name is None:
-        _emit("pass", {"entries": catalog_names()})
+        _emit("pass", {"entries": catalog.catalog_names()})
         return 0
-    entry = catalog_entry(args.name)
+    entry = catalog.catalog_entry(args.name)
     out = entry.report.to_dict()
     out["facts"]["name"] = entry.name
     out["facts"]["spec"] = entry.spec.config_dict()
@@ -566,17 +572,31 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ClassifyError as exc:
-        _emit("fail", {"error": str(exc)})
-        return 1
     except ValueError as exc:
         _emit("error", {"error": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def main(argv=None) -> int:
+    """Run one command.  Standard output is flushed here, so that a reader
+    that closed it early is an error (exit 2) and not a traceback."""
+    try:
+        try:
+            return _run(argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at exit would fail again: point stdout at devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output is closed", file=sys.stderr)
         return 2
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from orehopf import catalog
+from orehopf import catalog, quotient, reps
 from orehopf.catalog import (CatalogEntry, catalog_entry, catalog_names,
                              fantino_garcia_core, generalized_taft,
                              wang_wu_tan)
@@ -31,17 +31,21 @@ def test_catalog_entries_with_equal_fields_are_equal():
     assert entry != CatalogEntry("u2", spec, None, None, Report("u1", True, {"n": 1}))
 
 
-# the functions of catalog.py that only the facts call
-FACT_CHECKS = ("hopf_axiom_check", "change_of_variables_check", "rep_check",
-               "is_simple_burnside", "hopf_ideal_check", "comultiply", "counit",
-               "antipode", "q_reduce", "quotient_basis", "torsion_profile")
+# the functions of catalog.py that only the facts call, by the module
+# catalog.py reads each from: its own namespace for the names it imports
+# from hopfcore, the modules quotient and reps for the others
+FACT_CHECKS = {catalog: ("hopf_axiom_check", "change_of_variables_check",
+                         "comultiply", "counit", "antipode"),
+               quotient: ("hopf_ideal_check", "q_reduce", "quotient_basis"),
+               reps: ("rep_check", "is_simple_burnside", "torsion_profile")}
 
 
 def _facts_raise(monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("a fact ran")
-    for name in FACT_CHECKS:
-        monkeypatch.setattr(catalog, name, fail)
+    for module, names in FACT_CHECKS.items():
+        for name in names:
+            monkeypatch.setattr(module, name, fail)
 
 
 def test_entry_parts_are_built_without_running_facts(monkeypatch):
@@ -66,9 +70,11 @@ def _count_certificates(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("hopf_axiom_check", "change_of_variables_check", "rep_check",
-                 "is_simple_burnside", "hopf_ideal_check"):
-        monkeypatch.setattr(catalog, name, counted(name, getattr(catalog, name)))
+    for module, name in ((catalog, "hopf_axiom_check"),
+                         (catalog, "change_of_variables_check"),
+                         (reps, "rep_check"), (reps, "is_simple_burnside"),
+                         (quotient, "hopf_ideal_check")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls
 
 
@@ -103,6 +109,11 @@ def test_equality_and_truth_run_the_facts(monkeypatch, force):
 def test_unknown_entry():
     with pytest.raises(SpecError, match="unknown catalog entry"):
         catalog_entry("nope")
+
+
+@pytest.mark.parametrize("name", ["u1", "skew-z2", "diff-z2"])
+def test_hopf_axioms_fact_is_the_sample_count(name):
+    assert catalog_entry(name).report.facts["hopf_axioms"] == 10
 
 
 def test_u1_facts():

@@ -5,8 +5,12 @@ import copy
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1188,3 +1192,69 @@ def test_catalog_unknown(capsys):
     code, _, err = run(capsys, "catalog", "nope")
     assert code == 2
     assert "unknown catalog entry" in err
+
+
+# ---------------------------------------------------------------------------
+# one process per call: the layers a subcommand runs, a closed stdout
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _layers_run(argv):
+    """The orehopf layers that have run after main(argv), in a fresh
+    interpreter started with -S and with src/ as PYTHONPATH."""
+    probe = ("import contextlib, io, sys, types\nfrom orehopf.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = main({argv!r})\n"
+             "print(code, *sorted(n[8:] for n, m in sys.modules.items()\n"
+             "      if n.startswith('orehopf.') and n != 'orehopf.cli'\n"
+             "      and type(m) is types.ModuleType))\n")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)))
+    code, *layers = out.stdout.split()
+    assert code == "0", (argv, out.stdout)
+    return set(layers)
+
+
+ALGEBRA = {"abgroup", "cyclotomic", "hopfcore", "report"}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["validate", "{config}"], set()),
+    (["hopf-check", "{config}", "--samples", "1", "--max-degree", "1"], set()),
+    (["nf", "{config}", "x*y + 2"], {"exprparse"}),
+    (["module", "check", "{module}"], {"reps", "linalg"}),
+    (["catalog", "u1"], {"catalog"}),
+    (["catalog", "taft"], {"catalog", "quotient"}),
+], ids=["validate", "hopf-check", "nf", "module-check", "catalog-u1", "catalog-taft"])
+def test_each_call_runs_only_the_layers_it_uses(tmp_path, argv, extra):
+    config = tmp_path / "u1.json"
+    config.write_text(json.dumps({k: v for k, v in U1.items() if k != "quotient"}))
+    module = tmp_path / "module.json"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["module", "build", "torsion-char", str(config),
+                     "--params", '{"lam": [1]}']) == 0
+    module.write_text(out.getvalue())
+    argv = [arg.format(config=config, module=module) for arg in argv]
+    assert _layers_run(argv) == ALGEBRA | extra
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_2_with_one_error_line(unbuffered):
+    # the read end is closed before the child starts, so its first write to
+    # stdout (unbuffered) or its flush (buffered) fails: no race
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "orehopf.cli", "catalog", "u1"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: standard output is closed\n"

@@ -106,9 +106,7 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
-# __init__.py imports in order to re-export
-@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
-                                  if p.name != "__init__.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     assert unused == [], f"{path.name}: unused imports {unused}"
@@ -135,10 +133,15 @@ def _reads(tree, skip=None):
     return names
 
 
+# module-level functions the interpreter calls (PEP 562)
+MODULE_HOOKS = {"__getattr__", "__dir__"}
+
+
 def _dead_definitions(tree, other_trees, exported):
     """(line, name) of every top-level function and class of tree that is
-    not exported and is read nowhere, its own body aside."""
-    elsewhere = set(exported).union(*(_reads(t) for t in other_trees))
+    not exported, not a module hook and is read nowhere, its own body
+    aside."""
+    elsewhere = set(exported).union(MODULE_HOOKS, *(_reads(t) for t in other_trees))
     return [(node.lineno, node.name) for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name not in elsewhere | _reads(tree, skip=node)]
@@ -190,9 +193,11 @@ def test_the_attribute_check_sees_unread_attributes():
 def test_the_definition_check_sees_unused_names():
     tree = ast.parse("def a():\n    return a()\n\ndef b():\n    return c.d\n\n"
                      "class C:\n    pass\n\ndef d():\n    pass\n\n"
-                     "def e():\n    pass\n\nx = b()\n")
+                     "def e():\n    pass\n\nx = b()\n\n"
+                     "def __getattr__(name):\n    pass\n\ndef __dir__():\n    pass\n\n"
+                     "def __repr__():\n    pass\n")
     other = ast.parse("from m import C\n")
-    assert _dead_definitions(tree, [other], ["e"]) == [(1, "a"), (7, "C")]
+    assert _dead_definitions(tree, [other], ["e"]) == [(1, "a"), (7, "C"), (24, "__repr__")]
 
 
 def _defaulted_parameters(tree):
@@ -274,15 +279,19 @@ def test_the_parameter_check_sees_unset_defaults():
         ("a.py", 8, "m", "z")]
 
 
+def _probe(code):
+    """Standard output of code, run in a fresh interpreter started with -S
+    and with src/ as PYTHONPATH."""
+    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent))).stdout
+
+
 def _newly_loaded(statement):
     """Names of the modules that running statement adds to sys.modules, in
     a fresh interpreter started with -S and with src/ as PYTHONPATH."""
-    probe = ("import sys\nbefore = set(sys.modules)\n" + statement
-             + "\nprint(' '.join(sorted(set(sys.modules) - before)))\n")
-    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
-                         text=True, check=True, timeout=60,
-                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
-    return set(out.stdout.split())
+    return set(_probe("import sys\nbefore = set(sys.modules)\n" + statement
+                      + "\nprint(' '.join(sorted(set(sys.modules) - before)))\n").split())
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
@@ -295,3 +304,38 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 
 def test_the_import_probe_sees_a_loaded_module():
     assert {"dataclasses", "inspect"} <= _newly_loaded("import dataclasses")
+
+
+LAYERS = {"abgroup", "catalog", "cyclotomic", "exprparse", "hopfcore", "linalg",
+          "quotient", "report", "reps"}
+
+
+def test_import_registers_every_layer_and_runs_none():
+    # perfbench/tracer.py wraps the orehopf modules it finds in sys.modules
+    # right after import orehopf, so every layer must be there, and reading
+    # its vars() must run it
+    out = _probe("import sys, types\nimport orehopf\n"
+                 "layers = {n: m for n, m in sys.modules.items() if n.startswith('orehopf.')}\n"
+                 "print(' '.join(n for n, m in layers.items() if type(m) is types.ModuleType))\n"
+                 "print(' '.join(layers))\n"
+                 "vars(layers['orehopf.reps'])\n"
+                 "print(type(layers['orehopf.reps']) is types.ModuleType)\n")
+    run, registered, reps_runs = out.split("\n")[:3]
+    assert run == ""
+    assert set(registered.split()) == {f"orehopf.{layer}" for layer in LAYERS}
+    assert reps_runs == "True"
+
+
+def test_every_exported_name_is_its_layers_object():
+    import orehopf
+    namespace = {}
+    exec("from orehopf import *", namespace)
+    del namespace["__builtins__"]
+    assert len(orehopf.__all__) == len(set(orehopf.__all__)) == len(namespace) == 70
+    for name in orehopf.__all__:
+        obj = namespace[name]
+        home = sys.modules[obj.__module__]
+        assert home.__name__.rpartition(".")[2] in LAYERS, name
+        assert getattr(home, name) is obj is getattr(orehopf, name), name
+    assert set(orehopf.__all__) | LAYERS <= set(dir(orehopf))
+    assert not hasattr(orehopf, "no_such_name")
