@@ -32,7 +32,7 @@ system read embedding 0; the intertwiner lift reads the others.
 """
 
 from functools import wraps
-from math import gcd
+from math import gcd, prod
 from random import Random
 
 from .abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
@@ -590,6 +590,9 @@ def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
 # simple-family parameters
 
 
+_FAMILIES = ("TorsionChar", "SkewVx", "SkewVy", "SkewVxy", "DiffVbar", "DiffVx", "DiffVy")
+
+
 class SimpleParams:
     """Parameters naming a simple module inside one of the seven families.
 
@@ -598,9 +601,10 @@ class SimpleParams:
     TorsionChar, subgroup character otherwise) and rho; scalar data in
     alpha/alpha_x/alpha_y/lam_scalar/mu.  For modules recovered from a
     non-monomial basis only the invariant powers (alpha_pow, alpha_x_pow,
-    coupling) may be known; they determine the isomorphism class.  Equal
-    parameters have equal fields; a zero alpha, lambda or mu where the
-    family needs it invertible is a SpecError.
+    coupling) may be known; they determine the isomorphism class, whose
+    canonical form is ``key``.  Equal parameters have equal fields; a family
+    outside the seven, or a zero alpha, alpha_x, alpha_y, lambda or mu where
+    the family needs it invertible, is a SpecError.
     """
 
     def __init__(self, family: str, *, lam=None, rho: Character | None = None,
@@ -611,8 +615,12 @@ class SimpleParams:
                  alpha_pow: Cyclotomic | None = None,
                  alpha_x_pow: Cyclotomic | None = None,
                  coupling: Cyclotomic | None = None):
+        if family not in _FAMILIES:
+            raise SpecError(f"unknown family {family!r}")
         if family in ("SkewVx", "SkewVy") and alpha is not None and alpha.is_zero():
             raise SpecError("alpha must be nonzero")
+        if family == "SkewVxy" and any(a is not None and a.is_zero() for a in (alpha_x, alpha_y)):
+            raise SpecError("alpha_x and alpha_y must be nonzero")
         if family == "DiffVx" and lam_scalar is not None and lam_scalar.is_zero():
             raise SpecError("lambda must be nonzero for the x-cyclic family")
         if family == "DiffVy" and mu is not None and mu.is_zero():
@@ -636,6 +644,40 @@ class SimpleParams:
         if not isinstance(other, SimpleParams):
             return NotImplemented
         return vars(self) == vars(other)
+
+    def key(self, spec: AlgebraSpec) -> tuple:
+        """Hashable canonical form of the isomorphism class: a family name
+        and its invariants, equal exactly for isomorphic modules.  DiffVx
+        and DiffVy take the least point of their shift orbit
+        (``_shift_key``).  A module of two families keys as the one
+        ``classify_simple`` returns: a differential-mode TorsionChar as
+        DiffVbar, and a DiffVy tuple as DiffVx when x^n = mu^-1 prod_{i<n}
+        (lambda - rho(wind(e, i; eta))) is nonzero, xz acting on the rho
+        line by lambda - rho(e)."""
+        f = self.family
+        if f == "TorsionChar":
+            return ("DiffVbar" if spec.mode is Mode.DIFFERENTIAL_OPERATOR else f, self.lam)
+        if f in ("SkewVx", "SkewVy"):
+            n = (spec.chi if f == "SkewVx" else spec.eta).order()
+            return f, self.lam, self.alpha ** n if self.alpha_pow is None else self.alpha_pow
+        if f == "SkewVxy":
+            n = spec.chi.order()
+            t = self.t % n
+            return (f, t, self.lam,
+                    self.alpha_x ** n if self.alpha_x_pow is None else self.alpha_x_pow,
+                    self.alpha_y * self.alpha_x.inverse() ** t if self.coupling is None
+                    else self.coupling)
+        if f == "DiffVbar":
+            return f, self.rho
+        if f == "DiffVx":
+            return f, self.lam_scalar, *_shift_key(self.rho, self.mu, spec.chi, 1, spec)
+        wound = _windings(self.rho, spec.eta, spec)
+        x_power = prod((self.lam_scalar - w for w in wound[:spec.chi.order()]),
+                       start=self.mu.inverse())
+        if x_power.is_zero():
+            return f, self.mu, *_shift_key(self.rho, self.lam_scalar, spec.eta, -1, spec)
+        return ("DiffVx", x_power,
+                *_shift_key(self.rho, self.lam_scalar - wound[1], spec.chi, 1, spec))
 
     def describe(self) -> dict:
         out = {"family": self.family}
@@ -931,79 +973,32 @@ def build_simple(params: SimpleParams, spec: AlgebraSpec) -> ModuleRep:
                               params.t, spec)
     if f == "DiffVbar":
         return build_Vbar_diff(params.rho, spec)
-    if f in ("DiffVx", "DiffVy"):
-        build = build_Vx_diff if f == "DiffVx" else build_Vy_diff
-        return build(params.rho, params.lam_scalar, params.mu, spec)
-    raise SpecError(f"unknown family {f!r}")
+    build = build_Vx_diff if f == "DiffVx" else build_Vy_diff
+    return build(params.rho, params.lam_scalar, params.mu, spec)
 
 
 # ---------------------------------------------------------------------------
-# isomorphism criteria
+# isomorphism keys
 
 
-def _alpha_power(alpha, alpha_pow, n: int):
-    if alpha_pow is not None:
-        return alpha_pow
-    return alpha ** n
-
-
-def _coupling(params: SimpleParams):
-    if params.coupling is not None:
-        return params.coupling
-    return params.alpha_y * (params.alpha_x.inverse() ** params.t)
+def _shift_key(rho: Character, moved: Cyclotomic, char: Character, sign: int,
+               spec: AlgebraSpec) -> tuple:
+    """The point with the least exponent tuple on the shift orbit of a diff
+    family: k in Z/order(chi) takes (rho, moved) to (rho chi^(-sign k),
+    moved + sign rho(wind(e, k; char))), for DiffVx (chi, 1) with moved =
+    mu and for DiffVy (eta, -1) with moved = lambda.  It is an action: the
+    windings of the shifted rho are differences of rho's, and rho(wind(e,
+    order(chi); char)) = 0.  The order(chi) shifted characters are
+    distinct, so the least point is unique."""
+    wound = _windings(rho, char, spec)
+    return min(((rho * spec.chi ** (-sign * k), moved + sign * wound[k])
+                for k in range(spec.chi.order())), key=lambda point: point[0].exps)
 
 
 def iso_criterion(p1: SimpleParams, p2: SimpleParams, spec: AlgebraSpec) -> bool:
-    """Closed-form isomorphism test between two parameter tuples of the same
-    family, quantifying the shift index over 0..n-1 where applicable.  A
-    DiffVx and a DiffVy tuple are decided by classification: the families
-    overlap where x and z both act invertibly, and ``classify_simple``
-    returns DiffVx whenever x does, so the DiffVy side is read through it."""
-    if {p1.family, p2.family} == {"DiffVx", "DiffVy"}:
-        p1, p2 = (classify_simple(build_simple(p, spec), spec) if p.family == "DiffVy"
-                  else p for p in (p1, p2))
-    if p1.family != p2.family:
-        return False
-    f = p1.family
-    if f == "TorsionChar":
-        return p1.lam == p2.lam
-    if f in ("SkewVx", "SkewVy"):
-        n = p1.n if p1.n is not None else (
-            spec.chi.order() if f == "SkewVx" else spec.eta.order())
-        return p1.lam == p2.lam and \
-            _alpha_power(p1.alpha, p1.alpha_pow, n) == _alpha_power(p2.alpha, p2.alpha_pow, n)
-    if f == "SkewVxy":
-        n = p1.n if p1.n is not None else spec.chi.order()
-        if p1.t % n != p2.t % n or p1.lam != p2.lam:
-            return False
-        return _alpha_power(p1.alpha_x, p1.alpha_x_pow, n) == \
-            _alpha_power(p2.alpha_x, p2.alpha_x_pow, n) and \
-            _coupling(p1) == _coupling(p2)
-    if f == "DiffVbar":
-        return p1.rho == p2.rho
-    if f == "DiffVx":
-        return _diff_shift_iso(p2.rho, p1.rho, p2.rho, (p1.lam_scalar, p2.lam_scalar),
-                               (p1.mu, p2.mu), spec.chi, 1, spec)
-    if f == "DiffVy":
-        return _diff_shift_iso(p1.rho, p2.rho, p2.rho, (p1.mu, p2.mu),
-                               (p1.lam_scalar, p2.lam_scalar), spec.eta, -1, spec)
-    raise SpecError(f"unknown family {f!r}")
-
-
-def _diff_shift_iso(source, target, rho, fixed, moved, char: Character,
-                    sign: int, spec: AlgebraSpec) -> bool:
-    """Criterion of the mirrored diff families: the fixed scalars agree and
-    some shift k in 0..order(chi)-1 has target = source chi^(-k) and
-    moved[0] = moved[1] + sign rho(wind(e, k; char)).  DiffVx shifts the
-    second rho and moves mu along chi; DiffVy shifts the first rho and
-    moves lambda along eta with sign -1."""
-    if fixed[0] != fixed[1]:
-        return False
-    wound = _windings(rho, char, spec)
-    for k in range(spec.chi.order()):
-        if target == source * (spec.chi ** (-k)) and moved[0] == moved[1] + sign * wound[k]:
-            return True
-    return False
+    """Whether two parameter tuples name isomorphic simple modules: whether
+    their keys (``SimpleParams.key``) are equal.  Nothing is built."""
+    return p1.key(spec) == p2.key(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ entrywise matrix equality, the reduced row echelon form by a
 column sweep, the intertwiner space and the torsion type of a matrix by
 exact elimination alone, a module's cross relation in H's internal form
 with rho(e) built from exact inverses, the order of the antipode by
-iteration, and the truncation index of the DiffVbar module by word
-rewriting.
+iteration, the truncation index of the DiffVbar module by word
+rewriting, and the pairwise isomorphism test of simple-module parameters
+that ``SimpleParams.key`` replaced.
 """
 
 from itertools import product
@@ -31,8 +32,9 @@ from orehopf.abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
                              SubgroupCharacter)
 from orehopf.cyclotomic import Cyclotomic, divisors, q_int, root_of_unity
 from orehopf.hopfcore import (AlgebraSpec, GroupAlgElem, HopfElem, Mode,
-                              TensorElem, antipode, multiply)
+                              TensorElem, antipode, multiply, wind)
 from orehopf.linalg import identity, inverse, mat_mul
+from orehopf.reps import build_simple, classify_simple
 
 
 def _word_of(g, i, j):
@@ -414,3 +416,69 @@ def antipode_order_by_iteration(spec: AlgebraSpec) -> int:
         if current == gens:
             return m
     raise ArithmeticError("antipode order above 2N")
+
+
+def _alpha_power(alpha, alpha_pow, n: int):
+    if alpha_pow is not None:
+        return alpha_pow
+    return alpha ** n
+
+
+def _coupling(params):
+    if params.coupling is not None:
+        return params.coupling
+    return params.alpha_y * (params.alpha_x.inverse() ** params.t)
+
+
+def iso_criterion_by_cases(p1, p2, spec: AlgebraSpec) -> bool:
+    """Pairwise isomorphism test of two parameter tuples, family by family,
+    with the shift index of the diff families searched over 0..n-1.  A
+    DiffVx and a DiffVy tuple are decided by classifying the rebuilt DiffVy
+    module, which stays DiffVy unless x acts invertibly.  Two cases differ
+    from the modules: a TorsionChar tuple is never matched with a DiffVbar
+    one, although in differential mode TorsionChar(lam) and DiffVbar(lam)
+    build the same 1 x 1 module, and SkewVxy's coupling alpha_y alpha_x^-t
+    reads the unreduced t, so t and t + n are told apart."""
+    if {p1.family, p2.family} == {"DiffVx", "DiffVy"}:
+        p1, p2 = (classify_simple(build_simple(p, spec), spec) if p.family == "DiffVy"
+                  else p for p in (p1, p2))
+    if p1.family != p2.family:
+        return False
+    f = p1.family
+    if f == "TorsionChar":
+        return p1.lam == p2.lam
+    if f in ("SkewVx", "SkewVy"):
+        n = p1.n if p1.n is not None else (
+            spec.chi.order() if f == "SkewVx" else spec.eta.order())
+        return p1.lam == p2.lam and \
+            _alpha_power(p1.alpha, p1.alpha_pow, n) == _alpha_power(p2.alpha, p2.alpha_pow, n)
+    if f == "SkewVxy":
+        n = p1.n if p1.n is not None else spec.chi.order()
+        if p1.t % n != p2.t % n or p1.lam != p2.lam:
+            return False
+        return _alpha_power(p1.alpha_x, p1.alpha_x_pow, n) == \
+            _alpha_power(p2.alpha_x, p2.alpha_x_pow, n) and \
+            _coupling(p1) == _coupling(p2)
+    if f == "DiffVbar":
+        return p1.rho == p2.rho
+    if f == "DiffVx":
+        return _diff_shift_iso(p2.rho, p1.rho, p2.rho, (p1.lam_scalar, p2.lam_scalar),
+                               (p1.mu, p2.mu), spec.chi, 1, spec)
+    return _diff_shift_iso(p1.rho, p2.rho, p2.rho, (p1.mu, p2.mu),
+                           (p1.lam_scalar, p2.lam_scalar), spec.eta, -1, spec)
+
+
+def _diff_shift_iso(source, target, rho, fixed, moved, char: Character,
+                    sign: int, spec: AlgebraSpec) -> bool:
+    """The fixed scalars agree and some shift k in 0..order(chi)-1 has
+    target = source chi^(-k) and moved[0] = moved[1] + sign rho(wind(e, k;
+    char)), the winding summed term by term by ``wind``.  DiffVx shifts
+    the second rho and moves mu along chi; DiffVy shifts the first rho and
+    moves lambda along eta with sign -1."""
+    if fixed[0] != fixed[1]:
+        return False
+    for k in range(spec.chi.order()):
+        if target == source * (spec.chi ** (-k)) and \
+                moved[0] == moved[1] + sign * wind(spec.e, k, spec, character=char).apply_char(rho):
+            return True
+    return False

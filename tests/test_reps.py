@@ -3,13 +3,14 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 
 import pytest
 
 from orehopf.abgroup import (AbelianGroup, Character, SubgroupCharacter,
                              char_kernel, joint_kernel)
-from orehopf.cyclotomic import Cyclotomic, euler_phi, root_of_unity, split_prime
+from orehopf.cyclotomic import Cyclotomic, euler_phi, root_of_unity, split_prime, zeta_log
 from orehopf.hopfcore import Mode, SpecError, cyclotomic_to_literal, validate_spec, wind
 from orehopf.linalg import (ModularSpan, SpanBasis, identity, inverse, mat_mul,
                             mat_scale, zeros)
@@ -26,8 +27,9 @@ from orehopf import linalg, reps
 
 from gen import (audit_spec, diff_sweep_spec, random_group_char, random_invertible,
                  random_kernel_char, random_monomial, random_scalar, skew_sweep_spec)
-from oracles import (cross_relation_by_inverses, intertwiners_by_exact_nullspace, mat_eq,
-                     torsion_type_by_exact_elimination, vbar_truncation_by_rewriting)
+from oracles import (cross_relation_by_inverses, intertwiners_by_exact_nullspace,
+                     iso_criterion_by_cases, mat_eq, torsion_type_by_exact_elimination,
+                     vbar_truncation_by_rewriting)
 from test_acceptance import sweep_instances
 
 
@@ -510,6 +512,91 @@ def test_iso_criterion_reads_diff_vy_parameters_by_classification():
     assert not iso_criterion(pn, px, spec) and not iso_criterion(px, pn, spec)
 
 
+def test_diff_torsion_char_keys_as_the_vbar_it_builds():
+    # in differential mode TorsionChar(lam) and DiffVbar(lam) build one 1 x 1
+    # module, so they share a key; the pairwise oracle told them apart
+    count = 0
+    for inst in sweep_instances():
+        if (inst.family, inst.mode) != ("TorsionChar", "diff"):
+            continue
+        spec = inst.spec
+        lam = Character(spec.group, spec.conductor,
+                        [zeta_log(A[0][0]) for A in inst.module.group_mats])
+        torsion = SimpleParams(family="TorsionChar", lam=lam)
+        vbar = SimpleParams(family="DiffVbar", rho=lam)
+        M, V = build_simple(torsion, spec), build_simple(vbar, spec)
+        assert (M.group_mats, M.X, M.Y) == (V.group_mats, V.X, V.Y)
+        assert are_isomorphic(M, V).status == "isomorphic"
+        assert torsion.key(spec) == vbar.key(spec) == classify_simple(M, spec).key(spec)
+        assert iso_criterion(torsion, vbar, spec)
+        assert not iso_criterion_by_cases(torsion, vbar, spec)
+        count += 1
+    assert count == 10
+
+
+def test_skew_vxy_key_reads_t_mod_n():
+    # t and t + n build one module; the pairwise oracle's coupling
+    # alpha_y alpha_x^-t used the unreduced t and told them apart
+    spec = skew_sweep_spec(3)
+    lam = kernel_char(spec, spec.chi, [1, 2])
+    p1, p2 = (SimpleParams(family="SkewVxy", alpha_x=scalar(spec, 2), alpha_y=scalar(spec, 5),
+                           lam=lam, t=t) for t in (1, 4))
+    M1, M2 = build_simple(p1, spec), build_simple(p2, spec)
+    assert (M1.group_mats, M1.X, M1.Y) == (M2.group_mats, M2.X, M2.Y)
+    assert p1.key(spec) == p2.key(spec) == classify_simple(M2, spec).key(spec)
+    assert not iso_criterion_by_cases(p1, p2, spec)
+
+
+def _shifted(p, k, spec):
+    """The k-th point of the shift orbit of a DiffVx tuple, (rho chi^-k,
+    mu + rho(wind(e, k))), or of a DiffVy one, (rho chi^k, lam -
+    rho(wind(e, k; eta)))."""
+    if p.family == "DiffVx":
+        return SimpleParams(family="DiffVx", rho=p.rho * spec.chi ** -k, lam_scalar=p.lam_scalar,
+                            mu=p.mu + wind(spec.e, k, spec).apply_char(p.rho))
+    return SimpleParams(family="DiffVy", rho=p.rho * spec.chi ** k, mu=p.mu,
+                        lam_scalar=p.lam_scalar
+                        - wind(spec.e, k, spec, character=spec.eta).apply_char(p.rho))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_diff_shift_orbits_share_one_key(n):
+    # every shift of a DiffVx or DiffVy tuple has its key, and names a
+    # module the pairwise oracle calls isomorphic; the n shifted characters
+    # are distinct; a DiffVy tuple keys as DiffVx exactly when x acts
+    # invertibly on the module of each shift, and its key is that of its
+    # classification; lam = rho(wind(e, i; eta)), i < n, makes x nilpotent
+    rng = random.Random(2800 + n)
+    spec = diff_sweep_spec(n)
+    N = spec.conductor
+    keys, x_free = set(), Counter()
+    for draw in range(12):
+        rho = random_group_char(rng, spec)
+        lams = [wind(spec.e, i, spec, character=spec.eta).apply_char(rho) for i in range(n)]
+        lams += [random_scalar(rng, N) for _ in range(2)]
+        tuples = [SimpleParams(family="DiffVx", rho=rho, mu=random_scalar(rng, N),
+                               lam_scalar=random_scalar(rng, N, nonzero=True))]
+        tuples += [SimpleParams(family="DiffVy", rho=rho, lam_scalar=lam,
+                                mu=random_scalar(rng, N, nonzero=True)) for lam in lams]
+        for p in tuples:
+            key = p.key(spec)
+            shifts = [_shifted(p, k, spec) for k in range(n)]
+            assert len({s.rho for s in shifts}) == n
+            assert all(s.key(spec) == key and iso_criterion_by_cases(p, s, spec)
+                       for s in shifts), p.describe()
+            keys.add(key)
+            if draw == 0:
+                assert are_isomorphic(build_simple(p, spec), build_simple(shifts[-1], spec))
+            if p.family == "DiffVy":
+                for s in shifts:
+                    free = torsion_profile(build_simple(s, spec))["x"] == "TorsionFree"
+                    x_free[free] += 1
+                    assert (key[0] == "DiffVx") == free, s.describe()
+                assert key == classify_simple(build_simple(p, spec), spec).key(spec)
+    assert x_free[True] > 0 and x_free[False] >= 12 * n
+    assert len(keys) > 12 * (n + 2)
+
+
 def test_iso_criterion_family_mismatch():
     spec = skew_sweep_spec(3)
     lam_x = kernel_char(spec, spec.chi, [0, 0])
@@ -582,6 +669,11 @@ def test_simple_params_validation():
         SimpleParams(family="DiffVx", lam_scalar=zero)
     with pytest.raises(SpecError, match="mu must be nonzero"):
         SimpleParams(family="DiffVy", mu=zero)
+    for alphas in ({"alpha_x": zero}, {"alpha_y": zero}):
+        with pytest.raises(SpecError, match="alpha_x and alpha_y must be nonzero"):
+            SimpleParams(family="SkewVxy", t=1, **alphas)
+    with pytest.raises(SpecError, match="unknown family 'Nope'"):
+        SimpleParams(family="Nope")
     # the families that allow a zero keep it
     assert SimpleParams(family="DiffVy", lam_scalar=zero).lam_scalar is zero
     assert SimpleParams(family="DiffVx", mu=zero).mu is zero
@@ -1379,6 +1471,7 @@ def test_classify_solves_no_intertwiner_system(monkeypatch):
     monkeypatch.setattr(reps, "inverse", counting_inverse)
     rng = random.Random(22)
     recovered = Counter()
+    classified = {}
     for inst in sweep_instances():
         M, spec = inst.module, inst.spec
         modules = [M, conjugate(M, random_invertible(M.dim, spec.conductor, rng))]
@@ -1398,9 +1491,22 @@ def test_classify_solves_no_intertwiner_system(monkeypatch):
             assert params.family == first.family, first.family
             assert iso_criterion(first, params, spec), first.family
             recovered[params.family] += 1
+            classified.setdefault(spec.fingerprint(), []).append((spec, params))
     assert set(recovered) == {"TorsionChar", "SkewVx", "SkewVy", "SkewVxy",
                               "DiffVbar", "DiffVx", "DiffVy"}
     assert krylov[True] > 0 and krylov[False] == 0
+    # grouping by key gives the partition of the pairwise oracle, per spec
+    compared = 0
+    for found in classified.values():
+        classes = {}
+        for i, (spec, params) in enumerate(found):
+            classes.setdefault(params.key(spec), set()).add(i)
+        class_of = {i: members for members in classes.values() for i in members}
+        for (i, (spec, p1)), (j, (_, p2)) in combinations(enumerate(found), 2):
+            assert (j in class_of[i]) == iso_criterion_by_cases(p1, p2, spec), \
+                (p1.describe(), p2.describe())
+            compared += 1
+    assert compared > 9000
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
