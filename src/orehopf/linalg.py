@@ -22,7 +22,10 @@ column once and sums each entry's products in one pass, as
 `_insert_mod` is the same routine on integer lists mod the split prime p
 of the conductor (`cyclotomic.split_prime`), with the same pivot choice;
 `ModularSpan` keeps such a basis and reads its kernel in the form of
-`nullspace`, and `full_rank_mod` is the twin of `full_rank`.
+`nullspace`, and `full_rank_mod` and `nullspace_mod` are the twins of
+`full_rank` and `nullspace`.  `spin_mod` spins a vector mod p: it spans
+its images under every product of some matrices, one vector of length d
+per insertion, so it costs O(k d^3) for k matrices.
 `residues(mats, e)` reduces matrices mod p under the e-th embedding
 zeta -> omega^k of `cyclotomic.residue`.  Reduction mod p is a ring map,
 so a rank mod p is a lower bound on the exact rank: a full rank mod p is
@@ -262,3 +265,31 @@ class ModularSpan:
         ``nullspace``; an entry is an integer that stands for its residue
         mod p (minus a row entry at each pivot, unreduced)."""
         return _kernel(self.rows, self.pivots, ncols, 0, 1)
+
+
+def nullspace_mod(A, p: int):
+    """Basis of the right kernel mod p of the integer matrix A, entries in
+    [0, p), in the form of ``nullspace`` with entries reduced to [0, p)."""
+    span = ModularSpan(p)
+    for row in A:
+        span.add(row)
+    return [[x % p for x in v] for v in span.kernel(len(A[0]))]
+
+
+def spin_mod(vec, gens, p: int) -> int:
+    """Dimension mod p of the subspace that vec spins to under gens: the
+    span of vec and its images under every product of the matrices gens,
+    breadth first, each new image inserted into a ``ModularSpan``.  It
+    stops once the span is the whole space.  vec and the matrices have
+    entries in [0, p)."""
+    d = len(vec)
+    span = ModularSpan(p)
+    queue = [vec] if span.add(vec) else []
+    for v in queue:
+        for A in gens:
+            if span.dim() == d:
+                return d
+            image = [sum(a * b for a, b in zip(row, v)) % p for row in A]
+            if span.add(image):
+                queue.append(image)
+    return span.dim()

@@ -373,3 +373,51 @@ def test_modular_rank_only_drops():
     assert [span.add(row) for row in residues([A], 0)[1][0]] == [True, False]
     assert len(rref(A)[1]) == 2
     assert residues([[[Cyclotomic.rational(1, Fraction(1, p))]]], 0) is None
+
+
+def _invariant_closure(vec, gens, p):
+    """Dimension of the smallest subspace mod p holding vec and mapped into
+    itself by gens: its echelon basis grown until no image of a basis row
+    enlarges it."""
+    span = ModularSpan(p)
+    span.add(vec)
+    grown = True
+    while grown:
+        grown = False
+        for row in list(span.rows):
+            for A in gens:
+                grown |= span.add([sum(a * b for a, b in zip(r, row)) % p for r in A])
+    return span.dim()
+
+
+def test_spin_mod_is_the_smallest_invariant_subspace():
+    p, rng = 13, random.Random(29)
+    dims = []
+    for _ in range(200):
+        d = rng.randint(1, 5)
+        # block upper triangular with a random split point, so that
+        # proper invariant subspaces are common
+        split = rng.randint(1, d)
+        gens = [[[rng.randrange(p) if j >= split or i < split else 0 for j in range(d)]
+                 for i in range(d)] for _ in range(rng.randint(1, 3))]
+        vec = [rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(d)]
+        dims.append(linalg.spin_mod(vec, gens, p))
+        assert dims[-1] == _invariant_closure(vec, gens, p)
+    assert {0, 1, 5} <= set(dims) and any(0 < x < 5 for x in dims)
+
+
+def test_nullspace_mod_is_the_kernel():
+    p, rng = 13, random.Random(30)
+    for _ in range(100):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        A = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(c)]
+             for _ in range(r)]
+        kernel = linalg.nullspace_mod(A, p)
+        span = ModularSpan(p)
+        for row in A:
+            span.add(row)
+        assert len(kernel) == c - span.dim()
+        assert all(0 <= x < p for v in kernel for x in v)
+        assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for v in kernel for row in A)
+        assert full_rank_mod(kernel, p)
+

@@ -675,10 +675,45 @@ def test_simple_params_validation():
     with pytest.raises(SpecError, match="unknown family 'Nope'"):
         SimpleParams(family="Nope")
     # the families that allow a zero keep it
-    assert SimpleParams(family="DiffVy", lam_scalar=zero).lam_scalar is zero
-    assert SimpleParams(family="DiffVx", mu=zero).mu is zero
+    rho, one = Character(AbelianGroup(2), 4, [1, 0]), Cyclotomic.one(4)
+    assert SimpleParams(family="DiffVy", rho=rho, lam_scalar=zero, mu=one).lam_scalar is zero
+    assert SimpleParams(family="DiffVx", rho=rho, lam_scalar=one, mu=zero).mu is zero
     with pytest.raises(TypeError):
         SimpleParams(family="DiffVx", lam=None, nu=zero)
+
+
+def test_simple_params_name_a_missing_field():
+    # without t, key and build_simple of SkewVxy raised a TypeError; without
+    # rho, key of DiffVx raised an AttributeError
+    skew, diff = skew_sweep_spec(3), diff_sweep_spec(3)
+    lam = kernel_char(skew, skew.chi, [1, 2])
+    with pytest.raises(SpecError, match="^SkewVxy parameters need t$"):
+        SimpleParams("SkewVxy", alpha_x=scalar(skew, 2), alpha_y=scalar(skew, 5), lam=lam)
+    with pytest.raises(SpecError, match="^DiffVx parameters need rho$"):
+        SimpleParams("DiffVx", lam_scalar=scalar(diff, 2), mu=scalar(diff, 1))
+    # the parameters classification returns, of each family's module and of
+    # a conjugate (invariant-only for the skew families), keep their key on
+    # the fields of each field set they fill, and losing any one of those
+    # fields is a SpecError that names a missing field
+    rng = random.Random(29)
+    sets = Counter()
+    for spec, M in _one_module_per_family():
+        C = conjugate(M, random_invertible(M.dim, spec.conductor, rng))
+        for params in (classify_simple(M, spec), classify_simple(C, spec)):
+            for fields in reps._REQUIRED[params.family]:
+                kwargs = {name: getattr(params, name) for name in fields}
+                if None in kwargs.values():
+                    continue
+                sets[params.family, fields] += 1
+                assert SimpleParams(params.family, **kwargs).key(spec) == params.key(spec)
+                for name in fields:
+                    with pytest.raises(SpecError, match=f"^{params.family} parameters need "):
+                        SimpleParams(params.family,
+                                     **{k: v for k, v in kwargs.items() if k != name})
+    # every field set of every family was filled, the invariant-only ones
+    # by the skew conjugates
+    assert set(sets) == {(family, fields) for family, alternatives in reps._REQUIRED.items()
+                         for fields in alternatives}
 
 
 def test_iso_result_truth_is_its_status():
@@ -779,13 +814,126 @@ def test_burnside_stops_once_the_span_is_full(monkeypatch):
     assert late == []
 
 
+def _counting_closures(monkeypatch):
+    """The span type of each ``_span_closure`` run, in order."""
+    closures = []
+
+    def counting_closure(gens, ident, mul, span, full, _closure=reps._span_closure):
+        closures.append(type(span).__name__)
+        return _closure(gens, ident, mul, span, full)
+
+    monkeypatch.setattr(reps, "_span_closure", counting_closure)
+    return closures
+
+
+def _closure_report(monkeypatch, M):
+    """M's Burnside report with Norton's criterion switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(reps, "_NORTON_MIN_DIM", float("inf"))
+        return is_simple_burnside(_fresh(M)).to_dict()
+
+
+def test_norton_report_equals_the_closure_report(monkeypatch):
+    rng = random.Random(2901)
+    modules = [_fresh(inst.module) for inst in sweep_instances()
+               if inst.module.dim >= reps._NORTON_MIN_DIM]
+    modules += [conjugate(M, random_invertible(M.dim, M.spec.conductor, rng))
+                for M in modules]
+    closures = _counting_closures(monkeypatch)
+    certified = 0
+    for M in modules:
+        before = len(closures)
+        report = is_simple_burnside(M).to_dict()
+        # Norton certifies with no closure; else the closure mod p runs
+        certified += len(closures) == before
+        assert closures[before:] in ([], ["ModularSpan"])
+        assert report == _closure_report(monkeypatch, M)
+        assert report["facts"]["span_dimension"] == M.dim ** 2
+    assert len(modules) > 150 and certified > len(modules) // 2
+
+
+def test_norton_never_certifies_a_direct_sum():
+    rng = random.Random(2902)
+    modules = [inst.module for inst in sweep_instances()]
+    sums = [direct_sum(a, b) for a, b in zip(modules, modules[1:])
+            if a.spec is b.spec and a.dim + b.dim <= 5]
+    sums += [conjugate(S, random_invertible(S.dim, S.spec.conductor, rng)) for S in sums[::3]]
+    lines = 0
+    for S in sums:
+        lines += reps._group_eigenline(S) is not None
+        assert not reps._norton_certifies(S)
+        assert not is_simple_burnside(S).passed
+    # the criterion was tried: many sums have a group eigenline
+    assert len(sums) > 80 and lines > 50
+
+
+def test_norton_needs_the_transposed_spin():
+    # upper triangular action on three lines: g1 = diag(zeta^2, zeta, 1) and
+    # x e_3 = e_2, x e_2 = e_1.  The eigenline e_3 of g1 - 1 spins to the
+    # whole space, but ker(g1 - 1)^T = e_3 spins to a line under the
+    # transposes: span(e_1) is a submodule, and the algebra is 6-dimensional
+    spec = skew_sweep_spec(3)
+    N = spec.conductor
+    one, zero = Cyclotomic.one(N), Cyclotomic.zero(N)
+    G = [[root_of_unity(N, 2), zero, zero], [zero, root_of_unity(N, 1), zero],
+         [zero, zero, one]]
+    X = [[zero, one, zero], [zero, zero, one], [zero, zero, zero]]
+    M = ModuleRep(spec, 3, [G, identity(3, N)], X, zeros(3, 3, N))
+    k, e, v = reps._group_eigenline(M)
+    p, gens = M._residues(0)
+    assert (k, e) == (0, 0) and linalg.spin_mod(v, gens, p) == 3
+    assert not reps._norton_certifies(M)
+    assert is_simple_burnside(M).facts["span_dimension"] == 6
+
+
+def test_no_group_eigenline_runs_the_closure(monkeypatch):
+    # c shifts the lines of SkewVx with wraparound lam(c^3) = zeta_3, so its
+    # eigenvalues are the cube roots of zeta_3, no cube root of unity, and
+    # the other generator acts by a scalar
+    spec = skew_sweep_spec(3)
+    M = build_Vx_skew(scalar(spec, 2), kernel_char(spec, spec.chi, [1, 0]), spec)
+    assert reps._group_eigenline(_fresh(M)) is None
+    closures = _counting_closures(monkeypatch)
+    report = is_simple_burnside(_fresh(M)).to_dict()
+    assert closures == ["ModularSpan"] and report["facts"]["span_dimension"] == 9
+    assert report == _closure_report(monkeypatch, M)
+    # the same with the search made to find nothing on a module that has a line
+    diff = diff_sweep_spec(3)
+    V = build_Vx_diff(Character(diff.group, diff.conductor, [2, 1]),
+                      root_of_unity(diff.conductor, 1), scalar(diff, 2), diff)
+    assert reps._group_eigenline(_fresh(V)) is not None
+    monkeypatch.setattr(reps, "_group_eigenline", lambda M: None)
+    closures.clear()
+    report = is_simple_burnside(_fresh(V)).to_dict()
+    assert closures == ["ModularSpan"]
+    assert report == _closure_report(monkeypatch, V)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_norton_certifies_large_diff_modules_with_no_closure(monkeypatch, n):
+    spec = diff_sweep_spec(n)
+    N = spec.conductor
+    M = build_Vx_diff(Character(spec.group, N, [1, 1]), root_of_unity(N, 1), scalar(spec, 2), spec)
+    C = conjugate(M, random_invertible(n, N, random.Random(n)))
+    closures = _counting_closures(monkeypatch)
+    for X in (M, C):
+        report = is_simple_burnside(X)
+        assert report.passed and report.facts["span_dimension"] == n * n
+    assert closures == []
+
+
 def test_certificates_are_computed_once(monkeypatch):
     counts = Counter()
     closure, add, mul = reps._span_closure, ModularSpan.add, reps.mat_mul
+    eigenline = reps._group_eigenline
 
     def counting_closure(*args):
         counts["closure"] += 1
         return closure(*args)
+
+    def counting_eigenline(M):
+        counts["eigenline"] += 1
+        return eigenline(M)
 
     def counting_add(self, vec):
         counts["span_add_mod_p"] += 1
@@ -801,6 +949,7 @@ def test_certificates_are_computed_once(monkeypatch):
         return _decide(M)
 
     monkeypatch.setattr(reps, "_span_closure", counting_closure)
+    monkeypatch.setattr(reps, "_group_eigenline", counting_eigenline)
     monkeypatch.setattr(ModularSpan, "add", counting_add)
     monkeypatch.setattr(reps, "mat_mul", counting_mul)
     monkeypatch.setattr(ModuleRep, "_group_invertible", _group_invertible)
@@ -823,8 +972,10 @@ def test_certificates_are_computed_once(monkeypatch):
     # invertibility of the group matrices is decided once per module, by
     # rep_check here; Burnside reads it
     assert check_cost["invertible"] == 1 and burnside_cost["invertible"] == 0
-    # one closure, mod p, which the span fills: no exact closure after it
-    assert burnside_cost["closure"] == 1 and burnside_cost["span_add_mod_p"] > 0
+    # one eigenline search, and Norton's spins mod p fill the space: no
+    # closure, mod p or exact
+    assert burnside_cost["eigenline"] == 1 and burnside_cost["closure"] == 0
+    assert burnside_cost["span_add_mod_p"] > 0
     # classify_simple on a certified module: no closure, no relation products
     params, classify_cost = cost(classify_simple, M, spec)
     assert classify_cost["closure"] == 0 and classify_cost["invertible"] == 0
@@ -846,7 +997,8 @@ def test_certificates_are_computed_once(monkeypatch):
     # a conjugate is a new module and certifies from scratch
     conj = conjugate(M, random_invertible(M.dim, spec.conductor, random.Random(3)))
     assert cost(rep_check, conj, spec)[1] == check_cost
-    assert cost(is_simple_burnside, conj)[1]["closure"] == 1
+    conj_cost = cost(is_simple_burnside, conj)[1]
+    assert conj_cost["eigenline"] == 1 and conj_cost["closure"] == 0
     assert cost(classify_simple, conj, spec)[1]["closure"] == 0
 
 
