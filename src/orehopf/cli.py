@@ -169,13 +169,21 @@ def config_from_dict(data) -> Config:
     return Config(spec, quotient_spec, seed)
 
 
-def parse_config(text: str) -> Config:
+def _json(text: str, what: str):
+    """text decoded as JSON, else a ConfigError naming what.  The decoder
+    recurses once per nesting level, so a deep enough nesting raises
+    RecursionError; that text is invalid JSON too."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON (line {exc.lineno}, "
+        raise ConfigError(f"{what} is not valid JSON (line {exc.lineno}, "
                           f"column {exc.colno}): {exc.msg}") from exc
-    return config_from_dict(data)
+    except RecursionError as exc:
+        raise ConfigError(f"{what} is not valid JSON: nested too deeply") from exc
+
+
+def parse_config(text: str) -> Config:
+    return config_from_dict(_json(text, "config"))
 
 
 def _load_config(path: str) -> Config:
@@ -323,13 +331,10 @@ def _check_module_dim(dim) -> None:
 def _load_module(path: str) -> reps.ModuleRep:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read module file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"module file {path!r} is not valid JSON "
-                          f"(line {exc.lineno}, column {exc.colno}): "
-                          f"{exc.msg}") from exc
+    data = _json(text, f"module file {path!r}")
     if not isinstance(data, dict) or "config" not in data or "module" not in data:
         raise ConfigError(f"module file {path!r} must be an object with "
                           f"'config' and 'module' keys")
@@ -429,10 +434,7 @@ def _cmd_quotient_check(args) -> int:
 
 def _cmd_module_build(args) -> int:
     config = _load_config(args.config)
-    try:
-        params = json.loads(args.params)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"--params is not valid JSON: {exc.msg}") from exc
+    params = _json(args.params, "--params")
     module = build_family_module(args.family, params, config.spec)
     payload = {"config": config.spec.config_dict(),
                "family": args.family,

@@ -472,14 +472,17 @@ class Cyclotomic:
     # -- root of unity structure --
 
     def multiplicative_order(self):
-        """Order in the unit group, or None if infinite (not a root of unity)."""
+        """Order in the unit group, or None if infinite (not a root of unity).
+        The roots of unity of Q(zeta_N) are the zeta^k, of order
+        N / gcd(k, N), and for odd N also the -zeta^k, of twice that."""
         if self.is_zero():
             raise ValueError("zero has no multiplicative order")
         n = self.conductor
-        bound = n if n % 2 == 0 else 2 * n
-        if self ** bound != 1:
-            return None
-        return next(d for d in divisors(bound) if self ** d == 1)
+        k = zeta_log(self)
+        if k is not None:
+            return n // gcd(k, n)
+        k = zeta_log(-self) if n % 2 else None
+        return None if k is None else 2 * n // gcd(k, n)
 
 
 # the slot setters bypass Cyclotomic.__setattr__

@@ -4,7 +4,7 @@ Matrices are lists of row lists of Cyclotomic values.  One elimination
 routine, `_insert`, serves every exact solver: it adds a row to a reduced
 row echelon basis, pivot normalized to 1 and cleared from the other rows.
 `rref` inserts the rows of a matrix one by one, `nullspace` and `inverse`
-read its result, and `SpanBasis` keeps a basis for closure runs; on it
+read its result, and `SpanBasis` keeps a basis for spins; on it
 `full_rank` decides invertibility with no inverse built.  The reduced
 echelon form of a row space is unique, so the order of insertion does
 not change it.  Its three row operations (reducing the new row by each
@@ -23,14 +23,17 @@ column once and sums each entry's products in one pass, as
 of the conductor (`cyclotomic.split_prime`), with the same pivot choice;
 `ModularSpan` keeps such a basis and reads its kernel in the form of
 `nullspace`, and `full_rank_mod` and `nullspace_mod` are the twins of
-`full_rank` and `nullspace`.  `spin_mod` spins a vector mod p: it spans
-its images under every product of some matrices, one vector of length d
-per insertion, so it costs O(k d^3) for k matrices.
-`residues(mats, e)` reduces matrices mod p under the e-th embedding
-zeta -> omega^k of `cyclotomic.residue`.  Reduction mod p is a ring map,
-so a rank mod p is a lower bound on the exact rank: a full rank mod p is
-an exact certificate, and anything less is a hint that the caller checks
-exactly.
+`full_rank` and `nullspace`.  `residues(mats, e)` reduces matrices mod p
+under the e-th embedding zeta -> omega^k of `cyclotomic.residue`.
+Reduction mod p is a ring map, so a rank mod p is a lower bound on the
+exact rank: a full rank mod p is an exact certificate, and anything less
+is a hint that the caller checks exactly.
+
+`spin` is the one breadth-first span routine, over either span kind: it
+spans the entries of a start matrix and of its images under every
+product of some matrices.  Spinning the identity closes a matrix algebra
+(Burnside, about d^6), and spinning a d x 1 column spans the subspace
+the vector generates (Norton, O(k d^3) for k matrices).
 """
 
 from __future__ import annotations
@@ -185,7 +188,7 @@ def full_rank(A) -> bool:
 
 
 class SpanBasis:
-    """Incrementally maintained row space over Q(zeta_N), for closure runs."""
+    """Incrementally maintained row space over Q(zeta_N), for spins."""
 
     def __init__(self):
         self.rows = []      # echelon rows, pivot normalized to 1
@@ -197,6 +200,24 @@ class SpanBasis:
 
     def dim(self) -> int:
         return len(self.rows)
+
+
+def spin(start, gens, mul, span):
+    """span, holding the entries of start and of each product mul(A, B) of
+    a matrix A of gens and a matrix B already inserted, breadth first.
+    span is a ``SpanBasis``, or a ``ModularSpan`` for start, gens and mul
+    mod p; each matrix enters as the flat list of its rows.  The run stops
+    once span has as many dimensions as start has entries."""
+    full = len(start) * len(start[0])
+    products = [start] if span.add(list(chain.from_iterable(start))) else []
+    for B in products:
+        for A in gens:
+            if span.dim() == full:
+                return span
+            C = mul(A, B)
+            if span.add(list(chain.from_iterable(C))):
+                products.append(C)
+    return span
 
 
 # -- the same elimination over F_p --
@@ -274,22 +295,3 @@ def nullspace_mod(A, p: int):
     for row in A:
         span.add(row)
     return [[x % p for x in v] for v in span.kernel(len(A[0]))]
-
-
-def spin_mod(vec, gens, p: int) -> int:
-    """Dimension mod p of the subspace that vec spins to under gens: the
-    span of vec and its images under every product of the matrices gens,
-    breadth first, each new image inserted into a ``ModularSpan``.  It
-    stops once the span is the whole space.  vec and the matrices have
-    entries in [0, p)."""
-    d = len(vec)
-    span = ModularSpan(p)
-    queue = [vec] if span.add(vec) else []
-    for v in queue:
-        for A in gens:
-            if span.dim() == d:
-                return d
-            image = [sum(a * b for a, b in zip(row, v)) % p for row in A]
-            if span.add(image):
-                queue.append(image)
-    return span.dim()

@@ -392,6 +392,23 @@ def test_malformed_json(tmp_path, capsys):
     assert "not valid JSON (line 1" in err
 
 
+@pytest.mark.parametrize("what", ["config", "module file", "--params"])
+def test_deeply_nested_json_is_invalid(tmp_path, write_config, capsys, what):
+    # the JSON decoder recurses once per bracket: this depth exhausts the stack
+    deep = "[" * 200000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    argv = {"config": ["validate", str(path)],
+            "module file": ["module", "check", str(path)],
+            "--params": ["module", "build", "torsion-char", write_config(U1),
+                         "--params", deep]}[what]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out["status"] == "error"
+    message = out["facts"]["error"]
+    assert message.startswith(what) and "is not valid JSON: nested too deeply" in message
+    assert err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("conductor", [True, MAX_CONDUCTOR + 1, 1000])
 def test_conductor_bounds(write_config, capsys, conductor):
     bad = {k: v for k, v in U1.items() if k != "quotient"}

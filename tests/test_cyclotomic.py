@@ -86,6 +86,23 @@ def test_multiplicative_order():
     two = Cyclotomic.rational(4, Fraction(1, 2))
     assert two.multiplicative_order() is None
 
+    def powering_order(v):
+        # every root of unity in Q(zeta_N) has order dividing lcm(2, N)
+        bound = v.conductor if v.conductor % 2 == 0 else 2 * v.conductor
+        if v ** bound != 1:
+            return None
+        return next(d for d in divisors(bound) if v ** d == 1)
+
+    checked = 0
+    for n in range(1, 61):
+        roots = [root_of_unity(n, k) for k in range(n)]
+        non_roots = [Cyclotomic.rational(n, 2), roots[-1] * Cyclotomic.rational(n, Fraction(1, 3)),
+                     roots[-1] + Cyclotomic.rational(n, 3)]
+        for v in roots + [-r for r in roots] + non_roots:
+            assert v.multiplicative_order() == powering_order(v), (n, v)
+            checked += 1
+    assert checked == sum(2 * n + 3 for n in range(1, 61))
+
 
 def test_primitive_root_detection():
     assert is_primitive_root(root_of_unity(12, 1), 12)

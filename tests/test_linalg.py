@@ -14,10 +14,12 @@ import pytest
 from orehopf.cyclotomic import (ConductorMismatch, Cyclotomic, dot, euler_phi, residue,
                                 root_of_unity, split_prime)
 from orehopf import linalg
+from orehopf.reps import direct_sum
 from orehopf.linalg import (ModularSpan, SpanBasis, full_rank_mod, identity, inverse, mat_mul,
                             mat_mul_mod, mat_pow, mat_vec, nullspace, residues, rref)
 
 from gen import random_scalar
+from test_acceptance import sweep_instances
 from oracles import mat_eq, rref_by_column_sweep
 
 CONDUCTORS = (1, 3, 8, 12)
@@ -375,35 +377,88 @@ def test_modular_rank_only_drops():
     assert residues([[[Cyclotomic.rational(1, Fraction(1, p))]]], 0) is None
 
 
-def _invariant_closure(vec, gens, p):
-    """Dimension of the smallest subspace mod p holding vec and mapped into
-    itself by gens: its echelon basis grown until no image of a basis row
-    enlarges it."""
-    span = ModularSpan(p)
-    span.add(vec)
+def _flat(C):
+    return [x for row in C for x in row]
+
+
+def _holds(make_span, span, vec) -> bool:
+    """Whether vec lies in the row space of span."""
+    copy = make_span()
+    for row in span.rows:
+        copy.add(row)
+    return not copy.add(vec)
+
+
+def _invariant_closure(start, gens, mul, make_span):
+    """Dimension of the smallest space of matrices holding the entries of
+    start and mapped into itself by left multiplication with gens: its
+    echelon basis grown until no image of a basis row enlarges it."""
+    ncols = len(start[0])
+    span = make_span()
+    span.add(_flat(start))
     grown = True
     while grown:
         grown = False
         for row in list(span.rows):
+            B = [row[i:i + ncols] for i in range(0, len(row), ncols)]
             for A in gens:
-                grown |= span.add([sum(a * b for a, b in zip(r, row)) % p for r in A])
+                grown |= span.add(_flat(mul(A, B)))
     return span.dim()
 
 
-def test_spin_mod_is_the_smallest_invariant_subspace():
+@pytest.mark.parametrize("exact", [False, True], ids=["ModularSpan", "SpanBasis"])
+def test_spin_is_the_smallest_invariant_subspace(exact):
     p, rng = 13, random.Random(29)
+    if exact:
+        N = 3
+        make_span, mul, cases = SpanBasis, mat_mul, 60
+        zero = Cyclotomic.zero(N)
+
+        def entry():
+            return random_scalar(rng, N)
+    else:
+        make_span, cases = (lambda: ModularSpan(p)), 200
+        zero = 0
+
+        def mul(A, B):
+            return mat_mul_mod(A, B, p)
+
+        def entry():
+            return rng.randrange(p)
     dims = []
-    for _ in range(200):
-        d = rng.randint(1, 5)
+    for _ in range(cases):
+        d = rng.randint(1, 5 if not exact else 4)
         # block upper triangular with a random split point, so that
         # proper invariant subspaces are common
         split = rng.randint(1, d)
-        gens = [[[rng.randrange(p) if j >= split or i < split else 0 for j in range(d)]
+        gens = [[[entry() if j >= split or i < split else zero for j in range(d)]
                  for i in range(d)] for _ in range(rng.randint(1, 3))]
-        vec = [rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(d)]
-        dims.append(linalg.spin_mod(vec, gens, p))
-        assert dims[-1] == _invariant_closure(vec, gens, p)
-    assert {0, 1, 5} <= set(dims) and any(0 < x < 5 for x in dims)
+        # mostly columns, as Norton's spins; some d x 2 starts
+        ncols = rng.choice((1, 1, 2))
+        start = [[entry() if rng.random() < 0.5 else zero for _ in range(ncols)]
+                 for _ in range(d)]
+        span = linalg.spin(start, gens, mul, make_span())
+        dims.append(span.dim())
+        assert _holds(make_span, span, _flat(start))
+        for row in span.rows:
+            B = [row[i:i + ncols] for i in range(0, len(row), ncols)]
+            assert all(_holds(make_span, span, _flat(mul(A, B))) for A in gens)
+        assert dims[-1] == _invariant_closure(start, gens, mul, make_span)
+    assert 0 in dims and max(dims) >= 5 and any(0 < x < 4 for x in dims)
+
+
+def test_spin_of_e0_in_a_direct_sum_is_the_first_summand():
+    modules = [inst.module for inst in sweep_instances()]
+    sums = [(a, direct_sum(a, b)) for a, b in zip(modules, modules[1:])
+            if a.spec is b.spec and a.dim + b.dim <= 6][:24]
+    for M, S in sums:
+        N = S.spec.conductor
+        e0 = [[Cyclotomic.one(N) if i == 0 else Cyclotomic.zero(N)] for i in range(S.dim)]
+        span = linalg.spin(e0, S.group_mats + (S.X, S.Y), mat_mul, SpanBasis())
+        # M is simple: e_0 spins to all of it, and never into the second summand
+        assert span.dim() == M.dim
+        assert all(not x for row in span.rows for x in row[M.dim:])
+    assert len(sums) == 24 and any(M.dim > 1 for M, _ in sums)
 
 
 def test_nullspace_mod_is_the_kernel():

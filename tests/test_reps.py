@@ -625,23 +625,45 @@ def test_classify_rejects_non_module():
         classify_simple(broken, spec)
 
 
+def _two_shift_spec():
+    """G = Z^2, N = 5, chi = eta = [1, 2], b = (-1, 0), c = (1, 0): the group
+    generators shift the lines of SkewVx and SkewVxy by 1 and 2 (chi, c) and
+    those of SkewVy by 4 and 3 (eta, b)."""
+    G = AbelianGroup(2)
+    chi = Character(G, 5, [1, 2])
+    return validate_spec(G, chi, chi, G.element([-1, 0]), G.element([1, 0]), 0)
+
+
+def _line_shifts(M):
+    """The line each group generator moves e_0 to."""
+    return [next(i for i, row in enumerate(A) if not row[0].is_zero()) for A in M.group_mats]
+
+
 def test_classify_round_trip_all_skew_families():
-    spec = skew_sweep_spec(4)
-    lam = kernel_char(spec, spec.chi, [2, 1])
-    lam_y = kernel_char(spec, spec.eta, [2, 1])
-    chars = Character(spec.group, spec.conductor, [3, 2])
-    cases = [
-        (build_torsion_char(chars, spec), "TorsionChar"),
-        (build_Vx_skew(root_of_unity(4, 1), lam, spec), "SkewVx"),
-        (build_Vy_skew(scalar(spec, 3), lam_y, spec), "SkewVy"),
-        (build_Vxy_skew(scalar(spec, 1), root_of_unity(4, 2), lam, 1, spec),
-         "SkewVxy"),
-    ]
-    for M, family in cases:
-        params = classify_simple(M, spec)
-        assert params.family == family
-        rebuilt = build_simple(params, spec)
-        assert are_isomorphic(M, rebuilt)
+    rng = random.Random(628)
+    for spec in (skew_sweep_spec(4), _two_shift_spec()):
+        N = spec.conductor
+        lam = kernel_char(spec, spec.chi, [2, 1])
+        lam_y = kernel_char(spec, spec.eta, [2, 1])
+        chars = Character(spec.group, N, [3, 2])
+        cases = [
+            (build_torsion_char(chars, spec), "TorsionChar"),
+            (build_Vx_skew(root_of_unity(N, 1), lam, spec), "SkewVx"),
+            (build_Vy_skew(scalar(spec, 3), lam_y, spec), "SkewVy"),
+            (build_Vxy_skew(scalar(spec, 1), root_of_unity(N, 2), lam, 1, spec),
+             "SkewVxy"),
+        ]
+        if N == 5:
+            assert [_line_shifts(M) for M, _ in cases[1:]] == [[1, 2], [4, 3], [1, 2]]
+        for M, family in cases:
+            params = classify_simple(M, spec)
+            assert params.family == family
+            rebuilt = build_simple(params, spec)
+            assert are_isomorphic(M, rebuilt)
+            C = conjugate(M, random_invertible(M.dim, N, rng))
+            for module in (M, C):
+                assert rep_check(module, spec).passed and is_simple_burnside(module).passed
+            assert classify_simple(C, spec).family == family
 
 
 def test_classify_round_trip_diff_families():
@@ -814,15 +836,22 @@ def test_burnside_stops_once_the_span_is_full(monkeypatch):
     assert late == []
 
 
+def _is_closure(start):
+    """Whether a ``linalg.spin`` start is a closure's identity, d x d, and
+    not one of Norton's d x 1 lines (which run from dimension 3 on)."""
+    return len(start) == len(start[0])
+
+
 def _counting_closures(monkeypatch):
-    """The span type of each ``_span_closure`` run, in order."""
+    """The span type of each closure run, in order."""
     closures = []
 
-    def counting_closure(gens, ident, mul, span, full, _closure=reps._span_closure):
-        closures.append(type(span).__name__)
-        return _closure(gens, ident, mul, span, full)
+    def counting_spin(start, gens, mul, span, _spin=reps.spin):
+        if _is_closure(start):
+            closures.append(type(span).__name__)
+        return _spin(start, gens, mul, span)
 
-    monkeypatch.setattr(reps, "_span_closure", counting_closure)
+    monkeypatch.setattr(reps, "spin", counting_spin)
     return closures
 
 
@@ -881,7 +910,9 @@ def test_norton_needs_the_transposed_spin():
     M = ModuleRep(spec, 3, [G, identity(3, N)], X, zeros(3, 3, N))
     k, e, v = reps._group_eigenline(M)
     p, gens = M._residues(0)
-    assert (k, e) == (0, 0) and linalg.spin_mod(v, gens, p) == 3
+    line = linalg.spin([[x] for x in v], gens, lambda A, B: linalg.mat_mul_mod(A, B, p),
+                       ModularSpan(p))
+    assert (k, e) == (0, 0) and line.dim() == 3
     assert not reps._norton_certifies(M)
     assert is_simple_burnside(M).facts["span_dimension"] == 6
 
@@ -924,12 +955,13 @@ def test_norton_certifies_large_diff_modules_with_no_closure(monkeypatch, n):
 
 def test_certificates_are_computed_once(monkeypatch):
     counts = Counter()
-    closure, add, mul = reps._span_closure, ModularSpan.add, reps.mat_mul
+    spin, add, mul = reps.spin, ModularSpan.add, reps.mat_mul
     eigenline = reps._group_eigenline
 
-    def counting_closure(*args):
-        counts["closure"] += 1
-        return closure(*args)
+    def counting_spin(start, *args):
+        if _is_closure(start):
+            counts["closure"] += 1
+        return spin(start, *args)
 
     def counting_eigenline(M):
         counts["eigenline"] += 1
@@ -948,7 +980,7 @@ def test_certificates_are_computed_once(monkeypatch):
         counts["invertible"] += 1
         return _decide(M)
 
-    monkeypatch.setattr(reps, "_span_closure", counting_closure)
+    monkeypatch.setattr(reps, "spin", counting_spin)
     monkeypatch.setattr(reps, "_group_eigenline", counting_eigenline)
     monkeypatch.setattr(ModularSpan, "add", counting_add)
     monkeypatch.setattr(reps, "mat_mul", counting_mul)
@@ -1146,12 +1178,13 @@ def test_mod_p_falls_back_when_the_rank_drops(monkeypatch):
     spec = skew_sweep_spec(2)
     M = _rank_dropping_module(spec)
     closures = []
-    closure = reps._span_closure
+    spin = reps.spin
 
-    def counting_closure(gens, ident, mul, span, full):
-        dim = closure(gens, ident, mul, span, full)
-        closures.append((type(span).__name__, dim))
-        return dim
+    def counting_spin(start, gens, mul, span):
+        span = spin(start, gens, mul, span)
+        if _is_closure(start):
+            closures.append((type(span).__name__, span.dim()))
+        return span
 
     kernels = []
     kernel = reps.nullspace
@@ -1160,7 +1193,7 @@ def test_mod_p_falls_back_when_the_rank_drops(monkeypatch):
         kernels.append(len(A))
         return kernel(A)
 
-    monkeypatch.setattr(reps, "_span_closure", counting_closure)
+    monkeypatch.setattr(reps, "spin", counting_spin)
     monkeypatch.setattr(reps, "nullspace", counting_nullspace)
     report = is_simple_burnside(M)
     assert closures == [("ModularSpan", 2), ("SpanBasis", 4)]
