@@ -488,7 +488,8 @@ def multiply(a: HopfElem, b: HopfElem) -> HopfElem:
     return HopfElem(spec, out)
 
 
-def wind(u: GroupAlgElem, i: int, spec: AlgebraSpec, character: Character | None = None) -> GroupAlgElem:
+def wind(u: GroupAlgElem, i: int, spec: AlgebraSpec,
+         character: Character | None = None) -> GroupAlgElem:
     """Winding sum [u]_i = sum_{k<i} sigma^(-k)(u), sigma(g) = chi(g) g.
 
     Passing a different character swaps the winding direction; the

@@ -15,7 +15,9 @@ matrix algebra being all dim^2 matrices, and isomorphism is decided by
 solving the intertwiner system (``are_isomorphic``).  classify_simple
 solves no system: it certifies its rebuild by the identity, or by the
 Krylov matrix [v, A v, ..., A^(d-1) v] of the line v it read, checked
-exactly as a module map.
+exactly as a module map.  Two modules classified to equal parameters are
+isomorphic through those two maps, and are_isomorphic composes them in
+place of the system.
 
 The Burnside certificate spans the unital algebra generated by the group
 generator matrices, x and y.  The inverse group matrices are not needed:
@@ -41,8 +43,9 @@ needs, its reduction mod the split prime p under each embedding (made
 when first read), Burnside report, torsion profile and rep_check report
 per spec object are computed once and kept on it, and so is each group
 eigenspace mod p that Burnside's eigenline search or the classifier's
-eigenvalue filter reads; conjugate and direct_sum return new modules that
-certify anew.  Invertibility, Burnside, the torsion profile, the group
+eigenvalue filter reads, and each classification's certified rebuild map
+per spec object; conjugate and direct_sum return new modules that certify
+anew.  Invertibility, Burnside, the torsion profile, the group
 eigenspaces and the intertwiner system read embedding 0; the intertwiner
 lift reads the others.
 """
@@ -107,6 +110,11 @@ def _memoized(fn):
             M._memo[key] = fn(M, *args)
         return M._memo[key]
     return once
+
+
+# memo key, with the spec object, of a classification's certified rebuild
+# map (``_verify_rebuild``)
+_REBUILD_KEY = "rebuild_map"
 
 
 def _certified_simple(M) -> bool:
@@ -255,6 +263,15 @@ def _matrix_from_literal(gens: dict, name: str, dim: int, conductor: int):
         raise SpecError(f"module generator '{name}': {exc}") from exc
 
 
+def _check_same_algebra(M1: ModuleRep, M2: ModuleRep):
+    """ValueError unless M1 and M2 are modules of one algebra: the same spec
+    object, which is tested first and hashes nothing, or specs with equal
+    fingerprints."""
+    if M1.spec is not M2.spec and M1.spec.fingerprint() != M2.spec.fingerprint():
+        raise ValueError("the modules are over different algebras "
+                         "(fingerprint mismatch)")
+
+
 def conjugate(M: ModuleRep, T) -> ModuleRep:
     """Change of basis: every action matrix A becomes T A T^{-1}."""
     T_inv = inverse(T)
@@ -269,7 +286,9 @@ def conjugate(M: ModuleRep, T) -> ModuleRep:
 
 
 def direct_sum(M1: ModuleRep, M2: ModuleRep) -> ModuleRep:
-    """Block-diagonal sum of two modules over the same algebra."""
+    """Block-diagonal sum of two modules over the same algebra; ValueError
+    for modules of two algebras."""
+    _check_same_algebra(M1, M2)
     zero = Cyclotomic.zero(M1.spec.conductor)
     pad1, pad2 = [zero] * M2.dim, [zero] * M1.dim
 
@@ -306,8 +325,8 @@ def rep_check(M: ModuleRep, spec: AlgebraSpec) -> Report:
     no inverse: the same when c acts invertibly, and otherwise the
     group_invertible rows fail.  Its row has no entry only when b or c
     needs a negative power of a singular generator.  The witness of a
-    failing identity names its first differing entry with both sides.  The report is computed once per module and
-    spec object.
+    failing identity names its first differing entry with both sides.  The
+    report is computed once per module and spec object.
     """
     group = spec.group
     mats, X, W = M.group_mats, M.X, M.Y
@@ -631,8 +650,43 @@ def _as_matrices(vectors, dim: int):
     return [[vec[i * dim:(i + 1) * dim] for i in range(dim)] for vec in vectors]
 
 
+def _composed_rebuild_maps(M1: ModuleRep, M2: ModuleRep):
+    """T2 T1^-1, when M1 and M2 both hold a classification for M1.spec with
+    equal parameters (``_verify_rebuild``), scaled so that its last nonzero
+    entry in row-major order is 1; else None.  T2 alone when T1 is the
+    identity, and the identity when both are."""
+    key = (_REBUILD_KEY, M1.spec)
+    held1, held2 = M1._memo.get(key), M2._memo.get(key)
+    if held1 is None or held2 is None or held1[0] != held2[0]:
+        return None
+    (_, T1), (_, T) = held1, held2
+    if T1 is not None:
+        T1_inv = inverse(T1)
+        T = T1_inv if T is None else mat_mul(T, T1_inv)
+    if T is None:
+        return identity(M1.dim, M1.spec.conductor)
+    last = next(a for row in reversed(T) for a in reversed(row) if not a.is_zero())
+    return mat_scale(T, last.inverse())
+
+
 def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
-    """Decide module isomorphism by solving the intertwiner system.
+    """Decide module isomorphism, from two classifications when they agree,
+    else by solving the intertwiner system; ValueError for modules of two
+    algebras.
+
+    When ``classify_simple`` has matched M1 and M2 over M1.spec to equal
+    parameters, each holds the exact map T_i from the common rebuild
+    R = build_simple(params, M1.spec) onto it, and no system is solved:
+    T2 T1^-1 A_{M1} = T2 A_R T1^-1 = A_{M2} T2 T1^-1, so T2 T1^-1 is a
+    module map by construction, nonzero, and bijective because M1 is
+    certified simple (``_composed_rebuild_maps``).  M1 is absolutely
+    simple, so the maps M1 -> M2 form a line, and ``nullspace`` spans a
+    line t by the vector that is 1 at the last index of t's support: the
+    map scaled to a last nonzero entry of 1 is the system's witness.
+    Every other pair solves the system: unclassified modules,
+    invariant-only parameters (which have no rebuild), equal keys at
+    different parameter points, and classifications over another spec
+    object.
 
     The basis of intertwiners is that of ``_intertwiner_space``: lifted
     from F_p and checked exactly, or else solved exactly, the same basis
@@ -642,12 +696,17 @@ def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
     intertwiner is the witness.  Otherwise the first invertible basis
     intertwiner is, and failing that 64 random combinations of the basis,
     coefficients in [-dim, dim], are tried, each by its exact rank
-    (``linalg.full_rank``); the determinant has degree dim, so if the modules are isomorphic all draws fail with probability
-    at most (dim/(2 dim + 1))^64 (Schwartz-Zippel).  That outcome is
-    reported as unknown, with the bound, not as negative.
+    (``linalg.full_rank``); the determinant has degree dim, so if the
+    modules are isomorphic all draws fail with probability at most
+    (dim/(2 dim + 1))^64 (Schwartz-Zippel).  That outcome is reported as
+    unknown, with the bound, not as negative.
     """
+    _check_same_algebra(M1, M2)
     if M1.dim != M2.dim:
         return IsoResult("not_isomorphic", detail="dimension mismatch")
+    witness = _composed_rebuild_maps(M1, M2)
+    if witness is not None:
+        return IsoResult("isomorphic", witness=witness)
     dim = M1.dim
     N = M1.spec.conductor
     basis = _intertwiner_space(M1, M2)
@@ -1208,18 +1267,19 @@ def _eigen_ratio(A, v, conductor: int):
     return s
 
 
-def _krylov_certifies(M: ModuleRep, rebuilt: ModuleRep, v, active) -> bool:
-    """Whether T, with columns v, A v, ..., A^(d-1) v for A = active, is a
+def _krylov_certifies(M: ModuleRep, rebuilt: ModuleRep, v, active):
+    """T, with columns v, A v, ..., A^(d-1) v for A = active, when it is a
     nonzero module map from rebuilt to M: T A' = A T exactly for every
-    generator, A' acting on rebuilt and A on M.  With M certified simple,
-    such a T is onto, so with equal dimensions it is an isomorphism."""
+    generator, A' acting on rebuilt and A on M; else None.  With M
+    certified simple, such a T is onto, so with equal dimensions it is an
+    isomorphism."""
     if not _certified_simple(M):
-        return False
+        return None
     cols = [list(v)]
     for _ in range(M.dim - 1):
         cols.append(mat_vec(active, cols[-1]))
     T = [list(row) for row in zip(*cols)]
-    return not is_zero_matrix(T) and _intertwines(T, rebuilt, M)
+    return None if is_zero_matrix(T) or not _intertwines(T, rebuilt, M) else T
 
 
 def _verify_rebuild(M: ModuleRep, params: SimpleParams, spec: AlgebraSpec, v, active):
@@ -1235,17 +1295,22 @@ def _verify_rebuild(M: ModuleRep, params: SimpleParams, spec: AlgebraSpec, v, ac
     the diagonal x or y whose first entry is alpha.  The caller passes v
     and active, M's matrix of the same element.  TorsionChar's 1 x 1
     rebuild always equals its input.  A failed Krylov check alone does not
-    prove non-isomorphism, so the ClassifyError names the check.
+    prove non-isomorphism, so the ClassifyError names the check.  The
+    certificate is kept on M per spec object as (params, T), T None for
+    the identity, for ``are_isomorphic`` to compose; params is the value
+    returned, which no caller may mutate.
     """
     try:
         rebuilt = build_simple(params, spec)
     except SpecError as exc:
         _classify_fail(f"recovered parameters rejected by the constructor: {exc}")
-    if (rebuilt.group_mats, rebuilt.X, rebuilt.Y) == (M.group_mats, M.X, M.Y):
-        return params
-    if not _krylov_certifies(M, rebuilt, v, active):
-        _classify_fail("the rebuilt module fails the Krylov check: the matrix "
-                       "spun from the line read in the input is no module map")
+    T = None
+    if (rebuilt.group_mats, rebuilt.X, rebuilt.Y) != (M.group_mats, M.X, M.Y):
+        T = _krylov_certifies(M, rebuilt, v, active)
+        if T is None:
+            _classify_fail("the rebuilt module fails the Krylov check: the matrix "
+                           "spun from the line read in the input is no module map")
+    M._memo[_REBUILD_KEY, spec] = params, T
     return params
 
 

@@ -22,8 +22,9 @@ column sweep, the intertwiner space and the torsion type of a matrix by
 exact elimination alone, a module's cross relation in H's internal form
 with rho(e) built from exact inverses, the order of the antipode by
 iteration, the truncation index of the DiffVbar module by word
-rewriting, and the pairwise isomorphism test of simple-module parameters
-that ``SimpleParams.key`` replaced.
+rewriting, the pairwise isomorphism test of simple-module parameters
+that ``SimpleParams.key`` replaced, and module isomorphism decided by the
+intertwiner system alone, with no classification held.
 """
 
 from itertools import product
@@ -33,8 +34,9 @@ from orehopf.abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
 from orehopf.cyclotomic import Cyclotomic, divisors, q_int, root_of_unity
 from orehopf.hopfcore import (AlgebraSpec, GroupAlgElem, HopfElem, Mode,
                               TensorElem, antipode, multiply, wind)
-from orehopf.linalg import identity, inverse, mat_mul
-from orehopf.reps import build_simple, classify_simple
+from orehopf.linalg import full_rank, identity, inverse, mat_mul
+from orehopf.reps import (IsoResult, ModuleRep, _intertwiner_space, build_simple,
+                          classify_simple)
 
 
 def _word_of(g, i, j):
@@ -359,6 +361,23 @@ def intertwiners_by_exact_nullspace(pairs, dim: int, conductor: int):
                 v[c] = -r[f]
             basis.append([v[i * dim:(i + 1) * dim] for i in range(dim)])
     return basis
+
+
+def iso_by_system(M1, M2) -> IsoResult:
+    """``are_isomorphic`` as the intertwiner system decides it: on fresh
+    copies of M1 and M2, whose memos are empty, so neither holds a
+    classification or a Burnside report.  The first invertible basis
+    intertwiner of ``_intertwiner_space`` is the witness.  For pairs with
+    such an intertwiner or none, as every pair of simple modules is."""
+    if M1.dim != M2.dim:
+        return IsoResult("not_isomorphic", detail="dimension mismatch")
+    fresh = [ModuleRep(M.spec, M.dim, M.group_mats, M.X, M.Y) for M in (M1, M2)]
+    basis = _intertwiner_space(*fresh)
+    if not basis:
+        return IsoResult("not_isomorphic", detail="no nonzero intertwiner")
+    witness = next((T for T in basis if full_rank(T)), None)
+    assert witness is not None, "no basis intertwiner is invertible"
+    return IsoResult("isomorphic", witness=witness)
 
 
 def torsion_type_by_exact_elimination(A) -> str:

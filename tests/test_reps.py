@@ -15,7 +15,7 @@ from orehopf.hopfcore import Mode, SpecError, cyclotomic_to_literal, validate_sp
 from orehopf.linalg import (ModularSpan, SpanBasis, identity, inverse, mat_mul,
                             mat_scale, zeros)
 from orehopf.reps import (ClassifyError, IsoResult, ModuleRep, SimpleParams,
-                          _intertwiner_space,
+                          _intertwiner_space, _intertwines,
                           are_isomorphic, build_induced_skew, build_simple,
                           build_torsion_char, build_Vbar_diff, build_Vx_diff,
                           build_Vx_skew, build_Vxy_skew, build_Vy_diff,
@@ -25,11 +25,12 @@ from orehopf.reps import (ClassifyError, IsoResult, ModuleRep, SimpleParams,
 from orehopf.catalog import klein_example, takeuchi_u1
 from orehopf import linalg, reps
 
-from gen import (audit_spec, diff_sweep_spec, random_group_char, random_invertible,
-                 random_kernel_char, random_monomial, random_scalar, skew_sweep_spec)
+from gen import (audit_spec, diff_sweep_spec, quotient_sweep_spec, random_group_char,
+                 random_invertible, random_kernel_char, random_monomial, random_scalar,
+                 skew_sweep_spec)
 from oracles import (cross_relation_by_inverses, intertwiners_by_exact_nullspace,
-                     iso_criterion_by_cases, mat_eq, torsion_type_by_exact_elimination,
-                     vbar_truncation_by_rewriting)
+                     iso_by_system, iso_criterion_by_cases, mat_eq,
+                     torsion_type_by_exact_elimination, vbar_truncation_by_rewriting)
 from test_acceptance import sweep_instances
 
 
@@ -422,6 +423,24 @@ def test_direct_sum_not_simple_but_valid():
     assert are_isomorphic(direct_sum(V, W), direct_sum(W, V))
 
 
+def test_modules_of_two_algebras_are_refused():
+    # the same character over specs with different fingerprints
+    specs = skew_sweep_spec(3, 1), skew_sweep_spec(3, 2)
+    assert specs[0].fingerprint() != specs[1].fingerprint()
+    M1, M2 = (build_torsion_char(Character(spec.group, spec.conductor, [1, 0]), spec)
+              for spec in specs)
+    with pytest.raises(ValueError, match="different algebras"):
+        are_isomorphic(M1, M2)
+    with pytest.raises(ValueError, match="different algebras"):
+        direct_sum(M1, M2)
+    # another spec object with an equal fingerprint is the same algebra
+    twin = skew_sweep_spec(3, 1)
+    assert twin is not specs[0]
+    M3 = build_torsion_char(Character(twin.group, twin.conductor, [1, 0]), twin)
+    assert are_isomorphic(M1, M3).status == "isomorphic"
+    assert direct_sum(M1, M3).dim == 2
+
+
 def test_conjugate_preserves_relations_and_class():
     rng = random.Random(9)
     spec = diff_sweep_spec(3)
@@ -612,6 +631,41 @@ def test_classify_rejects_non_simple():
     V = build_Vx_skew(scalar(spec, 1), lam, spec)
     with pytest.raises(ClassifyError, match="not certified simple"):
         classify_simple(direct_sum(V, V), spec)
+
+
+def _quotient_shift_module(n, m):
+    """A simple module of dimension n m on quotient_sweep_spec(n, m), where
+    q = 1 and chi(c) = 1: basis e_(i,j), x maps e_(i,j) to e_(i+1,j) and y
+    to e_(i,j+1), indices mod n and m, g1 = diag(zeta^(-(N/n) i)) and
+    g2 = diag(zeta^(-(N/m) j))."""
+    spec = quotient_sweep_spec(n, m)
+    N, d = spec.conductor, n * m
+    X, Y, G1, G2 = (zeros(d, d, N) for _ in range(4))
+    for i in range(n):
+        for j in range(m):
+            line = i * m + j
+            X[(i + 1) % n * m + j][line] = Y[i * m + (j + 1) % m][line] = Cyclotomic.one(N)
+            G1[line][line] = root_of_unity(N, -(N // n) * i)
+            G2[line][line] = root_of_unity(N, -(N // m) * j)
+    return ModuleRep(spec, d, [G1, G2], X, Y)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 3)])
+def test_classify_needs_chi_c_to_generate_the_image_of_chi(n, m):
+    # a doubly torsion-free simple module outside the seven families
+    M = _quotient_shift_module(n, m)
+    assert rep_check(M, M.spec).passed
+    assert is_simple_burnside(M).facts["span_dimension"] == (n * m) ** 2
+    assert torsion_profile(M) == {"x": "TorsionFree", "y": "TorsionFree"}
+    with pytest.raises(ClassifyError, match=r"chi\(c\) does not generate the image of chi"):
+        classify_simple(M, M.spec)
+
+
+def test_classify_needs_eta_to_be_a_coprime_power_of_chi():
+    entry = klein_example()
+    assert is_simple_burnside(entry.module).passed
+    with pytest.raises(ClassifyError, match="eta is not a coprime power of chi"):
+        classify_simple(entry.module, entry.spec)
 
 
 def test_classify_rejects_non_module():
@@ -1361,15 +1415,132 @@ def test_each_module_is_reduced_once_per_embedding(monkeypatch):
         assert classify_simple(module, spec).family == "DiffVx"
     for _ in range(2):
         assert are_isomorphic(M, C).status == "isomorphic"
-    # at most one reduction per (module, embedding); the lift read all four
-    # embeddings of M and C
+    # the classified pair composes its rebuild maps: no embedding beyond 0
+    assert reduced(M) == reduced(C) == [0]
+    # fresh copies solve the system, whose lift read all four embeddings;
+    # at most one reduction per (module, embedding)
+    fresh = _fresh(M), _fresh(C)
+    for _ in range(2):
+        assert are_isomorphic(*fresh).status == "isomorphic"
     assert max(reductions.values()) == 1
-    assert reduced(M) == reduced(C) == list(range(euler_phi(N)))
+    assert reduced(fresh[0]) == reduced(fresh[1]) == list(range(euler_phi(N)))
     # a pair with no intertwiner mod p reduces embedding 0 of each module only
     reductions.clear()
     A, B = build(2), build(5)
     assert are_isomorphic(A, B).status == "not_isomorphic"
     assert reduced(A) == reduced(B) == [0] and sum(reductions.values()) == 2
+
+
+# ---------------------------------------------------------------------------
+# isomorphism from two classifications
+
+
+def _counting_systems(monkeypatch):
+    """Patch reps._intertwiner_space to count the systems solved."""
+    calls = []
+    space = reps._intertwiner_space
+
+    def counting_space(M1, M2):
+        calls.append((M1, M2))
+        return space(M1, M2)
+
+    monkeypatch.setattr(reps, "_intertwiner_space", counting_space)
+    return calls
+
+
+def _decide(pair, systems):
+    """are_isomorphic of the pair, checked against the system oracle and by
+    _intertwines, and whether it solved a system."""
+    before = len(systems)
+    res = are_isomorphic(*pair)
+    assert res == iso_by_system(*pair)
+    if res.status == "isomorphic":
+        assert _intertwines(res.witness, *pair)
+    return res, len(systems) > before
+
+
+def test_classified_pairs_compose_their_rebuild_maps(monkeypatch):
+    rng = random.Random(31)
+    systems = _counting_systems(monkeypatch)
+    instances = sweep_instances()
+    routed, solved = Counter(), Counter()
+    for inst, nxt in zip(instances, instances[1:] + instances[:1]):
+        M, spec = _fresh(inst.module), inst.spec
+        C = conjugate(M, random_invertible(M.dim, spec.conductor, rng))
+        same = classify_simple(M, spec) == classify_simple(C, spec)
+        for pair in ((M, C), (C, M)):
+            res, solve = _decide(pair, systems)
+            assert res.status == "isomorphic"
+            # equal parameters never solve the system; other pairs do
+            assert solve != same
+            (solved if solve else routed)[inst.family] += 1
+        # a partner of the same spec and dimension, classified as well
+        if nxt.spec is spec and nxt.module.dim == M.dim:
+            partner = _fresh(nxt.module)
+            classify_simple(partner, spec)
+            for pair in ((M, partner), (partner, M)):
+                _decide(pair, systems)
+    # a module and its conjugate classify to one point in every diff family
+    # and TorsionChar; a skew conjugate's x or y is not diagonal, so it gets
+    # invariant-only parameters and the system decides
+    assert set(routed) == {"TorsionChar", "DiffVbar", "DiffVx", "DiffVy"}
+    assert set(solved) == {"SkewVx", "SkewVy", "SkewVxy"}
+    assert sum(routed.values()) > 150
+
+
+def test_the_system_decides_pairs_with_no_common_classification(monkeypatch):
+    systems = _counting_systems(monkeypatch)
+    rng = random.Random(7)
+    spec = skew_sweep_spec(4)
+    lam = kernel_char(spec, spec.chi, [0, 3])
+    a, q = root_of_unity(4, 1), spec.chi.eval(spec.c)
+    M = build_Vx_skew(a, lam, spec)
+    C = conjugate(M, random_invertible(M.dim, spec.conductor, rng))
+    # unclassified modules
+    assert _decide((M, C), systems)[1]
+    # a skew conjugate with invariant-only parameters
+    p, pc = classify_simple(M, spec), classify_simple(C, spec)
+    assert pc.alpha is None and p.key(spec) == pc.key(spec)
+    assert _decide((M, C), systems)[1] and _decide((C, M), systems)[1]
+    # equal keys at different parameter points: alpha and alpha q
+    Mq = build_Vx_skew(a * q, lam, spec)
+    pq = classify_simple(Mq, spec)
+    assert pq != p and pq.key(spec) == p.key(spec)
+    res, solve = _decide((M, Mq), systems)
+    assert res.status == "isomorphic" and solve
+    # a classification over another spec object, equal in value
+    other = skew_sweep_spec(4)
+    twin = ModuleRep(other, M.dim, M.group_mats, M.X, M.Y)
+    assert classify_simple(twin, other) == p
+    assert _decide((M, twin), systems)[1] and _decide((twin, M), systems)[1]
+    # the same module over its own spec object composes the identity maps
+    same = _fresh(M)
+    classify_simple(same, spec)
+    res, solve = _decide((M, same), systems)
+    assert not solve and mat_eq(res.witness, identity(M.dim, spec.conductor))
+
+
+def test_diff_shift_orbit_points_classify_to_one_point(monkeypatch):
+    # DiffVx at rho and at rho chi^k, mu moved by the winding value, have
+    # equal keys; classification reads the same joint group eigenline in
+    # both, so both get the same parameters and compose their Krylov maps
+    systems = _counting_systems(monkeypatch)
+    spec = diff_sweep_spec(3)
+    rho = Character(spec.group, spec.conductor, [2, 1])
+    lam, mu = root_of_unity(spec.conductor, 1), scalar(spec, 1)
+    p1 = SimpleParams(family="DiffVx", rho=rho, lam_scalar=lam, mu=mu)
+    M1 = build_simple(p1, spec)
+    for k in (1, 2):
+        rho2 = rho * (spec.chi ** k)
+        p2 = SimpleParams(family="DiffVx", rho=rho2, lam_scalar=lam,
+                          mu=mu - wind(spec.e, k, spec).apply_char(rho2))
+        M2 = build_simple(p2, spec)
+        assert p1.key(spec) == p2.key(spec)
+        # while M2 holds no classification, the system decides
+        assert _decide((M1, M2), systems)[1]
+        assert classify_simple(M1, spec) == classify_simple(M2, spec)
+        res, solve = _decide((M1, M2), systems)
+        assert res.status == "isomorphic" and not solve
 
 
 def test_torsion_profile_matches_exact_elimination():
@@ -1570,12 +1741,13 @@ def test_classify_checks_a_rebuild_that_differs_by_intertwiners(monkeypatch):
 
 
 def _counting_krylov(monkeypatch):
-    """Patch reps._krylov_certifies to count its outcomes."""
+    """Patch reps._krylov_certifies to count its outcomes: True when it
+    returned the map it checked, False for None."""
     outcomes = Counter()
 
     def counting(*args, _fn=reps._krylov_certifies):
         certified = _fn(*args)
-        outcomes[certified] += 1
+        outcomes[certified is not None] += 1
         return certified
 
     monkeypatch.setattr(reps, "_krylov_certifies", counting)
@@ -1607,7 +1779,7 @@ def test_krylov_certificate_agrees_with_are_isomorphic(monkeypatch):
         if (rebuilt.group_mats, rebuilt.X, rebuilt.Y) != (M.group_mats, M.X, M.Y):
             differs[params.family] += 1
             assert are_isomorphic(M, rebuilt).status == "isomorphic", params.family
-            assert reps._krylov_certifies(M, rebuilt, v, active), params.family
+            assert reps._krylov_certifies(M, rebuilt, v, active) is not None, params.family
     assert set(differs) == {"SkewVx", "SkewVy", "SkewVxy", "DiffVbar", "DiffVx", "DiffVy"}
 
 
