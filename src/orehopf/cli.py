@@ -72,8 +72,13 @@ MAX_DEGREE = 8
 # count, not the run time.
 MAX_SAMPLES = 1000
 
-# rep_check is cheap at any size, but the exact Burnside closure spans up to
-# dim^2 matrices, so its cost grows like dim^6.
+# The bound rests on the exact Burnside closure alone: it spans up to dim^2
+# matrices, so its cost grows like dim^6, while rep_check is cheap at any
+# size.  It bounds no run time.  Module commands inside every stated bound
+# have been measured at minutes (CPU seconds, one 2-vCPU machine, CPython
+# 3.11): Burnside took 205 s on a conjugated direct sum of dimension 8 at
+# conductor 420 and 119 s on one of dimension 16, and one dimension-12
+# module iso whose lift failed took 65.8 s.
 MAX_MODULE_DIM = 16
 
 

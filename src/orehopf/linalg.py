@@ -15,9 +15,20 @@ as it is and every result is the same value as with the dense update.
 Echelon rows, intertwiner rows, [A | I] augmentations and direct-sum
 closure vectors are mostly zeros.  Sizes stay at desk scale (dimensions
 bounded by a few dozen), so no pivoting strategy beyond first-nonzero is
-needed.  A matrix product reads the nonzero entries of each row and
-column once and sums each entry's products in one pass, as
-`cyclotomic.dot` does.
+needed.
+
+One sparse read of a matrix, its `Factor` (each row's nonzero entries as
+column, numerators and denominator, optionally scaled by a root of
+unity), serves both products and exact identity tests.  A product L R is
+read row by row: row i gathers, for each nonzero entry (k, a) of row i
+of L, the products of a with row k of R, so each entry sums only its
+nonzero products.  `mat_mul` sums them into field elements in one pass,
+as `cyclotomic.dot` does.  `first_mismatch` tests L1 L2 = R1 R2 with no
+product built: each entry's left products minus its right ones sum as
+integer numerators over one common denominator, and that sum is tested
+for zero.  It returns the first differing entry in row-major order, and
+`product_entry` builds one entry of a product of factors, for a witness.
+A product whose shapes do not match raises ValueError naming both.
 
 `_insert_mod` is the same routine on integer lists mod the split prime p
 of the conductor (`cyclotomic.split_prime`), with the same pivot choice;
@@ -41,8 +52,8 @@ from __future__ import annotations
 from itertools import chain
 from operator import attrgetter
 
-from .cyclotomic import (ConductorMismatch, Cyclotomic, _sum_of_products, dot,
-                         residue, split_prime)
+from .cyclotomic import (ConductorMismatch, Cyclotomic, _product_kernel, _sum_of_products,
+                         _sum_vanishes, dot, residue, split_prime)
 
 
 def zeros(r: int, c: int, conductor: int):
@@ -67,23 +78,121 @@ def mat_scale(A, s):
 _conductor = attrgetter("conductor")
 
 
+def _one_conductor(values):
+    """The conductor shared by values (field elements or factors), ignoring
+    None; ConductorMismatch for two; None when there is none."""
+    conductors = set(map(_conductor, values))
+    conductors.discard(None)
+    if len(conductors) > 1:
+        raise ConductorMismatch(f"conductor mismatch: {sorted(conductors)}")
+    return next(iter(conductors), None)
+
+
+def _product_error(left: tuple, right: tuple) -> ValueError:
+    return ValueError("cannot multiply a %dx%d matrix by a %dx%d matrix" % (left + right))
+
+
+def _sparse_rows(A, scale=None):
+    """Per row of A (of s A for a scale s), its nonzero entries as (column,
+    numerators, denominator); a scaled entry's numerators are one
+    product-kernel call on a's and s's, over the product of their
+    denominators."""
+    if scale is None:
+        return [[(k, a.num, a.den) for k, a in enumerate(row) if any(a.num)] for row in A]
+    mul, sn, sd = _product_kernel(scale.conductor), scale.num, scale.den
+    return [[(k, mul(a.num, sn), a.den * sd) for k, a in enumerate(row) if any(a.num)]
+            for row in A]
+
+
+def _add_row_products(terms, row, rows, sign: int = 1):
+    """Append to terms[j] the term (a, b, sign d e) of each nonzero product
+    of an entry (k, a, d) of row and an entry (j, b, e) of rows[k]: row i
+    of a product L R, read from row i of L and the rows of R."""
+    for k, a, d in row:
+        for j, b, e in rows[k]:
+            terms[j].append((a, b, sign * d * e))
+
+
+class Factor:
+    """One sparse read of a matrix A, or of s A for a field element s (a
+    root of unity where the library scales: a character value or q).
+
+    ``rows`` holds each row's nonzero entries as (column, numerators,
+    denominator), and a product L R is read row by row: row i of L R sums,
+    for each nonzero entry (k, a) of row i of L, a times row k of R, so
+    both factors of a product are read by rows and a matrix that stands
+    on both sides of products (T in T A = B T) is read once.  No field
+    element is built.  The entries of A, zeros included, and s have one
+    conductor (ConductorMismatch)."""
+
+    __slots__ = ("conductor", "shape", "rows")
+
+    def __init__(self, A, scale=None):
+        entries = chain.from_iterable(A)
+        self.conductor = _one_conductor(entries if scale is None else chain(entries, [scale]))
+        self.shape = (len(A), len(A[0]) if A else 0)
+        self.rows = _sparse_rows(A, scale)
+
+
 def mat_mul(A, B):
     """A B, with the entries that ``dot`` of each row and column gives.
 
-    The conductors of both matrices are checked once.  Each row of A is
-    read once as its nonzero entries (column, numerators, denominator) and
-    each column of B once as the (numerators, denominator) of its nonzero
-    entries, None at a zero; an entry of the product sums the paired
-    nonzero products through ``cyclotomic._sum_of_products``."""
-    conductors = set(map(_conductor, chain(*A, *B)))
-    if len(conductors) > 1:
-        raise ConductorMismatch(f"conductor mismatch: {sorted(conductors)}")
+    The conductors of both matrices are checked once, and A's column
+    count against B's row count (ValueError naming both shapes).  Both are
+    read by rows as a ``Factor`` reads them, row i of A B as the nonzero
+    entries of row i of A times the rows of B; an entry of the product
+    sums its nonzero products through ``cyclotomic._sum_of_products``."""
     # a product with no entries reads no conductor, and sums nothing
-    total = _sum_of_products(next(iter(conductors), 1))
-    rows = [[(k, a.num, a.den) for k, a in enumerate(row) if any(a.num)] for row in A]
-    cols = [[(b.num, b.den) if any(b.num) else None for b in col] for col in zip(*B)]
-    return [[total([(a, c[0], d * c[1]) for k, a, d in row if (c := col[k]) is not None])
-             for col in cols] for row in rows]
+    total = _sum_of_products(_one_conductor(chain(*A, *B)) or 1)
+    ncols = len(B[0]) if B else 0
+    if len(B) != (len(A[0]) if A else 0):
+        raise _product_error((len(A), len(A[0]) if A else 0), (len(B), ncols))
+    rows = _sparse_rows(B)
+    out = []
+    for row in _sparse_rows(A):
+        terms = [[] for _ in range(ncols)]
+        _add_row_products(terms, row, rows)
+        out.append(list(map(total, terms)))
+    return out
+
+
+def product_entry(L: Factor, R: Factor, i: int, j: int):
+    """Entry (i, j) of the product of two factors, as a field element."""
+    if L.shape[1] != R.shape[0]:
+        raise _product_error(L.shape, R.shape)
+    terms = [[] for _ in range(R.shape[1])]
+    _add_row_products(terms, L.rows[i], R.rows)
+    return _sum_of_products(_one_conductor((L, R)) or 1)(terms[j])
+
+
+def first_mismatch(L1: Factor, L2: Factor, R1: Factor, R2: Factor):
+    """The first entry (i, j), in row-major order, where L1 L2 and R1 R2
+    differ, or None when the products are equal.
+
+    The two products are read row by row.  Each entry's products from the
+    left side and, negated, from the right sum as integer numerators over
+    one common denominator, and that sum is tested for zero
+    (``cyclotomic._sum_vanishes``); an entry with no nonzero product on
+    either side is equal.  No field element is built.  ValueError, naming
+    both shapes, when a pair of factors does not multiply or the two
+    products differ in shape; ConductorMismatch for two conductors."""
+    vanishes = _sum_vanishes(_one_conductor((L1, L2, R1, R2)) or 1)
+    for left, right in ((L1.shape, L2.shape), (R1.shape, R2.shape)):
+        if left[1] != right[0]:
+            raise _product_error(left, right)
+    ncols = L2.shape[1]
+    if L1.shape[0] != R1.shape[0] or ncols != R2.shape[1]:
+        raise ValueError("cannot compare a %dx%d product with a %dx%d product"
+                         % (L1.shape[0], ncols, R1.shape[0], R2.shape[1]))
+    lrows, rrows = L2.rows, R2.rows
+    for i, (lrow, rrow) in enumerate(zip(L1.rows, R1.rows)):
+        terms = [[] for _ in range(ncols)]
+        _add_row_products(terms, lrow, lrows)
+        _add_row_products(terms, rrow, rrows, -1)
+        for j, entry in enumerate(terms):
+            if entry and not vanishes(entry):
+                return i, j
+    return None
 
 
 def mat_vec(A, v):

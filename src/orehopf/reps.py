@@ -17,7 +17,11 @@ solves no system: it certifies its rebuild by the identity, or by the
 Krylov matrix [v, A v, ..., A^(d-1) v] of the line v it read, checked
 exactly as a module map.  Two modules classified to equal parameters are
 isomorphic through those two maps, and are_isomorphic composes them in
-place of the system.
+place of the system.  Every exact identity L1 L2 = R1 R2, a relation of
+``rep_check`` or T A = B T of a module map (``_intertwines``), goes
+through ``linalg.first_mismatch`` on the matrices' factors: neither
+product is built, and a failing relation's witness builds only the first
+differing entry's two sides.
 
 The Burnside certificate spans the unital algebra generated by the group
 generator matrices, x and y.  The inverse group matrices are not needed:
@@ -59,10 +63,10 @@ from .abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
 from .cyclotomic import Cyclotomic, euler_phi, lift, residue, root_of_unity, zeta_log
 from .hopfcore import AlgebraSpec, Mode, SpecError, _is_int, \
     cyclotomic_to_literal, literal_to_cyclotomic
-from .linalg import (full_rank, full_rank_mod, identity, inverse, is_zero_matrix,
-                     mat_add, mat_mul, mat_mul_mod, mat_pow, mat_scale, mat_vec,
-                     nullspace, nullspace_mod, residues, spin, zeros,
-                     ModularSpan, SpanBasis)
+from .linalg import (first_mismatch, full_rank, full_rank_mod, identity, inverse,
+                     is_zero_matrix, mat_add, mat_mul, mat_mul_mod, mat_pow, mat_scale,
+                     mat_vec, nullspace, nullspace_mod, product_entry, residues, spin,
+                     zeros, Factor, ModularSpan, SpanBasis)
 from .report import Report
 
 # what a module file calls the matrix of H's internal second variable
@@ -273,7 +277,10 @@ def _check_same_algebra(M1: ModuleRep, M2: ModuleRep):
 
 
 def conjugate(M: ModuleRep, T) -> ModuleRep:
-    """Change of basis: every action matrix A becomes T A T^{-1}."""
+    """Change of basis: every action matrix A becomes T A T^{-1}.
+    ValueError unless T is an invertible dim x dim matrix."""
+    if len(T) != M.dim or any(len(row) != M.dim for row in T):
+        raise ValueError(f"conjugating matrix must be {M.dim} x {M.dim}")
     T_inv = inverse(T)
     if T_inv is None:
         raise ValueError("conjugating matrix must be invertible")
@@ -304,15 +311,23 @@ def direct_sum(M1: ModuleRep, M2: ModuleRep) -> ModuleRep:
 # relation checking
 
 
-def _first_difference(lhs, rhs):
-    """None when lhs = rhs, else the first differing entry (row-major) with
-    both values as literals."""
-    for i, (row_l, row_r) in enumerate(zip(lhs, rhs)):
-        for j, (a, b) in enumerate(zip(row_l, row_r)):
-            if a != b:
-                return {"entry": [i, j], "lhs": cyclotomic_to_literal(a),
-                        "rhs": cyclotomic_to_literal(b)}
-    return None
+def _first_difference(L1: Factor, L2: Factor, R1: Factor, R2: Factor):
+    """None when L1 L2 = R1 R2 (``linalg.first_mismatch``), else the first
+    differing entry (row-major) with both sides as literals, the only
+    entries of the two products that are built."""
+    entry = first_mismatch(L1, L2, R1, R2)
+    if entry is None:
+        return None
+    i, j = entry
+    return {"entry": [i, j], "lhs": cyclotomic_to_literal(product_entry(L1, L2, i, j)),
+            "rhs": cyclotomic_to_literal(product_entry(R1, R2, i, j))}
+
+
+def _power_halves(A, order: int):
+    """Factors (P, Q) with P Q = A^order: P = A^(order // 2), and Q = P, or
+    P A for an odd order, one product fewer than A^order itself."""
+    P = mat_pow(A, order // 2)
+    return Factor(P), Factor(P if order % 2 == 0 else mat_mul(P, A))
 
 
 @_memoized
@@ -320,36 +335,41 @@ def rep_check(M: ModuleRep, spec: AlgebraSpec) -> Report:
     """Verify every defining relation as an exact matrix identity, including
     the group relations.
 
-    The cross relation is y x = q x y in skew mode.  In differential mode
-    z x - x z = c^{-1} - b is checked times c, as c (z x - x z + b) = 1 with
-    no inverse: the same when c acts invertibly, and otherwise the
-    group_invertible rows fail.  Its row has no entry only when b or c
-    needs a negative power of a singular generator.  The witness of a
-    failing identity names its first differing entry with both sides.  The
+    Each identity L1 L2 = R1 R2 is tested on the factors of
+    ``linalg.first_mismatch``, read once per generator, with no product
+    built: x g = chi(g) g x and y g = eta(g) g y with chi(g) and eta(g)
+    folded into g's factor, g_k g_l = g_l g_k, and g^order = 1 as two
+    halves of the power.  The cross relation is y x = q x y in skew mode,
+    with q folded into x's factor.  In differential mode z x - x z = c^{-1}
+    - b is checked times c, as c (z x - x z + b) = 1 with no inverse: the
+    same when c acts invertibly, and otherwise the group_invertible rows
+    fail.  Its row has no entry only when b or c needs a negative power of
+    a singular generator.  The witness of a failing identity names its
+    first differing entry with both sides, the only entries built.  The
     report is computed once per module and spec object.
     """
     group = spec.group
-    mats, X, W = M.group_mats, M.X, M.Y
+    mats = [Factor(A) for A in M.group_mats]
+    X, W = Factor(M.X), Factor(M.Y)
+    ident = Factor(identity(M.dim, spec.conductor))
     g = [f"g{k + 1}" for k in range(group.ngens)]
-    ident = identity(M.dim, spec.conductor)
     # one row (relation, detail, failure) per relation; failure is None when
     # the relation holds, else the extra witness keys
     rows = [(f"group_invertible({g[k]})", "", None if invertible else {})
             for k, invertible in enumerate(M._group_invertible())]
     rows += [(f"group_commutation({g[k]},{g[l]})", "",
-              _first_difference(mat_mul(mats[k], mats[l]), mat_mul(mats[l], mats[k])))
+              _first_difference(mats[k], mats[l], mats[l], mats[k]))
              for k in range(group.ngens) for l in range(k + 1, group.ngens)]
     rows += [(f"torsion_order({g[k]})", f"expected order {order}",
-              _first_difference(mat_pow(mats[k], order), ident))
+              _first_difference(*_power_halves(M.group_mats[k], order), ident, ident))
              for k, order in enumerate(group.torsion_orders, group.free_rank)]
     rows += [(f"{v}_commutation({g[k]})", f"{v} g = {name}(g) g {v} fails",
-              _first_difference(mat_mul(A, mats[k]),
-                                mat_scale(mat_mul(mats[k], A), char.eval(gen))))
+              _first_difference(A, mats[k], Factor(M.group_mats[k], char.eval(gen)), A))
              for k, gen in enumerate(group.generators())
              for v, A, name, char in (("x", X, "chi", spec.chi), ("y", W, "eta", spec.eta))]
     if spec.mode is Mode.SKEW_GROUP_RING:
         rows.append(("cross_relation", "y x = q x y + beta(1 - cb) fails",
-                     _first_difference(mat_mul(W, X), mat_scale(mat_mul(X, W), spec.q))))
+                     _first_difference(W, X, Factor(M.X, spec.q), W)))
     else:
         try:
             C, B = M.act_group(spec.c), M.act_group(spec.b)
@@ -357,9 +377,9 @@ def rep_check(M: ModuleRep, spec: AlgebraSpec) -> Report:
             rows.append(("cross_relation", f"rho(c) or rho(b) cannot be formed: {exc}", {}))
         else:
             inner = [[wx - xw + b for wx, xw, b in zip(*entries)]
-                     for entries in zip(mat_mul(W, X), mat_mul(X, W), B)]
+                     for entries in zip(mat_mul(M.Y, M.X), mat_mul(M.X, M.Y), B)]
             rows.append(("cross_relation", "c (z x - x z + b) = 1 fails",
-                         _first_difference(mat_mul(C, inner), ident)))
+                         _first_difference(Factor(C), Factor(inner), ident, ident)))
 
     witnesses = [{"relation": relation, "detail": detail, **failure}
                  for relation, detail, failure in rows if failure is not None]
@@ -540,8 +560,11 @@ class IsoResult:
 
 def _intertwines(T, M1: ModuleRep, M2: ModuleRep) -> bool:
     """Whether T A = B T exactly for every generator, A acting on M1 and B
-    on M2: T is a module map from M1 to M2."""
-    return all(mat_mul(T, A) == mat_mul(B, T) for A, B in
+    on M2: T is a module map from M1 to M2.  T is read once as a factor,
+    and each identity is tested by ``linalg.first_mismatch`` with no
+    product built."""
+    F = Factor(T)
+    return all(first_mismatch(F, Factor(A), Factor(B), F) is None for A, B in
                zip(M1.group_mats + (M1.X, M1.Y), M2.group_mats + (M2.X, M2.Y)))
 
 
@@ -1422,7 +1445,7 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
         a, y = next((a, y) for row, row_y in zip(CXt, M.Y) for a, y in zip(row, row_y)
                     if not a.is_zero())
         w = y * a.inverse()
-        if w.is_zero() or _first_difference(M.Y, mat_scale(CXt, w)) is not None:
+        if w.is_zero() or tuple(map(tuple, mat_scale(CXt, w))) != M.Y:
             _classify_fail("z x^{-t} does not act as a nonzero scalar")
         lam = _subgroup_char_from_action(M, char_kernel(spec.chi))
         alpha_x = X[0][0] if _is_diagonal(X) else None

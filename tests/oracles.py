@@ -23,8 +23,9 @@ exact elimination alone, a module's cross relation in H's internal form
 with rho(e) built from exact inverses, the order of the antipode by
 iteration, the truncation index of the DiffVbar module by word
 rewriting, the pairwise isomorphism test of simple-module parameters
-that ``SimpleParams.key`` replaced, and module isomorphism decided by the
-intertwiner system alone, with no classification held.
+that ``SimpleParams.key`` replaced, module isomorphism decided by the
+intertwiner system alone, with no classification held, and the module
+relations checked by building both sides of each identity.
 """
 
 from itertools import product
@@ -32,11 +33,13 @@ from itertools import product
 from orehopf.abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
                              SubgroupCharacter)
 from orehopf.cyclotomic import Cyclotomic, divisors, q_int, root_of_unity
-from orehopf.hopfcore import (AlgebraSpec, GroupAlgElem, HopfElem, Mode,
-                              TensorElem, antipode, multiply, wind)
-from orehopf.linalg import full_rank, identity, inverse, mat_mul
-from orehopf.reps import (IsoResult, ModuleRep, _intertwiner_space, build_simple,
-                          classify_simple)
+from orehopf.hopfcore import (AlgebraSpec, GroupAlgElem, HopfElem, Mode, SpecError,
+                              TensorElem, antipode, cyclotomic_to_literal, multiply,
+                              wind)
+from orehopf.linalg import full_rank, identity, inverse, mat_mul, mat_pow, mat_scale
+from orehopf.report import Report
+from orehopf.reps import (_PRESENTATION, IsoResult, ModuleRep, _intertwiner_space,
+                          build_simple, classify_simple)
 
 
 def _word_of(g, i, j):
@@ -421,6 +424,63 @@ def cross_relation_by_inverses(module, spec: AlgebraSpec):
     rhs = [[q_w * a + r for a, r in zip(row_a, row_r)]
            for row_a, row_r in zip(mat_mul(X, W), rho_e)]
     return mat_eq(mat_mul(W, X), rhs)
+
+
+def _first_difference_by_entries(lhs, rhs):
+    """None when the matrices lhs and rhs are equal, else their first
+    differing entry (row-major) with both values as literals."""
+    for i, (row_l, row_r) in enumerate(zip(lhs, rhs)):
+        for j, (a, b) in enumerate(zip(row_l, row_r)):
+            if a != b:
+                return {"entry": [i, j], "lhs": cyclotomic_to_literal(a),
+                        "rhs": cyclotomic_to_literal(b)}
+    return None
+
+
+def rep_check_by_products(M, spec: AlgebraSpec) -> Report:
+    """``rep_check`` as it was before the factor kernel: both sides of every
+    identity built as whole matrices (``mat_mul``, ``mat_pow``,
+    ``mat_scale``) and compared entry by entry, on a fresh copy of M.  The
+    reference for the report rep_check gives, witnesses included."""
+    M = ModuleRep(M.spec, M.dim, M.group_mats, M.X, M.Y)
+    group = spec.group
+    mats, X, W = M.group_mats, M.X, M.Y
+    g = [f"g{k + 1}" for k in range(group.ngens)]
+    ident = identity(M.dim, spec.conductor)
+    rows = [(f"group_invertible({g[k]})", "", None if invertible else {})
+            for k, invertible in enumerate(M._group_invertible())]
+    rows += [(f"group_commutation({g[k]},{g[l]})", "",
+              _first_difference_by_entries(mat_mul(mats[k], mats[l]),
+                                           mat_mul(mats[l], mats[k])))
+             for k in range(group.ngens) for l in range(k + 1, group.ngens)]
+    rows += [(f"torsion_order({g[k]})", f"expected order {order}",
+              _first_difference_by_entries(mat_pow(mats[k], order), ident))
+             for k, order in enumerate(group.torsion_orders, group.free_rank)]
+    rows += [(f"{v}_commutation({g[k]})", f"{v} g = {name}(g) g {v} fails",
+              _first_difference_by_entries(mat_mul(A, mats[k]),
+                                           mat_scale(mat_mul(mats[k], A), char.eval(gen))))
+             for k, gen in enumerate(group.generators())
+             for v, A, name, char in (("x", X, "chi", spec.chi), ("y", W, "eta", spec.eta))]
+    if spec.mode is Mode.SKEW_GROUP_RING:
+        rows.append(("cross_relation", "y x = q x y + beta(1 - cb) fails",
+                     _first_difference_by_entries(mat_mul(W, X),
+                                                  mat_scale(mat_mul(X, W), spec.q))))
+    else:
+        try:
+            C, B = M.act_group(spec.c), M.act_group(spec.b)
+        except SpecError as exc:
+            rows.append(("cross_relation", f"rho(c) or rho(b) cannot be formed: {exc}", {}))
+        else:
+            inner = [[wx - xw + b for wx, xw, b in zip(*entries)]
+                     for entries in zip(mat_mul(W, X), mat_mul(X, W), B)]
+            rows.append(("cross_relation", "c (z x - x z + b) = 1 fails",
+                         _first_difference_by_entries(mat_mul(C, inner), ident)))
+    witnesses = [{"relation": relation, "detail": detail, **failure}
+                 for relation, detail, failure in rows if failure is not None]
+    return Report(name="rep_check", passed=not witnesses,
+                  facts={"dim": M.dim, "presentation": _PRESENTATION[spec.mode],
+                         "relations_checked": len(rows)},
+                  witnesses=witnesses)
 
 
 def antipode_order_by_iteration(spec: AlgebraSpec) -> int:

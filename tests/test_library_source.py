@@ -35,6 +35,38 @@ def test_the_check_sees_both_forms():
     assert list(_assert_sites(tree)) == [1, 2, 3]
 
 
+def _is_mat_mul(node) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == "mat_mul") or \
+        (isinstance(func, ast.Attribute) and func.attr == "mat_mul")
+
+
+def _product_comparisons(tree):
+    """Line numbers of == and != comparisons between two mat_mul(...) calls."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                if isinstance(op, (ast.Eq, ast.NotEq)) and _is_mat_mul(left) \
+                        and _is_mat_mul(right):
+                    yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_identity_compares_two_built_products(path):
+    # an exact identity L1 L2 = R1 R2 goes through linalg.first_mismatch,
+    # which builds neither product
+    sites = list(_product_comparisons(ast.parse(path.read_text(), filename=str(path))))
+    assert sites == [], f"{path.name}: mat_mul(...) == mat_mul(...) at lines {sites}"
+
+
+def test_the_product_check_sees_both_operators():
+    tree = ast.parse("mat_mul(A, B) == mat_mul(B, A)\nok = linalg.mat_mul(A, B) != mat_mul(C, D)\n"
+                     "mat_mul(A, B) == C\nmat_mul(A, B) is mat_mul(B, A)\n"
+                     "x < mat_mul(A, B) == mat_mul(B, A)\n")
+    assert list(_product_comparisons(tree)) == [1, 2, 5]
+
+
 def _literal_checks(tree):
     """Line numbers of the calls x.check(name, passed, ...) whose passed
     argument, positional or keyword, is a literal."""

@@ -10,13 +10,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orehopf.cyclotomic import (ConductorMismatch, Cyclotomic, dot, euler_phi, residue,
                                 root_of_unity, split_prime)
 from orehopf import linalg
 from orehopf.reps import direct_sum
-from orehopf.linalg import (ModularSpan, SpanBasis, full_rank_mod, identity, inverse, mat_mul,
-                            mat_mul_mod, mat_pow, mat_vec, nullspace, residues, rref)
+from orehopf.linalg import (Factor, ModularSpan, SpanBasis, first_mismatch, full_rank_mod,
+                            identity, inverse, mat_mul, mat_mul_mod, mat_pow, mat_scale,
+                            mat_vec, nullspace, product_entry, residues, rref)
 
 from gen import random_scalar
 from test_acceptance import sweep_instances
@@ -476,3 +478,120 @@ def test_nullspace_mod_is_the_kernel():
         assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for v in kernel for row in A)
         assert full_rank_mod(kernel, p)
 
+
+def test_mat_mul_rejects_shapes_that_do_not_multiply():
+    a, b = Cyclotomic.rational(3, 2), Cyclotomic.rational(3, 5)
+    B = [[a, b], [b, a]]
+    with pytest.raises(ValueError, match="2x1 matrix by a 2x2"):
+        mat_mul([[a], [b]], B)
+    with pytest.raises(ValueError, match="1x2 matrix by a 1x2"):
+        mat_mul([[a, b]], [[a, b]])
+    assert mat_mul([[a, b]], B) == [[a * a + b * b, a * b + b * a]]
+
+
+def test_first_mismatch_rejects_shapes_that_do_not_multiply_or_compare():
+    one = Cyclotomic.one(4)
+    row, col, square = Factor([[one, one]]), Factor([[one], [one]]), Factor([[one, one], [one, one]])
+    with pytest.raises(ValueError, match="1x2 matrix by a 1x2"):
+        first_mismatch(row, row, square, square)
+    with pytest.raises(ValueError, match="2x2 matrix by a 1x2"):
+        first_mismatch(col, row, square, row)
+    with pytest.raises(ValueError, match="compare a 1x1 product with a 2x2 product"):
+        first_mismatch(row, col, square, square)
+    with pytest.raises(ValueError, match="1x2 matrix by a 1x2"):
+        product_entry(row, row, 0, 0)
+    with pytest.raises(ConductorMismatch):
+        first_mismatch(row, col, Factor([[Cyclotomic.one(3)]]), Factor([[Cyclotomic.one(3)]]))
+    with pytest.raises(ConductorMismatch):
+        Factor([[one]], Cyclotomic.one(3))
+    assert first_mismatch(row, col, Factor([[one + one]]), Factor([[one]])) is None
+
+
+# phi(N) <= 4 runs the generated product kernel; 7, 9 and 15 (phi = 6, 6
+# and 8) the convolutions summed before one fold
+KERNEL_CONDUCTORS = (1, 3, 4, 5, 8, 12)
+FOLD_CONDUCTORS = (7, 9, 15)
+
+
+def _draw_entry(data, N):
+    """Zero, or c1 zeta^k1 + c2 zeta^k2 over a denominator that mixes."""
+    if data.draw(st.integers(0, 9)) < 3:
+        return Cyclotomic.zero(N)
+    value = sum((Cyclotomic.rational(N, data.draw(st.integers(-3, 3))) *
+                 root_of_unity(N, data.draw(st.integers(0, N - 1))) for _ in range(2)),
+                Cyclotomic.zero(N))
+    return value * Fraction(1, data.draw(st.sampled_from((1, 1, 2, 3, 6, 7))))
+
+
+def _draw_matrix(data, N, nrows, ncols):
+    """A random matrix, with a whole zero row or column now and then."""
+    zero = Cyclotomic.zero(N)
+    A = [[_draw_entry(data, N) for _ in range(ncols)] for _ in range(nrows)]
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, nrows - 1))
+        A[i] = [zero] * ncols
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, ncols - 1))
+        for row in A:
+            row[j] = zero
+    return A
+
+
+def _draw_scale(data, N):
+    """None, or a root of unity."""
+    if data.draw(st.booleans()):
+        return None
+    return root_of_unity(N, data.draw(st.integers(0, N - 1)))
+
+
+def _scaled(A, s):
+    return A if s is None else mat_scale(A, s)
+
+
+def _first_entry_that_differs(P, Q):
+    return next(((i, j) for i, (row_p, row_q) in enumerate(zip(P, Q))
+                 for j, (p, q) in enumerate(zip(row_p, row_q)) if p != q), None)
+
+
+def _check_first_mismatch_against_products(data, N):
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    L1, L2 = _draw_matrix(data, N, r, k), _draw_matrix(data, N, k, c)
+    s1, s2, t1, t2 = (_draw_scale(data, N) for _ in range(4))
+    left = mat_mul(_scaled(L1, s1), _scaled(L2, s2))
+    # R1 R2: another product, the same one regrouped, or the product itself
+    # times the identity; the last two equal L1 L2 until one entry moves
+    case = data.draw(st.sampled_from(("other", "same", "built")))
+    if case == "other":
+        m = data.draw(st.integers(1, 4))
+        R1, R2 = _draw_matrix(data, N, r, m), _draw_matrix(data, N, m, c)
+    elif case == "same":
+        R1, R2, t1, t2 = _scaled(L1, s1), _scaled(L2, s2), None, None
+    else:
+        R1, R2, t1, t2 = left, identity(c, N), None, None
+    if case != "other" and data.draw(st.booleans()):
+        R1, R2 = [list(row) for row in R1], [list(row) for row in R2]
+        target = R1 if data.draw(st.booleans()) else R2
+        i = data.draw(st.integers(0, len(target) - 1))
+        j = data.draw(st.integers(0, len(target[0]) - 1))
+        target[i][j] = target[i][j] + _draw_entry(data, N)
+    right = mat_mul(_scaled(R1, t1), _scaled(R2, t2))
+    factors = Factor(L1, s1), Factor(L2, s2), Factor(R1, t1), Factor(R2, t2)
+    found = first_mismatch(*factors)
+    assert found == _first_entry_that_differs(left, right)
+    assert (found is None) == (left == right)
+    if found is not None:
+        i, j = found
+        assert product_entry(factors[0], factors[1], i, j) == left[i][j]
+        assert product_entry(factors[2], factors[3], i, j) == right[i][j]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), N=st.sampled_from(KERNEL_CONDUCTORS))
+def test_first_mismatch_is_where_the_products_differ_kernel_conductors(data, N):
+    _check_first_mismatch_against_products(data, N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), N=st.sampled_from(FOLD_CONDUCTORS))
+def test_first_mismatch_is_where_the_products_differ_fold_conductors(data, N):
+    _check_first_mismatch_against_products(data, N)

@@ -22,14 +22,14 @@ from orehopf.reps import (ClassifyError, IsoResult, ModuleRep, SimpleParams,
                           build_Vy_skew, classify_simple, conjugate,
                           direct_sum, is_simple_burnside, iso_criterion,
                           rep_check, torsion_profile, truncation_index)
-from orehopf.catalog import klein_example, takeuchi_u1
+from orehopf.catalog import catalog_entry, klein_example, takeuchi_u1
 from orehopf import linalg, reps
 
 from gen import (audit_spec, diff_sweep_spec, quotient_sweep_spec, random_group_char,
                  random_invertible, random_kernel_char, random_monomial, random_scalar,
                  skew_sweep_spec)
 from oracles import (cross_relation_by_inverses, intertwiners_by_exact_nullspace,
-                     iso_by_system, iso_criterion_by_cases, mat_eq,
+                     iso_by_system, iso_criterion_by_cases, mat_eq, rep_check_by_products,
                      torsion_type_by_exact_elimination, vbar_truncation_by_rewriting)
 from test_acceptance import sweep_instances
 
@@ -358,6 +358,87 @@ def test_rep_check_cannot_form_a_negative_power_of_a_singular_generator():
                                   "group generator 1 does not act invertibly"}
     assert cross[0] == {"relation": "cross_relation", "detail": "c (z x - x z + b) = 1 fails",
                         "entry": [0, 0], "lhs": "0", "rhs": "1"}
+
+
+def _taft_modules():
+    """Modules over the taft catalog spec, whose group Z_5 has a torsion
+    relation g^5 = 1: its TorsionChar modules and the dim-5 SkewVx and
+    SkewVy with trivial kernel characters."""
+    spec = catalog_entry("taft").spec
+    N = spec.conductor
+    modules = [build_torsion_char(Character(spec.group, N, [k]), spec) for k in range(N)]
+    for build, char in ((build_Vx_skew, spec.chi), (build_Vy_skew, spec.eta)):
+        sub = char_kernel(char)
+        modules.append(build(scalar(spec, 2), SubgroupCharacter(sub, N, [0] * len(sub.rows)),
+                             spec))
+    return modules
+
+
+def test_rep_check_report_equals_the_product_oracle():
+    # every sweep module and a conjugate of each, in both modes, and modules
+    # over a torsion group: the same report, facts and witnesses, as when
+    # both sides of each identity were built
+    rng = random.Random(32)
+    modules = list(_taft_modules())
+    for inst in sweep_instances():
+        M = inst.module
+        modules += [M, conjugate(M, random_invertible(M.dim, M.spec.conductor, rng))]
+    assert {M.spec.mode for M in modules} == {Mode.SKEW_GROUP_RING, Mode.DIFFERENTIAL_OPERATOR}
+    assert any(M.spec.group.torsion_orders for M in modules)
+    for M in modules:
+        report = rep_check(_fresh(M), M.spec)
+        assert report.passed
+        assert report.to_dict() == rep_check_by_products(M, M.spec).to_dict()
+
+
+def _single_entry_mutations(M):
+    """Copies of M with one entry of one generator matrix changed: one
+    added at (0, d-1), zeta added at (d-1, d-1), and (d-1, 0) set to zero."""
+    N, d = M.spec.conductor, M.dim
+    changes = (((0, d - 1), lambda a: a + 1), ((d - 1, d - 1), lambda a: a + root_of_unity(N, 1)),
+               ((d - 1, 0), lambda a: Cyclotomic.zero(N)))
+    for k in range(len(M.group_mats) + 2):
+        for (i, j), change in changes:
+            mats = [[list(row) for row in A] for A in M.group_mats + (M.X, M.Y)]
+            mats[k][i][j] = change(mats[k][i][j])
+            yield ModuleRep(M.spec, d, mats[:-2], mats[-2], mats[-1])
+
+
+def test_rep_check_witnesses_equal_the_product_oracle_on_broken_relations():
+    # the first module of each family, dimension and mode, a conjugate of
+    # it, and the taft modules, each with single-entry mutations that
+    # break every kind of relation: each witness names the same entry and
+    # the same two sides as the oracle's
+    rng = random.Random(33)
+    seen, modules = set(), list(_taft_modules())
+    for inst in sweep_instances():
+        key = (inst.family, inst.module.dim, inst.spec.mode)
+        if key not in seen:
+            seen.add(key)
+            M = inst.module
+            modules += [M, conjugate(M, random_invertible(M.dim, M.spec.conductor, rng))]
+    failed = Counter()
+    for M in modules:
+        for mutant in _single_entry_mutations(M):
+            report = rep_check(mutant, M.spec)
+            assert report.to_dict() == rep_check_by_products(mutant, M.spec).to_dict()
+            failed.update({(M.spec.mode, w["relation"].partition("(")[0])
+                           for w in report.witnesses})
+    kinds = ("group_invertible", "group_commutation", "x_commutation", "y_commutation",
+             "cross_relation")
+    for mode in (Mode.SKEW_GROUP_RING, Mode.DIFFERENTIAL_OPERATOR):
+        assert all(failed[mode, kind] > 0 for kind in kinds), failed
+    assert failed[Mode.SKEW_GROUP_RING, "torsion_order"] > 0
+
+
+def test_conjugate_rejects_a_matrix_of_another_size():
+    spec = skew_sweep_spec(3)
+    M = build_Vx_skew(scalar(spec, 1), kernel_char(spec, spec.chi, [0, 0]), spec)
+    one, zero = Cyclotomic.one(spec.conductor), Cyclotomic.zero(spec.conductor)
+    for T in (identity(2, spec.conductor), [[one, zero, zero], [zero, one, zero]],
+              [[one, zero, zero], [zero, one], [zero, zero, one]]):
+        with pytest.raises(ValueError, match="conjugating matrix must be 3 x 3"):
+            conjugate(M, T)
 
 
 def test_module_dimension_must_be_positive():
