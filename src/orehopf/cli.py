@@ -468,6 +468,10 @@ def _cmd_module_iso(args) -> int:
     facts = {"result": result.status.replace("_", " ")}
     if result.detail:
         facts["detail"] = result.detail
+    if result.witness is not None:
+        # the certificate T, with T A = B T for A acting on A and B on B
+        facts["intertwiner"] = [[cyclotomic_to_literal(v) for v in row]
+                                for row in result.witness]
     status = "pass" if result.status == "isomorphic" else "fail"
     _emit(status, facts)
     return 0 if result.status == "isomorphic" else 1

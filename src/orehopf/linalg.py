@@ -22,8 +22,10 @@ column, numerators and denominator, optionally scaled by a root of
 unity), serves both products and exact identity tests.  A product L R is
 read row by row: row i gathers, for each nonzero entry (k, a) of row i
 of L, the products of a with row k of R, so each entry sums only its
-nonzero products.  `mat_mul` sums them into field elements in one pass,
-as `cyclotomic.dot` does.  `first_mismatch` tests L1 L2 = R1 R2 with no
+nonzero products.  `factor_product` sums them into field elements in
+one pass, as `cyclotomic.dot` does; `mat_mul` is it on the factors of
+two matrices, and a matrix in many products (T and T^-1 of `conjugate`)
+is read once.  `first_mismatch` tests L1 L2 = R1 R2 with no
 product built: each entry's left products minus its right ones sum as
 integer numerators over one common denominator, and that sum is tested
 for zero.  It returns the first differing entry in row-major order, and
@@ -135,21 +137,28 @@ class Factor:
 
 
 def mat_mul(A, B):
-    """A B, with the entries that ``dot`` of each row and column gives.
+    """A B, with the entries that ``dot`` of each row and column gives: the
+    product of the two matrices' factors (``factor_product``)."""
+    return factor_product(Factor(A), Factor(B))
 
-    The conductors of both matrices are checked once, and A's column
-    count against B's row count (ValueError naming both shapes).  Both are
-    read by rows as a ``Factor`` reads them, row i of A B as the nonzero
-    entries of row i of A times the rows of B; an entry of the product
-    sums its nonzero products through ``cyclotomic._sum_of_products``."""
+
+def factor_product(L: Factor, R: Factor):
+    """The product L R of two factors as a matrix, with the entries that
+    ``dot`` of each row and column gives.
+
+    The two conductors are checked, then L's column count against R's row
+    count (ValueError naming both shapes).  Row i of L R is read as the
+    nonzero entries of row i of L times the rows of R; an entry of the
+    product sums its nonzero products through
+    ``cyclotomic._sum_of_products``.  A matrix read once as a factor
+    serves any number of products."""
     # a product with no entries reads no conductor, and sums nothing
-    total = _sum_of_products(_one_conductor(chain(*A, *B)) or 1)
-    ncols = len(B[0]) if B else 0
-    if len(B) != (len(A[0]) if A else 0):
-        raise _product_error((len(A), len(A[0]) if A else 0), (len(B), ncols))
-    rows = _sparse_rows(B)
+    total = _sum_of_products(_one_conductor((L, R)) or 1)
+    if L.shape[1] != R.shape[0]:
+        raise _product_error(L.shape, R.shape)
+    ncols, rows = R.shape[1], R.rows
     out = []
-    for row in _sparse_rows(A):
+    for row in L.rows:
         terms = [[] for _ in range(ncols)]
         _add_row_products(terms, row, rows)
         out.append(list(map(total, terms)))

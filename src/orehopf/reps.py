@@ -11,17 +11,23 @@ load.
 
 Everything here is certificate-grade: relation checking is exact matrix
 identity testing, simplicity is certified by the span of the generated
-matrix algebra being all dim^2 matrices, and isomorphism is decided by
-solving the intertwiner system (``are_isomorphic``).  classify_simple
-solves no system: it certifies its rebuild by the identity, or by the
-Krylov matrix [v, A v, ..., A^(d-1) v] of the line v it read, checked
-exactly as a module map.  Two modules classified to equal parameters are
-isomorphic through those two maps, and are_isomorphic composes them in
-place of the system.  Every exact identity L1 L2 = R1 R2, a relation of
-``rep_check`` or T A = B T of a module map (``_intertwines``), goes
-through ``linalg.first_mismatch`` on the matrices' factors: neither
-product is built, and a failing relation's witness builds only the first
-differing entry's two sides.
+matrix algebra being all dim^2 matrices, and isomorphism is decided from
+a classification where one is held, else by solving the intertwiner
+system (``are_isomorphic``).  classify_simple solves no system: it
+certifies its rebuild by the identity, or by the Krylov matrix [v, A v,
+..., A^(d-1) v] of the line v it read, A the family's active element,
+checked exactly as a module map.  Two modules classified to equal
+parameters are isomorphic through those two maps, and are_isomorphic
+composes them.  When one module alone is classified, its rebuild's seed
+e_0 can go only to a line of the other module that the rebuild's
+eigen-relations at e_0 cut out; spinning that line by the same Krylov
+routine gives the one candidate map, which the exact check accepts or
+rejects (the MeatAxe's standard-basis isomorphism test).  Every exact
+identity L1 L2 = R1 R2, a relation of ``rep_check`` or T A = B T of a
+module map (``_intertwines``), goes through ``linalg.first_mismatch`` on
+the matrices' factors, read once per module: neither product is built,
+and a failing relation's witness builds only the first differing
+entry's two sides.
 
 The Burnside certificate spans the unital algebra generated by the group
 generator matrices, x and y.  The inverse group matrices are not needed:
@@ -47,11 +53,12 @@ needs, its reduction mod the split prime p under each embedding (made
 when first read), Burnside report, torsion profile and rep_check report
 per spec object are computed once and kept on it, and so is each group
 eigenspace mod p that Burnside's eigenline search or the classifier's
-eigenvalue filter reads, and each classification's certified rebuild map
-per spec object; conjugate and direct_sum return new modules that certify
-anew.  Invertibility, Burnside, the torsion profile, the group
-eigenspaces and the intertwiner system read embedding 0; the intertwiner
-lift reads the others.
+eigenvalue filter reads, the generators' factors, and each
+classification's certified rebuild map per spec object; conjugate and
+direct_sum return new modules that certify anew.  Invertibility,
+Burnside, the torsion profile, the group eigenspaces, the seed space and
+the intertwiner system read embedding 0; the intertwiner lift reads the
+others.
 """
 
 from functools import wraps
@@ -63,10 +70,10 @@ from .abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
 from .cyclotomic import Cyclotomic, euler_phi, lift, residue, root_of_unity, zeta_log
 from .hopfcore import AlgebraSpec, Mode, SpecError, _is_int, \
     cyclotomic_to_literal, literal_to_cyclotomic
-from .linalg import (first_mismatch, full_rank, full_rank_mod, identity, inverse,
-                     is_zero_matrix, mat_add, mat_mul, mat_mul_mod, mat_pow, mat_scale,
-                     mat_vec, nullspace, nullspace_mod, product_entry, residues, spin,
-                     zeros, Factor, ModularSpan, SpanBasis)
+from .linalg import (factor_product, first_mismatch, full_rank, full_rank_mod, identity,
+                     inverse, is_zero_matrix, mat_add, mat_mul, mat_mul_mod, mat_pow,
+                     mat_scale, mat_vec, nullspace, nullspace_mod, product_entry, residues,
+                     spin, zeros, Factor, ModularSpan, SpanBasis)
 from .report import Report
 
 # what a module file calls the matrix of H's internal second variable
@@ -154,6 +161,13 @@ class ModuleRep:
         embedding, as (p, images) of ``linalg.residues``, or None when p
         divides a denominator."""
         return residues(self.group_mats + (self.X, self.Y), e)
+
+    @_memoized
+    def _factors(self):
+        """The group generator matrices, X and Y, each read once as a
+        ``linalg.Factor`` for the identity tests of ``rep_check`` and
+        ``_intertwines``."""
+        return tuple(Factor(A) for A in self.group_mats + (self.X, self.Y))
 
     def _full_rank_mod_p(self, k: int) -> bool:
         """Whether the k-th generator (the group generators, then X and Y)
@@ -277,16 +291,18 @@ def _check_same_algebra(M1: ModuleRep, M2: ModuleRep):
 
 
 def conjugate(M: ModuleRep, T) -> ModuleRep:
-    """Change of basis: every action matrix A becomes T A T^{-1}.
+    """Change of basis: every action matrix A becomes T A T^{-1}, with T
+    and T^{-1} each read once as a factor (``linalg.factor_product``).
     ValueError unless T is an invertible dim x dim matrix."""
     if len(T) != M.dim or any(len(row) != M.dim for row in T):
         raise ValueError(f"conjugating matrix must be {M.dim} x {M.dim}")
     T_inv = inverse(T)
     if T_inv is None:
         raise ValueError("conjugating matrix must be invertible")
+    left, right = Factor(T), Factor(T_inv)
 
     def conj(A):
-        return mat_mul(mat_mul(T, A), T_inv)
+        return factor_product(Factor(factor_product(left, Factor(A))), right)
 
     return ModuleRep(M.spec, M.dim, [conj(A) for A in M.group_mats],
                      conj(M.X), conj(M.Y))
@@ -349,8 +365,7 @@ def rep_check(M: ModuleRep, spec: AlgebraSpec) -> Report:
     report is computed once per module and spec object.
     """
     group = spec.group
-    mats = [Factor(A) for A in M.group_mats]
-    X, W = Factor(M.X), Factor(M.Y)
+    *mats, X, W = M._factors()
     ident = Factor(identity(M.dim, spec.conductor))
     g = [f"g{k + 1}" for k in range(group.ngens)]
     # one row (relation, detail, failure) per relation; failure is None when
@@ -561,11 +576,12 @@ class IsoResult:
 def _intertwines(T, M1: ModuleRep, M2: ModuleRep) -> bool:
     """Whether T A = B T exactly for every generator, A acting on M1 and B
     on M2: T is a module map from M1 to M2.  T is read once as a factor,
+    the generators' factors are the modules' own (``ModuleRep._factors``),
     and each identity is tested by ``linalg.first_mismatch`` with no
     product built."""
     F = Factor(T)
-    return all(first_mismatch(F, Factor(A), Factor(B), F) is None for A, B in
-               zip(M1.group_mats + (M1.X, M1.Y), M2.group_mats + (M2.X, M2.Y)))
+    return all(first_mismatch(F, A, B, F) is None
+               for A, B in zip(M1._factors(), M2._factors()))
 
 
 def _intertwiner_row(pair, i: int, j: int, zero):
@@ -673,6 +689,13 @@ def _as_matrices(vectors, dim: int):
     return [[vec[i * dim:(i + 1) * dim] for i in range(dim)] for vec in vectors]
 
 
+def _last_entry_one(T):
+    """T scaled so that its last nonzero entry in row-major order is 1, the
+    form in which ``nullspace`` spans a line of maps."""
+    last = next(a for row in reversed(T) for a in reversed(row) if not a.is_zero())
+    return mat_scale(T, last.inverse())
+
+
 def _composed_rebuild_maps(M1: ModuleRep, M2: ModuleRep):
     """T2 T1^-1, when M1 and M2 both hold a classification for M1.spec with
     equal parameters (``_verify_rebuild``), scaled so that its last nonzero
@@ -688,14 +711,87 @@ def _composed_rebuild_maps(M1: ModuleRep, M2: ModuleRep):
         T = T1_inv if T is None else mat_mul(T, T1_inv)
     if T is None:
         return identity(M1.dim, M1.spec.conductor)
-    last = next(a for row in reversed(T) for a in reversed(row) if not a.is_zero())
-    return mat_scale(T, last.inverse())
+    return _last_entry_one(T)
+
+
+def _seed_space(R: ModuleRep, M: ModuleRep):
+    """Basis, in the form of ``nullspace``, of the seed space: the vectors
+    of M where a module map R -> M can send e_0.
+
+    For every generator of R with A' e_0 = s e_0, a module map f has
+    B f(e_0) = f(A' e_0) = s f(e_0), B M's matrix of the generator, so the
+    seed space is the kernel of the rows of B - s I, stacked.  They are
+    reduced mod the split prime p first, from both modules' reductions
+    under embedding 0, where a rank can only drop: rank dim mod p makes
+    the space empty.  Otherwise, or when p divides a denominator, the
+    kernel is solved exactly."""
+    d = M.dim
+    gens_R, gens_M = R.group_mats + (R.X, R.Y), M.group_mats + (M.X, M.Y)
+    eigen = [j for j, A in enumerate(gens_R) if all(A[k][0].is_zero() for k in range(1, d))]
+    image_R, image_M = R._residues(0), M._residues(0)
+    if image_R is not None and image_M is not None:
+        (p, mats_R), mats_M = image_R, image_M[1]
+        span = ModularSpan(p)
+        for j in eigen:
+            for row in _minus_scalar_mod(mats_M[j], mats_R[j][0][0], p):
+                if span.add(row) and span.dim() == d:
+                    return []
+    rows = [[b - gens_R[j][0][0] if k == i else b for k, b in enumerate(row)]
+            for j in eigen for i, row in enumerate(gens_M[j])]
+    # with no row the space is all of M
+    return nullspace(rows or [[Cyclotomic.zero(M.spec.conductor)] * d])
+
+
+def _spun_rebuild_map(M1: ModuleRep, M2: ModuleRep):
+    """The IsoResult from a classification that M1, or else M2, holds for
+    M1.spec (``_verify_rebuild``), with no intertwiner system; None when
+    neither holds one, or when the seed space is not a line.
+
+    That module C holds (params, T), T the map from its rebuild R onto C,
+    R = C when T is None.  Any module map R -> M, M the other module, is
+    fixed by the image of e_0 (below), which lies in ``_seed_space(R, M)``:
+    empty means no nonzero map.  On a line v, the Krylov matrix K = [v, B
+    v, ..., B^(d-1) v], B M's matrix of the family's active element
+    (``_krylov_certifies``), is accepted only as an exact module map
+    R -> M.  R is simple, so K is
+    injective, an isomorphism, and the maps compose to K T^-1 from C = M1
+    to M2, or T K^-1 from M1 to C = M2, scaled so that the last nonzero
+    entry is 1: the system's witness, as in ``are_isomorphic``.  When K is
+    no module map, neither is any multiple of it: a map f has f(e_0) = c v,
+    and R's basis is e_i = A'^i e_0, A' its matrix of the active element,
+    so f(e_i) = c B^i v and f = c K.  That basis is read off R
+    (``_spins_its_basis``) before "not isomorphic" is returned.  Whether
+    C is M1 or M2, the maps between the two modules form a line or are
+    none, since C is simple of their common dimension."""
+    key = (_REBUILD_KEY, M1.spec)
+    C, M = M1, M2
+    held = M1._memo.get(key)
+    if held is None:
+        C, M = M2, M1
+        held = M2._memo.get(key)
+        if held is None:
+            return None
+    params, T = held
+    R = C if T is None else build_simple(params, M1.spec)
+    seed = _seed_space(R, M)
+    if len(seed) > 1:
+        return None
+    K = _krylov_certifies(M, R, seed[0], params.family, M1.spec) if seed else None
+    if K is None:
+        if seed and not _spins_its_basis(R, params.family, M1.spec):
+            return None
+        return IsoResult("not_isomorphic", detail="no nonzero intertwiner")
+    if C is M1:
+        witness = K if T is None else mat_mul(K, inverse(T))
+    else:
+        witness = inverse(K) if T is None else mat_mul(T, inverse(K))
+    return IsoResult("isomorphic", witness=_last_entry_one(witness))
 
 
 def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
     """Decide module isomorphism, from two classifications when they agree,
-    else by solving the intertwiner system; ValueError for modules of two
-    algebras.
+    else from one classified side, else by solving the intertwiner system;
+    ValueError for modules of two algebras.
 
     When ``classify_simple`` has matched M1 and M2 over M1.spec to equal
     parameters, each holds the exact map T_i from the common rebuild
@@ -706,10 +802,17 @@ def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
     simple, so the maps M1 -> M2 form a line, and ``nullspace`` spans a
     line t by the vector that is 1 at the last index of t's support: the
     map scaled to a last nonzero entry of 1 is the system's witness.
-    Every other pair solves the system: unclassified modules,
-    invariant-only parameters (which have no rebuild), equal keys at
-    different parameter points, and classifications over another spec
-    object.
+
+    When only M1, or else M2, holds such a classification (the other
+    module unclassified, with invariant-only parameters, at another
+    parameter point or of another key), the MeatAxe's standard-basis test
+    decides with no system (``_spun_rebuild_map``): the line where a map
+    from the rebuild R can send e_0 is read in the other module, mod p
+    first, and spun by the family's active element into the only
+    candidate map, accepted by the exact check ``_intertwines``; an empty
+    seed space or a failed check is "not isomorphic", with the system's
+    detail.  A seed space of dimension 2 or more, and a pair with no
+    classified side, solve the system.
 
     The basis of intertwiners is that of ``_intertwiner_space``: lifted
     from F_p and checked exactly, or else solved exactly, the same basis
@@ -730,6 +833,9 @@ def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
     witness = _composed_rebuild_maps(M1, M2)
     if witness is not None:
         return IsoResult("isomorphic", witness=witness)
+    spun = _spun_rebuild_map(M1, M2)
+    if spun is not None:
+        return spun
     dim = M1.dim
     N = M1.spec.conductor
     basis = _intertwiner_space(M1, M2)
@@ -1290,14 +1396,42 @@ def _eigen_ratio(A, v, conductor: int):
     return s
 
 
-def _krylov_certifies(M: ModuleRep, rebuilt: ModuleRep, v, active):
-    """T, with columns v, A v, ..., A^(d-1) v for A = active, when it is a
-    nonzero module map from rebuilt to M: T A' = A T exactly for every
-    generator, A' acting on rebuilt and A on M; else None.  With M
-    certified simple, such a T is onto, so with equal dimensions it is an
-    isomorphism."""
-    if not _certified_simple(M):
-        return None
+# the element whose matrix A' spins a family's rebuild basis from e'_0,
+# e'_i = A'^i e'_0: the variable x or z, or the group element c or b that
+# shifts line i to line i + 1 with factor lam(1) = 1 (``_shift_action``)
+_ACTIVE = {"TorsionChar": "x", "SkewVx": "c", "SkewVxy": "c", "SkewVy": "b",
+           "DiffVbar": "x", "DiffVx": "x", "DiffVy": "z"}
+
+
+def _active_matrix(M: ModuleRep, family: str, spec: AlgebraSpec):
+    """M's matrix of the family's active element (``_ACTIVE``); z is Y in
+    differential mode."""
+    name = _ACTIVE[family]
+    if name == "x":
+        return M.X
+    if name == "z":
+        return M.Y
+    return M.act_group(getattr(spec, name))
+
+
+def _spins_its_basis(R: ModuleRep, family: str, spec: AlgebraSpec) -> bool:
+    """Whether A' e_i = e_(i+1) for i < dim - 1, A' R's matrix of the
+    family's active element: every rebuild's basis by construction."""
+    A = _active_matrix(R, family, spec)
+    one = Cyclotomic.one(spec.conductor)
+    return all(A[k][i] == one if k == i + 1 else A[k][i].is_zero()
+               for i in range(R.dim - 1) for k in range(R.dim))
+
+
+def _krylov_certifies(M: ModuleRep, rebuilt: ModuleRep, v, family: str,
+                      spec: AlgebraSpec):
+    """T, with columns v, A v, ..., A^(d-1) v for A M's matrix of the
+    family's active element (``_active_matrix``), when it is a nonzero
+    module map from rebuilt to M: T A' = A T exactly for every generator,
+    A' acting on rebuilt and A on M; else None.  The one Krylov routine of
+    classification and of isomorphism.  With either side simple and equal
+    dimensions, such a T is an isomorphism."""
+    active = _active_matrix(M, family, spec)
     cols = [list(v)]
     for _ in range(M.dim - 1):
         cols.append(mat_vec(active, cols[-1]))
@@ -1305,23 +1439,23 @@ def _krylov_certifies(M: ModuleRep, rebuilt: ModuleRep, v, active):
     return None if is_zero_matrix(T) or not _intertwines(T, rebuilt, M) else T
 
 
-def _verify_rebuild(M: ModuleRep, params: SimpleParams, spec: AlgebraSpec, v, active):
+def _verify_rebuild(M: ModuleRep, params: SimpleParams, spec: AlgebraSpec, v):
     """params, once build_simple(params, spec) is shown isomorphic to M.
 
     One certificate, found with matrix products only: the identity map
     when the rebuild's matrices equal M's, else the Krylov matrix of
     ``_krylov_certifies``.  Every rebuild has the basis e'_i = A'^i e'_0,
-    A' its matrix of the active element: x (DiffVbar, DiffVx), z (DiffVy),
-    or the shifter c (SkewVx, SkewVxy) or b (SkewVy), which moves line i
-    to line i + 1 with factor lam(1) = 1.  e'_0 is the line the classifier
-    read in M as v: the line z kills, the joint group eigenline, or e_0 of
-    the diagonal x or y whose first entry is alpha.  The caller passes v
-    and active, M's matrix of the same element.  TorsionChar's 1 x 1
-    rebuild always equals its input.  A failed Krylov check alone does not
-    prove non-isomorphism, so the ClassifyError names the check.  The
+    A' its matrix of the family's active element (``_ACTIVE``): x
+    (DiffVbar, DiffVx), z (DiffVy), or the shifter c (SkewVx, SkewVxy) or
+    b (SkewVy).  e'_0 is the line the classifier read in M as v: the line
+    z kills, the joint group eigenline, or e_0 of the diagonal x or y
+    whose first entry is alpha.  TorsionChar's 1 x 1 rebuild always
+    equals its input.  M is certified simple, so a nonzero module map onto
+    it is an isomorphism.  A failed Krylov check alone does not prove
+    non-isomorphism, so the ClassifyError names the check.  The
     certificate is kept on M per spec object as (params, T), T None for
-    the identity, for ``are_isomorphic`` to compose; params is the value
-    returned, which no caller may mutate.
+    the identity, for ``are_isomorphic``; params is the value returned,
+    which no caller may mutate.
     """
     try:
         rebuilt = build_simple(params, spec)
@@ -1329,7 +1463,7 @@ def _verify_rebuild(M: ModuleRep, params: SimpleParams, spec: AlgebraSpec, v, ac
         _classify_fail(f"recovered parameters rejected by the constructor: {exc}")
     T = None
     if (rebuilt.group_mats, rebuilt.X, rebuilt.Y) != (M.group_mats, M.X, M.Y):
-        T = _krylov_certifies(M, rebuilt, v, active)
+        T = _krylov_certifies(M, rebuilt, v, params.family, spec)
         if T is None:
             _classify_fail("the rebuilt module fails the Krylov check: the matrix "
                            "spun from the line read in the input is no module map")
@@ -1360,8 +1494,7 @@ def _classify_skew_cyclic(M: ModuleRep, spec: AlgebraSpec, family: str,
     alpha = active[0][0] if _is_diagonal(active) else None
     params = SimpleParams(family=family, lam=lam, alpha=alpha, alpha_pow=s, n=n)
     if alpha is not None:
-        return _verify_rebuild(M, params, spec, identity(n, spec.conductor)[0],
-                               M.act_group(getattr(spec, shifter_name)))
+        return _verify_rebuild(M, params, spec, identity(n, spec.conductor)[0])
     return params
 
 
@@ -1415,7 +1548,7 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
             values = [M.group_mats[k][0][0] for k in range(spec.group.ngens)]
             lam = _character_from_values(spec.group, N, values)
             params = SimpleParams(family="TorsionChar", lam=lam, n=1)
-            return _verify_rebuild(M, params, spec, [Cyclotomic.one(N)], M.X)
+            return _verify_rebuild(M, params, spec, [Cyclotomic.one(N)])
 
         X = M.X
         if prof["y"] == TORSION:
@@ -1454,7 +1587,7 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
                               alpha_y=alpha_y, alpha_x_pow=s, coupling=w,
                               t=t, n=n)
         if alpha_x is not None:
-            return _verify_rebuild(M, params, spec, identity(n, N)[0], C)
+            return _verify_rebuild(M, params, spec, identity(n, N)[0])
         return params
 
     # differential mode
@@ -1479,7 +1612,7 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
             _classify_fail("dimension does not equal the least vanishing "
                            "winding index of the recovered character")
         params = SimpleParams(family="DiffVbar", rho=rho, d=d, n=n)
-        return _verify_rebuild(M, params, spec, v, M.X)
+        return _verify_rebuild(M, params, spec, v)
 
     # neither mixed nor doubly torsion: one variable is torsion-free
     if M.dim != n:
@@ -1491,4 +1624,4 @@ def classify_simple(M: ModuleRep, spec: AlgebraSpec) -> SimpleParams:
         family, active = "DiffVy", Z
         rho, mu, lam, v = _diff_cyclic_invariants(M, spec, active, M.X, "yx")
     params = SimpleParams(family=family, rho=rho, lam_scalar=lam, mu=mu, n=n)
-    return _verify_rebuild(M, params, spec, v, active)
+    return _verify_rebuild(M, params, spec, v)

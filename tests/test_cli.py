@@ -22,7 +22,7 @@ from orehopf.cli import (MAX_CONDUCTOR, MAX_DEGREE, MAX_MODULE_DIM, MAX_SAMPLES,
 from orehopf.exprparse import (MAX_TERM_DEGREE, ParseError, element_to_expr,
                                parse_element, serialize_element)
 from orehopf.reps import ModuleRep, build_Vx_diff, build_Vx_skew, conjugate
-from orehopf.hopfcore import cyclotomic_to_literal, random_element
+from orehopf.hopfcore import cyclotomic_to_literal, literal_to_cyclotomic, random_element
 from orehopf.linalg import inverse, mat_mul
 from orehopf.catalog import (catalog_entry, catalog_names, generalized_taft,
                              takeuchi_u1)
@@ -771,6 +771,34 @@ def test_module_iso_and_counterexample(write_config, tmp_path, capsys):
     code, out, _ = run(capsys, "module", "iso", pa, pb)
     assert code == 1
     assert out["facts"]["result"] == "not isomorphic"
+
+
+def test_module_iso_prints_its_intertwiner(write_config, tmp_path, capsys):
+    # the certificate T of a pass satisfies T A = B T for every generator
+    path_a, payload = build_module_file(capsys, tmp_path, write_config(SKEW3), "skew-vx",
+                                        {"alpha": 1, "lam": [0, 1]}, "a.json")
+    spec = config_from_dict(payload["config"]).spec
+    N = spec.conductor
+    A = ModuleRep.from_dict(spec, payload["module"])
+    P = [[Cyclotomic.rational(N, (i + 2 * j) % 3 + (i == j)) for j in range(3)]
+         for i in range(3)]
+    B = conjugate(A, P)
+    path_b = tmp_path / "b.json"
+    path_b.write_text(json.dumps({"config": payload["config"], "module": B.to_dict()}))
+    for first, second, files in ((A, A, (path_a, path_a)), (A, B, (path_a, str(path_b))),
+                                 (B, A, (str(path_b), path_a))):
+        code, out, _ = run(capsys, "module", "iso", *files)
+        assert code == 0 and out["facts"]["result"] == "isomorphic"
+        T = [[literal_to_cyclotomic(v, N) for v in row] for row in out["facts"]["intertwiner"]]
+        assert len(T) == 3 and inverse(T) is not None
+        for X, Y in zip(first.group_mats + (first.X, first.Y),
+                        second.group_mats + (second.X, second.Y)):
+            assert mat_mul(T, X) == mat_mul(Y, T)
+    # a fail prints none
+    path_c, _ = build_module_file(capsys, tmp_path, write_config(SKEW3), "skew-vx",
+                                  {"alpha": 2, "lam": [0, 1]}, "c.json")
+    code, out, _ = run(capsys, "module", "iso", path_a, path_c)
+    assert code == 1 and "intertwiner" not in out["facts"]
 
 
 def test_module_simple_singular_group_matrix_exit_2(write_config, tmp_path,

@@ -310,6 +310,22 @@ def test_mat_mul_equals_the_entrywise_dot(N):
     assert mat_mul([[zero, zero]], [[zero], [zero]])[0][0].den == 1
 
 
+@pytest.mark.parametrize("N", (1, 4, 12, 9))
+def test_factor_product_reads_each_factor_for_many_products(N):
+    # one factor of T and of a scaled S serves every product, with the
+    # values of mat_mul on the matrices themselves
+    rng = random.Random(100 + N)
+    T = _fractional_matrix(rng, 3, 3, N)
+    s = root_of_unity(N, 1)
+    left, scaled = Factor(T), Factor(T, s)
+    for _ in range(4):
+        A = _fractional_matrix(rng, 3, 2, N)
+        assert linalg.factor_product(left, Factor(A)) == mat_mul(T, A)
+        assert linalg.factor_product(scaled, Factor(A)) == mat_mul(mat_scale(T, s), A)
+    with pytest.raises(ValueError, match="3x3 matrix by a 2x3"):
+        linalg.factor_product(left, Factor(_fractional_matrix(rng, 2, 3, N)))
+
+
 def test_full_rank_mod_p_matches_the_exact_rank():
     for N in CONDUCTORS:
         rng = random.Random(N)

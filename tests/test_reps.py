@@ -522,6 +522,17 @@ def test_modules_of_two_algebras_are_refused():
     assert direct_sum(M1, M3).dim == 2
 
 
+def test_conjugate_equals_the_two_products():
+    rng = random.Random(37)
+    for inst in sweep_instances()[::5]:
+        M = inst.module
+        T = random_invertible(M.dim, inst.spec.conductor, rng)
+        T_inv = inverse(T)
+        C = conjugate(M, T)
+        for A, B in zip(M.group_mats + (M.X, M.Y), C.group_mats + (C.X, C.Y)):
+            assert B == tuple(map(tuple, mat_mul(mat_mul(T, A), T_inv))), inst.family
+
+
 def test_conjugate_preserves_relations_and_class():
     rng = random.Random(9)
     spec = diff_sweep_spec(3)
@@ -1544,7 +1555,7 @@ def test_classified_pairs_compose_their_rebuild_maps(monkeypatch):
     rng = random.Random(31)
     systems = _counting_systems(monkeypatch)
     instances = sweep_instances()
-    routed, solved = Counter(), Counter()
+    composed, spun = Counter(), Counter()
     for inst, nxt in zip(instances, instances[1:] + instances[:1]):
         M, spec = _fresh(inst.module), inst.spec
         C = conjugate(M, random_invertible(M.dim, spec.conductor, rng))
@@ -1552,21 +1563,23 @@ def test_classified_pairs_compose_their_rebuild_maps(monkeypatch):
         for pair in ((M, C), (C, M)):
             res, solve = _decide(pair, systems)
             assert res.status == "isomorphic"
-            # equal parameters never solve the system; other pairs do
-            assert solve != same
-            (solved if solve else routed)[inst.family] += 1
+            # a classified side decides with no system: equal parameters
+            # compose the two maps, other pairs spin the seed line
+            assert not solve
+            (composed if same else spun)[inst.family] += 1
         # a partner of the same spec and dimension, classified as well
         if nxt.spec is spec and nxt.module.dim == M.dim:
             partner = _fresh(nxt.module)
             classify_simple(partner, spec)
             for pair in ((M, partner), (partner, M)):
-                _decide(pair, systems)
+                assert not _decide(pair, systems)[1]
     # a module and its conjugate classify to one point in every diff family
     # and TorsionChar; a skew conjugate's x or y is not diagonal, so it gets
-    # invariant-only parameters and the system decides
-    assert set(routed) == {"TorsionChar", "DiffVbar", "DiffVx", "DiffVy"}
-    assert set(solved) == {"SkewVx", "SkewVy", "SkewVxy"}
-    assert sum(routed.values()) > 150
+    # invariant-only parameters and the module's seed line is spun in it
+    assert set(composed) == {"TorsionChar", "DiffVbar", "DiffVx", "DiffVy"}
+    assert set(spun) == {"SkewVx", "SkewVy", "SkewVxy"}
+    assert sum(composed.values()) > 150
+    assert systems == []
 
 
 def test_the_system_decides_pairs_with_no_common_classification(monkeypatch):
@@ -1577,23 +1590,26 @@ def test_the_system_decides_pairs_with_no_common_classification(monkeypatch):
     a, q = root_of_unity(4, 1), spec.chi.eval(spec.c)
     M = build_Vx_skew(a, lam, spec)
     C = conjugate(M, random_invertible(M.dim, spec.conductor, rng))
-    # unclassified modules
+    # unclassified modules: the only pair that solves the system
     assert _decide((M, C), systems)[1]
-    # a skew conjugate with invariant-only parameters
+    # a skew conjugate with invariant-only parameters: M's seed line is
+    # spun in it
     p, pc = classify_simple(M, spec), classify_simple(C, spec)
     assert pc.alpha is None and p.key(spec) == pc.key(spec)
-    assert _decide((M, C), systems)[1] and _decide((C, M), systems)[1]
+    assert not _decide((M, C), systems)[1] and not _decide((C, M), systems)[1]
     # equal keys at different parameter points: alpha and alpha q
     Mq = build_Vx_skew(a * q, lam, spec)
     pq = classify_simple(Mq, spec)
     assert pq != p and pq.key(spec) == p.key(spec)
     res, solve = _decide((M, Mq), systems)
-    assert res.status == "isomorphic" and solve
-    # a classification over another spec object, equal in value
+    assert res.status == "isomorphic" and not solve
+    # a classification over another spec object, equal in value: the first
+    # module's classification over its own spec object is spun
     other = skew_sweep_spec(4)
     twin = ModuleRep(other, M.dim, M.group_mats, M.X, M.Y)
     assert classify_simple(twin, other) == p
-    assert _decide((M, twin), systems)[1] and _decide((twin, M), systems)[1]
+    assert not _decide((M, twin), systems)[1] and not _decide((twin, M), systems)[1]
+    assert len(systems) == 1
     # the same module over its own spec object composes the identity maps
     same = _fresh(M)
     classify_simple(same, spec)
@@ -1617,11 +1633,154 @@ def test_diff_shift_orbit_points_classify_to_one_point(monkeypatch):
                           mu=mu - wind(spec.e, k, spec).apply_char(rho2))
         M2 = build_simple(p2, spec)
         assert p1.key(spec) == p2.key(spec)
-        # while M2 holds no classification, the system decides
-        assert _decide((M1, M2), systems)[1]
+        # while neither holds a classification the system decides; once M1
+        # holds one, its seed line is spun in M2
+        assert _decide((M1, M2), systems)[1] == (k == 1)
         assert classify_simple(M1, spec) == classify_simple(M2, spec)
         res, solve = _decide((M1, M2), systems)
         assert res.status == "isomorphic" and not solve
+
+
+# ---------------------------------------------------------------------------
+# isomorphism from one classification: the rebuild's seed line spun
+
+
+def _partners(inst, instances):
+    """The other sweep modules of inst's spec object and dimension."""
+    return [o.module for o in instances
+            if o is not inst and o.spec is inst.spec and o.module.dim == inst.module.dim]
+
+
+def test_one_classified_side_decides_every_pair_with_no_system(monkeypatch):
+    # every classified sweep module against its conjugate, a conjugated
+    # partner and an unclassified partner, both ways: the system's answer
+    # and witness, with no system solved
+    systems = _counting_systems(monkeypatch)
+    rng = random.Random(33)
+    instances = sweep_instances()
+    outcomes, families = Counter(), set()
+    for inst in instances:
+        M, spec = _fresh(inst.module), inst.spec
+        N = spec.conductor
+        families.add(classify_simple(M, spec).family)
+        others = [conjugate(M, random_invertible(M.dim, N, rng))]
+        partners = _partners(inst, instances)
+        if partners:
+            P = rng.choice(partners)
+            others += [conjugate(P, random_invertible(M.dim, N, rng)), _fresh(P)]
+        for other in others:
+            for pair in ((M, other), (other, M)):
+                res, solve = _decide(pair, systems)
+                assert not solve, inst.family
+                outcomes[res.status] += 1
+    assert systems == []
+    assert len(families) == 7
+    assert outcomes["isomorphic"] > 400 and outcomes["not_isomorphic"] > 400
+    assert set(outcomes) == {"isomorphic", "not_isomorphic"}
+
+
+def _scalar_on_seed_generators(R):
+    """R with each generator that maps e_0 to s e_0 replaced by s I: every
+    vector of it is a seed of R."""
+    d, N = R.dim, R.spec.conductor
+
+    def scalar_if_eigen(A):
+        if all(A[k][0].is_zero() for k in range(1, d)):
+            return mat_scale(identity(d, N), A[0][0])
+        return A
+
+    return ModuleRep(R.spec, d, [scalar_if_eigen(A) for A in R.group_mats],
+                     scalar_if_eigen(R.X), scalar_if_eigen(R.Y))
+
+
+def test_a_seed_space_of_two_or_more_dimensions_goes_to_the_system(monkeypatch):
+    systems = _counting_systems(monkeypatch)
+    for spec, M in _one_module_per_family()[1:]:
+        M = _fresh(M)
+        params = classify_simple(M, spec)
+        T = M._memo[reps._REBUILD_KEY, spec][1]
+        R = M if T is None else build_simple(params, spec)
+        S = _scalar_on_seed_generators(R)
+        assert len(reps._seed_space(R, S)) == M.dim >= 2, params.family
+        for pair in ((M, S), (S, M)):
+            before = len(systems)
+            res, solve = _decide(pair, systems)
+            assert solve and len(systems) == before + 1, params.family
+            assert res.status == "not_isomorphic", params.family
+
+
+def test_with_no_reduction_the_exact_seed_kernel_gives_the_same_answers(monkeypatch):
+    systems = _counting_systems(monkeypatch)
+    rng = random.Random(35)
+    instances = sweep_instances()
+    # two modules of each family, each with a conjugate and a partner
+    cases, taken = [], Counter()
+    for inst in instances:
+        partners = _partners(inst, instances)
+        if taken[inst.family] == 2 or not partners:
+            continue
+        taken[inst.family] += 1
+        T = random_invertible(inst.module.dim, inst.spec.conductor, rng)
+        cases.append((inst, T, rng.choice(partners)))
+    assert len(taken) == 7
+
+    def decide_all():
+        out = []
+        for inst, T, partner in cases:
+            M = _fresh(inst.module)
+            classify_simple(M, inst.spec)
+            for other in (conjugate(M, T), _fresh(partner)):
+                out += [are_isomorphic(M, other), are_isomorphic(other, M)]
+        return out
+
+    reduced = decide_all()
+    with monkeypatch.context() as m:
+        m.setattr(ModuleRep, "_residues", lambda M, e: None)
+        exact = decide_all()
+    assert exact == reduced and systems == []
+    oracle = []
+    for inst, T, partner in cases:
+        M = inst.module
+        for other in (conjugate(M, T), partner):
+            oracle += [iso_by_system(M, other), iso_by_system(other, M)]
+    assert reduced == oracle
+    assert {res.status for res in oracle} == {"isomorphic", "not_isomorphic"}
+
+
+def test_every_rebuild_spins_its_basis_from_e0():
+    # A' e_i = e_(i+1), A' the rebuild's matrix of its family's active element
+    families = set()
+    for inst in sweep_instances():
+        M = _fresh(inst.module)
+        params = classify_simple(M, inst.spec)
+        R = build_simple(params, inst.spec)
+        assert reps._spins_its_basis(R, params.family, inst.spec), params.family
+        families.add(params.family)
+    assert len(families) == 7
+    # a module in another basis does not
+    spec, M = _one_module_per_family()[5]
+    C = conjugate(M, random_invertible(M.dim, spec.conductor, random.Random(36)))
+    assert not reps._spins_its_basis(C, "DiffVx", spec)
+
+
+def test_a_failed_spin_is_negative_only_on_a_rebuild_basis(monkeypatch):
+    systems = _counting_systems(monkeypatch)
+    spec = diff_sweep_spec(3)
+    N = spec.conductor
+    rho = Character(spec.group, N, [2, 1])
+    M = build_Vx_diff(rho, root_of_unity(N, 1), scalar(spec, 2), spec)
+    other = build_Vx_diff(rho, root_of_unity(N, 1), scalar(spec, 5), spec)
+    classify_simple(M, spec)
+    # the seed line of other is the rho eigenline; its Krylov matrix is no
+    # module map, so no map exists
+    assert len(reps._seed_space(M, other)) == 1
+    res, solve = _decide((M, other), systems)
+    assert res.status == "not_isomorphic" and not solve
+    # when the rebuild's basis is not spun from e_0 the system decides
+    monkeypatch.setattr(reps, "_spins_its_basis", lambda *args: False)
+    for pair in ((M, other), (other, M)):
+        res, solve = _decide(pair, systems)
+        assert res.status == "not_isomorphic" and solve
 
 
 def test_torsion_profile_matches_exact_elimination():
@@ -1839,9 +1998,9 @@ def test_krylov_certificate_agrees_with_are_isomorphic(monkeypatch):
     calls = _counting_intertwiners(monkeypatch)
     rebuilds = []
 
-    def recording_verify(M, params, spec, v, active, _fn=reps._verify_rebuild):
-        rebuilds.append((M, params, spec, v, active))
-        return _fn(M, params, spec, v, active)
+    def recording_verify(M, params, spec, v, _fn=reps._verify_rebuild):
+        rebuilds.append((M, params, spec, v))
+        return _fn(M, params, spec, v)
 
     monkeypatch.setattr(reps, "_verify_rebuild", recording_verify)
     rng = random.Random(21)
@@ -1855,12 +2014,13 @@ def test_krylov_certificate_agrees_with_are_isomorphic(monkeypatch):
         for module in modules:
             assert _classify_cost(calls, module, inst.spec)[1] == 0, inst.family
     differs = Counter()
-    for M, params, spec, v, active in rebuilds:
+    for M, params, spec, v in rebuilds:
         rebuilt = build_simple(params, spec)
         if (rebuilt.group_mats, rebuilt.X, rebuilt.Y) != (M.group_mats, M.X, M.Y):
             differs[params.family] += 1
             assert are_isomorphic(M, rebuilt).status == "isomorphic", params.family
-            assert reps._krylov_certifies(M, rebuilt, v, active) is not None, params.family
+            assert reps._krylov_certifies(M, rebuilt, v, params.family, spec) is not None, \
+                params.family
     assert set(differs) == {"SkewVx", "SkewVy", "SkewVxy", "DiffVbar", "DiffVx", "DiffVy"}
 
 
