@@ -11,6 +11,10 @@ their layers on access.  ``perfbench/tracer.py`` relies on this: after
 ``import orehopf`` every layer is in ``sys.modules``, and reading its
 ``vars()`` runs it.  Before Python 3.13 the first load of a layer takes no
 lock, so a program that starts threads should use each layer once first.
+Groups and group elements are shared by all threads: ``abgroup`` builds
+and registers a group under a lock and stores each element with
+``dict.setdefault``, so threads that build the same group or element get
+the one object, as identity equality needs.
 """
 
 import sys

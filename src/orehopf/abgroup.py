@@ -2,16 +2,19 @@
 
 A group is Z^r x Z/n_1 x ... x Z/n_s in invariant-factor style coordinates
 (free generators first).  Elements are exponent vectors with torsion
-coordinates reduced.  A group object interns its elements: it keeps one
-GroupElement per reduced exponent vector, so every constructor and group
-operation returns the stored object, and dict and tuple lookups of keys
-holding elements match on identity before any __eq__ call.  Equality and
-hashing stay by value, so elements of equal but distinct group objects
-compare and hash equal.  The table lives on the group object and goes
-with it.  Characters take values in a fixed cyclotomic field Q(zeta_N) and
-are encoded by the exponent of zeta_N on each generator, so every
-character has finite order by construction; they, like subgroups, reject
-elements of another group.
+coordinates reduced.  Both are hash-consed: AbelianGroup(r, torsion)
+returns the one live group object with that signature, held weakly in a
+registry, and a group object keeps one GroupElement per reduced exponent
+vector, so every constructor and group operation returns the stored
+object.  Equal groups and equal elements are therefore the same object,
+and both compare and hash by identity, which CPython evaluates in C
+inside tuple hashing and dict lookups.  copy, deepcopy and pickle rebuild
+through the registry and return the stored objects.  A group leaves the
+registry, with its element table, once nothing references it.
+Characters take values in a fixed cyclotomic field Q(zeta_N) and are
+encoded by the exponent of zeta_N on each generator, so every character
+has finite order by construction; they, like subgroups, reject elements
+of another group.
 
 Subgroups are integer lattices between the torsion-relation lattice L and
 Z^k, stored as a row-style Hermite normal form.  This gives exact
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 from math import gcd
 from operator import add, mod, mul, neg
+from threading import Lock
+from weakref import WeakValueDictionary
 
 from .cyclotomic import Cyclotomic, root_of_unity
 
@@ -50,38 +55,50 @@ def _conductor(conductor):
     return conductor
 
 
+# the one live group object per signature (free rank, torsion orders);
+# WeakValueDictionary's methods are Python code, so the lock makes a
+# lookup and its insertion one step for threads that build the same group
+_GROUPS = WeakValueDictionary()
+_GROUPS_LOCK = Lock()
+
+
 class AbelianGroup:
     """Z^free_rank x prod Z/n_i with generator order: free then torsion.
 
-    _elements maps each reduced exponent tuple to the one GroupElement made
-    for it by this group object; _identity is its identity element, which
-    GroupElement.__mul__ passes through without a lookup.
+    Calling the class returns the registered group with this signature
+    (``_GROUPS``), built and registered on first use, so equal groups are
+    one object and compare and hash by identity.  _elements maps each
+    reduced exponent tuple to the one GroupElement made for it;
+    _identity is the identity element, which GroupElement.__mul__ passes
+    through without a lookup.
     """
 
-    __slots__ = ("free_rank", "torsion_orders", "ngens", "_elements", "_identity")
+    __slots__ = ("free_rank", "torsion_orders", "ngens", "_elements", "_identity",
+                 "__weakref__")
 
-    def __init__(self, free_rank: int, torsion_orders=()):
+    def __new__(cls, free_rank: int, torsion_orders=()):
         if not _is_int(free_rank) or free_rank < 0:
             raise ValueError(f"free rank must be a nonnegative integer, not {free_rank!r}")
         torsion = tuple(_ints(torsion_orders, "torsion orders"))
         if any(n < 2 for n in torsion):
             raise ValueError("torsion orders must be >= 2")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion_orders", torsion)
-        object.__setattr__(self, "ngens", free_rank + len(torsion))
-        object.__setattr__(self, "_elements", {})
-        object.__setattr__(self, "_identity", _new_element(self, [0] * self.ngens))
+        with _GROUPS_LOCK:
+            group = _GROUPS.get((free_rank, torsion))
+            if group is None:
+                group = object.__new__(cls)
+                object.__setattr__(group, "free_rank", free_rank)
+                object.__setattr__(group, "torsion_orders", torsion)
+                object.__setattr__(group, "ngens", free_rank + len(torsion))
+                object.__setattr__(group, "_elements", {})
+                object.__setattr__(group, "_identity", _new_element(group, [0] * group.ngens))
+                _GROUPS[free_rank, torsion] = group
+        return group
 
     def __setattr__(self, name, value):
         raise AttributeError("AbelianGroup is immutable")
 
-    def __eq__(self, other):
-        return (isinstance(other, AbelianGroup)
-                and self.free_rank == other.free_rank
-                and self.torsion_orders == other.torsion_orders)
-
-    def __hash__(self):
-        return hash((self.free_rank, self.torsion_orders))
+    def __reduce__(self):
+        return AbelianGroup, (self.free_rank, self.torsion_orders)
 
     def __repr__(self):
         return f"AbelianGroup(free_rank={self.free_rank}, torsion={list(self.torsion_orders)})"
@@ -127,26 +144,27 @@ class GroupElement:
     """An exponent vector of a group, torsion coordinates reduced; made by
     AbelianGroup.element, identity and generator and the group operations.
 
-    A group object holds one element per exponent vector, so these all
-    return that shared object.  Equality is still by value: an element of an
-    equal but distinct group object is equal and hash-equal, not identical.
+    A group object holds one element per exponent vector and there is one
+    group object per signature, so these all return that shared object,
+    and equality and hashing are object identity.
     """
 
-    __slots__ = ("group", "exps", "_hash")
+    __slots__ = ("group", "exps")
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
 
+    def __reduce__(self):
+        return _new_element, (self.group, self.exps)
+
     def __mul__(self, other):
         group = self.group
-        if other.__class__ is GroupElement and other.group is group:
-            # the product stays in self's group object, as _new_element's would
-            if other is group._identity:
-                return self
-            if self is group._identity:
-                return other
-        elif other.__class__ is not GroupElement or other.group != group:
+        if other.__class__ is not GroupElement or other.group is not group:
             raise ValueError("group elements belong to different groups")
+        if other is group._identity:
+            return self
+        if self is group._identity:
+            return other
         return _new_element(group, map(add, self.exps, other.exps))
 
     def inverse(self):
@@ -158,27 +176,20 @@ class GroupElement:
     def is_identity(self) -> bool:
         return not any(self.exps)
 
-    def __eq__(self, other):
-        return (isinstance(other, GroupElement) and self.exps == other.exps
-                and (self.group is other.group or self.group == other.group))
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"g{list(self.exps)}"
 
 
 _set_group = GroupElement.group.__set__
 _set_exps = GroupElement.exps.__set__
-_set_hash = GroupElement._hash.__set__
 
 
 def _new_element(group: AbelianGroup, exps) -> GroupElement:
     """The element of group with the exponents exps, group.ngens integers:
     only the torsion coordinates are reduced, and a torsion-free group skips
     that.  The group's stored element is returned; a new one is built slot
-    by slot and stored."""
+    by slot and stored with dict.setdefault, which is atomic, so threads
+    that build the same element all get the stored one."""
     exps = tuple(exps)
     if group.torsion_orders:
         free = group.free_rank
@@ -188,8 +199,7 @@ def _new_element(group: AbelianGroup, exps) -> GroupElement:
         g = object.__new__(GroupElement)
         _set_group(g, group)
         _set_exps(g, exps)
-        _set_hash(g, hash(exps))
-        group._elements[exps] = g
+        g = group._elements.setdefault(exps, g)
     return g
 
 
@@ -225,7 +235,7 @@ class Character:
 
     def exponent(self, g: GroupElement, t: int = 1) -> int:
         """k in [0, N) with chi(g)^t = zeta_N^k; g must be of this group."""
-        if g.group is not self.group and g.group != self.group:
+        if g.group is not self.group:
             raise ValueError("the element belongs to a different group")
         return (t * sum(map(mul, self.exps, g.exps))) % self.conductor
 
@@ -237,7 +247,7 @@ class Character:
         return out
 
     def __mul__(self, other: "Character") -> "Character":
-        if other.group != self.group or other.conductor != self.conductor:
+        if other.group is not self.group or other.conductor != self.conductor:
             raise ValueError("characters are not compatible")
         return Character(self.group, self.conductor,
                          [a + b for a, b in zip(self.exps, other.exps)])
@@ -252,7 +262,7 @@ class Character:
         return joint_kernel([self])
 
     def __eq__(self, other):
-        return (isinstance(other, Character) and self.group == other.group
+        return (isinstance(other, Character) and self.group is other.group
                 and self.conductor == other.conductor and self.exps == other.exps)
 
     def __hash__(self):
@@ -352,7 +362,7 @@ class Subgroup:
     def express(self, g: GroupElement):
         """Integer coefficients of a lift of g over the HNF rows, or None;
         g must be of this subgroup's group."""
-        if g.group is not self.group and g.group != self.group:
+        if g.group is not self.group:
             raise ValueError("the element belongs to a different group")
         return self.express_lift(g.exps)
 
@@ -421,7 +431,7 @@ class Subgroup:
         return [self.group.element(list(r)) for r in self.rows]
 
     def __eq__(self, other):
-        return (isinstance(other, Subgroup) and self.group == other.group
+        return (isinstance(other, Subgroup) and self.group is other.group
                 and self.rows == other.rows)
 
     def __hash__(self):
@@ -437,7 +447,7 @@ def joint_kernel(chars) -> Subgroup:
         raise ValueError("need at least one character")
     group = chars[0].group
     k = group.ngens
-    if any(c.group != group for c in chars):
+    if any(c.group is not group for c in chars):
         raise ValueError("characters of different groups")
     # v in ker iff for each char: sum_i exps[i] v_i = 0 mod conductor;
     # encode as the left kernel of the (k + t) x t matrix [E; diag(N)]

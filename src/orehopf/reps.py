@@ -63,6 +63,7 @@ others.
 
 from functools import wraps
 from math import gcd, prod
+from operator import mul
 from random import Random
 
 from .abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
@@ -714,32 +715,78 @@ def _composed_rebuild_maps(M1: ModuleRep, M2: ModuleRep):
     return _last_entry_one(T)
 
 
+def _seed_generators(R: ModuleRep):
+    """Indices, among R's group generators, X and Y, of the generators A'
+    with A' e_0 = s e_0 for a scalar s."""
+    return [j for j, A in enumerate(R.group_mats + (R.X, R.Y))
+            if all(A[k][0].is_zero() for k in range(1, R.dim))]
+
+
 def _seed_space(R: ModuleRep, M: ModuleRep):
     """Basis, in the form of ``nullspace``, of the seed space: the vectors
     of M where a module map R -> M can send e_0.
 
-    For every generator of R with A' e_0 = s e_0, a module map f has
-    B f(e_0) = f(A' e_0) = s f(e_0), B M's matrix of the generator, so the
-    seed space is the kernel of the rows of B - s I, stacked.  They are
-    reduced mod the split prime p first, from both modules' reductions
-    under embedding 0, where a rank can only drop: rank dim mod p makes
-    the space empty.  Otherwise, or when p divides a denominator, the
-    kernel is solved exactly."""
-    d = M.dim
+    For every generator of R with A' e_0 = s e_0 (``_seed_generators``), a
+    module map f has B f(e_0) = f(A' e_0) = s f(e_0), B M's matrix of the
+    generator, so the seed space is the kernel of the rows of B - s I,
+    stacked, solved exactly here and mod p by ``_seed_space_mod_p``."""
     gens_R, gens_M = R.group_mats + (R.X, R.Y), M.group_mats + (M.X, M.Y)
-    eigen = [j for j, A in enumerate(gens_R) if all(A[k][0].is_zero() for k in range(1, d))]
-    image_R, image_M = R._residues(0), M._residues(0)
-    if image_R is not None and image_M is not None:
-        (p, mats_R), mats_M = image_R, image_M[1]
-        span = ModularSpan(p)
-        for j in eigen:
-            for row in _minus_scalar_mod(mats_M[j], mats_R[j][0][0], p):
-                if span.add(row) and span.dim() == d:
-                    return []
     rows = [[b - gens_R[j][0][0] if k == i else b for k, b in enumerate(row)]
-            for j in eigen for i, row in enumerate(gens_M[j])]
+            for j in _seed_generators(R) for i, row in enumerate(gens_M[j])]
     # with no row the space is all of M
-    return nullspace(rows or [[Cyclotomic.zero(M.spec.conductor)] * d])
+    return nullspace(rows or [[Cyclotomic.zero(M.spec.conductor)] * M.dim])
+
+
+def _seed_space_mod_p(R: ModuleRep, M: ModuleRep):
+    """Basis of the seed space's rows (``_seed_space``) reduced mod the
+    split prime p, from both modules' reductions under embedding 0, in the
+    form of ``nullspace`` with entries in [0, p), or [] once the rows reach
+    rank dim; None when p divides a denominator.  A rank can only drop mod
+    p, so the exact seed space has at most the dimension of this one."""
+    image_R, image_M = R._residues(0), M._residues(0)
+    if image_R is None or image_M is None:
+        return None
+    (p, mats_R), mats_M = image_R, image_M[1]
+    span = ModularSpan(p)
+    for j in _seed_generators(R):
+        for row in _minus_scalar_mod(mats_M[j], mats_R[j][0][0], p):
+            if span.add(row) and span.dim() == M.dim:
+                return []
+    return [[x % p for x in v] for v in span.kernel(M.dim)]
+
+
+def _krylov_fails_mod_p(M: ModuleRep, R: ModuleRep, v, family: str,
+                        spec: AlgebraSpec) -> bool:
+    """Whether K = [v, A v, ..., A^(d-1) v] mod p, for a vector v mod p
+    and A M's matrix of the family's active element (``_active_matrix``)
+    reduced under embedding 0, fails K A' = A K mod p for a generator, A'
+    acting on R's reduction and A on M's.  A group element's A is applied
+    as ``ModuleRep.act_group`` multiplies it, one generator power at a
+    time with no product built; False when it has a negative exponent.
+    The two sides are compared a column at a time, K times a column of A'
+    against A times a column of K, with no matrix product built.  Both
+    modules have reductions."""
+    p, mats_M = M._residues(0)
+    name = _ACTIVE[family]
+    if name in ("x", "z"):
+        steps = [mats_M[len(M.group_mats) + (name == "z")]]
+    else:
+        exps = getattr(spec, name).exps
+        if min(exps) < 0:
+            return False
+        # act_group's product A_1^e_1 ... A_k^e_k acts from the right
+        steps = [A for A, e in reversed(list(zip(mats_M, exps))) for _ in range(e)]
+    cols = [v]
+    for _ in range(M.dim - 1):
+        col = cols[-1]
+        for A in steps:
+            col = [sum(map(mul, row, col)) % p for row in A]
+        cols.append(col)
+    K = list(zip(*cols))
+    return any([sum(map(mul, row, a)) % p for row in K]
+               != [sum(map(mul, row, k)) % p for row in B]
+               for A, B in zip(R._residues(0)[1], mats_M)
+               for a, k in zip(zip(*A), cols))
 
 
 def _spun_rebuild_map(M1: ModuleRep, M2: ModuleRep):
@@ -762,7 +809,18 @@ def _spun_rebuild_map(M1: ModuleRep, M2: ModuleRep):
     so f(e_i) = c B^i v and f = c K.  That basis is read off R
     (``_spins_its_basis``) before "not isomorphic" is returned.  Whether
     C is M1 or M2, the maps between the two modules form a line or are
-    none, since C is simple of their common dimension."""
+    none, since C is simple of their common dimension.
+
+    The seed space is read mod the split prime p first
+    (``_seed_space_mod_p``).  Empty, it is empty exactly.  A line v-bar
+    decides negatives with integers only: its Krylov matrix K-bar is
+    tested as a map of the reductions (``_krylov_fails_mod_p``), and when
+    it fails, and R's basis is spun from e_0, there is no nonzero map.  For
+    if f is one, scale it at the prime above p of embedding 0 so that it
+    reduces to a nonzero f-bar, a module map of the reductions: f-bar(e_0)
+    lies in the seed space mod p, so f-bar(e_0) = lam v-bar, and
+    f-bar(e_i) = lam B-bar^i v-bar, so f-bar = lam K-bar with lam nonzero
+    and K-bar passes.  Otherwise the exact seed space is solved."""
     key = (_REBUILD_KEY, M1.spec)
     C, M = M1, M2
     held = M1._memo.get(key)
@@ -772,13 +830,19 @@ def _spun_rebuild_map(M1: ModuleRep, M2: ModuleRep):
         if held is None:
             return None
     params, T = held
-    R = C if T is None else build_simple(params, M1.spec)
+    family, spec = params.family, M1.spec
+    R = C if T is None else build_simple(params, spec)
+    reduced = _seed_space_mod_p(R, M)
+    if reduced == [] or (reduced is not None and len(reduced) == 1
+                         and _krylov_fails_mod_p(M, R, reduced[0], family, spec)
+                         and _spins_its_basis(R, family, spec)):
+        return IsoResult("not_isomorphic", detail="no nonzero intertwiner")
     seed = _seed_space(R, M)
     if len(seed) > 1:
         return None
-    K = _krylov_certifies(M, R, seed[0], params.family, M1.spec) if seed else None
+    K = _krylov_certifies(M, R, seed[0], family, spec) if seed else None
     if K is None:
-        if seed and not _spins_its_basis(R, params.family, M1.spec):
+        if seed and not _spins_its_basis(R, family, spec):
             return None
         return IsoResult("not_isomorphic", detail="no nonzero intertwiner")
     if C is M1:

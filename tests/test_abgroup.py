@@ -1,5 +1,12 @@
 """Finitely generated abelian groups, characters, kernel lattices."""
 
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -51,15 +58,16 @@ def test_group_products_match_element(data):
                       (g ** k, [k * a for a in u])):
         want = G.element(exps)
         assert got is want and got.group is G
-        assert got.exps == want.exps and got._hash == want._hash == hash(got)
+        assert got.exps == want.exps and hash(got) == hash(want)
         # the reduction spelled out: free coordinates as they are, torsion
         # coordinates into [0, n)
         assert got.exps == tuple(exps[:free]) + tuple(
             e % n for e, n in zip(exps[free:], torsion))
     twin = AbelianGroup(free, torsion)
     h2 = twin.element(v)
-    # equality is by value across equal group objects, identity is not
-    assert h2 == h and hash(h2) == hash(h) and h2 is not h and h2.group is twin
+    # one group object per signature: a second call returns G, and its
+    # elements are G's
+    assert twin is G and h2 is h
     assert g * h2 == g * h and (g * h2).group is G
     other = (AbelianGroup(free, tuple(n + 1 for n in torsion)) if torsion
              else AbelianGroup(free + 1))
@@ -81,13 +89,88 @@ def test_identity_factor_returns_the_other_factor(monkeypatch):
     assert e * g is g
     assert e * e is e
     monkeypatch.undo()
-    # a factor of an equal but distinct group object takes the general
-    # product, which stays in the left factor's group object
+    # a second call with the same signature returns the same group object,
+    # so its elements are these and take the same shortcut
     twin = AbelianGroup(1, (4,))
     h = twin.element([2, 3])
     assert e * h is g
     assert h * twin.identity() is h
     assert (h * e).group is twin and h * e == g
+
+
+def test_one_group_object_per_signature():
+    assert AbelianGroup(2) is AbelianGroup(2)
+    G = AbelianGroup(1, (4, 6))
+    assert AbelianGroup(1, [4, 6]) is G is AbelianGroup(1, iter((4, 6)))
+    assert AbelianGroup(1, (6, 4)) is not G and AbelianGroup(2, (4, 6)) is not G
+    assert G.element([3, 5, 7]) is AbelianGroup(1, [4, 6]).element([3, 1, 1])
+
+
+def test_copies_and_pickles_return_the_stored_objects():
+    G = AbelianGroup(1, (4,))
+    g = G.element([-2, 3])
+    key = (g, 1, 0)
+    for clone in (copy.copy, copy.deepcopy,
+                  lambda x: pickle.loads(pickle.dumps(x, pickle.HIGHEST_PROTOCOL))):
+        assert clone(G) is G and clone(g) is g and clone(G.identity()) is G.identity()
+        assert clone(key) == key and clone(key)[0] is g
+        assert clone({key: 1}) == {key: 1}
+
+
+def test_a_group_nothing_references_leaves_the_registry():
+    signature = (3, (97,))
+    G = AbelianGroup(*signature)
+    G.element([1, 2, 3, 4]) * G.generator(3)
+    ref = weakref.ref(G)
+    assert abgroup._GROUPS[signature] is G
+    del G
+    gc.collect()
+    assert ref() is None and signature not in abgroup._GROUPS
+    # a later call builds and registers a new group
+    assert AbelianGroup(*signature) is abgroup._GROUPS[signature]
+
+
+def test_threads_that_build_one_group_get_one_object():
+    # more threads than cores and a short switch interval: a lost insertion
+    # into the registry or an element table would hand threads two objects
+    # for one signature or one exponent vector
+    signatures = [(1, (n,)) for n in range(1000, 1060)]
+    threads = 4
+    barrier, built = threading.Barrier(threads), {}
+
+    def build(index):
+        barrier.wait()
+        groups = [AbelianGroup(*signature) for signature in signatures]
+        built[index] = [(G, [G.element([e, e]) for e in range(200)]) for G in groups]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(i,)) for i in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers) and len(built) == threads
+    for (G, elements), signature in zip(built[0], signatures):
+        assert G is AbelianGroup(*signature)
+        assert elements == [G.element([e, e]) for e in range(200)]
+    for index in range(1, threads):
+        for (G, elements), (H, others) in zip(built[0], built[index]):
+            assert H is G and all(h is g for g, h in zip(elements, others))
+
+
+def test_elements_of_different_signatures_do_not_multiply():
+    g = AbelianGroup(2).element([1, 1])
+    for other in (AbelianGroup(3), AbelianGroup(2, (2,)), AbelianGroup(0, (2, 2))):
+        with pytest.raises(ValueError, match="different groups"):
+            g * other.identity()
+        with pytest.raises(ValueError, match="different groups"):
+            other.identity() * g
+    with pytest.raises(ValueError, match="different groups"):
+        AbelianGroup(0, (4,)).generator(0) * AbelianGroup(0, (2,)).generator(0)
 
 
 def test_character_rejects_an_element_of_another_group():
@@ -96,7 +179,8 @@ def test_character_rejects_an_element_of_another_group():
     for evaluate in (chi.eval, lambda g: chi.eval_pow(g, 3), chi.exponent):
         with pytest.raises(ValueError):
             evaluate(g)
-    # an element of an equal but distinct group object is accepted
+    # a second AbelianGroup(2) call returns the character's group object, so
+    # its element is accepted
     assert chi.eval(AbelianGroup(2).element([1, 1])) == root_of_unity(4, 2)
 
 
@@ -108,6 +192,8 @@ def test_subgroup_character_rejects_an_element_of_another_group():
         lam.eval(g)
     with pytest.raises(ValueError):
         K.contains(g)
+    # a second AbelianGroup(2) call returns the kernel's group object, so its
+    # element is accepted
     inside = AbelianGroup(2).element([4, 1])
     assert K.contains(inside) and lam.eval(inside) == root_of_unity(4, 2)
 

@@ -235,9 +235,10 @@ def test_the_definition_check_sees_unused_names():
 def _defaulted_parameters(tree):
     """(line, name, parameter, position) of every parameter with a default
     on a function of tree.  name is what a call spells: the function's own
-    name, or the class name for __init__.  position counts the arguments a
-    caller passes positionally (self and cls left out); None for
-    keyword-only parameters."""
+    name, or the class name for __init__ and __new__, whose parameters a
+    class call passes.  position counts the arguments a caller passes
+    positionally (self and cls left out); None for keyword-only
+    parameters."""
     methods = {}  # method -> (class name, bound arguments a call omits)
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
@@ -250,7 +251,7 @@ def _defaulted_parameters(tree):
         if not isinstance(node, ast.FunctionDef):
             continue
         owner, bound = methods.get(node, (None, 0))
-        name = owner if node.name == "__init__" and owner else node.name
+        name = owner if node.name in ("__init__", "__new__") and owner else node.name
         positional = node.args.posonlyargs + node.args.args
         first = len(positional) - len(node.args.defaults)
         for index, arg in enumerate(positional[first:], start=first):
@@ -304,11 +305,42 @@ def test_the_parameter_check_sees_unset_defaults():
                      "class K:\n    def __init__(self, x=0, y=0):\n        pass\n\n"
                      "    def m(self, z=1):\n        pass\n\n"
                      "    @staticmethod\n    def s(w=1):\n        pass\n\n"
-                     "def g(u=1, v=2):\n    pass\n")
-    calls = ast.parse("f(1, c=3)\nK(1)\nk.m()\nK.s(2)\ng(*args)\n")
+                     "def g(u=1, v=2):\n    pass\n\n"
+                     "class L:\n    def __new__(cls, r=0, t=()):\n        pass\n")
+    calls = ast.parse("f(1, c=3)\nK(1)\nk.m()\nK.s(2)\ng(*args)\nL(1)\n")
     assert _unset_parameters({"a.py": tree}, [tree, calls]) == [
         ("a.py", 1, "f", "b"), ("a.py", 1, "f", "d"), ("a.py", 5, "K", "y"),
-        ("a.py", 8, "m", "z")]
+        ("a.py", 8, "m", "z"), ("a.py", 19, "L", "t")]
+
+
+def _value_comparisons(tree, classes):
+    """(class, method) of every __eq__ or __hash__ that one of the named
+    classes of tree defines or assigns in its body."""
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and node.name in classes):
+            continue
+        for item in node.body:
+            names = ([item.name] if isinstance(item, ast.FunctionDef) else
+                     [t.id for t in item.targets if isinstance(t, ast.Name)]
+                     if isinstance(item, ast.Assign) else [])
+            yield from ((node.name, n) for n in names if n in ("__eq__", "__hash__"))
+
+
+def test_groups_and_elements_compare_by_identity():
+    # AbelianGroup keeps one object per signature and each group one element
+    # per exponent vector, so identity is equality, and CPython tests it in
+    # C inside tuple hashing and dict lookups
+    tree = ast.parse((SRC / "abgroup.py").read_text())
+    assert list(_value_comparisons(tree, {"AbelianGroup", "GroupElement"})) == []
+
+
+def test_the_identity_check_sees_both_methods():
+    tree = ast.parse("class A:\n    def __eq__(self, o):\n        pass\n\n"
+                     "    __hash__ = None\n\n    def __repr__(self):\n        pass\n\n"
+                     "class B:\n    def __hash__(self):\n        pass\n\n"
+                     "class C:\n    def __eq__(self, o):\n        pass\n")
+    assert list(_value_comparisons(tree, {"A", "B"})) == [
+        ("A", "__eq__"), ("A", "__hash__"), ("B", "__hash__")]
 
 
 def _probe(code):

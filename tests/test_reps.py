@@ -1651,18 +1651,16 @@ def _partners(inst, instances):
             if o is not inst and o.spec is inst.spec and o.module.dim == inst.module.dim]
 
 
-def test_one_classified_side_decides_every_pair_with_no_system(monkeypatch):
-    # every classified sweep module against its conjugate, a conjugated
-    # partner and an unclassified partner, both ways: the system's answer
-    # and witness, with no system solved
-    systems = _counting_systems(monkeypatch)
+def _one_classified_side_pairs():
+    """(family, pair) for every classified sweep module against its
+    conjugate, a conjugated partner and an unclassified partner, both ways;
+    family is the module's classified family."""
     rng = random.Random(33)
     instances = sweep_instances()
-    outcomes, families = Counter(), set()
     for inst in instances:
         M, spec = _fresh(inst.module), inst.spec
         N = spec.conductor
-        families.add(classify_simple(M, spec).family)
+        family = classify_simple(M, spec).family
         others = [conjugate(M, random_invertible(M.dim, N, rng))]
         partners = _partners(inst, instances)
         if partners:
@@ -1670,13 +1668,59 @@ def test_one_classified_side_decides_every_pair_with_no_system(monkeypatch):
             others += [conjugate(P, random_invertible(M.dim, N, rng)), _fresh(P)]
         for other in others:
             for pair in ((M, other), (other, M)):
-                res, solve = _decide(pair, systems)
-                assert not solve, inst.family
-                outcomes[res.status] += 1
+                yield family, pair
+
+
+def test_one_classified_side_decides_every_pair_with_no_system(monkeypatch):
+    # the system's answer and witness, with no system solved
+    systems = _counting_systems(monkeypatch)
+    outcomes, families = Counter(), set()
+    for family, pair in _one_classified_side_pairs():
+        families.add(family)
+        res, solve = _decide(pair, systems)
+        assert not solve, family
+        outcomes[res.status] += 1
     assert systems == []
     assert len(families) == 7
     assert outcomes["isomorphic"] > 400 and outcomes["not_isomorphic"] > 400
     assert set(outcomes) == {"isomorphic", "not_isomorphic"}
+
+
+def test_a_seed_line_mod_p_decides_negatives_with_no_exact_kernel(monkeypatch):
+    # the pairs above whose seed space mod p is a line: a negative is
+    # decided by the Krylov matrix mod p, with no exact nullspace; a
+    # positive runs the exact path and keeps the system's witness
+    lines, kernels = [], []
+    seed_space_mod_p, exact_nullspace = reps._seed_space_mod_p, reps.nullspace
+
+    def recording_seed_space(R, M):
+        reduced = seed_space_mod_p(R, M)
+        lines.append(reduced is not None and len(reduced) == 1)
+        return reduced
+
+    def counting_nullspace(A):
+        kernels.append(A)
+        return exact_nullspace(A)
+
+    monkeypatch.setattr(reps, "_seed_space_mod_p", recording_seed_space)
+    monkeypatch.setattr(reps, "nullspace", counting_nullspace)
+    outcomes = Counter()
+    for family, pair in _one_classified_side_pairs():
+        lines.clear()
+        kernels.clear()
+        res = are_isomorphic(*pair)
+        if lines != [True]:
+            continue
+        exact = len(kernels)
+        assert res == iso_by_system(*pair), family
+        if res.status == "isomorphic":
+            assert exact > 0 and _intertwines(res.witness, *pair)
+        else:
+            assert exact == 0, family
+        outcomes[family, res.status] += 1
+    negatives = {family for family, status in outcomes if status == "not_isomorphic"}
+    assert negatives == {"DiffVx", "SkewVxy", "SkewVy"}
+    assert sum(n for (_, status), n in outcomes.items() if status == "isomorphic") > 400
 
 
 def _scalar_on_seed_generators(R):
