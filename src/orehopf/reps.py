@@ -16,13 +16,13 @@ a classification where one is held, else by solving the intertwiner
 system (``are_isomorphic``).  classify_simple solves no system: it
 certifies its rebuild by the identity, or by the Krylov matrix [v, A v,
 ..., A^(d-1) v] of the line v it read, A the family's active element,
-checked exactly as a module map.  Two modules classified to equal
-parameters are isomorphic through those two maps, and are_isomorphic
-composes them.  When one module alone is classified, its rebuild's seed
-e_0 can go only to a line of the other module that the rebuild's
-eigen-relations at e_0 cut out; spinning that line by the same Krylov
-routine gives the one candidate map, which the exact check accepts or
-rejects (the MeatAxe's standard-basis isomorphism test).  Every exact
+checked exactly as a module map.  are_isomorphic takes one held
+classification's rebuild R and a map from R into each module
+(``_classified_map``): the map a module holds for equal parameters, else
+the one candidate that spinning a line by the same Krylov routine gives,
+the line where the rebuild's eigen-relations at e_0 send e_0, which the
+exact check accepts or rejects (the MeatAxe's standard-basis isomorphism
+test).  The two maps compose to the isomorphism.  Every exact
 identity L1 L2 = R1 R2, a relation of ``rep_check`` or T A = B T of a
 module map (``_intertwines``), goes through ``linalg.first_mismatch`` on
 the matrices' factors, read once per module: neither product is built,
@@ -56,14 +56,12 @@ eigenspace mod p that Burnside's eigenline search or the classifier's
 eigenvalue filter reads, the generators' factors, and each
 classification's certified rebuild map per spec object; conjugate and
 direct_sum return new modules that certify anew.  Invertibility,
-Burnside, the torsion profile, the group eigenspaces, the seed space and
-the intertwiner system read embedding 0; the intertwiner lift reads the
-others.
+Burnside, the torsion profile, the group eigenspaces and the intertwiner
+system read embedding 0; the intertwiner lift reads the others.
 """
 
 from functools import wraps
 from math import gcd, prod
-from operator import mul
 from random import Random
 
 from .abgroup import (AbelianGroup, Character, GroupElement, Subgroup,
@@ -697,186 +695,93 @@ def _last_entry_one(T):
     return mat_scale(T, last.inverse())
 
 
-def _composed_rebuild_maps(M1: ModuleRep, M2: ModuleRep):
-    """T2 T1^-1, when M1 and M2 both hold a classification for M1.spec with
-    equal parameters (``_verify_rebuild``), scaled so that its last nonzero
-    entry in row-major order is 1; else None.  T2 alone when T1 is the
-    identity, and the identity when both are."""
-    key = (_REBUILD_KEY, M1.spec)
-    held1, held2 = M1._memo.get(key), M2._memo.get(key)
-    if held1 is None or held2 is None or held1[0] != held2[0]:
-        return None
-    (_, T1), (_, T) = held1, held2
-    if T1 is not None:
-        T1_inv = inverse(T1)
-        T = T1_inv if T is None else mat_mul(T, T1_inv)
-    if T is None:
-        return identity(M1.dim, M1.spec.conductor)
-    return _last_entry_one(T)
-
-
-def _seed_generators(R: ModuleRep):
-    """Indices, among R's group generators, X and Y, of the generators A'
-    with A' e_0 = s e_0 for a scalar s."""
-    return [j for j, A in enumerate(R.group_mats + (R.X, R.Y))
-            if all(A[k][0].is_zero() for k in range(1, R.dim))]
-
-
 def _seed_space(R: ModuleRep, M: ModuleRep):
     """Basis, in the form of ``nullspace``, of the seed space: the vectors
     of M where a module map R -> M can send e_0.
 
-    For every generator of R with A' e_0 = s e_0 (``_seed_generators``), a
-    module map f has B f(e_0) = f(A' e_0) = s f(e_0), B M's matrix of the
-    generator, so the seed space is the kernel of the rows of B - s I,
-    stacked, solved exactly here and mod p by ``_seed_space_mod_p``."""
-    gens_R, gens_M = R.group_mats + (R.X, R.Y), M.group_mats + (M.X, M.Y)
-    rows = [[b - gens_R[j][0][0] if k == i else b for k, b in enumerate(row)]
-            for j in _seed_generators(R) for i, row in enumerate(gens_M[j])]
+    For every generator A' of R with A' e_0 = s e_0, a module map f has
+    B f(e_0) = f(A' e_0) = s f(e_0), B M's matrix of the generator, so the
+    seed space is the kernel of the rows of B - s I, stacked."""
+    rows = []
+    for A, B in zip(R.group_mats + (R.X, R.Y), M.group_mats + (M.X, M.Y)):
+        if all(A[k][0].is_zero() for k in range(1, R.dim)):
+            s = A[0][0]
+            rows += [[b - s if k == i else b for k, b in enumerate(row)]
+                     for i, row in enumerate(B)]
     # with no row the space is all of M
     return nullspace(rows or [[Cyclotomic.zero(M.spec.conductor)] * M.dim])
 
 
-def _seed_space_mod_p(R: ModuleRep, M: ModuleRep):
-    """Basis of the seed space's rows (``_seed_space``) reduced mod the
-    split prime p, from both modules' reductions under embedding 0, in the
-    form of ``nullspace`` with entries in [0, p), or [] once the rows reach
-    rank dim; None when p divides a denominator.  A rank can only drop mod
-    p, so the exact seed space has at most the dimension of this one."""
-    image_R, image_M = R._residues(0), M._residues(0)
-    if image_R is None or image_M is None:
-        return None
-    (p, mats_R), mats_M = image_R, image_M[1]
-    span = ModularSpan(p)
-    for j in _seed_generators(R):
-        for row in _minus_scalar_mod(mats_M[j], mats_R[j][0][0], p):
-            if span.add(row) and span.dim() == M.dim:
-                return []
-    return [[x % p for x in v] for v in span.kernel(M.dim)]
-
-
-def _krylov_fails_mod_p(M: ModuleRep, R: ModuleRep, v, family: str,
-                        spec: AlgebraSpec) -> bool:
-    """Whether K = [v, A v, ..., A^(d-1) v] mod p, for a vector v mod p
-    and A M's matrix of the family's active element (``_active_matrix``)
-    reduced under embedding 0, fails K A' = A K mod p for a generator, A'
-    acting on R's reduction and A on M's.  A group element's A is applied
-    as ``ModuleRep.act_group`` multiplies it, one generator power at a
-    time with no product built; False when it has a negative exponent.
-    The two sides are compared a column at a time, K times a column of A'
-    against A times a column of K, with no matrix product built.  Both
-    modules have reductions."""
-    p, mats_M = M._residues(0)
-    name = _ACTIVE[family]
-    if name in ("x", "z"):
-        steps = [mats_M[len(M.group_mats) + (name == "z")]]
-    else:
-        exps = getattr(spec, name).exps
-        if min(exps) < 0:
-            return False
-        # act_group's product A_1^e_1 ... A_k^e_k acts from the right
-        steps = [A for A, e in reversed(list(zip(mats_M, exps))) for _ in range(e)]
-    cols = [v]
-    for _ in range(M.dim - 1):
-        col = cols[-1]
-        for A in steps:
-            col = [sum(map(mul, row, col)) % p for row in A]
-        cols.append(col)
-    K = list(zip(*cols))
-    return any([sum(map(mul, row, a)) % p for row in K]
-               != [sum(map(mul, row, k)) % p for row in B]
-               for A, B in zip(R._residues(0)[1], mats_M)
-               for a, k in zip(zip(*A), cols))
-
-
-def _spun_rebuild_map(M1: ModuleRep, M2: ModuleRep):
+def _classified_map(M1: ModuleRep, M2: ModuleRep):
     """The IsoResult from a classification that M1, or else M2, holds for
     M1.spec (``_verify_rebuild``), with no intertwiner system; None when
-    neither holds one, or when the seed space is not a line.
+    neither holds one, or when a seed space has dimension 2 or more.
 
-    That module C holds (params, T), T the map from its rebuild R onto C,
-    R = C when T is None.  Any module map R -> M, M the other module, is
-    fixed by the image of e_0 (below), which lies in ``_seed_space(R, M)``:
-    empty means no nonzero map.  On a line v, the Krylov matrix K = [v, B
-    v, ..., B^(d-1) v], B M's matrix of the family's active element
-    (``_krylov_certifies``), is accepted only as an exact module map
-    R -> M.  R is simple, so K is
-    injective, an isomorphism, and the maps compose to K T^-1 from C = M1
-    to M2, or T K^-1 from M1 to C = M2, scaled so that the last nonzero
-    entry is 1: the system's witness, as in ``are_isomorphic``.  When K is
-    no module map, neither is any multiple of it: a map f has f(e_0) = c v,
-    and R's basis is e_i = A'^i e_0, A' its matrix of the active element,
-    so f(e_i) = c B^i v and f = c K.  That basis is read off R
-    (``_spins_its_basis``) before "not isomorphic" is returned.  Whether
-    C is M1 or M2, the maps between the two modules form a line or are
-    none, since C is simple of their common dimension.
+    The held (params, T) names the rebuild R = build_simple(params,
+    M1.spec), and T maps R onto the module that holds it, the identity
+    when None.  Each M_i gets a map F_i: R -> M_i.  A module that holds
+    equal parameters holds F_i.  For the other one, any module map
+    R -> M_i is fixed by the image of e_0, which lies in
+    ``_seed_space(R, M_i)``: empty means no nonzero map.  On a line v, the
+    Krylov matrix K = [v, B v, ..., B^(d-1) v], B M_i's matrix of the
+    family's active element (``_krylov_certifies``), is F_i when it is an
+    exact module map.  When it is not, neither is any multiple of it: a
+    map f has f(e_0) = c v, and R's basis is e_i = A'^i e_0, A' its matrix
+    of the active element, so f(e_i) = c B^i v and f = c K.  That basis is
+    read off R (``_spins_its_basis``) before "not isomorphic" is returned.
 
-    The seed space is read mod the split prime p first
-    (``_seed_space_mod_p``).  Empty, it is empty exactly.  A line v-bar
-    decides negatives with integers only: its Krylov matrix K-bar is
-    tested as a map of the reductions (``_krylov_fails_mod_p``), and when
-    it fails, and R's basis is spun from e_0, there is no nonzero map.  For
-    if f is one, scale it at the prime above p of embedding 0 so that it
-    reduces to a nonzero f-bar, a module map of the reductions: f-bar(e_0)
-    lies in the seed space mod p, so f-bar(e_0) = lam v-bar, and
-    f-bar(e_i) = lam B-bar^i v-bar, so f-bar = lam K-bar with lam nonzero
-    and K-bar passes.  Otherwise the exact seed space is solved."""
+    R is simple, so each F_i is injective, and bijective in the common
+    dimension, and F2 F1^-1 A_{M1} =
+    F2 A_R F1^-1 = A_{M2} F2 F1^-1 makes F2 F1^-1 an isomorphism M1 -> M2.
+    R is absolutely simple, so the maps M1 -> M2 form a line, and
+    ``nullspace`` spans a line t by the vector that is 1 at the last index
+    of t's support: the map scaled to a last nonzero entry of 1
+    (``_last_entry_one``) is the system's witness."""
     key = (_REBUILD_KEY, M1.spec)
-    C, M = M1, M2
-    held = M1._memo.get(key)
+    holder = M1 if key in M1._memo else M2
+    held = holder._memo.get(key)
     if held is None:
-        C, M = M2, M1
-        held = M2._memo.get(key)
-        if held is None:
-            return None
-    params, T = held
-    family, spec = params.family, M1.spec
-    R = C if T is None else build_simple(params, spec)
-    reduced = _seed_space_mod_p(R, M)
-    if reduced == [] or (reduced is not None and len(reduced) == 1
-                         and _krylov_fails_mod_p(M, R, reduced[0], family, spec)
-                         and _spins_its_basis(R, family, spec)):
-        return IsoResult("not_isomorphic", detail="no nonzero intertwiner")
-    seed = _seed_space(R, M)
-    if len(seed) > 1:
         return None
-    K = _krylov_certifies(M, R, seed[0], family, spec) if seed else None
-    if K is None:
-        if seed and not _spins_its_basis(R, family, spec):
+    params, spec = held[0], M1.spec
+    maps = []
+    for M in (M1, M2):
+        own = M._memo.get(key)
+        if own is not None and own[0] == params:
+            maps.append(own[1])
+            continue
+        R = holder if held[1] is None else build_simple(params, spec)
+        seed = _seed_space(R, M)
+        if len(seed) > 1:
             return None
-        return IsoResult("not_isomorphic", detail="no nonzero intertwiner")
-    if C is M1:
-        witness = K if T is None else mat_mul(K, inverse(T))
-    else:
-        witness = inverse(K) if T is None else mat_mul(T, inverse(K))
-    return IsoResult("isomorphic", witness=_last_entry_one(witness))
+        F = _krylov_certifies(M, R, seed[0], params.family, spec) if seed else None
+        if F is None:
+            if seed and not _spins_its_basis(R, params.family, spec):
+                return None
+            return IsoResult("not_isomorphic", detail="no nonzero intertwiner")
+        maps.append(F)
+    F1, F2 = maps
+    if F1 is not None:
+        F1_inv = inverse(F1)
+        F2 = F1_inv if F2 is None else mat_mul(F2, F1_inv)
+    witness = identity(M1.dim, spec.conductor) if F2 is None else _last_entry_one(F2)
+    return IsoResult("isomorphic", witness=witness)
 
 
 def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
-    """Decide module isomorphism, from two classifications when they agree,
-    else from one classified side, else by solving the intertwiner system;
-    ValueError for modules of two algebras.
+    """Decide module isomorphism, from a classification that either module
+    holds, else by solving the intertwiner system; ValueError for modules
+    of two algebras.
 
-    When ``classify_simple`` has matched M1 and M2 over M1.spec to equal
-    parameters, each holds the exact map T_i from the common rebuild
-    R = build_simple(params, M1.spec) onto it, and no system is solved:
-    T2 T1^-1 A_{M1} = T2 A_R T1^-1 = A_{M2} T2 T1^-1, so T2 T1^-1 is a
-    module map by construction, nonzero, and bijective because M1 is
-    certified simple (``_composed_rebuild_maps``).  M1 is absolutely
-    simple, so the maps M1 -> M2 form a line, and ``nullspace`` spans a
-    line t by the vector that is 1 at the last index of t's support: the
-    map scaled to a last nonzero entry of 1 is the system's witness.
-
-    When only M1, or else M2, holds such a classification (the other
-    module unclassified, with invariant-only parameters, at another
-    parameter point or of another key), the MeatAxe's standard-basis test
-    decides with no system (``_spun_rebuild_map``): the line where a map
-    from the rebuild R can send e_0 is read in the other module, mod p
-    first, and spun by the family's active element into the only
-    candidate map, accepted by the exact check ``_intertwines``; an empty
-    seed space or a failed check is "not isomorphic", with the system's
-    detail.  A seed space of dimension 2 or more, and a pair with no
-    classified side, solve the system.
+    When ``classify_simple`` has matched M1, or else M2, over M1.spec, the
+    classified map (``_classified_map``) decides with no system: each
+    module that holds equal parameters holds its map from their common
+    rebuild R, and in the other module the line where a map from R can
+    send e_0 is spun by the family's active element into the only
+    candidate map, accepted by the exact check ``_intertwines`` (the
+    MeatAxe's standard-basis test).  The two maps from R compose to the
+    witness; an empty seed space or a failed check is "not isomorphic",
+    with the system's detail.  A seed space of dimension 2 or more, and a
+    pair with no classified side, solve the system.
 
     The basis of intertwiners is that of ``_intertwiner_space``: lifted
     from F_p and checked exactly, or else solved exactly, the same basis
@@ -894,12 +799,9 @@ def are_isomorphic(M1: ModuleRep, M2: ModuleRep) -> IsoResult:
     _check_same_algebra(M1, M2)
     if M1.dim != M2.dim:
         return IsoResult("not_isomorphic", detail="dimension mismatch")
-    witness = _composed_rebuild_maps(M1, M2)
-    if witness is not None:
-        return IsoResult("isomorphic", witness=witness)
-    spun = _spun_rebuild_map(M1, M2)
-    if spun is not None:
-        return spun
+    classified = _classified_map(M1, M2)
+    if classified is not None:
+        return classified
     dim = M1.dim
     N = M1.spec.conductor
     basis = _intertwiner_space(M1, M2)
@@ -1389,21 +1291,13 @@ def _subgroup_char_from_action(M: ModuleRep, sub: Subgroup):
         _classify_fail(f"kernel scalars are inconsistent: {exc}")
 
 
-def _no_eigenvalue_mod_p(M: ModuleRep, k: int, e: int) -> bool:
-    """Whether the residue of zeta^e is no eigenvalue mod p of the k-th
-    group generator of M, which has a reduction: its eigenspace
-    (``ModuleRep._eigenspace_mod_p``, shared with Burnside's eigenline
-    search) is empty.  Then zeta^e is no eigenvalue of the exact
-    generator."""
-    return not M._eigenspace_mod_p(k, e)
-
-
 def _joint_group_eigen(M: ModuleRep):
     """A joint eigenvector of the commuting group action, with the eigenvalue
     per group generator.  Eigenvalues are searched among the roots of unity
-    of the conductor, in order; a root with no eigenvector mod p
-    (``_no_eigenvalue_mod_p``) is skipped, and the exact kernel decides
-    every other one."""
+    of the conductor, in order; a root with no eigenvector mod p, an empty
+    ``ModuleRep._eigenspace_mod_p`` shared with Burnside's eigenline search,
+    is no eigenvalue of the exact generator and is skipped, and the exact
+    kernel decides every other one."""
     N = M.spec.conductor
     d = M.dim
     reduced = M._residues(0) is not None
@@ -1414,7 +1308,7 @@ def _joint_group_eigen(M: ModuleRep):
         images = [mat_vec(M.group_mats[k], col) for col in cols]
         found = None
         for e in range(N):
-            if reduced and _no_eigenvalue_mod_p(M, k, e):
+            if reduced and not M._eigenspace_mod_p(k, e):
                 continue
             xi = root_of_unity(N, e)
             rows = [[images[j][i] - xi * cols[j][i] for j in range(len(cols))]

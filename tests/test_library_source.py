@@ -1,9 +1,12 @@
 """Static checks on the library source."""
 
 import ast
+import io
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -403,3 +406,80 @@ def test_every_exported_name_is_its_layers_object():
         assert getattr(home, name) is obj is getattr(orehopf, name), name
     assert set(orehopf.__all__) | LAYERS <= set(dir(orehopf))
     assert not hasattr(orehopf, "no_such_name")
+
+
+def _defined_names(trees):
+    """Every name the trees define: functions, classes, and the names and
+    attributes they assign."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+    return names
+
+
+def _documented_private_names(text):
+    """The names starting with _ that a ``name`` or ``a.b._name`` in a
+    docstring or comment of the Python source text spells."""
+    nodes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    notes = [ast.get_docstring(node, clean=False) or ""
+             for node in ast.walk(ast.parse(text)) if isinstance(node, nodes)]
+    notes += [tok.string for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+              if tok.type == tokenize.COMMENT]
+    return {part for note in notes for name in re.findall(r"``([A-Za-z_][\w.]*)``", note)
+            for part in name.split(".") if part.startswith("_")}
+
+
+def _readme_names(text, layers):
+    """The names a `_name` or a `layer.name`, orehopf. prefixed or not, in
+    the markdown text spells, the layer left out; file names and fenced
+    blocks are skipped."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    for _, code in re.findall(r"(`+)([^`].*?)\1(?!`)", text, flags=re.S):
+        match = re.match(r"(?:orehopf\.)?(\w+)((?:\.\w+)*)", code)
+        if match is None or code.endswith(".py"):
+            continue
+        head, rest = match.group(1), match.group(2).split(".")[1:]
+        if head in layers and rest:
+            yield from rest
+        elif head.startswith("_") and not rest:
+            yield head
+
+
+def _trees(folder):
+    return [ast.parse(p.read_text(), filename=str(p)) for p in sorted(folder.rglob("*.py"))]
+
+
+def test_documented_private_names_exist():
+    # a docstring, comment or README line that names a helper must not
+    # outlive it
+    root = SRC.parent.parent
+    in_src = _defined_names(_trees(SRC))
+    missing = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+               for name in _documented_private_names(path.read_text())
+               if name not in in_src}
+    assert missing == set(), f"named in src/ docs but defined nowhere in src/: {missing}"
+    layers = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    defined = in_src | _defined_names(_trees(root / "tests"))
+    names = set(_readme_names((root / "README.md").read_text(), layers))
+    assert names and names - defined == set(), \
+        f"named in README.md but defined nowhere in src/ or tests/: {names - defined}"
+
+
+def test_the_name_check_sees_missing_names():
+    text = ('"""Reads ``_kept`` and ``M._gone``, not ``kept``."""\n\n'
+            "# ``_lost`` and ``linalg._kept``\n\n\n"
+            'def _kept(self):\n    """``_own``"""\n    self._own = "``_in_a_string``"\n')
+    assert _documented_private_names(text) == {"_kept", "_gone", "_lost", "_own"}
+    assert _documented_private_names(text) - _defined_names([ast.parse(text)]) == {
+        "_gone", "_lost"}
+    readme = ("`_kept`, `reps._gone = 3`, `orehopf.cli.MAX`, `reps.ModuleRep._own`, "
+              "`cli.py`, `entry._x`, `x*y + 2`, `_a.b` and ``_double``\n"
+              "```sh\nrun `_fenced`\n```\nthen `_after`")
+    assert list(_readme_names(readme, {"reps", "cli"})) == [
+        "_kept", "_gone", "MAX", "ModuleRep", "_own", "_double", "_after"]

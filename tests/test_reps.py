@@ -1686,41 +1686,48 @@ def test_one_classified_side_decides_every_pair_with_no_system(monkeypatch):
     assert set(outcomes) == {"isomorphic", "not_isomorphic"}
 
 
-def test_a_seed_line_mod_p_decides_negatives_with_no_exact_kernel(monkeypatch):
-    # the pairs above whose seed space mod p is a line: a negative is
-    # decided by the Krylov matrix mod p, with no exact nullspace; a
-    # positive runs the exact path and keeps the system's witness
-    lines, kernels = [], []
-    seed_space_mod_p, exact_nullspace = reps._seed_space_mod_p, reps.nullspace
+def test_the_classified_map_spins_at_most_one_side(monkeypatch):
+    # equal parameters only compose the held maps; otherwise the one seed
+    # space is read, and its line spun, in the module whose parameters differ
+    seeds, spins = [], []
 
-    def recording_seed_space(R, M):
-        reduced = seed_space_mod_p(R, M)
-        lines.append(reduced is not None and len(reduced) == 1)
-        return reduced
+    def recording_seed_space(R, M, _fn=reps._seed_space):
+        seeds.append(M)
+        return _fn(R, M)
 
-    def counting_nullspace(A):
-        kernels.append(A)
-        return exact_nullspace(A)
+    def recording_krylov(M, *args, _fn=reps._krylov_certifies):
+        spins.append(M)
+        return _fn(M, *args)
 
-    monkeypatch.setattr(reps, "_seed_space_mod_p", recording_seed_space)
-    monkeypatch.setattr(reps, "nullspace", counting_nullspace)
-    outcomes = Counter()
-    for family, pair in _one_classified_side_pairs():
-        lines.clear()
-        kernels.clear()
-        res = are_isomorphic(*pair)
-        if lines != [True]:
+    monkeypatch.setattr(reps, "_seed_space", recording_seed_space)
+    monkeypatch.setattr(reps, "_krylov_certifies", recording_krylov)
+    rng = random.Random(37)
+    families = set()
+    for inst in sweep_instances():
+        if inst.mode != "diff" and inst.family != "TorsionChar":
             continue
-        exact = len(kernels)
-        assert res == iso_by_system(*pair), family
-        if res.status == "isomorphic":
-            assert exact > 0 and _intertwines(res.witness, *pair)
-        else:
-            assert exact == 0, family
-        outcomes[family, res.status] += 1
-    negatives = {family for family, status in outcomes if status == "not_isomorphic"}
-    assert negatives == {"DiffVx", "SkewVxy", "SkewVy"}
-    assert sum(n for (_, status), n in outcomes.items() if status == "isomorphic") > 400
+        M, spec = _fresh(inst.module), inst.spec
+        C = conjugate(M, random_invertible(M.dim, spec.conductor, rng))
+        assert classify_simple(M, spec) == classify_simple(C, spec)
+        # the conjugate's classification spins its own Krylov certificate
+        spins.clear()
+        for pair in ((M, C), (C, M)):
+            res = are_isomorphic(*pair)
+            assert res == iso_by_system(*pair) and res.status == "isomorphic"
+        assert seeds == [] and spins == [], inst.family
+        families.add(inst.family)
+    assert families == {"TorsionChar", "DiffVbar", "DiffVx", "DiffVy"}
+    # SkewVx at alpha and at alpha q: two parameter points of one key
+    spec = skew_sweep_spec(4)
+    lam = kernel_char(spec, spec.chi, [0, 3])
+    a, q = root_of_unity(4, 1), spec.chi.eval(spec.c)
+    M1, M2 = build_Vx_skew(a, lam, spec), build_Vx_skew(a * q, lam, spec)
+    assert classify_simple(M1, spec) != classify_simple(M2, spec)
+    spins.clear()
+    res = are_isomorphic(M1, M2)
+    assert len(seeds) == 1 and seeds[0] is M2
+    assert len(spins) == 1 and spins[0] is M2
+    assert res == iso_by_system(M1, M2) and res.status == "isomorphic"
 
 
 def _scalar_on_seed_generators(R):
@@ -2250,14 +2257,15 @@ def test_generator_inverses_are_made_one_at_a_time(monkeypatch):
 
 
 def test_eigen_filter_keeps_the_eigenline_and_the_character(monkeypatch):
+    # a root whose eigenspace mod p is empty is skipped
     skipped = Counter()
 
-    def counting_filter(*args, _fn=reps._no_eigenvalue_mod_p):
-        verdict = _fn(*args)
-        skipped[verdict] += 1
-        return verdict
+    def counting_eigenspace(M, k, e, _fn=ModuleRep._eigenspace_mod_p):
+        space = _fn(M, k, e)
+        skipped[not space] += 1
+        return space
 
-    monkeypatch.setattr(reps, "_no_eigenvalue_mod_p", counting_filter)
+    monkeypatch.setattr(ModuleRep, "_eigenspace_mod_p", counting_eigenspace)
     rng = random.Random(13)
     modules = []
     for inst in sweep_instances():
@@ -2266,7 +2274,8 @@ def test_eigen_filter_keeps_the_eigenline_and_the_character(monkeypatch):
             modules += [M, conjugate(M, random_invertible(M.dim, inst.spec.conductor, rng))]
     filtered = [reps._joint_group_eigen(M) for M in modules]
     assert skipped[True] > 0
-    monkeypatch.setattr(reps, "_no_eigenvalue_mod_p", lambda image, k, xi: False)
+    # with no reduction the filter is off, and the exact kernels decide
+    monkeypatch.setattr(ModuleRep, "_residues", lambda M, e: None)
     for M, (v, values) in zip(modules, filtered):
         assert reps._joint_group_eigen(M) == (v, values)
 
